@@ -14,6 +14,11 @@
 //! transformations are never applied by any driver model — a conformant
 //! compiler may not reassociate floating point — which is exactly why the
 //! paper adds them offline.
+//!
+//! A model builds its pass list once ([`DriverModel::stages`]). Each entry
+//! carries a stable stage id, one per (pass, parameter) pair and the same
+//! for every vendor, so a [`DriverMemo`](crate::DriverMemo) can replay the
+//! list through a transition graph that all platforms share.
 
 use crate::vendor::Vendor;
 use prism_core::passes::{
@@ -25,23 +30,141 @@ use prism_glsl::ShaderSource;
 use prism_ir::prelude::*;
 use prism_ir::verify::verify;
 
+/// Rounds of a driver's pass list: a second round runs only when the first
+/// changed the IR.
+pub(crate) const DRIVER_ROUNDS: usize = 2;
+
+/// One pass of a driver's internal pipeline, with its parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriverPass {
+    /// Register renaming into SSA form.
+    Rename,
+    /// Constant folding and propagation.
+    ConstFold,
+    /// Local common-sub-expression elimination.
+    Cse,
+    /// Trivially-dead-code removal.
+    Dce,
+    /// Loop unrolling up to this trip count.
+    Unroll {
+        /// Largest trip count unrolled.
+        max_trip_count: usize,
+    },
+    /// If-conversion of branches up to this many statements.
+    Hoist {
+        /// Largest branch body flattened.
+        max_branch_size: usize,
+    },
+    /// Coalescing of per-component vector writes.
+    Coalesce,
+    /// Global value numbering.
+    Gvn,
+    /// Constant-division-to-multiplication rewriting.
+    DivToMul,
+}
+
+/// Every (pass, parameter) pair a driver preset runs. A pass's stage id is
+/// its index here, so one id names one (pass, parameter) pair for every
+/// vendor, and all ids fit the transition graph's 64 clean-stage mask bits.
+const DRIVER_STAGES: [DriverPass; 12] = [
+    DriverPass::Rename,
+    DriverPass::ConstFold,
+    DriverPass::Cse,
+    DriverPass::Dce,
+    DriverPass::Unroll { max_trip_count: 32 },
+    DriverPass::Unroll { max_trip_count: 64 },
+    DriverPass::Hoist { max_branch_size: 2 },
+    DriverPass::Hoist { max_branch_size: 3 },
+    DriverPass::Hoist { max_branch_size: 4 },
+    DriverPass::Coalesce,
+    DriverPass::Gvn,
+    DriverPass::DivToMul,
+];
+
+impl DriverPass {
+    /// Runs the pass over `shader`, returning whether it changed the IR.
+    pub fn run(self, shader: &mut Shader) -> bool {
+        match self {
+            DriverPass::Rename => Rename.run(shader),
+            DriverPass::ConstFold => ConstFold.run(shader),
+            DriverPass::Cse => Cse.run(shader),
+            DriverPass::Dce => Dce.run(shader),
+            DriverPass::Unroll { max_trip_count } => Unroll {
+                max_trip_count,
+                max_expanded_size: 1024,
+            }
+            .run(shader),
+            DriverPass::Hoist { max_branch_size } => Hoist { max_branch_size }.run(shader),
+            DriverPass::Coalesce => Coalesce.run(shader),
+            DriverPass::Gvn => Gvn.run(shader),
+            DriverPass::DivToMul => DivToMul.run(shader),
+        }
+    }
+}
+
 /// What a vendor's internal compiler does on top of the always-present
 /// canonicalisation (constant folding, CSE, dead-code removal).
 #[derive(Debug, Clone)]
 pub struct DriverModel {
     /// Which vendor this driver belongs to.
     pub vendor: Vendor,
+    /// The driver's pass list, each pass with its stage id, built once by
+    /// [`DriverModel::preset`].
+    stages: Vec<(DriverPass, usize)>,
+}
+
+/// The knobs that set one vendor's internal compiler apart.
+struct Personality {
     /// Internal loop unrolling up to this trip count (0 = none).
-    pub unroll_trip_limit: usize,
+    unroll_trip_limit: usize,
     /// Internal global value numbering.
-    pub gvn: bool,
+    gvn: bool,
     /// Internal if-conversion for branches up to this many statements
     /// (0 = none).
-    pub hoist_limit: usize,
+    hoist_limit: usize,
     /// Internal constant-division-to-multiplication rewriting.
-    pub div_to_mul: bool,
+    div_to_mul: bool,
     /// Internal coalescing of per-component vector writes.
-    pub coalesce: bool,
+    coalesce: bool,
+}
+
+impl Personality {
+    /// The pass list this personality runs.
+    fn passes(&self) -> Vec<DriverPass> {
+        // Every real driver compiles through an SSA IR, so the renaming pass
+        // is part of the baseline canonicalisation here too.
+        let mut passes = vec![
+            DriverPass::Rename,
+            DriverPass::ConstFold,
+            DriverPass::Cse,
+            DriverPass::Dce,
+        ];
+        if self.unroll_trip_limit > 0 {
+            passes.extend([
+                DriverPass::Unroll {
+                    max_trip_count: self.unroll_trip_limit,
+                },
+                DriverPass::Rename,
+                DriverPass::ConstFold,
+            ]);
+        }
+        if self.hoist_limit > 0 {
+            passes.push(DriverPass::Hoist {
+                max_branch_size: self.hoist_limit,
+            });
+        }
+        if self.coalesce {
+            passes.push(DriverPass::Coalesce);
+        }
+        if self.gvn {
+            passes.push(DriverPass::Gvn);
+        }
+        if self.div_to_mul {
+            passes.push(DriverPass::DivToMul);
+        }
+        passes.extend([DriverPass::ConstFold, DriverPass::Cse, DriverPass::Dce]);
+        passes
+    }
 }
 
 impl DriverModel {
@@ -64,64 +187,69 @@ impl DriverModel {
     ///   (GVN, if-conversion, constant-division folding) but no
     ///   source-level loop restructuring at AIR build time.
     pub fn preset(vendor: Vendor) -> DriverModel {
-        match vendor {
-            Vendor::Nvidia => DriverModel {
-                vendor,
+        let personality = match vendor {
+            Vendor::Nvidia => Personality {
                 unroll_trip_limit: 64,
                 gvn: true,
                 hoist_limit: 4,
                 div_to_mul: true,
                 coalesce: true,
             },
-            Vendor::Intel => DriverModel {
-                vendor,
+            Vendor::Intel => Personality {
                 unroll_trip_limit: 32,
                 gvn: true,
                 hoist_limit: 2,
                 div_to_mul: true,
                 coalesce: true,
             },
-            Vendor::Amd => DriverModel {
-                vendor,
+            Vendor::Amd => Personality {
                 unroll_trip_limit: 0,
                 gvn: true,
                 hoist_limit: 2,
                 div_to_mul: true,
                 coalesce: true,
             },
-            Vendor::Arm => DriverModel {
-                vendor,
+            Vendor::Arm => Personality {
                 unroll_trip_limit: 0,
                 gvn: false,
                 hoist_limit: 0,
                 div_to_mul: true,
                 coalesce: false,
             },
-            Vendor::Qualcomm => DriverModel {
-                vendor,
+            Vendor::Qualcomm => Personality {
                 unroll_trip_limit: 0,
                 gvn: false,
                 hoist_limit: 3,
                 div_to_mul: false,
                 coalesce: false,
             },
-            Vendor::Radv => DriverModel {
-                vendor,
+            Vendor::Radv => Personality {
                 unroll_trip_limit: 0,
                 gvn: true,
                 hoist_limit: 3,
                 div_to_mul: false,
                 coalesce: true,
             },
-            Vendor::Apple => DriverModel {
-                vendor,
+            Vendor::Apple => Personality {
                 unroll_trip_limit: 0,
                 gvn: true,
                 hoist_limit: 2,
                 div_to_mul: true,
                 coalesce: true,
             },
-        }
+        };
+        let stages = personality
+            .passes()
+            .into_iter()
+            .map(|pass| {
+                let id = DRIVER_STAGES
+                    .iter()
+                    .position(|p| *p == pass)
+                    .expect("every preset pass has a stage id");
+                (pass, id)
+            })
+            .collect();
+        DriverModel { vendor, stages }
     }
 
     /// Compiles incoming GLSL exactly as the vendor driver would: front-end,
@@ -134,18 +262,7 @@ impl DriverModel {
     pub fn compile(&self, glsl: &str, name: &str) -> Result<Shader, CompileError> {
         let source = ShaderSource::preprocess_and_parse(glsl, &Default::default())
             .map_err(CompileError::Front)?;
-        self.compile_source(&source, name)
-    }
-
-    /// Same as [`DriverModel::compile`] but starting from an already parsed
-    /// shader.
-    pub fn compile_source(
-        &self,
-        source: &ShaderSource,
-        name: &str,
-    ) -> Result<Shader, CompileError> {
-        let ir = lower(source, name)?;
-        self.compile_ir(ir, name)
+        self.compile_ir(lower(&source, name)?, name)
     }
 
     /// The back half of driver compilation: the vendor's internal passes
@@ -160,10 +277,9 @@ impl DriverModel {
     /// structurally invalid.
     pub fn compile_ir(&self, mut ir: Shader, name: &str) -> Result<Shader, CompileError> {
         ir.name = name.to_string();
-        let passes = self.internal_passes();
-        for _ in 0..2 {
+        for _ in 0..DRIVER_ROUNDS {
             let mut changed = false;
-            for pass in &passes {
+            for (pass, _) in &self.stages {
                 changed |= pass.run(&mut ir);
             }
             if !changed {
@@ -174,42 +290,11 @@ impl DriverModel {
         Ok(ir)
     }
 
-    /// The pass list this driver runs internally.
-    fn internal_passes(&self) -> Vec<Box<dyn Pass>> {
-        // Every real driver compiles through an SSA IR, so the renaming pass
-        // is part of the baseline canonicalisation here too.
-        let mut passes: Vec<Box<dyn Pass>> = vec![
-            Box::new(Rename),
-            Box::new(ConstFold),
-            Box::new(Cse),
-            Box::new(Dce),
-        ];
-        if self.unroll_trip_limit > 0 {
-            passes.push(Box::new(Unroll {
-                max_trip_count: self.unroll_trip_limit,
-                max_expanded_size: 1024,
-            }));
-            passes.push(Box::new(Rename));
-            passes.push(Box::new(ConstFold));
-        }
-        if self.hoist_limit > 0 {
-            passes.push(Box::new(Hoist {
-                max_branch_size: self.hoist_limit,
-            }));
-        }
-        if self.coalesce {
-            passes.push(Box::new(Coalesce));
-        }
-        if self.gvn {
-            passes.push(Box::new(Gvn));
-        }
-        if self.div_to_mul {
-            passes.push(Box::new(DivToMul));
-        }
-        passes.push(Box::new(ConstFold));
-        passes.push(Box::new(Cse));
-        passes.push(Box::new(Dce));
-        passes
+    /// The pass list this driver runs, in order, each pass with its stable
+    /// stage id: one id per (pass, parameter) pair, the same for every
+    /// vendor, below 64.
+    pub fn stages(&self) -> &[(DriverPass, usize)] {
+        &self.stages
     }
 }
 
@@ -228,15 +313,18 @@ mod tests {
 
     #[test]
     fn presets_differ_in_maturity() {
-        let nv = DriverModel::preset(Vendor::Nvidia);
-        let amd = DriverModel::preset(Vendor::Amd);
-        let arm = DriverModel::preset(Vendor::Arm);
-        let adreno = DriverModel::preset(Vendor::Qualcomm);
-        assert!(nv.unroll_trip_limit > 0);
-        assert_eq!(amd.unroll_trip_limit, 0);
-        assert!(!arm.gvn);
-        assert!(!adreno.div_to_mul);
-        assert!(DriverModel::preset(Vendor::Intel).div_to_mul);
+        let runs = |vendor, wanted: fn(&DriverPass) -> bool| {
+            DriverModel::preset(vendor)
+                .stages()
+                .iter()
+                .any(|(pass, _)| wanted(pass))
+        };
+        let unrolls = |p: &DriverPass| matches!(p, DriverPass::Unroll { .. });
+        assert!(runs(Vendor::Nvidia, unrolls));
+        assert!(!runs(Vendor::Amd, unrolls));
+        assert!(!runs(Vendor::Arm, |p| *p == DriverPass::Gvn));
+        assert!(!runs(Vendor::Qualcomm, |p| *p == DriverPass::DivToMul));
+        assert!(runs(Vendor::Intel, |p| *p == DriverPass::DivToMul));
     }
 
     #[test]

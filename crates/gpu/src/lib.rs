@@ -20,18 +20,28 @@
 //!   IR into per-frame `GL_TIME_ELAPSED`-style samples,
 //! * an ARM-offline-compiler-style [static analyser](static_analysis) used
 //!   for the Fig. 4b shader characterisation.
+//!
+//! A [`DriverMemo`] runs many submissions through the drivers at once: each
+//! distinct (source form, text) is parsed once, and each driver pass runs
+//! once per distinct IR, replayed through a transition graph by stable stage
+//! id ([`DriverModel::stages`]). The study sweep gives each of its columns
+//! (the original shader, one variant, or one specialization key) one memo
+//! shared by all platforms; [`Platform::submit`] stays the one-shot
+//! reference path.
 
 pub mod cost;
 pub mod driver;
 pub mod isa;
+pub mod memo;
 pub mod platform;
 pub mod static_analysis;
 pub mod timing;
 pub mod vendor;
 
 pub use cost::FragmentCost;
-pub use driver::DriverModel;
+pub use driver::{DriverModel, DriverPass};
 pub use isa::IsaStats;
+pub use memo::{DriverMemo, DriverStats};
 pub use platform::{Platform, ShaderCost};
 pub use static_analysis::{analyze, StaticCycles};
 pub use timing::{DrawConfig, NoiseState, TimeSample};

@@ -9,7 +9,7 @@ use crate::timing::{
     TimeSample,
 };
 use crate::vendor::{DeviceSpec, Vendor};
-use prism_core::CompileError;
+use prism_core::{lower, CompileError};
 use prism_emit::BackendKind;
 use prism_glsl::ShaderSource;
 use prism_ir::Shader;
@@ -60,7 +60,7 @@ impl Platform {
         }
     }
 
-    /// All five platforms of the study.
+    /// All seven platforms of the study.
     pub fn all() -> Vec<Platform> {
         Vendor::ALL.iter().map(|v| Platform::new(*v)).collect()
     }
@@ -90,35 +90,10 @@ impl Platform {
     /// source — including text in the wrong source form for this platform
     /// (a Vulkan driver does not guess at GLSL).
     pub fn submit(&self, text: &str, name: &str) -> Result<ShaderCost, CompileError> {
-        let foreign = |e: String| {
-            CompileError::Front(prism_glsl::GlslError::new(prism_glsl::Stage::Parse, e))
-        };
-        match self.backend() {
-            BackendKind::DesktopGlsl | BackendKind::Gles => {
-                let source = ShaderSource::preprocess_and_parse(text, &Default::default())
-                    .map_err(CompileError::Front)?;
-                let driver_ir = self.driver.compile_source(&source, name)?;
-                let mut cost = self.cost_of_ir(driver_ir);
-                cost.source_version = source.version.unwrap_or_default();
-                Ok(cost)
-            }
-            BackendKind::SpirvAsm => {
-                let parsed = prism_emit::parse_spirv_asm(text).map_err(foreign)?;
-                let driver_ir = self.driver.compile_ir(parsed.shader, name)?;
-                let mut cost = self.cost_of_ir(driver_ir);
-                cost.source_version = parsed.version;
-                Ok(cost)
-            }
-            BackendKind::Msl => {
-                let glsl = prism_emit::msl_to_glsl(text).map_err(foreign)?;
-                let source = ShaderSource::preprocess_and_parse(&glsl, &Default::default())
-                    .map_err(CompileError::Front)?;
-                let driver_ir = self.driver.compile_source(&source, name)?;
-                let mut cost = self.cost_of_ir(driver_ir);
-                cost.source_version = BackendKind::Msl.version().to_string();
-                Ok(cost)
-            }
-        }
+        let (ir, version) = front_end(self.backend(), text, name)?;
+        let mut cost = self.cost_of_ir(self.driver.compile_ir(ir, name)?);
+        cost.source_version = version;
+        Ok(cost)
     }
 
     /// Evaluates the hardware model on already driver-compiled IR.
@@ -157,6 +132,45 @@ impl Platform {
     /// the paper reports it for the Mali toolchain).
     pub fn static_cycles(&self, driver_ir: &Shader) -> StaticCycles {
         analyze(driver_ir)
+    }
+}
+
+/// The driver front-end for `backend`'s source form — a GLSL parse, the
+/// SPIR-V assembly parser, or the MSL desugaring plus a GLSL parse — then
+/// lowering. Returns the IR the driver's passes start from and the
+/// source-form version token the front-end saw (see
+/// [`ShaderCost::source_version`]).
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] if the front-end rejects the text, including
+/// text in another source form, or the lowering rejects the parsed shader.
+pub(crate) fn front_end(
+    backend: BackendKind,
+    text: &str,
+    name: &str,
+) -> Result<(Shader, String), CompileError> {
+    let foreign =
+        |e: String| CompileError::Front(prism_glsl::GlslError::new(prism_glsl::Stage::Parse, e));
+    let parse_glsl = |glsl: &str| {
+        ShaderSource::preprocess_and_parse(glsl, &Default::default()).map_err(CompileError::Front)
+    };
+    match backend {
+        BackendKind::DesktopGlsl | BackendKind::Gles => {
+            let source = parse_glsl(text)?;
+            Ok((lower(&source, name)?, source.version.unwrap_or_default()))
+        }
+        BackendKind::SpirvAsm => {
+            let parsed = prism_emit::parse_spirv_asm(text).map_err(foreign)?;
+            Ok((parsed.shader, parsed.version))
+        }
+        BackendKind::Msl => {
+            let source = parse_glsl(&prism_emit::msl_to_glsl(text).map_err(foreign)?)?;
+            Ok((
+                lower(&source, name)?,
+                BackendKind::Msl.version().to_string(),
+            ))
+        }
     }
 }
 

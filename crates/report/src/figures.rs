@@ -732,11 +732,7 @@ mod tests {
                 },
             }],
             measurements: vec![record("AMD", 750.0), record("ARM", 650.0)],
-            skipped: vec![],
-            cache: Default::default(),
-            search: vec![],
-            warnings: vec![],
-            specializations: vec![],
+            ..StudyResults::default()
         }
     }
 

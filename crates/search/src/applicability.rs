@@ -131,11 +131,7 @@ mod tests {
                 ],
                 flag_to_variant,
             }],
-            skipped: vec![],
-            cache: Default::default(),
-            search: vec![],
-            warnings: vec![],
-            specializations: vec![],
+            ..StudyResults::default()
         }
     }
 

@@ -128,11 +128,7 @@ mod tests {
                 ],
                 flag_to_variant,
             }],
-            skipped: vec![],
-            cache: Default::default(),
-            search: vec![],
-            warnings: vec![],
-            specializations: vec![],
+            ..StudyResults::default()
         }
     }
 

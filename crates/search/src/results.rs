@@ -5,6 +5,7 @@
 //! re-analysed without re-running the measurement.
 
 use prism_core::{CacheStats, OptFlags};
+use prism_gpu::DriverStats;
 
 /// Timing of one distinct shader variant on one platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -594,6 +595,35 @@ pub struct StudyResults {
     /// Uniform-value specialization arms (the AZP axis), when the study ran
     /// with specialization enabled. Empty for flag-only studies.
     pub specializations: Vec<SpecializationRecord>,
+    /// Work of the sweep's driver memos, summed over every column.
+    pub driver: DriverStats,
+}
+
+// `DriverStats` lives in prism-gpu, which has no serde; its JSON form is
+// written here, one small object of counts.
+fn driver_to_value(driver: &DriverStats) -> serde::Value {
+    let num = |n: usize| serde::Value::Num(n as f64);
+    serde::Value::Obj(vec![
+        ("front_parses".to_string(), num(driver.front_parses)),
+        ("front_hits".to_string(), num(driver.front_hits)),
+        ("stage_runs".to_string(), num(driver.stage_runs)),
+        ("stage_hits".to_string(), num(driver.stage_hits)),
+    ])
+}
+
+/// Reads the driver counters. Reports written before the driver memo
+/// existed have none; an absent counter reads as 0.
+fn driver_from_value(v: Option<&serde::Value>) -> Result<DriverStats, String> {
+    let count = |name: &str| match v.and_then(|v| v.get(name)) {
+        Some(value) => serde::Deserialize::from_value(value),
+        None => Ok(0),
+    };
+    Ok(DriverStats {
+        front_parses: count("front_parses")?,
+        front_hits: count("front_hits")?,
+        stage_runs: count("stage_runs")?,
+        stage_hits: count("stage_hits")?,
+    })
 }
 
 impl serde::Serialize for StudyResults {
@@ -609,6 +639,7 @@ impl serde::Serialize for StudyResults {
                 "specializations".to_string(),
                 self.specializations.to_value(),
             ),
+            ("driver".to_string(), driver_to_value(&self.driver)),
         ])
     }
 }
@@ -638,6 +669,7 @@ impl serde::Deserialize for StudyResults {
             search: serde::Deserialize::from_value(field("search")?)?,
             warnings,
             specializations,
+            driver: driver_from_value(v.get("driver"))?,
         })
     }
 }
@@ -831,6 +863,12 @@ mod tests {
                 guard_ns: 4.0,
                 interp_confirms: 10,
             }],
+            driver: DriverStats {
+                front_parses: 11,
+                front_hits: 9,
+                stage_runs: 40,
+                stage_hits: 120,
+            },
         };
         let json = study.to_json().unwrap();
         let restored = StudyResults::from_json(&json).unwrap();
@@ -841,6 +879,7 @@ mod tests {
         assert_eq!(restored.search, study.search);
         assert_eq!(restored.warnings, study.warnings);
         assert_eq!(restored.specializations, study.specializations);
+        assert_eq!(restored.driver, study.driver);
         assert_eq!(restored.cache.stats.evictions, 5);
         assert_eq!(restored.cache.stats.warm_stage_hits, 6);
         assert_eq!(restored.cache.stats.warm_shards_skipped, 1);
@@ -904,6 +943,15 @@ mod tests {
         let restored = StudyResults::from_json(old).unwrap();
         assert!(restored.warnings.is_empty());
         assert!(restored.specializations.is_empty());
+        // Ditto the driver-memo counters, and any one of them.
+        assert_eq!(restored.driver, DriverStats::default());
+        let partial = old.replace(
+            r#""search":[]"#,
+            r#""search":[],"driver":{"front_parses":3}"#,
+        );
+        let restored = StudyResults::from_json(&partial).unwrap();
+        assert_eq!(restored.driver.front_parses, 3);
+        assert_eq!(restored.driver.stage_runs, 0);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! text routinely answer another's lookups. The corpus-level counters land in
 //! [`StudyResults::cache`].
 //!
+//! The drivers' own work is memoised per column — the original shader, one
+//! variant, or one specialization key: the column's submissions share one
+//! [`DriverMemo`](prism_gpu::DriverMemo), so each text is parsed once and
+//! each driver pass runs once per distinct IR. Its counters land in
+//! [`StudyResults::driver`].
+//!
 //! Shaders are processed on a work-stealing worker pool (the offline tool and
 //! the simulated GPUs are pure functions, so this is safe and deterministic):
 //! workers pull the next shader from a shared queue, so one expensive
@@ -34,7 +40,7 @@ use prism_core::{
 };
 use prism_corpus::{Corpus, ShaderCase};
 use prism_emit::BackendKind;
-use prism_gpu::{Platform, Vendor};
+use prism_gpu::{DriverMemo, DriverStats, Platform, Vendor};
 use prism_harness::{measure_cost, MeasureConfig};
 use rayon::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -186,6 +192,7 @@ pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
                 study.measurements.extend(processed.measurements);
                 study.skipped.extend(processed.platform_failures);
                 study.specializations.extend(processed.specializations);
+                study.driver += processed.driver;
             }
             Err(skipped) => study.skipped.push(skipped),
         }
@@ -233,6 +240,18 @@ struct ProcessedShader {
     /// Interp-verified, measured specialization arms (empty unless the study
     /// ran with `StudyConfig::specialize`).
     specializations: Vec<SpecializationRecord>,
+    /// Driver-memo work of this shader's columns.
+    driver: DriverStats,
+}
+
+/// One platform's row of a shader, filled column by column.
+#[derive(Default)]
+struct PlatformRow {
+    original_ns: f64,
+    variants: Vec<VariantRecord>,
+    driver_source_version: String,
+    /// Why the row was dropped; no later column submits to this platform.
+    failure: Option<SkippedShader>,
 }
 
 /// Processes one shader: one compile session (against the shared corpus
@@ -240,6 +259,11 @@ struct ProcessedShader {
 /// platform's declared emission backend. The second tuple element carries the
 /// session's own work counters whenever a session was constructed (even if
 /// variant generation failed afterwards), for the study's cache record.
+///
+/// Driver submissions go column by column — the original shader, then each
+/// variant — and each column's seven submissions share one [`DriverMemo`],
+/// dropped when the column ends: the column's texts are parsed once per
+/// source form, and the vendors' common passes run once per distinct IR.
 fn process_shader(
     case: &ShaderCase,
     platforms: &[Platform],
@@ -269,17 +293,22 @@ fn process_shader(
         Ok(variants) => variants,
         Err(e) => return (Err(skip(e.to_string())), Some(session.stats())),
     };
+    let mut driver = DriverStats::default();
+    let mut rows: Vec<PlatformRow> = platforms.iter().map(|_| PlatformRow::default()).collect();
 
-    // Static facts (platform independent). The ARM static analyser runs on
-    // the ARM driver's compilation of the original shader, as in the paper —
-    // which on the Mali toolchain means the GLES conversion of the original.
+    // Column 0, the original shader. Static facts first (platform
+    // independent): the ARM static analyser runs on the ARM driver's
+    // compilation of the original shader, as in the paper — which on the
+    // Mali toolchain means the GLES conversion of the original, the same
+    // submission ARM's own row makes through this column's memo.
+    let mut memo = DriverMemo::new();
     let arm = platforms
         .iter()
         .find(|p| p.vendor() == Vendor::Arm)
         .cloned()
         .unwrap_or_else(|| Platform::new(Vendor::Arm));
-    let arm_static_cycles = arm
-        .submit(&session.base_text_for(BackendKind::Gles), &case.name)
+    let arm_static_cycles = memo
+        .submit(&arm, &session.base_text_for(BackendKind::Gles), &case.name)
         .map(|c| arm.static_cycles(&c.driver_ir).total())
         .unwrap_or(0.0);
 
@@ -297,38 +326,41 @@ fn process_shader(
         flag_changes_code,
     };
 
-    let mut measurements = Vec::new();
-    let mut platform_failures = Vec::new();
-    for (platform_idx, platform) in platforms.iter().enumerate() {
-        let vendor = platform.vendor().name();
-        let backend = platform.backend();
-        let stream_base = stream_id(&case.name, platform_idx);
-        // Original (untouched) shader. Desktop OpenGL drivers take the
-        // corpus text as-is; no other driver can consume desktop GLSL, so
-        // those platforms measure the original through the conversion path —
-        // the unoptimized lowering emitted by their backend (§III-C(d) for
-        // GLES; the SPIR-V and MSL consumers enter the same way).
+    for (platform_idx, (platform, row)) in platforms.iter().zip(&mut rows).enumerate() {
+        // Desktop OpenGL drivers take the corpus text as-is; no other driver
+        // can consume desktop GLSL, so those platforms measure the original
+        // through the conversion path — the unoptimized lowering emitted by
+        // their backend (§III-C(d) for GLES; the SPIR-V and MSL consumers
+        // enter the same way).
         let original_converted;
-        let original_text: &str = match backend {
+        let original_text: &str = match platform.backend() {
             BackendKind::DesktopGlsl => &case.source.text,
-            _ => {
+            backend => {
                 original_converted = session.base_text_for(backend);
                 &original_converted
             }
         };
-        let original_cost = match platform.submit(original_text, &case.name) {
-            Ok(cost) => cost,
+        match memo.submit(platform, original_text, &case.name) {
+            Ok(cost) => {
+                let stream = stream_id(&case.name, platform_idx);
+                row.original_ns = measure_cost(platform, &cost, measure, stream).mean_ns;
+            }
             Err(e) => {
-                platform_failures.push(skip(format!("driver({vendor}): original shader: {e}")));
+                let vendor = platform.vendor().name();
+                row.failure = Some(skip(format!("driver({vendor}): original shader: {e}")));
+            }
+        }
+    }
+    driver += memo.stats();
+
+    for variant in &variants.variants {
+        let mut memo = DriverMemo::new();
+        for (platform_idx, (platform, row)) in platforms.iter().zip(&mut rows).enumerate() {
+            if row.failure.is_some() {
                 continue;
             }
-        };
-        let original = measure_cost(platform, &original_cost, measure, stream_base);
-
-        let mut variant_records = Vec::new();
-        let mut variant_failure = None;
-        let mut driver_source_version = String::new();
-        for variant in &variants.variants {
+            let vendor = platform.vendor().name();
+            let backend = platform.backend();
             // The platform's backend decides which text of this variant the
             // driver sees. The desktop text is the variant's own (dedup key)
             // string; every other form comes from the session's per-backend
@@ -342,61 +374,63 @@ fn process_shader(
                         &emitted_text
                     }
                     Err(e) => {
-                        variant_failure = Some(skip(format!(
+                        row.failure = Some(skip(format!(
                             "emit({vendor}/{backend}): variant {}: {e}",
                             variant.index
                         )));
-                        break;
+                        continue;
                     }
                 },
             };
-            let cost = match platform.submit(text, &case.name) {
+            let cost = match memo.submit(platform, text, &case.name) {
                 Ok(cost) => cost,
                 Err(e) => {
-                    variant_failure = Some(skip(format!(
+                    // A variant failed driver compilation; drop this
+                    // platform's row to keep the flag→variant table
+                    // consistent, but record why.
+                    row.failure = Some(skip(format!(
                         "driver({vendor}): variant {}: {e}",
                         variant.index
                     )));
-                    break;
+                    continue;
                 }
             };
-            if driver_source_version.is_empty() {
-                driver_source_version = cost.source_version.clone();
+            if row.driver_source_version.is_empty() {
+                row.driver_source_version = cost.source_version.clone();
             }
-            let m = measure_cost(
-                platform,
-                &cost,
-                measure,
-                stream_base.wrapping_add(1 + variant.index as u64),
-            );
-            variant_records.push(VariantRecord {
+            let stream = stream_id(&case.name, platform_idx).wrapping_add(1 + variant.index as u64);
+            let m = measure_cost(platform, &cost, measure, stream);
+            row.variants.push(VariantRecord {
                 index: variant.index,
                 flag_bits: variant.flag_sets.iter().map(|f| f.bits()).collect(),
                 mean_ns: m.mean_ns,
                 stddev_ns: m.stddev_ns,
             });
         }
-        if let Some(failure) = variant_failure {
-            // A variant failed driver compilation; skip this platform to keep
-            // the flag→variant table consistent, but record why.
-            platform_failures.push(failure);
-            continue;
+        driver += memo.stats();
+    }
+
+    let flag_to_variant: Vec<usize> = (0..=255u8)
+        .map(|bits| variants.by_flags[&OptFlags::from_bits(bits)])
+        .collect();
+    let mut measurements = Vec::new();
+    let mut platform_failures = Vec::new();
+    for (platform, row) in platforms.iter().zip(rows) {
+        match row.failure {
+            Some(failure) => platform_failures.push(failure),
+            None => measurements.push(ShaderPlatformRecord {
+                shader: case.name.clone(),
+                vendor: platform.vendor().name().to_string(),
+                backend: platform.backend().name().to_string(),
+                driver_source_version: row.driver_source_version,
+                original_ns: row.original_ns,
+                variants: row.variants,
+                flag_to_variant: flag_to_variant.clone(),
+            }),
         }
-        let flag_to_variant = (0..=255u8)
-            .map(|bits| variants.by_flags[&prism_core::OptFlags::from_bits(bits)])
-            .collect();
-        measurements.push(ShaderPlatformRecord {
-            shader: case.name.clone(),
-            vendor: vendor.to_string(),
-            backend: backend.name().to_string(),
-            driver_source_version,
-            original_ns: original.mean_ns,
-            variants: variant_records,
-            flag_to_variant,
-        });
     }
     let specializations = match spec_limit {
-        Some(limit) => specialization_arms(case, &session, platforms, measure, limit),
+        Some(limit) => specialization_arms(case, &session, platforms, measure, limit, &mut driver),
         None => Vec::new(),
     };
     (
@@ -405,6 +439,7 @@ fn process_shader(
             measurements,
             platform_failures,
             specializations,
+            driver,
         }),
         Some(session.stats()),
     )
@@ -426,17 +461,21 @@ const GUARD_NS_PER_ASSUMPTION: f64 = 6.0;
 /// every platform. Inapplicable keys (e.g. an assumption the fold proves
 /// nothing about, leaving the text unchanged) are skipped without a record:
 /// an ineffective specialization has no win and no guard worth paying for.
+/// Each key is one column: its general and specialized submissions on every
+/// platform share one [`DriverMemo`], whose work lands in `driver`.
 fn specialization_arms(
     case: &ShaderCase,
     session: &CompileSession,
     platforms: &[Platform],
     measure: &MeasureConfig,
     limit: usize,
+    driver: &mut DriverStats,
 ) -> Vec<SpecializationRecord> {
     let flags = OptFlags::lunarglass_default();
     let probes = default_probe_points();
     let mut records = Vec::new();
     for key in candidate_keys(session.base_ir(), limit) {
+        let mut memo = DriverMemo::new();
         for (platform_idx, platform) in platforms.iter().enumerate() {
             let backend = platform.backend();
             let dispatch = match session.dispatch_for(flags, &key, backend) {
@@ -450,10 +489,11 @@ fn specialization_arms(
             }
             let verification = verify_specialization(&dispatch, &probes)
                 .unwrap_or_else(|d| panic!("specialization miscompile: {}", d.message));
-            let Ok(general_cost) = platform.submit(&dispatch.general.glsl, &case.name) else {
+            let Ok(general_cost) = memo.submit(platform, &dispatch.general.glsl, &case.name) else {
                 continue;
             };
-            let Ok(spec_cost) = platform.submit(&dispatch.specialized.glsl, &case.name) else {
+            let Ok(spec_cost) = memo.submit(platform, &dispatch.specialized.glsl, &case.name)
+            else {
                 continue;
             };
             // Distinct high-offset streams so spec arms never collide with
@@ -474,6 +514,7 @@ fn specialization_arms(
                 interp_confirms: verification.confirms,
             });
         }
+        *driver += memo.stats();
     }
     records
 }

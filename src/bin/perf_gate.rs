@@ -4,10 +4,11 @@
 //! noise); the quantities that actually protect the hot path are the
 //! *deterministic* work counters the caching subsystems maintain: stage runs
 //! avoided, cache hits, emission dedup, the incremental search's compile
-//! counts, and the warm-start persistence layer's disk-hit counters (the
-//! smoke sweep is run twice against one snapshot directory; the second run
-//! must do strictly less work with byte-identical results — hard-asserted
-//! here, not just baselined). This binary runs the smoke-sized study
+//! counts, the simulated drivers' parses and pass runs, and the warm-start
+//! persistence layer's disk-hit counters (the smoke sweep is run twice
+//! against one snapshot directory; the second run must do strictly less
+//! work with byte-identical results — hard-asserted here, not just
+//! baselined). This binary runs the smoke-sized study
 //! (single-threaded, fixed seeds, so every counter is exactly
 //! reproducible), writes them as a `BENCH_perf_gate.json` baseline, and —
 //! with `--check <baseline>` — fails (exit 1) if any counter regresses
@@ -130,6 +131,23 @@ fn measure() -> GateReport {
         Counter {
             name: "identity_transitions".into(),
             value: ir_work.identity_transitions as f64,
+            higher_is_better: true,
+        },
+        // Simulated-driver plane: front-end parses and driver pass runs the
+        // sweep's per-column driver memos could not answer.
+        Counter {
+            name: "driver_front_parses".into(),
+            value: study.driver.front_parses as f64,
+            higher_is_better: false,
+        },
+        Counter {
+            name: "driver_stage_runs".into(),
+            value: study.driver.stage_runs as f64,
+            higher_is_better: false,
+        },
+        Counter {
+            name: "driver_stage_hits".into(),
+            value: study.driver.stage_hits as f64,
             higher_is_better: true,
         },
     ];
@@ -701,6 +719,9 @@ mod tests {
             "fingerprints_computed",
             "equality_confirms",
             "identity_transitions",
+            "driver_front_parses",
+            "driver_stage_runs",
+            "driver_stage_hits",
             "warm_stage_runs",
             "warm_stage_hits",
             "warm_emissions",
