@@ -12,7 +12,7 @@
 //!   [`prism_ir::analysis::Liveness`], parameterised by each of the seven
 //!   platform personalities in [`prism_gpu::Vendor`] (scalar vs vec4 ALU,
 //!   per-class throughput, register budget) instead of one hardcoded table;
-//! * [`lint`] — rule-based diagnostics with stable ids and severities, in
+//! * [`lint`](mod@lint) — rule-based diagnostics with stable ids and severities, in
 //!   machine-readable JSON: AZP-style specialization sites
 //!   (`uniform-foldable-expr`, `uniform-branch`), dead interface elements
 //!   (`dead-output`, `unused-uniform`, `unused-sampler`) and optimization

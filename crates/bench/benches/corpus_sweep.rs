@@ -1,6 +1,6 @@
 //! Criterion benchmark of the corpus-level study sweep hot path: one shared
 //! [`CorpusCache`](prism_core::CorpusCache) for every shader session versus
-//! the pre-corpus-cache behaviour (a private cache per session).
+//! one study per shader, each on its own private cache.
 //!
 //! Besides timing both configurations, the bench asserts the properties the
 //! shared cache must keep (cross-shader hits happen; results are
@@ -41,25 +41,37 @@ fn family_corpus() -> Corpus {
     }
 }
 
-fn config(shared_cache: bool) -> StudyConfig {
-    StudyConfig {
-        shared_cache,
-        ..StudyConfig::quick()
-    }
+fn sweep(corpus: &Corpus) -> StudyResults {
+    run_study(corpus, &StudyConfig::quick())
 }
 
-fn sweep(corpus: &Corpus, shared_cache: bool) -> StudyResults {
-    run_study(corpus, &config(shared_cache))
+/// One study per shader: every session memoises against a private cache, so
+/// nothing is shared across shaders. Records are concatenated in corpus
+/// order and the work counters summed.
+fn sweep_per_shader(corpus: &Corpus) -> StudyResults {
+    let mut total = StudyResults::default();
+    for case in &corpus.cases {
+        let study = sweep(&Corpus {
+            cases: vec![case.clone()],
+        });
+        total.shaders.extend(study.shaders);
+        total.measurements.extend(study.measurements);
+        let stats = &study.cache.stats;
+        total.cache.stats.stage_runs += stats.stage_runs;
+        total.cache.stats.stage_hits += stats.stage_hits;
+        total.cache.stats.emissions += stats.emissions;
+    }
+    total
 }
 
 fn corpus_sweep_benchmarks(c: &mut Criterion) {
     let corpus = family_corpus();
 
     c.bench_function("study_sweep_shared_corpus_cache", |b| {
-        b.iter(|| black_box(sweep(&corpus, true)))
+        b.iter(|| black_box(sweep(&corpus)))
     });
-    c.bench_function("study_sweep_per_session_caches", |b| {
-        b.iter(|| black_box(sweep(&corpus, false)))
+    c.bench_function("study_sweep_per_shader_caches", |b| {
+        b.iter(|| black_box(sweep_per_shader(&corpus)))
     });
 
     consistency_report(&corpus);
@@ -69,14 +81,14 @@ fn corpus_sweep_benchmarks(c: &mut Criterion) {
 /// do strictly less compile work, and change nothing about the results.
 fn consistency_report(corpus: &Corpus) {
     let ir_before = prism_ir::counters::snapshot();
-    let shared = sweep(corpus, true);
+    let shared = sweep(corpus);
     let ir_mid = prism_ir::counters::snapshot();
-    let solo = sweep(corpus, false);
+    let solo = sweep_per_shader(corpus);
     let shared_ir = ir_mid.since(&ir_before);
     let solo_ir = prism_ir::counters::snapshot().since(&ir_mid);
 
     println!(
-        "\ncorpus sweep ({} shaders):\n  shared cache: {} stage runs, {} hits ({} cross-shader, {} identity), {} emissions\n  per-session:  {} stage runs, {} hits, {} emissions\n  ir work:      shared {} clones / {} fingerprints, per-session {} clones / {} fingerprints",
+        "\ncorpus sweep ({} shaders):\n  shared cache: {} stage runs, {} hits ({} cross-shader, {} identity), {} emissions\n  per-shader:   {} stage runs, {} hits, {} emissions\n  ir work:      shared {} clones / {} fingerprints, per-shader {} clones / {} fingerprints",
         corpus.len(),
         shared.cache.stats.stage_runs,
         shared.cache.stats.stage_hits,
@@ -154,7 +166,7 @@ fn warm_start_report(corpus: &Corpus, cold: &StudyResults) {
         corpus,
         &StudyConfig {
             warm_start_dir: Some(dir.clone()),
-            ..config(true)
+            ..StudyConfig::quick()
         },
     );
     let stats = &warm.cache.stats;

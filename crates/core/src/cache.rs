@@ -1,6 +1,6 @@
-//! Cache stores for compile sessions: per-session and corpus-wide.
+//! The compile cache: one fingerprint transition graph per [`CorpusCache`].
 //!
-//! Both stores implement one model — a **fingerprint transition graph** with
+//! The store implements one model — a **fingerprint transition graph** with
 //! zero-copy storage:
 //!
 //! * **Exemplars** — one interned `Arc<Shader>` per *distinct IR structure*
@@ -15,22 +15,21 @@
 //!   edges with zero IR clones until emission.
 //! * **Identity bits** — a stage whose passes report the IR unchanged sets a
 //!   bit in the input exemplar's `clean_stages` mask instead of storing an
-//!   edge. A session reads the mask once per distinct state
-//!   ([`CacheStore::identity_stages`]) and skips every clean stage in O(1):
-//!   no re-fingerprint, no snapshot insert, no equality confirmation.
-//!   Consecutive identity edges collapse into a single mask read.
+//!   edge. The walk ([`walk_stages`](crate::walk::walk_stages)) reads the
+//!   mask once per distinct state ([`CacheStore::identity_stages`]) and
+//!   skips every clean stage in O(1): no re-fingerprint, no snapshot insert,
+//!   no equality confirmation. Consecutive identity edges collapse into a
+//!   single mask read.
 //! * **Emissions** — emitted text keyed `(fingerprint, backend)`, entries
 //!   referencing their final-IR exemplar by generation (again: no per-hit
 //!   structural compare).
 //!
-//! The [`CacheStore`] trait lets the same session code run against
-//!
-//! * a private [`SessionCache`] — the classic one-shader session, no locking;
-//! * a shared, thread-safe [`CorpusCache`] — one warm cache for a whole study
-//!   sweep. Übershader families share most of their IR, so a family member's
-//!   stage transitions and emitted text are routinely answered from work
-//!   another shader's session already did ("cross-shader" hits), across
-//!   worker threads.
+//! A standalone [`CompileSession`](crate::CompileSession) owns a private
+//! `CorpusCache`; the study sweep and the compile service share one across
+//! every session, thread-safely. Übershader families share most of their
+//! IR, so a family member's stage transitions and emitted text are routinely
+//! answered from work another shader's session already did ("cross-shader"
+//! hits), across worker threads.
 //!
 //! Fingerprint matches are only candidates: interning (and therefore every
 //! lookup) confirms a candidate with full structural IR equality before it
@@ -67,7 +66,6 @@
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::Fingerprint;
 use prism_ir::Shader;
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,7 +91,7 @@ pub type SessionId = u64;
 /// schedule has far fewer stages; an (impossible today) stage at or past
 /// this index records a self-edge instead of a mask bit — correct, just not
 /// O(1).
-const MASK_STAGES: usize = 64;
+pub(crate) const MASK_STAGES: usize = 64;
 
 /// A node of the fingerprint transition graph: one distinct IR structure.
 ///
@@ -205,7 +203,7 @@ pub struct CacheStats {
     /// Subset of `emission_hits` answered by another session's entry.
     pub cross_shader_emission_hits: usize,
     /// Entries dropped by a bounded store's LRU policy (always 0 for
-    /// unbounded stores and for [`SessionCache`]).
+    /// unbounded stores).
     pub evictions: usize,
     /// Subset of `stage_hits` answered by an entry loaded from a warm-start
     /// snapshot ([`CorpusCache::load`]) rather than computed by any session
@@ -250,15 +248,21 @@ pub struct CacheStats {
     pub coalesced_requests: usize,
 }
 
+/// `hits / (hits + runs)`, 0 when nothing ran — the stage hit rate every
+/// counter set reports.
+pub(crate) fn hit_rate(hits: usize, runs: usize) -> f64 {
+    let total = hits + runs;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
 impl CacheStats {
     /// Fraction of stage executions served from cache (0 when nothing ran).
     pub fn stage_hit_rate(&self) -> f64 {
-        let total = self.stage_runs + self.stage_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.stage_hits as f64 / total as f64
-        }
+        hit_rate(self.stage_hits, self.stage_runs)
     }
 }
 
@@ -274,50 +278,41 @@ pub trait CacheStore {
     fn register_session(&self) -> SessionId;
 
     /// Like [`CacheStore::register_session`], but attributing the session to
-    /// an übershader family for per-family hit-rate telemetry. Stores without
-    /// family telemetry (the default) ignore the label.
-    fn register_session_in(&self, family: &str) -> SessionId {
-        let _ = family;
-        self.register_session()
-    }
+    /// an übershader family for per-family hit-rate telemetry.
+    fn register_session_in(&self, family: &str) -> SessionId;
 
     /// Interns `snapshot`'s IR into the exemplar store and returns the
     /// canonical snapshot for its structure (the first-interned `Arc` wins).
     /// Sessions intern their base once at construction so every later
-    /// lookup resolves by pointer identity. The default is a pass-through
-    /// for stores without an exemplar plane.
-    fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        snapshot
-    }
+    /// lookup resolves by pointer identity.
+    fn intern(&self, snapshot: Snapshot) -> Snapshot;
 
     /// Bitmask over stage indices known to map `snapshot`'s structure to
-    /// itself. A session reads this once per distinct state and skips every
+    /// itself. The walk reads this once per distinct state and skips every
     /// clean stage without any per-stage lookup; 0 when nothing is known.
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
-        let _ = snapshot;
-        0
-    }
+    fn identity_stages(&self, snapshot: &Snapshot) -> u64;
 
     /// Reports that a session took `count` identity transitions straight off
     /// an [`identity_stages`](CacheStore::identity_stages) mask (counted as
     /// stage hits; no per-transition lookup happened).
-    fn note_identity_skips(&self, session: SessionId, count: usize) {
-        let _ = (session, count);
-    }
+    fn note_identity_skips(&self, session: SessionId, count: usize);
 
     /// Looks up the output of running stage `stage` over `input`.
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot>;
 
-    /// Records that stage `stage` maps `input` to `output`. An identity
-    /// transition (`output` structurally equals `input`) is stored as a bit
-    /// in the input exemplar's clean-stage mask, not as an edge.
+    /// Records that stage `stage` maps `input` to `output` and returns the
+    /// store's canonical snapshot of the output. An identity transition
+    /// (`output` structurally equals `input`) is stored as a bit in the
+    /// input exemplar's clean-stage mask, not as an edge, and returns
+    /// `input` itself; any other returns the interned exemplar of the
+    /// output's structure, so the caller walks on without a second intern.
     fn record_transition(
         &self,
         session: SessionId,
         stage: usize,
         input: Snapshot,
         output: Snapshot,
-    );
+    ) -> Snapshot;
 
     /// Looks up the emitted text of `state` for `backend`. The returned
     /// handle shares the cached allocation — callers never pay a body copy.
@@ -339,232 +334,6 @@ pub trait CacheStore {
 
     /// Work/sharing counters accumulated so far.
     fn stats(&self) -> CacheStats;
-}
-
-/// The private, single-threaded store behind a standalone
-/// [`CompileSession`](crate::CompileSession): plain `HashMap`s with interior
-/// mutability and no locking.
-#[derive(Default)]
-pub struct SessionCache {
-    gens: Cell<u64>,
-    exemplars: RefCell<ExemplarMap>,
-    transitions: RefCell<HashMap<(usize, Fingerprint), Vec<Edge>>>,
-    emissions: RefCell<HashMap<(Fingerprint, BackendKind), Vec<EmitEntry>>>,
-    stats: RefCell<CacheStats>,
-}
-
-impl SessionCache {
-    /// An empty per-session store.
-    pub fn new() -> SessionCache {
-        SessionCache::default()
-    }
-
-    /// Resolve-or-insert: the node for `snap`'s structure, interning it on
-    /// first sight. Returns (generation, clean mask, canonical `Arc`).
-    fn intern_node(&self, snap: &Snapshot) -> (u64, u64, Arc<Shader>) {
-        let mut map = self.exemplars.borrow_mut();
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            let e = &chain[i];
-            return (e.gen, e.clean_stages, Arc::clone(&e.ir));
-        }
-        let gen = self.gens.get();
-        self.gens.set(gen + 1);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages: 0,
-        });
-        (gen, 0, Arc::clone(&snap.ir))
-    }
-
-    /// Resolves `snap` without interning. `None` = structure never seen.
-    fn resolve_node(&self, snap: &Snapshot) -> Option<(u64, u64)> {
-        let map = self.exemplars.borrow();
-        let chain = map.get(&snap.fp)?;
-        chain_find(chain, &snap.ir).map(|i| (chain[i].gen, chain[i].clean_stages))
-    }
-
-    fn fetch_node(&self, node: NodeId) -> Option<Arc<Shader>> {
-        let map = self.exemplars.borrow();
-        map.get(&node.fp)?
-            .iter()
-            .find(|e| e.gen == node.gen)
-            .map(|e| Arc::clone(&e.ir))
-    }
-
-    fn add_ref(&self, node: NodeId) {
-        let mut map = self.exemplars.borrow_mut();
-        if let Some(e) = map
-            .get_mut(&node.fp)
-            .and_then(|c| c.iter_mut().find(|e| e.gen == node.gen))
-        {
-            e.refs += 1;
-        }
-    }
-}
-
-impl CacheStore for SessionCache {
-    fn register_session(&self) -> SessionId {
-        let mut stats = self.stats.borrow_mut();
-        stats.sessions += 1;
-        (stats.sessions - 1) as SessionId
-    }
-
-    fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        let (_, _, ir) = self.intern_node(&snapshot);
-        Snapshot {
-            ir,
-            fp: snapshot.fp,
-        }
-    }
-
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
-        self.resolve_node(snapshot)
-            .map(|(_, clean)| clean)
-            .unwrap_or(0)
-    }
-
-    fn note_identity_skips(&self, _session: SessionId, count: usize) {
-        let mut stats = self.stats.borrow_mut();
-        stats.stage_hits += count;
-        stats.identity_transitions += count;
-        drop(stats);
-        for _ in 0..count {
-            prism_ir::counters::count_identity_transition();
-        }
-    }
-
-    fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot> {
-        let (gen, clean) = self.resolve_node(input)?;
-        if stage < MASK_STAGES && clean & (1 << stage) != 0 {
-            let mut stats = self.stats.borrow_mut();
-            stats.stage_hits += 1;
-            stats.identity_transitions += 1;
-            drop(stats);
-            prism_ir::counters::count_identity_transition();
-            return Some(input.clone());
-        }
-        let found = self
-            .transitions
-            .borrow()
-            .get(&(stage, input.fp))
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|e| e.input_gen == gen)
-                    .map(|e| (e.owner, e.output))
-            });
-        let (owner, out_node) = found?;
-        let out_ir = self.fetch_node(out_node)?;
-        let mut stats = self.stats.borrow_mut();
-        stats.stage_hits += 1;
-        if owner != session {
-            stats.cross_shader_stage_hits += 1;
-        }
-        Some(Snapshot {
-            ir: out_ir,
-            fp: out_node.fp,
-        })
-    }
-
-    fn record_transition(
-        &self,
-        session: SessionId,
-        stage: usize,
-        input: Snapshot,
-        output: Snapshot,
-    ) {
-        self.stats.borrow_mut().stage_runs += 1;
-        let identity = is_identity(&input, &output);
-        let (in_gen, _, _) = self.intern_node(&input);
-        if identity && stage < MASK_STAGES {
-            let mut map = self.exemplars.borrow_mut();
-            if let Some(e) = map
-                .get_mut(&input.fp)
-                .and_then(|c| c.iter_mut().find(|e| e.gen == in_gen))
-            {
-                e.clean_stages |= 1 << stage;
-            }
-            return;
-        }
-        let (out_gen, _, _) = self.intern_node(&output);
-        let in_node = NodeId {
-            fp: input.fp,
-            gen: in_gen,
-        };
-        let out_node = NodeId {
-            fp: output.fp,
-            gen: out_gen,
-        };
-        self.add_ref(in_node);
-        self.add_ref(out_node);
-        self.transitions
-            .borrow_mut()
-            .entry((stage, input.fp))
-            .or_default()
-            .push(Edge {
-                owner: session,
-                input_gen: in_gen,
-                output: out_node,
-            });
-    }
-
-    fn emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-    ) -> Option<Arc<str>> {
-        let (gen, _) = self.resolve_node(state)?;
-        let found = self
-            .emissions
-            .borrow()
-            .get(&(state.fp, backend))
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|e| e.input_gen == gen)
-                    .map(|e| (e.owner, Arc::clone(&e.text)))
-            });
-        let (owner, text) = found?;
-        let mut stats = self.stats.borrow_mut();
-        stats.emission_hits += 1;
-        if owner != session {
-            stats.cross_shader_emission_hits += 1;
-        }
-        Some(text)
-    }
-
-    fn record_emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-        text: Arc<str>,
-    ) {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.emissions += 1;
-            stats.emissions_by_backend[backend.index()] += 1;
-        }
-        let (gen, _, _) = self.intern_node(state);
-        self.add_ref(NodeId { fp: state.fp, gen });
-        self.emissions
-            .borrow_mut()
-            .entry((state.fp, backend))
-            .or_default()
-            .push(EmitEntry {
-                owner: session,
-                input_gen: gen,
-                text,
-            });
-    }
-
-    fn stats(&self) -> CacheStats {
-        *self.stats.borrow()
-    }
 }
 
 /// Number of lock shards in a [`CorpusCache`]. Keys are spread by
@@ -617,12 +386,7 @@ impl FamilyCacheStats {
     /// Fraction of this family's stage executions served from cache
     /// (0 when nothing ran).
     pub fn stage_hit_rate(&self) -> f64 {
-        let total = self.stage_runs + self.stage_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.stage_hits as f64 / total as f64
-        }
+        hit_rate(self.stage_hits, self.stage_runs)
     }
 }
 
@@ -1034,48 +798,33 @@ impl CorpusCache {
             .map(|(gen, clean, _)| (gen, clean))
     }
 
-    /// Resolve-or-insert with a reference taken, in one lock acquisition (so
-    /// the exemplar cannot be reclaimed between interning and the entry that
-    /// references it landing).
-    fn intern_node_ref(&self, snap: &Snapshot) -> NodeId {
+    /// Resolve-or-insert in one lock acquisition: the node of `snap`'s
+    /// structure (interned on first sight) gains `refs` references and the
+    /// `clean` stage bits, and its canonical allocation is returned. Taking
+    /// the reference under the same lock keeps the exemplar from being
+    /// reclaimed before the entry that references it lands.
+    fn intern_node(&self, snap: &Snapshot, refs: usize, clean: u64) -> (NodeId, Arc<Shader>) {
         let mut map = self.exemplars[Self::shard(snap.fp)]
             .write()
             .expect("corpus cache poisoned");
         let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].refs += 1;
-            return NodeId {
-                fp: snap.fp,
-                gen: chain[i].gen,
-            };
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 1,
-            clean_stages: 0,
+        let i = chain_find(chain, &snap.ir).unwrap_or_else(|| {
+            chain.push(Exemplar {
+                gen: self.gens.fetch_add(1, Ordering::Relaxed),
+                ir: Arc::clone(&snap.ir),
+                refs: 0,
+                clean_stages: 0,
+            });
+            chain.len() - 1
         });
-        NodeId { fp: snap.fp, gen }
-    }
-
-    /// Resolve-or-insert and set clean-stage bits, in one lock acquisition.
-    fn intern_node_clean(&self, snap: &Snapshot, stage_bits: u64) {
-        let mut map = self.exemplars[Self::shard(snap.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].clean_stages |= stage_bits;
-            return;
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages: stage_bits,
-        });
+        let exemplar = &mut chain[i];
+        exemplar.refs += refs;
+        exemplar.clean_stages |= clean;
+        let node = NodeId {
+            fp: snap.fp,
+            gen: exemplar.gen,
+        };
+        (node, Arc::clone(&exemplar.ir))
     }
 
     fn fetch_node(&self, node: NodeId) -> Option<Arc<Shader>> {
@@ -1231,7 +980,7 @@ impl CorpusCache {
         text: Arc<str>,
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
-        let node = self.intern_node_ref(state);
+        let (node, _) = self.intern_node(state, 1, 0);
         let now = self.now();
         let evicted = {
             let mut map = self.analyses[Self::shard(state.fp)]
@@ -1299,24 +1048,11 @@ impl CacheStore for CorpusCache {
     }
 
     fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        let mut map = self.exemplars[Self::shard(snapshot.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snapshot.fp).or_default();
-        if let Some(i) = chain_find(chain, &snapshot.ir) {
-            return Snapshot {
-                ir: Arc::clone(&chain[i].ir),
-                fp: snapshot.fp,
-            };
+        let (_, ir) = self.intern_node(&snapshot, 0, 0);
+        Snapshot {
+            ir,
+            fp: snapshot.fp,
         }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snapshot.ir),
-            refs: 0,
-            clean_stages: 0,
-        });
-        snapshot
     }
 
     fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
@@ -1400,7 +1136,7 @@ impl CacheStore for CorpusCache {
         stage: usize,
         input: Snapshot,
         output: Snapshot,
-    ) {
+    ) -> Snapshot {
         self.stage_runs.fetch_add(1, Ordering::Relaxed);
         self.bump_family(session, |f| {
             f.stage_runs.fetch_add(1, Ordering::Relaxed);
@@ -1408,11 +1144,11 @@ impl CacheStore for CorpusCache {
         if stage < MASK_STAGES && is_identity(&input, &output) {
             // One bit instead of an edge: every future replay of this stage
             // over this structure is a mask read.
-            self.intern_node_clean(&input, 1 << stage);
-            return;
+            self.intern_node(&input, 0, 1 << stage);
+            return input;
         }
-        let in_node = self.intern_node_ref(&input);
-        let out_node = self.intern_node_ref(&output);
+        let (in_node, _) = self.intern_node(&input, 1, 0);
+        let (out_node, out_ir) = self.intern_node(&output, 1, 0);
         let now = self.now();
         let evicted = {
             let mut map = self.transitions[Self::shard(input.fp)]
@@ -1430,6 +1166,10 @@ impl CacheStore for CorpusCache {
             )
         };
         self.release_evicted_edges(evicted);
+        Snapshot {
+            ir: out_ir,
+            fp: output.fp,
+        }
     }
 
     fn emission(
@@ -1484,7 +1224,7 @@ impl CacheStore for CorpusCache {
         self.bump_family(session, |f| {
             f.emissions.fetch_add(1, Ordering::Relaxed);
         });
-        let node = self.intern_node_ref(state);
+        let (node, _) = self.intern_node(state, 1, 0);
         let now = self.now();
         let evicted = {
             let mut map = self.emissions[Self::shard(state.fp)]
@@ -1624,7 +1364,7 @@ mod tests {
         assert!(stats.stage_hit_rate() > 0.6);
     }
 
-    /// The identity-transition contract, shared by both stores: a recorded
+    /// The identity-transition contract: a recorded
     /// identity becomes a mask bit, the mask answers O(1), and the answer is
     /// the very snapshot asked about (zero-copy, zero confirmation).
     fn exercise_identity(store: &dyn CacheStore) {
@@ -1664,18 +1404,8 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_stores_and_confirms() {
-        exercise(&SessionCache::new());
-    }
-
-    #[test]
     fn corpus_cache_stores_and_confirms() {
         exercise(&CorpusCache::new());
-    }
-
-    #[test]
-    fn session_cache_collapses_identity_transitions() {
-        exercise_identity(&SessionCache::new());
     }
 
     #[test]

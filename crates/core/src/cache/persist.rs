@@ -53,9 +53,7 @@
 //! save→load→save is idempotent and the shard files are byte-deterministic
 //! (exemplars and entries are sorted before writing).
 
-use super::{
-    chain_find, CorpusCache, Edge, EmitEntry, Exemplar, NodeId, Snapshot, SHARDS, WARM_OWNER,
-};
+use super::{CorpusCache, Edge, EmitEntry, Exemplar, NodeId, Snapshot, SHARDS, WARM_OWNER};
 use crate::pipeline::build_schedule;
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
@@ -112,7 +110,7 @@ const CANARY: &str = r#"
 
 /// A stable fingerprint of the compiler that produced a snapshot: the pass
 /// schedule's *structure* (stage order, labels, gating flags, per-stage pass
-/// lists) combined with its observable *behaviour* — the [`CANARY`] shader is
+/// lists) combined with its observable *behaviour* — the `CANARY` shader is
 /// lowered and pushed through every stage (flagged or not), hashing the IR
 /// fingerprint after each stage and the emitted text of every backend.
 /// Cached transitions are only meaningful for the exact compiler that
@@ -185,7 +183,7 @@ pub struct LoadReport {
 /// Outcome of a [`CorpusCache::save`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveReport {
-    /// Shard files written (always [`SHARDS`](super::SHARDS) on success).
+    /// Shard files written (always [`FINGERPRINT_SHARDS`](crate::FINGERPRINT_SHARDS) on success).
     pub shards_written: usize,
     /// Entries written across both memos (exemplars are storage, not
     /// entries, and are not counted).
@@ -440,7 +438,7 @@ impl CorpusCache {
                     .iter()
                     .map(|slot| {
                         slot.as_ref()
-                            .map(|(snap, clean)| self.intern_warm_exemplar(snap, *clean))
+                            .map(|(snap, clean)| self.intern_node(snap, 0, *clean).0)
                     })
                     .collect(),
                 None => Vec::new(),
@@ -608,31 +606,6 @@ impl CorpusCache {
                 })
                 .collect(),
         }
-    }
-
-    /// Interns one restored exemplar (or merges its clean mask into an
-    /// already-present structure). The fingerprint was computed exactly once
-    /// during parsing and rides in `snap`.
-    fn intern_warm_exemplar(&self, snap: &Snapshot, clean_stages: u64) -> NodeId {
-        let mut map = self.exemplars[Self::shard(snap.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].clean_stages |= clean_stages;
-            return NodeId {
-                fp: snap.fp,
-                gen: chain[i].gen,
-            };
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages,
-        });
-        NodeId { fp: snap.fp, gen }
     }
 
     /// Inserts one restored edge under [`WARM_OWNER`], deduplicating against

@@ -8,14 +8,16 @@
 //! driver.
 //!
 //! * [`flags`] — the 8 optimization flags and their 256 combinations.
-//! * [`lower`] — GLSL AST → IR lowering (matrix scalarisation, inlining).
+//! * [`lower`](mod@lower) — GLSL AST → IR lowering (matrix scalarisation, inlining).
 //! * [`passes`] — the optimization passes themselves.
 //! * [`pipeline`] — the staged pass schedule and single-shot compilation.
 //! * [`session`] — lower-once, prefix-shared variant compilation sessions
 //!   with per-backend (desktop GLSL / mobile GLES) emission memos.
-//! * [`cache`] — the session memo stores: private per-session, or one
-//!   thread-safe corpus-wide cache shared by a whole study sweep, optionally
-//!   bounded with LRU eviction and per-family hit-rate telemetry.
+//! * [`cache`] — the memo store: a thread-safe fingerprint transition graph,
+//!   private to a standalone session or shared by a whole study sweep,
+//!   optionally bounded with LRU eviction and per-family hit-rate telemetry.
+//! * [`walk`] — the one walk over that graph and the one emission-memo
+//!   step, shared by sessions, the compile service and the driver memo.
 //! * [`variant`] — exhaustive variant generation and deduplication (§V-C).
 
 pub mod cache;
@@ -26,20 +28,21 @@ pub mod pipeline;
 pub mod session;
 pub mod specialize;
 pub mod variant;
+pub mod walk;
 
 pub use cache::persist::{LoadReport, SaveReport};
 pub use cache::{
-    shard_of, CacheStats, CacheStore, CorpusCache, FamilyCacheStats, SessionCache, Snapshot,
-    FINGERPRINT_SHARDS,
+    shard_of, CacheStats, CacheStore, CorpusCache, FamilyCacheStats, Snapshot, FINGERPRINT_SHARDS,
 };
 pub use flags::{Flag, OptFlags};
 pub use lower::{lower, LowerError};
 pub use pipeline::{
     build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,
 };
-pub use session::{CompileSession, SessionStats};
+pub use session::CompileSession;
 pub use specialize::{
     candidate_keys, spec_counters, specialize_shader, verify_specialization, GuardedDispatch,
     SpecAssumption, SpecCounters, SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,
 };
 pub use variant::{unique_variants, Variant, VariantSet};
+pub use walk::{emit_memoised, walk_stages, SessionStats};

@@ -172,6 +172,24 @@ impl Stage {
         }
         changed
     }
+
+    /// [`Stage::run`], then the IR verifier when the stage changed the IR —
+    /// the optimizer's step of [`walk_stages`](crate::walk_stages), in every
+    /// build profile, mirroring the post-pipeline check [`compile_ir`]
+    /// performs: a pass that corrupts IR must surface as an error, never as
+    /// silently emitted (and cached) garbage. An unchanged IR was verified
+    /// when it was produced.
+    ///
+    /// # Errors
+    ///
+    /// The verifier's error when the changed IR breaks an invariant.
+    pub fn run_verified(&self, ir: &mut Shader) -> Result<bool, VerifyError> {
+        let changed = self.run(ir);
+        if changed {
+            verify(ir)?;
+        }
+        Ok(changed)
+    }
 }
 
 /// Whether `PRISM_VERIFY=1` (or any non-empty value other than `0`) is set:

@@ -22,27 +22,28 @@
 //!    fingerprint equals its input fingerprint, every downstream lookup hits
 //!    the same cache entries, and the whole subtree of combinations collapses
 //!    — including emission, which is memoised on (structural
-//!    [`Fingerprint`], [`BackendKind`]) of the final IR, one entry per
-//!    emission target, so a single session serves desktop GLSL and mobile
-//!    GLES drivers alike.
+//!    [`Fingerprint`](prism_ir::fingerprint::Fingerprint), [`BackendKind`])
+//!    of the final IR, one entry per emission target, so a single session
+//!    serves desktop GLSL and mobile GLES drivers alike.
 //!
-//! Both memos live behind a [`CacheStore`]: a standalone session owns a
-//! private [`SessionCache`](crate::cache::SessionCache), while the study
-//! sweep hands every session one shared, thread-safe
-//! [`CorpusCache`](crate::cache::CorpusCache) so übershader families share
-//! work *across* shaders too.
+//! Both memos live in a [`CorpusCache`]'s transition graph: a standalone
+//! session owns a private one, while the study sweep hands every session one
+//! shared store so übershader families share work *across* shaders too. The
+//! walk over the graph is [`walk_stages`], the one the compile service and
+//! the driver memo take as well.
 //!
 //! Fingerprint matches are only candidates: the store confirms every cache
 //! hit with full structural equality before reusing a snapshot, so a hash
 //! collision can never silently merge different variants (a guarantee the
 //! property suite exercises).
 
-use crate::cache::{CacheStore, SessionCache, SessionId, Snapshot};
+use crate::cache::{CacheStore, CorpusCache, SessionId, Snapshot};
 use crate::flags::OptFlags;
 use crate::lower::lower;
 use crate::pipeline::{build_schedule, CompileError, CompiledShader, Stage};
 use crate::specialize::{specialize_shader, GuardedDispatch, SpecKey};
 use crate::variant::{Variant, VariantSet};
+use crate::walk::{emit_memoised, walk_stages, SessionStats};
 use prism_emit::BackendKind;
 use prism_glsl::ShaderSource;
 use prism_ir::fingerprint::fingerprint;
@@ -51,34 +52,6 @@ use prism_ir::Shader;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Counters describing how much work a session actually performed (and how
-/// much it shared). Useful for benchmarks and regression tests. These are the
-/// session's own counters; a shared store's corpus-wide view (including
-/// cross-shader sharing) lives in [`CacheStats`](crate::cache::CacheStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Stage executions that actually ran passes (cache misses).
-    pub stage_runs: usize,
-    /// Stage executions answered from the snapshot cache.
-    pub stage_hits: usize,
-    /// Emissions performed (across all backends).
-    pub emissions: usize,
-    /// Emissions answered from the (fingerprint, backend) cache.
-    pub emission_hits: usize,
-}
-
-impl SessionStats {
-    /// Fraction of stage executions served from cache (0 when nothing ran).
-    pub fn stage_hit_rate(&self) -> f64 {
-        let total = self.stage_runs + self.stage_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.stage_hits as f64 / total as f64
-        }
-    }
-}
 
 /// A per-shader compilation session: lowers the shader to IR once and derives
 /// every flag combination's output by replaying the pass schedule with shared
@@ -108,8 +81,8 @@ pub struct CompileSession {
     name: String,
     schedule: Vec<Stage>,
     base: Snapshot,
-    /// Transition + emission memos; private by default, corpus-shared in the
-    /// study sweep.
+    /// Transition + emission memos; private to a standalone session,
+    /// corpus-shared in the study sweep.
     cache: Arc<dyn CacheStore>,
     /// This session's identity against the store (attribution of
     /// cross-shader hits).
@@ -125,25 +98,21 @@ pub struct CompileSession {
 
 impl CompileSession {
     /// Parses nothing and lowers once: the session owns the lowered base IR
-    /// for `source`, an instantiated pass schedule and a private cache.
+    /// for `source`, an instantiated pass schedule and a private
+    /// [`CorpusCache`].
     ///
     /// # Errors
     ///
     /// Returns [`CompileError`] when lowering fails or produces invalid IR;
     /// these failures are flag-independent, so a session that constructs
     /// successfully can compile every combination.
-    // The Arc is type-uniformity with shared stores, not thread-sharing: a
-    // `SessionCache` (RefCell, no locks) never leaves this session, and the
-    // session itself is !Send. Thread-crossing callers use `with_cache` and a
-    // Send + Sync `CorpusCache`.
-    #[allow(clippy::arc_with_non_send_sync)]
     pub fn new(source: &ShaderSource, name: &str) -> Result<CompileSession, CompileError> {
-        CompileSession::with_cache(source, name, Arc::new(SessionCache::new()))
+        CompileSession::with_cache(source, name, Arc::new(CorpusCache::new()))
     }
 
     /// Like [`CompileSession::new`], but memoising against `cache` — pass a
-    /// shared [`CorpusCache`](crate::cache::CorpusCache) to let übershader
-    /// family members reuse each other's stage transitions and emitted text.
+    /// shared [`CorpusCache`] to let übershader family members reuse each
+    /// other's stage transitions and emitted text.
     ///
     /// # Errors
     ///
@@ -157,8 +126,7 @@ impl CompileSession {
     }
 
     /// Like [`CompileSession::with_cache`], but registering the session under
-    /// an übershader `family` label so a family-aware store (the
-    /// [`CorpusCache`](crate::cache::CorpusCache)) can report per-family
+    /// an übershader `family` label so the store can report per-family
     /// hit-rate telemetry. The label is attribution only — it never changes
     /// what the session compiles.
     ///
@@ -465,85 +433,22 @@ impl CompileSession {
     }
 
     /// Runs the enabled stages for `flags` from an arbitrary starting
-    /// snapshot — the base IR, or a specialized base.
-    ///
-    /// The walk reads the store's clean-stage mask once per *distinct* state
-    /// (not once per stage): every enabled stage the mask marks as identity
-    /// for the current structure is skipped outright — no lookup, no
-    /// fingerprint, no clone — and consecutive identity stages collapse into
-    /// a single mask read. Only a real transition (new structure) re-reads
-    /// the mask.
+    /// snapshot — the base IR, or a specialized base — through the shared
+    /// [`walk_stages`], verifying every stage that changed the IR.
     fn optimize_from(&self, start: Snapshot, flags: OptFlags) -> Result<Snapshot, CompileError> {
-        let mut state = start;
-        let mut clean = self.cache.identity_stages(&state);
-        let mut skipped = 0usize;
-        for (stage_idx, stage) in self.schedule.iter().enumerate() {
-            if !stage.enabled_for(flags) {
-                continue;
-            }
-            if stage_idx < 64 && clean & (1 << stage_idx) != 0 {
-                skipped += 1;
-                continue;
-            }
-            let next = self.apply_stage(stage_idx, stage, state.clone())?;
-            if Arc::ptr_eq(&next.ir, &state.ir) {
-                // The stage just proved itself clean for this structure;
-                // remember it locally so a later replay in this same walk
-                // (impossible today, stages run once) and the mask stay
-                // coherent without another store read.
-                if stage_idx < 64 {
-                    clean |= 1 << stage_idx;
-                }
-            } else {
-                state = next;
-                clean = self.cache.identity_stages(&state);
-            }
-        }
-        if skipped > 0 {
-            self.stats.borrow_mut().stage_hits += skipped;
-            self.cache.note_identity_skips(self.id, skipped);
-        }
-        Ok(state)
-    }
-
-    /// Applies one stage to a snapshot, memoised on (stage, fingerprint) with
-    /// structural-equality confirmation by the store.
-    fn apply_stage(
-        &self,
-        stage_idx: usize,
-        stage: &Stage,
-        input: Snapshot,
-    ) -> Result<Snapshot, CompileError> {
-        if let Some(output) = self.cache.transition(self.id, stage_idx, &input) {
-            self.stats.borrow_mut().stage_hits += 1;
-            return Ok(output);
-        }
-
-        let mut ir = (*input.ir).clone();
-        let changed = stage.run(&mut ir);
-        if !changed {
-            // Identity fast path: every pass reported the IR untouched, so
-            // the input snapshot *is* the output — no re-verify (the input
-            // was verified when it was produced), no fingerprint, no new
-            // allocation. The store records it as a clean-stage bit.
-            self.stats.borrow_mut().stage_runs += 1;
-            self.cache
-                .record_transition(self.id, stage_idx, input.clone(), input.clone());
-            return Ok(input);
-        }
-        // Verified on every cache miss in all build profiles, mirroring the
-        // post-pipeline check the per-combination `compile_ir` performs: a
-        // pass that corrupts IR must surface as an error, never as silently
-        // emitted (and cached) garbage.
-        verify(&ir).map_err(CompileError::Verify)?;
-        let output = Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        };
-        self.stats.borrow_mut().stage_runs += 1;
-        self.cache
-            .record_transition(self.id, stage_idx, input, output.clone());
-        Ok(output)
+        let stages = self
+            .schedule
+            .iter()
+            .enumerate()
+            .filter(|(_, stage)| stage.enabled_for(flags));
+        walk_stages(
+            &*self.cache,
+            self.id,
+            start,
+            stages,
+            &mut self.stats.borrow_mut(),
+            |stage: &Stage, ir| stage.run_verified(ir).map_err(CompileError::Verify),
+        )
     }
 
     /// The snapshot's IR under this session's name. Cached snapshots may
@@ -563,23 +468,19 @@ impl CompileSession {
     /// Emits text for a final snapshot through `backend`, memoised on
     /// (fingerprint, backend) with structural-equality confirmation.
     fn emit(&self, state: &Snapshot, backend: BackendKind) -> Arc<str> {
-        if let Some(text) = self.cache.emission(self.id, backend, state) {
-            self.stats.borrow_mut().emission_hits += 1;
-            return text;
-        }
-
-        let text: Arc<str> = Arc::from(backend.backend().emit(&state.ir));
-        self.stats.borrow_mut().emissions += 1;
-        self.cache
-            .record_emission(self.id, backend, state, Arc::clone(&text));
-        text
+        emit_memoised(
+            &*self.cache,
+            self.id,
+            backend,
+            state,
+            &mut self.stats.borrow_mut(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CorpusCache;
     use crate::flags::Flag;
     use crate::pipeline::compile;
     use prism_emit::{Backend, Gles};

@@ -8,9 +8,7 @@
 //! *consuming front-end* of a backend over emitted text and normalises what
 //! it finds into a [`SourceInterface`], so the differential suite can assert
 //! interface identity across all four backends on a real parse rather than
-//! text heuristics (the generalisation of
-//! [`same_interface`](crate::mobile::same_interface), which only speaks
-//! GLSL).
+//! text heuristics.
 
 use crate::backend::BackendKind;
 use crate::glsl_backend::glsl_sampler_name;

@@ -7,31 +7,31 @@
 //! splatted, and unrolled/flattened control flow becomes one long block of
 //! temporaries.
 //!
-//! Emission is organised around the [`Backend`](backend::Backend) trait — one
+//! Emission is organised around the [`Backend`] trait — one
 //! IR, N source-text targets, all emitting straight from the IR with no
 //! intermediate shader clone:
 //!
-//! * [`DesktopGlsl`](backend::DesktopGlsl) writes `#version 450` GLSL with
+//! * [`DesktopGlsl`] writes `#version 450` GLSL with
 //!   name-hint temporaries for the three desktop OpenGL drivers;
-//! * [`Gles`](backend::Gles) writes `#version 310 es` GLES with precision
+//! * [`Gles`] writes `#version 310 es` GLES with precision
 //!   qualifiers and SPIRV-Cross style `_NNN` temporaries for the two phones,
 //!   reproducing the paper's glslang → SPIRV-Cross conversion artefacts
 //!   (§III-C(d)) in a single emission pass;
-//! * [`SpirvAsm`](backend::SpirvAsm) writes structured SPIR-V-like textual
+//! * [`SpirvAsm`] writes structured SPIR-V-like textual
 //!   assembly (`OpEntryPoint` / `OpLoad` / `OpStore` lines, SSA `%NNN`
 //!   result ids, explicit result types) for the Vulkan-desktop platform —
 //!   [`spirv`] also hosts the matching front-end a driver parses it with;
-//! * [`Msl`](backend::Msl) writes Metal-Shading-Language-like text
+//! * [`Msl`] writes Metal-Shading-Language-like text
 //!   (`#include <metal_stdlib>`, `[[stage_in]]` interface struct, `fragment`
 //!   entry point) for the Apple-mobile platform — [`msl`] hosts the
 //!   desugaring front-end transform.
 //!
-//! [`BackendKind`](backend::BackendKind) is the hashable identity of a
+//! [`BackendKind`] is the hashable identity of a
 //! backend; compile sessions memoise emitted text per (IR fingerprint,
 //! backend) and GPU platforms declare the kind their driver consumes.
 //! [`interface::source_interface`] runs any backend's consuming front-end
-//! over emitted text and extracts a normalised [`SourceInterface`] — the
-//! cross-backend generalisation of the old GLSL-only [`same_interface`].
+//! over emitted text and extracts a normalised [`SourceInterface`], so
+//! interface identity can be checked across every backend on a real parse.
 //!
 //! ```
 //! use prism_ir::prelude::*;
@@ -56,7 +56,6 @@
 pub mod backend;
 pub mod glsl_backend;
 pub mod interface;
-pub mod mobile;
 pub mod msl;
 pub mod names;
 pub mod spirv;
@@ -65,6 +64,5 @@ pub use backend::BackendChain;
 pub use backend::{Backend, BackendKind, DesktopGlsl, Gles, Msl, SpirvAsm};
 pub use glsl_backend::{emit_glsl, emit_glsl_with, EmitOptions, Syntax, TempNameStyle};
 pub use interface::{source_interface, SourceInterface};
-pub use mobile::same_interface;
 pub use msl::{emit_msl, msl_to_glsl};
 pub use spirv::{emit_spirv_asm, parse_spirv_asm, ParsedSpirv};

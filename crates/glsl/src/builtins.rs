@@ -70,7 +70,7 @@ pub enum Builtin {
     Step,
     /// `smoothstep(e0, e1, x)`
     Smoothstep,
-    /// `saturate(x)` (HLSL-ism occasionally seen; clamp to [0,1])
+    /// `saturate(x)` (HLSL-ism occasionally seen; clamp to `[0, 1]`)
     Saturate,
 
     // Geometric.

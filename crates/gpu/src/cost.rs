@@ -1,6 +1,6 @@
 //! The per-fragment execution cost model.
 //!
-//! Converts [`IsaStats`](crate::isa::IsaStats) into an estimated cycle count
+//! Converts [`IsaStats`] into an estimated cycle count
 //! for one fragment on one device. The model is deliberately simple — an
 //! additive ALU/texture/overhead decomposition with a register-pressure
 //! multiplier — because that is what the paper's cross-platform effects hinge

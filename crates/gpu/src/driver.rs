@@ -267,7 +267,7 @@ impl DriverModel {
 
     /// The back half of driver compilation: the vendor's internal passes
     /// over IR that has already been produced by a front-end. The GLSL
-    /// platforms arrive here through [`lower`]; the SPIR-V platform's
+    /// platforms arrive here through [`lower`](fn@lower); the SPIR-V platform's
     /// front-end ([`prism_emit::parse_spirv_asm`]) produces IR directly and
     /// enters here.
     ///

@@ -7,13 +7,13 @@
 //! consuming SPIR-V assembly) and an Apple A9 behind Metal (consuming MSL) —
 //! a [`Platform`] bundles
 //!
-//! * a [`DriverModel`](driver::DriverModel): the vendor JIT compiler, which
+//! * a [`DriverModel`]: the vendor JIT compiler, which
 //!   re-parses incoming source text with the front-end matching the
 //!   platform's declared emission backend (GLSL, SPIR-V assembly or MSL) and
 //!   applies the conformant optimizations that driver is known to perform
 //!   (this is what decides whether an *offline* optimization still has an
 //!   effect on that platform),
-//! * a [`DeviceSpec`](vendor::DeviceSpec): the architecture model (scalar vs.
+//! * a [`DeviceSpec`]: the architecture model (scalar vs.
 //!   vec4 ALUs, texture throughput, register budget, occupancy behaviour,
 //!   timer-query noise),
 //! * the [cost model](cost) and [timing model](timing) that convert compiled

@@ -27,11 +27,12 @@
 use crate::driver::{DriverPass, DRIVER_ROUNDS};
 use crate::platform::{front_end, Platform, ShaderCost};
 use prism_core::cache::SessionId;
-use prism_core::{CacheStore, CompileError, CorpusCache, Snapshot};
+use prism_core::{walk_stages, CacheStore, CompileError, CorpusCache, SessionStats, Snapshot};
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::fingerprint;
 use prism_ir::verify::verify;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Work counters of driver memos: front-end work done and avoided, driver
@@ -91,6 +92,8 @@ pub struct DriverMemo {
     fronts: [HashMap<String, Result<Front, CompileError>>; BackendKind::COUNT],
     graph: CorpusCache,
     session: SessionId,
+    /// Driver pass applications run and answered by the graph.
+    walked: SessionStats,
     front_parses: usize,
     front_hits: usize,
 }
@@ -110,6 +113,7 @@ impl DriverMemo {
             fronts: Default::default(),
             graph,
             session,
+            walked: SessionStats::default(),
             front_parses: 0,
             front_hits: 0,
         }
@@ -141,12 +145,11 @@ impl DriverMemo {
 
     /// Work done and avoided so far.
     pub fn stats(&self) -> DriverStats {
-        let graph = self.graph.stats();
         DriverStats {
             front_parses: self.front_parses,
             front_hits: self.front_hits,
-            stage_runs: graph.stage_runs,
-            stage_hits: graph.stage_hits,
+            stage_runs: self.walked.stage_runs,
+            stage_hits: self.walked.stage_hits,
         }
     }
 
@@ -175,15 +178,25 @@ impl DriverMemo {
     }
 
     /// Runs `stages` from `start` for up to [`DRIVER_ROUNDS`] rounds, as
-    /// [`DriverModel::compile_ir`](crate::DriverModel::compile_ir) does. A
-    /// round that ends on the state it started from is the fixed point;
-    /// passes are deterministic, so stopping there gives the reference
-    /// path's result.
-    fn drive(&self, stages: &[(DriverPass, usize)], start: Snapshot) -> Snapshot {
+    /// [`DriverModel::compile_ir`](crate::DriverModel::compile_ir) does, each
+    /// round one [`walk_stages`] over the graph. A round that ends on the
+    /// state it started from is the fixed point; passes are deterministic,
+    /// so stopping there gives the reference path's result. The driver
+    /// verifies once, after the last round, so the step only runs the pass.
+    fn drive(&mut self, stages: &[(DriverPass, usize)], start: Snapshot) -> Snapshot {
         let mut state = start;
         for _ in 0..DRIVER_ROUNDS {
             let round_start = Arc::clone(&state.ir);
-            state = self.round(stages, state);
+            let round = stages.iter().map(|&(pass, id)| (id, pass));
+            state = walk_stages(
+                &self.graph,
+                self.session,
+                state,
+                round,
+                &mut self.walked,
+                |pass: DriverPass, ir| Ok::<_, Infallible>(pass.run(ir)),
+            )
+            .unwrap_or_else(|never| match never {});
             // Every state is the graph's interned exemplar, so one structure
             // is one allocation.
             if Arc::ptr_eq(&state.ir, &round_start) {
@@ -191,53 +204,6 @@ impl DriverMemo {
             }
         }
         state
-    }
-
-    /// One round of the pass list over the transition graph. The clean-stage
-    /// mask is read once per distinct state; stages it marks are skipped
-    /// without a lookup.
-    fn round(&self, stages: &[(DriverPass, usize)], mut state: Snapshot) -> Snapshot {
-        let mut clean = self.graph.identity_stages(&state);
-        let mut skipped = 0;
-        for &(pass, id) in stages {
-            if clean & (1 << id) != 0 {
-                skipped += 1;
-                continue;
-            }
-            let next = match self.graph.transition(self.session, id, &state) {
-                Some(next) => next,
-                None => self.run(pass, id, &state),
-            };
-            if Arc::ptr_eq(&next.ir, &state.ir) {
-                clean |= 1 << id;
-            } else {
-                state = next;
-                clean = self.graph.identity_stages(&state);
-            }
-        }
-        if skipped > 0 {
-            self.graph.note_identity_skips(self.session, skipped);
-        }
-        state
-    }
-
-    /// Runs one pass on a copy of `input` and records the transition. A
-    /// changed result is interned first, so a structure the graph already
-    /// holds comes back as its exemplar.
-    fn run(&self, pass: DriverPass, id: usize, input: &Snapshot) -> Snapshot {
-        let mut ir = (*input.ir).clone();
-        let output = if pass.run(&mut ir) {
-            ir.invalidate_fingerprint();
-            self.graph.intern(Snapshot {
-                fp: fingerprint(&ir),
-                ir: Arc::new(ir),
-            })
-        } else {
-            input.clone()
-        };
-        self.graph
-            .record_transition(self.session, id, input.clone(), output.clone());
-        output
     }
 }
 

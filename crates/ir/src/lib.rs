@@ -10,9 +10,9 @@
 //! * a [`verify`](crate::verify::verify) pass run after every transformation,
 //! * a reference [interpreter](crate::interp) used as the semantic oracle in
 //!   the test suite,
-//! * a textual [printer](crate::printer) used for debugging and variant
+//! * a textual [printer] used for debugging and variant
 //!   deduplication,
-//! * a structural, commutative-aware [fingerprint](crate::fingerprint) used
+//! * a structural, commutative-aware [fingerprint](mod@crate::fingerprint) used
 //!   by the compile session for early variant deduplication,
 //! * bit-exact [serialisation](crate::serde_impls) through the vendored
 //!   `serde` data model, used by the warm-start cache persistence layer.

@@ -1,6 +1,6 @@
 //! Serialisation of the IR through the vendored `serde` data model.
 //!
-//! The warm-start persistence layer ([`prism_core::cache::persist`] in the
+//! The warm-start persistence layer (`prism_core::cache::persist` in the
 //! core crate) snapshots cached IR exemplars to disk, so every IR type gets a
 //! [`Serialize`]/[`Deserialize`] impl here. Two encoding rules keep the round
 //! trip *bit-exact* — the persisted cache must confirm structural equality

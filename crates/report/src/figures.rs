@@ -348,13 +348,8 @@ pub fn fig_cache(study: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Corpus cache — {} sessions, {}",
+        "Corpus cache — {} sessions, one shared corpus-wide store",
         stats.sessions,
-        if study.cache.shared {
-            "one shared corpus-wide store"
-        } else {
-            "private per-session stores"
-        }
     );
     let _ = writeln!(
         out,
@@ -854,7 +849,6 @@ mod tests {
         assert!(cold.contains("cold run"), "{cold}");
         assert!(render_all(&study, "blur").contains("Corpus cache"));
 
-        study.cache.shared = true;
         study.cache.stats.stage_runs = 10;
         study.cache.stats.stage_hits = 30;
         study.cache.stats.warm_stage_hits = 25;

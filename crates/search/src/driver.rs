@@ -32,7 +32,7 @@
 //! measures variants as it searches, no exhaustive record required. The
 //! explore/exploit bandit strategies ([`EpsilonGreedy`](crate::bandit::EpsilonGreedy),
 //! [`Ucb1`](crate::bandit::Ucb1)) live in [`crate::bandit`] alongside the
-//! [`RegretTracker`](crate::bandit::RegretTracker) that scores every
+//! [`RegretTracker`] that scores every
 //! strategy's evaluation log against the oracle.
 //! [`incremental_search_records`] aggregates the comparison per (platform,
 //! strategy) into [`SearchRecord`] rows — regret-vs-measurements curves
@@ -41,7 +41,7 @@
 
 use crate::bandit::RegretTracker;
 use crate::evaluator::{EvalCost, Evaluator, OracleEvaluator};
-use crate::results::{percent_speedup, SearchRecord, ShaderPlatformRecord, StudyResults};
+use crate::results::{percent_speedup, SearchRecord, StudyResults};
 use crate::sweep::StudyConfig;
 use prism_core::{CacheStore, CompileSession, CorpusCache, Flag, OptFlags};
 use prism_corpus::Corpus;
@@ -157,26 +157,6 @@ impl<'a> SearchDriver<'a> {
             evaluated: RefCell::new(HashMap::new()),
             log: RefCell::new(Vec::new()),
         }
-    }
-
-    /// A driver over `session` scoring against `record`, emitting through
-    /// `backend` (the platform's declared backend), with a hard `budget` of
-    /// distinct combinations.
-    #[deprecated(
-        since = "0.9.0",
-        note = "construct an evaluator explicitly: \
-                `SearchDriver::over(Box::new(OracleEvaluator::new(session, record, backend)), budget)`"
-    )]
-    pub fn new(
-        session: &'a CompileSession,
-        record: &'a ShaderPlatformRecord,
-        backend: BackendKind,
-        budget: usize,
-    ) -> SearchDriver<'a> {
-        SearchDriver::over(
-            Box::new(OracleEvaluator::new(session, record, backend)),
-            budget,
-        )
     }
 
     /// Frame time of `flags`, evaluating it on demand. `None` once the
@@ -590,7 +570,7 @@ pub fn incremental_search_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::results::VariantRecord;
+    use crate::results::{ShaderPlatformRecord, VariantRecord};
     use prism_glsl::ShaderSource;
 
     const BLURRY: &str = r#"
@@ -689,22 +669,6 @@ mod tests {
         let (best, time) = driver.best_evaluated().unwrap();
         assert_eq!(best, OptFlags::only(Flag::Unroll));
         assert_eq!(time, 900.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_builds_an_oracle_driver() {
-        let session = session();
-        let record = synthetic_record(Flag::Unroll, Flag::Gvn);
-        let driver = SearchDriver::new(&session, &record, BackendKind::DesktopGlsl, 63);
-        assert_eq!(driver.evaluate(OptFlags::NONE), Some(1010.0));
-        assert_eq!(driver.evaluate(OptFlags::only(Flag::Unroll)), Some(900.0));
-        assert_eq!(driver.warm_start(), OptFlags::lunarglass_default());
-        // Same FNV-1a context seed as the evaluator seam computes directly.
-        assert_eq!(
-            driver.context_seed(),
-            crate::evaluator::context_seed_for("synthetic", "AMD")
-        );
     }
 
     #[test]

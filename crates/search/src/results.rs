@@ -406,27 +406,22 @@ impl SpecializationRecord {
 
 /// Corpus-level compile-cache statistics of one study run: how much
 /// optimization and emission work the sweep performed, and how much was
-/// shared — within a shader's 256 combinations and, with the shared
+/// shared — within a shader's 256 combinations and, through the sweep's one
 /// [`CorpusCache`](prism_core::CorpusCache), *across* shaders (übershader
 /// family members reusing each other's stage transitions and emitted text).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheRecord {
-    /// Whether the sweep shared one corpus-wide cache across all sessions.
-    pub shared: bool,
-    /// The store's counters (see [`CacheStats`] for field meanings; the
-    /// `cross_shader_*` counters are always 0 without the shared cache).
+    /// The store's counters (see [`CacheStats`] for field meanings).
     pub stats: CacheStats,
 }
 
-// Serialised flat — `shared` next to the counters — so the JSON stays a
-// single small object. Hand-written because the counter struct
-// (`CacheStats`) lives in prism-core and is not tied to this crate's record
-// shape.
+// Serialised flat so the JSON stays a single small object. Hand-written
+// because the counter struct (`CacheStats`) lives in prism-core and is not
+// tied to this crate's record shape.
 impl serde::Serialize for CacheRecord {
     fn to_value(&self) -> serde::Value {
         let num = |n: usize| serde::Value::Num(n as f64);
         let mut fields = vec![
-            ("shared".to_string(), serde::Value::Bool(self.shared)),
             ("sessions".to_string(), num(self.stats.sessions)),
             ("stage_runs".to_string(), num(self.stats.stage_runs)),
             ("stage_hits".to_string(), num(self.stats.stage_hits)),
@@ -528,10 +523,6 @@ impl serde::Deserialize for CacheRecord {
                 Some(other) => Err(format!("expected number for `{name}`, got {other:?}")),
             }
         };
-        let shared = match field("shared")? {
-            serde::Value::Bool(b) => *b,
-            other => return Err(format!("expected bool for `shared`, got {other:?}")),
-        };
         // Like the warm counters, the per-backend split postdates the first
         // artifacts; absent keys stay 0.
         let mut emissions_by_backend = [0usize; prism_emit::BackendKind::COUNT];
@@ -540,7 +531,6 @@ impl serde::Deserialize for CacheRecord {
                 warm_count(&format!("emissions_{}", backend.name()))?;
         }
         Ok(CacheRecord {
-            shared,
             stats: CacheStats {
                 sessions: count("sessions")?,
                 stage_runs: count("stage_runs")?,
@@ -811,7 +801,6 @@ mod tests {
                 error: "front-end: unexpected token".into(),
             }],
             cache: CacheRecord {
-                shared: true,
                 stats: CacheStats {
                     sessions: 1,
                     stage_runs: 7,

@@ -12,17 +12,15 @@
 //! path, §III-C(d)), the Vulkan desktop gets SPIR-V assembly and the Metal
 //! phone gets MSL — four source forms derived from the same optimized IR.
 //!
-//! All sessions memoise against one shared, thread-safe
-//! [`CorpusCache`](prism_core::CorpusCache): übershader family members share
-//! most of their IR, so one family member's stage transitions and emitted
-//! text routinely answer another's lookups. The corpus-level counters land in
-//! [`StudyResults::cache`].
+//! All sessions memoise against one shared, thread-safe [`CorpusCache`]:
+//! übershader family members share most of their IR, so one family member's
+//! stage transitions and emitted text routinely answer another's lookups.
+//! The corpus-level counters land in [`StudyResults::cache`].
 //!
 //! The drivers' own work is memoised per column — the original shader, one
 //! variant, or one specialization key: the column's submissions share one
-//! [`DriverMemo`](prism_gpu::DriverMemo), so each text is parsed once and
-//! each driver pass runs once per distinct IR. Its counters land in
-//! [`StudyResults::driver`].
+//! [`DriverMemo`], so each text is parsed once and each driver pass runs
+//! once per distinct IR. Its counters land in [`StudyResults::driver`].
 //!
 //! Shaders are processed on a work-stealing worker pool (the offline tool and
 //! the simulated GPUs are pure functions, so this is safe and deterministic):
@@ -35,9 +33,7 @@ use crate::results::{
     StudyResults, VariantRecord,
 };
 use prism_core::specialize::{candidate_keys, default_probe_points, verify_specialization};
-use prism_core::{
-    CacheStats, CacheStore, CompileSession, CorpusCache, Flag, OptFlags, SessionStats,
-};
+use prism_core::{CacheStore, CompileSession, CorpusCache, Flag, OptFlags};
 use prism_corpus::{Corpus, ShaderCase};
 use prism_emit::BackendKind;
 use prism_gpu::{DriverMemo, DriverStats, Platform, Vendor};
@@ -56,11 +52,6 @@ pub struct StudyConfig {
     pub vendors: Vec<Vendor>,
     /// Number of worker threads.
     pub threads: usize,
-    /// Share one corpus-wide compile cache across all shader sessions
-    /// (default). Disable to give every shader a private cache — the
-    /// pre-corpus-cache behaviour, kept for benchmarking the difference;
-    /// results are byte-identical either way.
-    pub shared_cache: bool,
     /// Bound the shared corpus cache to at most this many entries
     /// (LRU-evicted). `None` (default) grows monotonically. Results are
     /// byte-identical either way — only the work counters differ.
@@ -69,13 +60,13 @@ pub struct StudyConfig {
     /// sweep, filling [`StudyResults::search`] with per-(platform, strategy)
     /// rows. `None` (default) skips it.
     pub search: Option<SearchConfig>,
-    /// Persistent warm-start directory for the shared corpus cache. When
-    /// set (and `shared_cache` is on), the sweep loads any snapshot found
-    /// there before compiling — stale or corrupt shards are skipped, never
-    /// trusted — and saves the warmed cache back afterwards, so the next
-    /// `run_study` over the same corpus performs strictly fewer stage runs
-    /// and emissions with byte-identical results. Warm-vs-cold hit counts
-    /// land in [`StudyResults::cache`]. `None` (default) starts cold.
+    /// Persistent warm-start directory for the sweep's corpus cache. When
+    /// set, the sweep loads any snapshot found there before compiling —
+    /// stale or corrupt shards are skipped, never trusted — and saves the
+    /// warmed cache back afterwards, so the next `run_study` over the same
+    /// corpus performs strictly fewer stage runs and emissions with
+    /// byte-identical results. Warm-vs-cold hit counts land in
+    /// [`StudyResults::cache`]. `None` (default) starts cold.
     pub warm_start_dir: Option<std::path::PathBuf>,
     /// Measure up to this many uniform-value specialization candidates per
     /// shader (the AZP axis): each float uniform contributes a `= 0` and a
@@ -92,7 +83,6 @@ impl Default for StudyConfig {
             measure: MeasureConfig::default(),
             vendors: Vendor::ALL.to_vec(),
             threads: 8,
-            shared_cache: true,
             cache_budget: None,
             search: None,
             warm_start_dir: None,
@@ -108,7 +98,6 @@ impl StudyConfig {
             measure: MeasureConfig::quick(),
             vendors: Vendor::ALL.to_vec(),
             threads: 4,
-            shared_cache: true,
             cache_budget: None,
             search: None,
             warm_start_dir: None,
@@ -137,55 +126,36 @@ impl StudyConfig {
 /// results *and* stays diagnosable.
 pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
     let platforms: Vec<Platform> = config.vendors.iter().map(|v| Platform::new(*v)).collect();
-    let corpus_cache: Option<Arc<CorpusCache>> = config
-        .shared_cache
-        .then(|| Arc::new(config.new_corpus_cache()));
-    // Warm-start the shared cache before any session opens. Loading is
+    let corpus_cache = Arc::new(config.new_corpus_cache());
+    // Warm-start the cache before any session opens. Loading is
     // corruption-tolerant (a bad shard is skipped and counted, never
     // trusted), so nothing can fail here; the skip counts surface in
     // `StudyResults::cache`.
-    if let (Some(cache), Some(dir)) = (&corpus_cache, &config.warm_start_dir) {
-        cache.load(dir);
+    if let Some(dir) = &config.warm_start_dir {
+        corpus_cache.load(dir);
     }
-    // Persistence lives in the shared corpus cache; with private per-session
-    // caches there is nothing to load into or save from. Configuring both is
-    // a contradiction the operator should hear about, not a silent no-op.
-    let warm_start_ignored = config.warm_start_dir.is_some() && !config.shared_cache;
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(config.threads.max(1))
         .build()
         .expect("worker pool");
-    let per_shader: Vec<(Result<ProcessedShader, SkippedShader>, Option<SessionStats>)> = pool
-        .install(|| {
-            corpus
-                .cases
-                .par_iter()
-                .map(|case| {
-                    process_shader(
-                        case,
-                        &platforms,
-                        &config.measure,
-                        corpus_cache.as_ref(),
-                        config.specialize,
-                    )
-                })
-                .collect()
-        });
+    let per_shader: Vec<Result<ProcessedShader, SkippedShader>> = pool.install(|| {
+        corpus
+            .cases
+            .par_iter()
+            .map(|case| {
+                process_shader(
+                    case,
+                    &platforms,
+                    &config.measure,
+                    &corpus_cache,
+                    config.specialize,
+                )
+            })
+            .collect()
+    });
 
     let mut study = StudyResults::default();
-    // Aggregated per-session counters; `sessions` counts every session that
-    // *constructed* (lowered) whether or not variant generation then
-    // succeeded — the same moment the shared CorpusCache counts them, so the
-    // two configurations report comparable records.
-    let mut solo_stats = CacheStats::default();
-    for (entry, session_stats) in per_shader {
-        if let Some(stats) = session_stats {
-            solo_stats.sessions += 1;
-            solo_stats.stage_runs += stats.stage_runs;
-            solo_stats.stage_hits += stats.stage_hits;
-            solo_stats.emissions += stats.emissions;
-            solo_stats.emission_hits += stats.emission_hits;
-        }
+    for entry in per_shader {
         match entry {
             Ok(processed) => {
                 study.shaders.push(processed.record);
@@ -197,32 +167,18 @@ pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
             Err(skipped) => study.skipped.push(skipped),
         }
     }
-    study.cache = match &corpus_cache {
-        Some(cache) => CacheRecord {
-            shared: true,
-            stats: cache.stats(),
-        },
-        None => CacheRecord {
-            shared: false,
-            stats: solo_stats,
-        },
+    study.cache = CacheRecord {
+        stats: corpus_cache.stats(),
     };
     // Persist the warmed cache for the next run. A save failure (full or
     // read-only disk) must not invalidate the measurements already taken —
     // record it and carry on.
-    if let (Some(cache), Some(dir)) = (&corpus_cache, &config.warm_start_dir) {
-        if let Err(e) = cache.save(dir) {
+    if let Some(dir) = &config.warm_start_dir {
+        if let Err(e) = corpus_cache.save(dir) {
             study
                 .warnings
                 .push(format!("warm-start snapshot not saved: {e}"));
         }
-    }
-    if warm_start_ignored {
-        study.warnings.push(
-            "warm_start_dir ignored: persistence requires the shared corpus cache \
-             (shared_cache: false)"
-                .to_string(),
-        );
     }
     if let Some(search) = &config.search {
         study.search = incremental_search_records(corpus, &study, config, search);
@@ -254,11 +210,9 @@ struct PlatformRow {
     failure: Option<SkippedShader>,
 }
 
-/// Processes one shader: one compile session (against the shared corpus
-/// cache when one is given), variants, per-platform measurements through the
-/// platform's declared emission backend. The second tuple element carries the
-/// session's own work counters whenever a session was constructed (even if
-/// variant generation failed afterwards), for the study's cache record.
+/// Processes one shader: one compile session against the study's corpus
+/// cache, variants, per-platform measurements through the platform's
+/// declared emission backend.
 ///
 /// Driver submissions go column by column — the original shader, then each
 /// variant — and each column's seven submissions share one [`DriverMemo`],
@@ -268,31 +222,22 @@ fn process_shader(
     case: &ShaderCase,
     platforms: &[Platform],
     measure: &MeasureConfig,
-    corpus_cache: Option<&Arc<CorpusCache>>,
+    corpus_cache: &Arc<CorpusCache>,
     spec_limit: Option<usize>,
-) -> (Result<ProcessedShader, SkippedShader>, Option<SessionStats>) {
+) -> Result<ProcessedShader, SkippedShader> {
     let skip = |error: String| SkippedShader {
         name: case.name.clone(),
         family: case.family.clone(),
         error,
     };
-    let session = match corpus_cache {
-        Some(cache) => CompileSession::with_cache_in_family(
-            &case.source,
-            &case.name,
-            &case.family,
-            Arc::clone(cache) as Arc<dyn CacheStore>,
-        ),
-        None => CompileSession::new(&case.source, &case.name),
-    };
-    let session = match session {
-        Ok(session) => session,
-        Err(e) => return (Err(skip(e.to_string())), None),
-    };
-    let variants = match session.variants() {
-        Ok(variants) => variants,
-        Err(e) => return (Err(skip(e.to_string())), Some(session.stats())),
-    };
+    let session = CompileSession::with_cache_in_family(
+        &case.source,
+        &case.name,
+        &case.family,
+        Arc::clone(corpus_cache) as Arc<dyn CacheStore>,
+    )
+    .map_err(|e| skip(e.to_string()))?;
+    let variants = session.variants().map_err(|e| skip(e.to_string()))?;
     let mut driver = DriverStats::default();
     let mut rows: Vec<PlatformRow> = platforms.iter().map(|_| PlatformRow::default()).collect();
 
@@ -433,16 +378,13 @@ fn process_shader(
         Some(limit) => specialization_arms(case, &session, platforms, measure, limit, &mut driver),
         None => Vec::new(),
     };
-    (
-        Ok(ProcessedShader {
-            record,
-            measurements,
-            platform_failures,
-            specializations,
-            driver,
-        }),
-        Some(session.stats()),
-    )
+    Ok(ProcessedShader {
+        record,
+        measurements,
+        platform_failures,
+        specializations,
+        driver,
+    })
 }
 
 /// Modelled host-side guard cost: one vector compare per assumed uniform,
@@ -705,35 +647,6 @@ mod tests {
         assert_eq!(warm.shaders, cold.shaders);
         assert_eq!(warm.measurements, cold.measurements);
         assert_eq!(warm.skipped, cold.skipped);
-    }
-
-    #[test]
-    fn warm_start_dir_without_shared_cache_warns_and_writes_nothing() {
-        let mut corpus = mini_corpus();
-        corpus.cases.truncate(1);
-        let dir = std::env::temp_dir().join(format!(
-            "prism-sweep-warm-unshared-{}-{:p}",
-            std::process::id(),
-            &corpus
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let study = run_study(
-            &corpus,
-            &StudyConfig {
-                shared_cache: false,
-                warm_start_dir: Some(dir.clone()),
-                ..StudyConfig::quick()
-            },
-        );
-        assert!(
-            study
-                .warnings
-                .iter()
-                .any(|w| w.contains("warm_start_dir ignored")),
-            "operator must hear about the contradictory config: {:?}",
-            study.warnings
-        );
-        assert!(!dir.exists(), "nothing must be written without persistence");
     }
 
     #[test]

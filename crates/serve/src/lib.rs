@@ -68,7 +68,7 @@ pub mod tune;
 pub use load::{percentile, request_stream, run_stream, LoadSummary, StreamSpec};
 pub use service::{
     CompileRequest, CompileRequestBuilder, CompileResponse, CompileService, RequestTarget,
-    RequestWork, ServeConfig, ServeError, ServiceStats,
+    ServeConfig, ServeError, ServiceStats,
 };
 pub use tune::{TuneOutcome, TuneSpec, TuneStrategy};
 
@@ -105,6 +105,50 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.front_hits, 1);
         assert_eq!(stats.cache.routed_requests, 2);
+    }
+
+    /// The service and a session walk the transition graph through the same
+    /// function, so a cold service answers a request stream with the text a
+    /// cold session emits and reports exactly the work the session counted
+    /// for the same call.
+    #[test]
+    fn service_and_session_count_the_same_work() {
+        use prism_core::{CompileSession, Flag, SessionStats};
+        let requests = [
+            (OptFlags::NONE, BackendKind::DesktopGlsl),
+            (OptFlags::all(), BackendKind::Gles),
+            (OptFlags::lunarglass_default(), BackendKind::SpirvAsm),
+            (OptFlags::all(), BackendKind::DesktopGlsl),
+            (OptFlags::only(Flag::Unroll), BackendKind::Msl),
+            (OptFlags::all(), BackendKind::Gles),
+            (OptFlags::from_bits(0b1010_0101), BackendKind::Msl),
+        ];
+        let corpus = prism_corpus::Corpus::gfxbench_like();
+        for case in corpus.cases.iter().step_by(13) {
+            let service = CompileService::new(ServeConfig::default());
+            let session = CompileSession::new(&case.source, &case.name).unwrap();
+            for (flags, backend) in requests {
+                let response = service
+                    .compile(&CompileRequest::new(
+                        case.source.text.as_str(),
+                        flags,
+                        backend,
+                    ))
+                    .unwrap();
+                let before = session.stats();
+                let text = session.text_for(flags, backend).unwrap();
+                let after = session.stats();
+                let delta = SessionStats {
+                    stage_runs: after.stage_runs - before.stage_runs,
+                    stage_hits: after.stage_hits - before.stage_hits,
+                    emissions: after.emissions - before.emissions,
+                    emission_hits: after.emission_hits - before.emission_hits,
+                };
+                let at = format!("{} {flags} {backend}", case.name);
+                assert_eq!(response.text, text, "{at}");
+                assert_eq!(response.work, delta, "{at}");
+            }
+        }
     }
 
     #[test]

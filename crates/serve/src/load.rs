@@ -8,8 +8,8 @@
 //! emissions per request). Work counters are deterministic where wall-clock
 //! is not, which is what lets the perf gate pin p50/p99 to a baseline.
 
-use crate::service::{CompileRequest, CompileService, RequestWork};
-use prism_core::OptFlags;
+use crate::service::{CompileRequest, CompileService};
+use prism_core::{OptFlags, SessionStats};
 use prism_corpus::Corpus;
 use prism_emit::BackendKind;
 use rand::rngs::StdRng;
@@ -179,7 +179,7 @@ pub fn run_stream(
 fn record(
     summary: &mut LoadSummary,
     latencies: &mut Vec<usize>,
-    work: &RequestWork,
+    work: &SessionStats,
     coalesced: bool,
     zero_copy: bool,
 ) {

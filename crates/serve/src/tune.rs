@@ -12,7 +12,7 @@
 //!   versa: variants the tuner paid for are served zero-copy afterwards;
 //! * concurrent tuners and servers asking for the same `(fingerprint,
 //!   flags, backend)` coalesce onto one compile;
-//! * the tuner's compiles warm the shared [`CorpusCache`] for the whole
+//! * the tuner's compiles warm the shared [`CorpusCache`](prism_core::CorpusCache) for the whole
 //!   übershader family.
 //!
 //! Measurement goes through [`prism_search::LiveEvaluator`]: the emitted

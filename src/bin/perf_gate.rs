@@ -22,7 +22,8 @@
 //! ```
 //!
 //! The relative tolerance defaults to 10% (plus an absolute grace of 2 for
-//! tiny counters) and can be overridden with `PRISM_GATE_TOLERANCE=0.05`.
+//! tiny counters) and can be overridden with `PRISM_GATE_TOLERANCE=0.05`; a
+//! value that is not a non-negative number fails the gate with exit code 1.
 
 use prism::corpus::Corpus;
 use prism::gpu::Vendor;
@@ -44,6 +45,27 @@ serde::impl_serde_struct!(Counter {
     value,
     higher_is_better
 });
+
+/// Direction markers for the counter tables below.
+const HIGHER: bool = true;
+const LOWER: bool = false;
+
+impl Counter {
+    fn new(name: impl Into<String>, higher_is_better: bool, value: f64) -> Counter {
+        Counter {
+            name: name.into(),
+            value,
+            higher_is_better,
+        }
+    }
+}
+
+/// One gated counter per `(name, higher_is_better, value)` row, in row order.
+fn table(rows: &[(&str, bool, f64)]) -> Vec<Counter> {
+    rows.iter()
+        .map(|&(name, higher, value)| Counter::new(name, higher, value))
+        .collect()
+}
 
 /// The on-disk `BENCH_*.json` shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,88 +102,53 @@ fn measure() -> GateReport {
     let stats = &study.cache.stats;
     let exhaustive_combinations = (study.shaders.len() * 256) as f64;
     let unique_variants: usize = study.shaders.iter().map(|s| s.unique_variants).sum();
-    let mut counters = vec![
-        Counter {
-            name: "stage_runs".into(),
-            value: stats.stage_runs as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "stage_hits".into(),
-            value: stats.stage_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "cross_shader_stage_hits".into(),
-            value: stats.cross_shader_stage_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "emissions".into(),
-            value: stats.emissions as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "emission_hits".into(),
-            value: stats.emission_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "variant_dedup_ratio".into(),
-            value: exhaustive_combinations / unique_variants.max(1) as f64,
-            higher_is_better: true,
-        },
+    let driver = &study.driver;
+    let mut counters = table(&[
+        ("stage_runs", LOWER, stats.stage_runs as f64),
+        ("stage_hits", HIGHER, stats.stage_hits as f64),
+        (
+            "cross_shader_stage_hits",
+            HIGHER,
+            stats.cross_shader_stage_hits as f64,
+        ),
+        ("emissions", LOWER, stats.emissions as f64),
+        ("emission_hits", HIGHER, stats.emission_hits as f64),
+        (
+            "variant_dedup_ratio",
+            HIGHER,
+            exhaustive_combinations / unique_variants.max(1) as f64,
+        ),
         // Zero-copy IR plane: deep-clone / hashing work attributed to the
         // sequential study sweep via the process-global IR counters.
-        Counter {
-            name: "ir_clones".into(),
-            value: ir_work.ir_clones as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "fingerprints_computed".into(),
-            value: ir_work.fingerprints_computed as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "equality_confirms".into(),
-            value: ir_work.equality_confirms as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "identity_transitions".into(),
-            value: ir_work.identity_transitions as f64,
-            higher_is_better: true,
-        },
+        ("ir_clones", LOWER, ir_work.ir_clones as f64),
+        (
+            "fingerprints_computed",
+            LOWER,
+            ir_work.fingerprints_computed as f64,
+        ),
+        ("equality_confirms", LOWER, ir_work.equality_confirms as f64),
+        (
+            "identity_transitions",
+            HIGHER,
+            ir_work.identity_transitions as f64,
+        ),
         // Simulated-driver plane: front-end parses and driver pass runs the
         // sweep's per-column driver memos could not answer.
-        Counter {
-            name: "driver_front_parses".into(),
-            value: study.driver.front_parses as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "driver_stage_runs".into(),
-            value: study.driver.stage_runs as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "driver_stage_hits".into(),
-            value: study.driver.stage_hits as f64,
-            higher_is_better: true,
-        },
-    ];
+        ("driver_front_parses", LOWER, driver.front_parses as f64),
+        ("driver_stage_runs", LOWER, driver.stage_runs as f64),
+        ("driver_stage_hits", HIGHER, driver.stage_hits as f64),
+    ]);
 
     // Per-backend emission counters: the per-target split of `emissions`.
     // Names come from the backend set itself, so adding a fifth backend
     // emits an un-baselined counter and fails the gate until the baseline is
     // deliberately regenerated — exactly like a new search strategy.
     for backend in prism::emit::BackendKind::ALL {
-        counters.push(Counter {
-            name: format!("emissions_{}", backend.name()),
-            value: stats.emissions_by_backend[backend.index()] as f64,
-            higher_is_better: false,
-        });
+        counters.push(Counter::new(
+            format!("emissions_{}", backend.name()),
+            LOWER,
+            stats.emissions_by_backend[backend.index()] as f64,
+        ));
     }
 
     // Incremental search: distinct combinations compiled per strategy,
@@ -179,11 +166,11 @@ fn measure() -> GateReport {
             .filter(|r| r.strategy == name)
             .map(|r| r.mean_compiles * r.shaders as f64)
             .sum();
-        counters.push(Counter {
-            name: format!("search_compiles_{name}"),
-            value: spent,
-            higher_is_better: false,
-        });
+        counters.push(Counter::new(
+            format!("search_compiles_{name}"),
+            LOWER,
+            spent,
+        ));
     }
     counters.extend(warm);
     counters.extend(measure_serve(&corpus));
@@ -250,23 +237,23 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
         stats.stage_runs
     );
 
-    vec![
-        Counter {
-            name: "specializations_generated".into(),
-            value: delta.specializations_generated as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "spec_guard_dispatches".into(),
-            value: delta.spec_guard_dispatches as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "spec_interp_confirms".into(),
-            value: delta.spec_interp_confirms as f64,
-            higher_is_better: true,
-        },
-    ]
+    table(&[
+        (
+            "specializations_generated",
+            LOWER,
+            delta.specializations_generated as f64,
+        ),
+        (
+            "spec_guard_dispatches",
+            HIGHER,
+            delta.spec_guard_dispatches as f64,
+        ),
+        (
+            "spec_interp_confirms",
+            HIGHER,
+            delta.spec_interp_confirms as f64,
+        ),
+    ])
 }
 
 /// The compile-service phase: a seeded Zipf request stream replayed against
@@ -305,33 +292,17 @@ fn measure_serve(corpus: &Corpus) -> Vec<Counter> {
         "every warm-booted request must be memo-served"
     );
 
-    vec![
-        Counter {
-            name: "serve_p50_request_work".into(),
-            value: summary.p50_latency as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "serve_p99_request_work".into(),
-            value: summary.p99_latency as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "serve_total_work".into(),
-            value: summary.total_work as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "serve_memo_served".into(),
-            value: summary.memo_served as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "serve_warm_replay_stage_runs".into(),
-            value: warm_summary.stage_runs as f64,
-            higher_is_better: false,
-        },
-    ]
+    table(&[
+        ("serve_p50_request_work", LOWER, summary.p50_latency as f64),
+        ("serve_p99_request_work", LOWER, summary.p99_latency as f64),
+        ("serve_total_work", LOWER, summary.total_work as f64),
+        ("serve_memo_served", HIGHER, summary.memo_served as f64),
+        (
+            "serve_warm_replay_stage_runs",
+            LOWER,
+            warm_summary.stage_runs as f64,
+        ),
+    ])
 }
 
 /// The online-tune phase: a measurement-in-the-loop flag search rides a
@@ -403,43 +374,23 @@ fn measure_tune(corpus: &Corpus, study: &StudyResults) -> Vec<Counter> {
         "the prefilter must have walked fresh analyses"
     );
 
-    vec![
-        Counter {
-            name: "tune_measurements".into(),
-            value: stats.measurements_taken as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "search_compiles".into(),
-            value: stats.search_compiles as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "tune_regret_x1000".into(),
-            value: stats.tune_regret_x1000 as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "static_analyses".into(),
-            value: stats.cache.static_analyses as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "analysis_memo_hits".into(),
-            value: stats.cache.analysis_memo_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "lints_emitted".into(),
-            value: stats.lints_emitted as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "search_candidates_pruned".into(),
-            value: stats.search_candidates_pruned as f64,
-            higher_is_better: true,
-        },
-    ]
+    table(&[
+        ("tune_measurements", LOWER, stats.measurements_taken as f64),
+        ("search_compiles", LOWER, stats.search_compiles as f64),
+        ("tune_regret_x1000", LOWER, stats.tune_regret_x1000 as f64),
+        ("static_analyses", LOWER, stats.cache.static_analyses as f64),
+        (
+            "analysis_memo_hits",
+            HIGHER,
+            stats.cache.analysis_memo_hits as f64,
+        ),
+        ("lints_emitted", LOWER, stats.lints_emitted as f64),
+        (
+            "search_candidates_pruned",
+            HIGHER,
+            stats.search_candidates_pruned as f64,
+        ),
+    ])
 }
 
 /// The warm-start phase: the same smoke sweep run twice against one
@@ -488,33 +439,21 @@ fn measure_warm_start(corpus: &Corpus) -> Vec<Counter> {
     );
 
     let stats = &warm.cache.stats;
-    vec![
-        Counter {
-            name: "warm_stage_runs".into(),
-            value: stats.stage_runs as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "warm_stage_hits".into(),
-            value: stats.warm_stage_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "warm_emissions".into(),
-            value: stats.emissions as f64,
-            higher_is_better: false,
-        },
-        Counter {
-            name: "warm_emission_hits".into(),
-            value: stats.warm_emission_hits as f64,
-            higher_is_better: true,
-        },
-        Counter {
-            name: "warm_entries_loaded".into(),
-            value: stats.warm_entries_loaded as f64,
-            higher_is_better: true,
-        },
-    ]
+    table(&[
+        ("warm_stage_runs", LOWER, stats.stage_runs as f64),
+        ("warm_stage_hits", HIGHER, stats.warm_stage_hits as f64),
+        ("warm_emissions", LOWER, stats.emissions as f64),
+        (
+            "warm_emission_hits",
+            HIGHER,
+            stats.warm_emission_hits as f64,
+        ),
+        (
+            "warm_entries_loaded",
+            HIGHER,
+            stats.warm_entries_loaded as f64,
+        ),
+    ])
 }
 
 /// Compares `current` against `baseline`; returns the regression messages.
@@ -558,6 +497,22 @@ fn regressions(current: &GateReport, baseline: &GateReport, tolerance: f64) -> V
     failures
 }
 
+/// The relative tolerance: `raw` (the `PRISM_GATE_TOLERANCE` value) when
+/// set, else 10%. A value that is not a finite, non-negative number — `5%`,
+/// `-0.1`, `NaN` — is an error: gating at a tolerance nobody asked for would
+/// pass or fail the build for the wrong reason.
+fn parse_tolerance(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(0.10);
+    };
+    match raw.trim().parse::<f64>() {
+        Ok(tolerance) if tolerance.is_finite() && tolerance >= 0.0 => Ok(tolerance),
+        _ => Err(format!(
+            "PRISM_GATE_TOLERANCE must be a non-negative fraction such as 0.05, got `{raw}`"
+        )),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_perf_gate.json");
@@ -573,10 +528,15 @@ fn main() -> ExitCode {
             }
         }
     }
-    let tolerance: f64 = std::env::var("PRISM_GATE_TOLERANCE")
-        .ok()
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(0.10);
+    let raw_tolerance =
+        std::env::var_os("PRISM_GATE_TOLERANCE").map(|t| t.to_string_lossy().into_owned());
+    let tolerance = match parse_tolerance(raw_tolerance.as_deref()) {
+        Ok(tolerance) => tolerance,
+        Err(e) => {
+            eprintln!("perf gate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let report = measure();
     let json = serde_json::to_string(&report).expect("gate report serialises");
@@ -639,11 +599,7 @@ mod tests {
     use super::*;
 
     fn counter(name: &str, value: f64, higher: bool) -> Counter {
-        Counter {
-            name: name.into(),
-            value,
-            higher_is_better: higher,
-        }
+        Counter::new(name, higher, value)
     }
 
     fn report(counters: Vec<Counter>) -> GateReport {
@@ -698,6 +654,17 @@ mod tests {
         assert!(regressions(&current, &baseline, 0.10).is_empty());
         let gone = report(vec![counter("tiny", 0.0, true)]);
         assert_eq!(regressions(&gone, &baseline, 0.10).len(), 1);
+    }
+
+    #[test]
+    fn tolerances_that_are_not_non_negative_numbers_are_rejected() {
+        assert_eq!(parse_tolerance(None), Ok(0.10));
+        assert_eq!(parse_tolerance(Some("0.05")), Ok(0.05));
+        assert_eq!(parse_tolerance(Some("0")), Ok(0.0));
+        for bad in ["5%", "", "-0.1", "NaN", "inf", "ten"] {
+            let err = parse_tolerance(Some(bad)).unwrap_err();
+            assert!(err.contains("PRISM_GATE_TOLERANCE"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! lowered to IR once, the pass schedule is replayed as inspectable stages
 //! whose IR snapshots are shared across combinations with a common schedule
 //! prefix, and a commutative-aware structural fingerprint
-//! ([`ir::fingerprint`]) short-circuits duplicate states before GLSL
+//! ([`ir::fingerprint`](mod@ir::fingerprint)) short-circuits duplicate states before GLSL
 //! emission. The session output is byte-identical to brute force (the
 //! property suite proves it) at a fraction of the cost, and one session per
 //! shader serves all seven platforms in [`search`] through four emission

@@ -21,7 +21,7 @@
 //!   the desktop and GLES emission backends.
 
 use prism::core::{compile, unique_variants, CacheStore, CompileSession, CorpusCache, OptFlags};
-use prism::emit::{Backend, BackendKind};
+use prism::emit::{source_interface, Backend, BackendKind};
 use prism::glsl::ShaderSource;
 use prism::ir::interp::{results_approx_equal, run_fragment, FragmentContext};
 use std::sync::Arc;
@@ -162,8 +162,10 @@ fn emitted_glsl_reparses_and_keeps_interface() {
             .expect("emitted GLSL re-parses");
         assert!(source.interface.same_io(&reparsed.interface));
         let gles = prism::emit::Gles.emit(&optimized.ir);
-        assert!(
-            prism::emit::same_interface(&optimized.glsl, &gles),
+        let interface = |kind, text: &str| source_interface(kind, text).expect("emission parses");
+        assert_eq!(
+            interface(BackendKind::DesktopGlsl, &optimized.glsl),
+            interface(BackendKind::Gles, &gles),
             "desktop and GLES emissions must expose one interface:\n{gles}"
         );
     }

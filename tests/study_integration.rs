@@ -166,8 +166,8 @@ fn every_row_is_compiled_from_its_platforms_declared_source_form() {
 
 /// The shared corpus cache changes how fast the sweep runs, never what it
 /// computes: a family corpus slice shows cross-shader sharing in the study's
-/// cache record while producing measurements byte-identical to a
-/// private-cache-per-session run.
+/// cache record while producing measurements byte-identical to running each
+/// shader as its own study, on its own private cache.
 #[test]
 fn shared_corpus_cache_shares_across_shaders_without_changing_results() {
     let full = Corpus::gfxbench_like();
@@ -186,7 +186,6 @@ fn shared_corpus_cache_shares_across_shaders_without_changing_results() {
     };
 
     let shared = run_study(&corpus, &StudyConfig::quick());
-    assert!(shared.cache.shared);
     assert_eq!(shared.cache.stats.sessions, corpus.len());
     assert!(
         shared.cache.stats.cross_shader_stage_hits > 0,
@@ -195,15 +194,18 @@ fn shared_corpus_cache_shares_across_shaders_without_changing_results() {
     );
     assert!(shared.cache.stats.stage_hit_rate() > 0.9);
 
-    let solo = run_study(
-        &corpus,
-        &StudyConfig {
-            shared_cache: false,
-            ..StudyConfig::quick()
-        },
-    );
-    assert!(!solo.cache.shared);
-    assert_eq!(solo.cache.stats.cross_shader_stage_hits, 0);
+    let mut solo = StudyResults::default();
+    for case in &corpus.cases {
+        let alone = Corpus {
+            cases: vec![case.clone()],
+        };
+        let study = run_study(&alone, &StudyConfig::quick());
+        assert_eq!(study.cache.stats.cross_shader_stage_hits, 0);
+        solo.shaders.extend(study.shaders);
+        solo.measurements.extend(study.measurements);
+        solo.cache.stats.stage_runs += study.cache.stats.stage_runs;
+        solo.cache.stats.emissions += study.cache.stats.emissions;
+    }
     // The shared cache did strictly less optimization and emission work...
     assert!(shared.cache.stats.stage_runs < solo.cache.stats.stage_runs);
     assert!(shared.cache.stats.emissions < solo.cache.stats.emissions);
