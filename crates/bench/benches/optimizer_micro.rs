@@ -7,10 +7,18 @@
 //! snapshots, fingerprint-dedup before emission). The bench asserts the
 //! session is at least 5x faster on the motivating blur shader and prints the
 //! measured ratio.
+//!
+//! The pass kernels get one benchmark each: every simulated-driver pass, one
+//! per stable stage id ([`DriverModel::stages`]), and [`Analysis::of`], all on
+//! the lowered IR of the corpus shader with the most IR statements. A pass
+//! benchmark times the pass on a fresh clone of that IR, and the clone is
+//! included in the time, as it is when the transition-graph walk runs a stage.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use prism_core::{compile, CompileSession, OptFlags};
+use prism_core::{compile, lower, CompileSession, OptFlags};
 use prism_corpus::Corpus;
+use prism_gpu::{DriverModel, DriverPass, Vendor};
+use prism_ir::analysis::Analysis;
 use std::time::Instant;
 
 /// Brute-force variant generation: the pre-session hot path, kept here as the
@@ -69,8 +77,56 @@ fn optimizer_benchmarks(c: &mut Criterion) {
         b.iter(|| platform.submit(&optimized.glsl, &blur.name).unwrap())
     });
 
+    pass_kernel_benchmarks(c, &corpus);
+
     speedup_report(&blur);
     ir_work_report(&blur);
+}
+
+/// Short, stable benchmark label of a driver pass with its parameter.
+fn pass_label(pass: DriverPass) -> String {
+    match pass {
+        DriverPass::Rename => "rename".into(),
+        DriverPass::ConstFold => "constfold".into(),
+        DriverPass::Cse => "cse".into(),
+        DriverPass::Dce => "dce".into(),
+        DriverPass::Unroll { max_trip_count } => format!("unroll{max_trip_count}"),
+        DriverPass::Hoist { max_branch_size } => format!("hoist{max_branch_size}"),
+        DriverPass::Coalesce => "coalesce".into(),
+        DriverPass::Gvn => "gvn".into(),
+        DriverPass::DivToMul => "div_to_mul".into(),
+    }
+}
+
+/// One benchmark per driver stage id and one for [`Analysis::of`], on the
+/// lowered IR of the corpus shader with the most IR statements.
+fn pass_kernel_benchmarks(c: &mut Criterion, corpus: &Corpus) {
+    let ir = corpus
+        .cases
+        .iter()
+        .map(|case| lower(&case.source, &case.name).expect("corpus shaders lower"))
+        .max_by_key(|ir| ir.size())
+        .expect("corpus is non-empty");
+    let mut stages: Vec<(DriverPass, usize)> = Vendor::ALL
+        .iter()
+        .flat_map(|vendor| DriverModel::preset(*vendor).stages().to_vec())
+        .collect();
+    stages.sort_by_key(|(_, id)| *id);
+    stages.dedup_by_key(|(_, id)| *id);
+    for (pass, id) in stages {
+        c.bench_function(
+            &format!("driver_pass_{id:02}_{}_{}", pass_label(pass), ir.name),
+            |b| {
+                b.iter(|| {
+                    let mut shader = ir.clone();
+                    pass.run(&mut shader)
+                })
+            },
+        );
+    }
+    c.bench_function(&format!("analysis_of_{}", ir.name), |b| {
+        b.iter(|| Analysis::of(&ir))
+    });
 }
 
 /// Measures the zero-copy IR plane over one full 256-combination session

@@ -11,8 +11,8 @@
 //! changes the output code (§VI-D1, Fig. 8h).
 
 use super::Pass;
+use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// The aggressive dead-code elimination pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -26,12 +26,12 @@ impl Pass for Adce {
     fn run(&self, shader: &mut Shader) -> bool {
         // Map every register to the set of registers its definitions read,
         // treating all definitions of a (mutable) register as one node.
-        let mut reads: HashMap<Reg, HashSet<Reg>> = HashMap::new();
-        let mut roots: HashSet<Reg> = HashSet::new();
+        let mut reads: FxHashMap<Reg, FxHashSet<Reg>> = FxHashMap::default();
+        let mut roots: FxHashSet<Reg> = FxHashSet::default();
         collect(&shader.body, &mut reads, &mut roots);
 
         // Transitive closure from the roots.
-        let mut live: HashSet<Reg> = HashSet::new();
+        let mut live: FxHashSet<Reg> = FxHashSet::default();
         let mut work: Vec<Reg> = roots.into_iter().collect();
         while let Some(r) = work.pop() {
             if !live.insert(r) {
@@ -50,7 +50,7 @@ impl Pass for Adce {
     }
 }
 
-fn collect(body: &[Stmt], reads: &mut HashMap<Reg, HashSet<Reg>>, roots: &mut HashSet<Reg>) {
+fn collect(body: &[Stmt], reads: &mut FxHashMap<Reg, FxHashSet<Reg>>, roots: &mut FxHashSet<Reg>) {
     for stmt in body {
         match stmt {
             Stmt::Def { dst, op } => {
@@ -91,7 +91,7 @@ fn collect(body: &[Stmt], reads: &mut HashMap<Reg, HashSet<Reg>>, roots: &mut Ha
     }
 }
 
-fn sweep(body: &mut Vec<Stmt>, live: &HashSet<Reg>, changed: &mut bool) {
+fn sweep(body: &mut Vec<Stmt>, live: &FxHashSet<Reg>, changed: &mut bool) {
     let mut kept = Vec::with_capacity(body.len());
     for mut stmt in body.drain(..) {
         match &mut stmt {

@@ -82,7 +82,12 @@ fn coalesce_body(
                 continue;
             }
         }
-        out.push(body[idx].clone());
+        // Runs only look ahead of `idx`, so the statement can move out; the
+        // placeholder left behind is never read.
+        out.push(std::mem::replace(
+            &mut body[idx],
+            Stmt::Discard { cond: None },
+        ));
         idx += 1;
     }
     *body = out;
@@ -365,51 +370,116 @@ mod tests {
         assert_eq!(after.outputs[0], vec![9.0, 2.0]);
     }
 
+    /// `v.x = x; v.y = y` as a two-insert chain on a `vec2` register.
+    fn chain(v: Reg, x: f64, y: f64) -> [Stmt; 2] {
+        [(0, x), (1, y)].map(|(index, value)| Stmt::Def {
+            dst: v,
+            op: Op::Insert {
+                vector: Operand::Reg(v),
+                index,
+                value: Operand::float(value),
+            },
+        })
+    }
+
+    /// `sum = sum + v`.
+    fn accumulate(sum: Reg, v: Reg) -> Stmt {
+        Stmt::Def {
+            dst: sum,
+            op: Op::Binary(BinaryOp::Add, Operand::Reg(sum), Operand::Reg(v)),
+        }
+    }
+
+    /// The shape of a body: `C` for a construct, `I` for an insert, `+` for
+    /// any other definition, and nested bodies in brackets.
+    fn shape(body: &[Stmt]) -> String {
+        body.iter()
+            .map(|stmt| match stmt {
+                Stmt::Def {
+                    op: Op::Construct { .. },
+                    ..
+                } => "C".to_string(),
+                Stmt::Def {
+                    op: Op::Insert { .. },
+                    ..
+                } => "I".to_string(),
+                Stmt::Def { .. } => "+".to_string(),
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => format!("if[{}|{}]", shape(then_body), shape(else_body)),
+                Stmt::Loop { body, .. } => format!("loop[{}]", shape(body)),
+                Stmt::StoreOutput { .. } => "S".to_string(),
+                Stmt::Discard { .. } => "D".to_string(),
+            })
+            .collect()
+    }
+
     #[test]
     fn works_inside_conditionals() {
-        let mut s = Shader::new("coalesce-if");
+        // if { chain; loop { chain; if { chain; sum += v } sum += v } sum += v }
+        // sum += v — a chain at each of three depths, and a statement after
+        // each nested block that must keep its place.
+        let mut s = Shader::new("coalesce-nested");
         s.outputs.push(OutputVar {
             name: "c".into(),
             ty: IrType::fvec(2),
         });
         let v = s.new_reg(IrType::fvec(2));
-        s.body = vec![
-            Stmt::Def {
-                dst: v,
-                op: Op::Splat {
-                    ty: IrType::fvec(2),
-                    value: Operand::float(0.0),
-                },
+        let sum = s.new_reg(IrType::fvec(2));
+        let i = s.new_reg(IrType::I32);
+        let zero = |dst| Stmt::Def {
+            dst,
+            op: Op::Splat {
+                ty: IrType::fvec(2),
+                value: Operand::float(0.0),
             },
+        };
+        let inner_if = Stmt::If {
+            cond: Operand::boolean(true),
+            then_body: [chain(v, 5.0, 6.0).to_vec(), vec![accumulate(sum, v)]].concat(),
+            else_body: vec![],
+        };
+        let the_loop = Stmt::Loop {
+            var: i,
+            start: 0,
+            end: 2,
+            step: 1,
+            body: [
+                chain(v, 3.0, 4.0).to_vec(),
+                vec![inner_if, accumulate(sum, v)],
+            ]
+            .concat(),
+        };
+        s.body = vec![
+            zero(v),
+            zero(sum),
             Stmt::If {
                 cond: Operand::boolean(true),
-                then_body: vec![
-                    Stmt::Def {
-                        dst: v,
-                        op: Op::Insert {
-                            vector: Operand::Reg(v),
-                            index: 0,
-                            value: Operand::float(3.0),
-                        },
-                    },
-                    Stmt::Def {
-                        dst: v,
-                        op: Op::Insert {
-                            vector: Operand::Reg(v),
-                            index: 1,
-                            value: Operand::float(4.0),
-                        },
-                    },
-                ],
+                then_body: [
+                    chain(v, 1.0, 2.0).to_vec(),
+                    vec![the_loop, accumulate(sum, v)],
+                ]
+                .concat(),
                 else_body: vec![],
             },
+            accumulate(sum, v),
             Stmt::StoreOutput {
                 output: 0,
                 components: None,
-                value: Operand::Reg(v),
+                value: Operand::Reg(sum),
             },
         ];
+        verify(&s).unwrap();
+        assert_eq!(shape(&s.body), "++if[IIloop[IIif[II+|]+]+|]+S");
+        let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
+        let before = run_fragment(&s, &ctx).unwrap();
         assert!(Coalesce.run(&mut s));
         verify(&s).unwrap();
+        assert_eq!(shape(&s.body), "++if[Cloop[Cif[C+|]+]+|]+S");
+        let after = run_fragment(&s, &ctx).unwrap();
+        assert!(results_approx_equal(&before, &after, 1e-12));
+        assert_eq!(after.outputs[0], vec![30.0, 36.0]);
     }
 }

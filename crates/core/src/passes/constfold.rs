@@ -15,8 +15,8 @@
 
 use super::{eval_const_op, Pass};
 use prism_ir::analysis::Analysis;
+use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// The constant-folding / copy-propagation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -44,7 +44,7 @@ impl Pass for ConstFold {
             const_arrays: &shader.const_arrays,
             changed: false,
         };
-        let mut env: HashMap<Reg, Known> = HashMap::new();
+        let mut env: FxHashMap<Reg, Known> = FxHashMap::default();
         folder.fold_body(&mut body, &mut env);
         let changed = folder.changed;
         shader.body = body;
@@ -59,7 +59,7 @@ struct Folder<'a> {
 }
 
 impl Folder<'_> {
-    fn fold_body(&mut self, body: &mut Vec<Stmt>, env: &mut HashMap<Reg, Known>) {
+    fn fold_body(&mut self, body: &mut Vec<Stmt>, env: &mut FxHashMap<Reg, Known>) {
         let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
         for mut stmt in body.drain(..) {
             self.substitute(&mut stmt, env);
@@ -105,7 +105,7 @@ impl Folder<'_> {
                     let defined = defined_regs(&then_body)
                         .union(&defined_regs(&else_body))
                         .copied()
-                        .collect::<HashSet<_>>();
+                        .collect::<FxHashSet<_>>();
                     // Every register a branch fold inserts or removes is in
                     // `defined` (it covers nested defs and loop vars), so the
                     // shared env serves both arms without cloning — reset the
@@ -158,7 +158,7 @@ impl Folder<'_> {
     }
 
     /// Substitutes known register values into a statement's own operands.
-    fn substitute(&mut self, stmt: &mut Stmt, env: &HashMap<Reg, Known>) {
+    fn substitute(&mut self, stmt: &mut Stmt, env: &FxHashMap<Reg, Known>) {
         let mut changed = false;
         for operand in stmt.operands_mut() {
             if let Operand::Reg(r) = operand {
@@ -198,8 +198,8 @@ impl Folder<'_> {
 }
 
 /// All registers defined anywhere within a body (including nested bodies).
-fn defined_regs(body: &[Stmt]) -> HashSet<Reg> {
-    let mut set = HashSet::new();
+fn defined_regs(body: &[Stmt]) -> FxHashSet<Reg> {
+    let mut set = FxHashSet::default();
     prism_ir::stmt::walk_body(body, &mut |s| match s {
         Stmt::Def { dst, .. } => {
             set.insert(*dst);

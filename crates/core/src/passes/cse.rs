@@ -9,8 +9,13 @@
 
 use super::Pass;
 use prism_ir::analysis::Analysis;
+use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
+use prism_ir::value_key::ValueKey;
+
+/// Value numbers of the definitions seen so far, keyed by the structure of
+/// their operation; each key borrows the statement it was taken from.
+pub(crate) type ValueTable<'a> = FxHashMap<ValueKey<'a>, Reg>;
 
 /// The local CSE pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -35,16 +40,15 @@ impl Pass for Cse {
 /// starts from an empty table (local CSE); [`super::gvn`] reuses this walker
 /// with `inherit = true`.
 pub(crate) fn cse_body(body: &mut [Stmt], analysis: &Analysis, changed: &mut bool, inherit: bool) {
-    let mut table: HashMap<String, Reg> = HashMap::new();
-    cse_scoped(body, analysis, changed, inherit, &mut table);
+    cse_scoped(body, analysis, changed, inherit, &mut ValueTable::default());
 }
 
-fn cse_scoped(
-    body: &mut [Stmt],
+fn cse_scoped<'a>(
+    body: &'a mut [Stmt],
     analysis: &Analysis,
     changed: &mut bool,
     inherit: bool,
-    table: &mut HashMap<String, Reg>,
+    table: &mut ValueTable<'a>,
 ) {
     for stmt in body.iter_mut() {
         match stmt {
@@ -52,23 +56,7 @@ fn cse_scoped(
                 if !eligible(op, analysis) {
                     continue;
                 }
-                let key = op.value_key();
-                match table.get(&key) {
-                    Some(prev) if *prev != *dst => {
-                        // The replacement value `prev` is immutable (it was
-                        // only recorded if single-assignment), so rewriting
-                        // this definition's RHS is safe even when `dst`
-                        // itself is reassigned elsewhere.
-                        *op = Op::Mov(Operand::Reg(*prev));
-                        *changed = true;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if analysis.is_ssa(*dst) {
-                            table.insert(key, *dst);
-                        }
-                    }
-                }
+                number_value(*dst, op, analysis, table, changed);
             }
             Stmt::If {
                 then_body,
@@ -78,13 +66,13 @@ fn cse_scoped(
                 let mut then_table = if inherit {
                     table.clone()
                 } else {
-                    HashMap::new()
+                    ValueTable::default()
                 };
                 cse_scoped(then_body, analysis, changed, inherit, &mut then_table);
                 let mut else_table = if inherit {
                     table.clone()
                 } else {
-                    HashMap::new()
+                    ValueTable::default()
                 };
                 cse_scoped(else_body, analysis, changed, inherit, &mut else_table);
             }
@@ -97,11 +85,41 @@ fn cse_scoped(
                 let mut loop_table = if inherit {
                     table.clone()
                 } else {
-                    HashMap::new()
+                    ValueTable::default()
                 };
                 cse_scoped(loop_body, analysis, changed, inherit, &mut loop_table);
             }
             _ => {}
+        }
+    }
+}
+
+/// Value-numbers one definition `dst = op`: an op equal to an earlier
+/// recorded one becomes a copy of that value, and a new op of an SSA
+/// register is recorded.
+pub(crate) fn number_value<'a>(
+    dst: Reg,
+    op: &'a mut Op,
+    analysis: &Analysis,
+    table: &mut ValueTable<'a>,
+    changed: &mut bool,
+) {
+    match table.get(&op.value_key()).copied() {
+        Some(prev) if prev != dst => {
+            // The replacement value `prev` is immutable (it was only
+            // recorded if single-assignment), so rewriting this definition's
+            // RHS is safe even when `dst` itself is reassigned elsewhere.
+            *op = Op::Mov(Operand::Reg(prev));
+            *changed = true;
+        }
+        Some(_) => {}
+        None => {
+            if analysis.is_ssa(dst) {
+                // A recorded definition is never rewritten, so its key may
+                // borrow it for as long as the table lives.
+                let op: &'a Op = op;
+                table.insert(op.value_key(), dst);
+            }
         }
     }
 }
@@ -114,7 +132,7 @@ fn eligible(op: &Op, analysis: &Analysis) -> bool {
         // Texture samples are handled conservatively; Movs carry no work.
         return false;
     }
-    op.operands().iter().all(|o| match o {
+    op.operands().all(|o| match o {
         Operand::Reg(r) => analysis.is_ssa(*r),
         _ => true,
     })

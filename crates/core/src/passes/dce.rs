@@ -6,8 +6,9 @@
 //! flag never changes the output (§VI-D1).
 
 use super::Pass;
+use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The trivially-dead-code elimination pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -22,7 +23,7 @@ impl Pass for Dce {
         let mut changed_any = false;
         // Removing a definition can make another dead; iterate to a fixpoint.
         for _ in 0..32 {
-            let mut uses: HashMap<Reg, usize> = HashMap::new();
+            let mut uses: FxHashMap<Reg, usize> = FxHashMap::default();
             prism_ir::stmt::walk_body(&shader.body, &mut |s| {
                 for o in s.operands() {
                     if let Operand::Reg(r) = o {
@@ -43,7 +44,7 @@ impl Pass for Dce {
     }
 }
 
-fn remove_dead(body: &mut Vec<Stmt>, uses: &HashMap<Reg, usize>, changed: &mut bool) {
+fn remove_dead(body: &mut Vec<Stmt>, uses: &FxHashMap<Reg, usize>, changed: &mut bool) {
     let mut kept: Vec<Stmt> = Vec::with_capacity(body.len());
     for mut stmt in body.drain(..) {
         match &mut stmt {

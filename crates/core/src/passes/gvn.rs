@@ -10,11 +10,10 @@
 //! rarely in the optimal flag set (§VI-D2); it is enabled by default in
 //! LunarGlass.
 
-use super::cse::cse_body;
+use super::cse::{cse_body, number_value, ValueTable};
 use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
 
 /// The global value numbering pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,17 +31,21 @@ impl Pass for Gvn {
         // Scope-inheriting CSE over pure ops.
         cse_body(&mut body, &analysis, &mut changed, true);
         // Redundant texture-sample elimination (GVN-style load merging).
-        let mut table: HashMap<String, Reg> = HashMap::new();
-        merge_texture_loads(&mut body, &analysis, &mut table, &mut changed);
+        merge_texture_loads(
+            &mut body,
+            &analysis,
+            &mut ValueTable::default(),
+            &mut changed,
+        );
         shader.body = body;
         changed
     }
 }
 
-fn merge_texture_loads(
-    body: &mut [Stmt],
+fn merge_texture_loads<'a>(
+    body: &'a mut [Stmt],
     analysis: &Analysis,
-    table: &mut HashMap<String, Reg>,
+    table: &mut ValueTable<'a>,
     changed: &mut bool,
 ) {
     for stmt in body.iter_mut() {
@@ -58,19 +61,7 @@ fn merge_texture_loads(
                     if !operands_stable {
                         continue;
                     }
-                    let key = op.value_key();
-                    match table.get(&key) {
-                        Some(prev) if *prev != *dst => {
-                            *op = Op::Mov(Operand::Reg(*prev));
-                            *changed = true;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if analysis.is_ssa(*dst) {
-                                table.insert(key, *dst);
-                            }
-                        }
-                    }
+                    number_value(*dst, op, analysis, table, changed);
                 }
             }
             Stmt::If {

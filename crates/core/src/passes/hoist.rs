@@ -11,8 +11,8 @@
 //! `if (c) discard;` is rewritten into a conditional discard instead.
 
 use super::Pass;
+use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// The conditional-flattening pass.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +37,7 @@ impl Pass for Hoist {
     fn run(&self, shader: &mut Shader) -> bool {
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);
-        let mut defined: HashSet<Reg> = HashSet::new();
+        let mut defined: FxHashSet<Reg> = FxHashSet::default();
         self.hoist_body(shader, &mut body, &mut defined, &mut changed);
         shader.body = body;
         changed
@@ -49,7 +49,7 @@ impl Hoist {
         &self,
         shader: &mut Shader,
         body: &mut Vec<Stmt>,
-        defined: &mut HashSet<Reg>,
+        defined: &mut FxHashSet<Reg>,
         changed: &mut bool,
     ) {
         let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
@@ -128,7 +128,7 @@ fn flatten(
     cond: Operand,
     then_body: &[Stmt],
     else_body: &[Stmt],
-    defined_before: &HashSet<Reg>,
+    defined_before: &FxHashSet<Reg>,
 ) -> Vec<Stmt> {
     let mut out = Vec::new();
     let then_final = speculate(shader, then_body, &mut out);
@@ -173,8 +173,8 @@ fn flatten(
 /// Emits a branch body unconditionally with every written register renamed to
 /// a fresh one, and returns the final fresh register for each original
 /// destination.
-fn speculate(shader: &mut Shader, body: &[Stmt], out: &mut Vec<Stmt>) -> HashMap<Reg, Reg> {
-    let mut rename: HashMap<Reg, Reg> = HashMap::new();
+fn speculate(shader: &mut Shader, body: &[Stmt], out: &mut Vec<Stmt>) -> FxHashMap<Reg, Reg> {
+    let mut rename: FxHashMap<Reg, Reg> = FxHashMap::default();
     for stmt in body {
         let Stmt::Def { dst, op } = stmt else {
             continue;

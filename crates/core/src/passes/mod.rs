@@ -25,8 +25,8 @@ pub mod rename;
 pub mod unroll;
 
 use prism_ir::analysis::Analysis;
+use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
 
 /// A transformation over shader IR.
 pub trait Pass {
@@ -41,7 +41,7 @@ pub trait Pass {
 /// shared by several passes that need to "look through" operands.
 #[derive(Debug, Default)]
 pub struct DefMap {
-    defs: HashMap<Reg, Op>,
+    defs: FxHashMap<Reg, Op>,
 }
 
 impl DefMap {
@@ -49,7 +49,7 @@ impl DefMap {
     /// not nested in a loop or conditional).
     pub fn of(shader: &Shader) -> DefMap {
         let analysis = Analysis::of(shader);
-        let mut defs = HashMap::new();
+        let mut defs = FxHashMap::default();
         prism_ir::stmt::walk_body(&shader.body, &mut |s| {
             if let Stmt::Def { dst, op } = s {
                 if analysis.is_ssa(*dst) {

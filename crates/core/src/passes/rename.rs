@@ -11,8 +11,8 @@
 
 use super::Pass;
 use prism_ir::analysis::Analysis;
+use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// The straight-line SSA renaming pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -27,7 +27,7 @@ impl Pass for Rename {
         let analysis = Analysis::of(shader);
         // Candidates: multiply-defined registers whose every definition is in
         // top-level straight-line code (not inside a loop or branch).
-        let mut candidates: HashSet<Reg> = HashSet::new();
+        let mut candidates: FxHashSet<Reg> = FxHashSet::default();
         for (i, _) in shader.regs.iter().enumerate() {
             let reg = Reg(i as u32);
             let facts = analysis.facts(reg);
@@ -40,7 +40,7 @@ impl Pass for Rename {
         }
 
         let mut changed = false;
-        let mut current: HashMap<Reg, Reg> = HashMap::new();
+        let mut current: FxHashMap<Reg, Reg> = FxHashMap::default();
         let mut body = std::mem::take(&mut shader.body);
         rename_top_level(shader, &mut body, &candidates, &mut current, &mut changed);
         shader.body = body;
@@ -51,8 +51,8 @@ impl Pass for Rename {
 fn rename_top_level(
     shader: &mut Shader,
     body: &mut [Stmt],
-    candidates: &HashSet<Reg>,
-    current: &mut HashMap<Reg, Reg>,
+    candidates: &FxHashSet<Reg>,
+    current: &mut FxHashMap<Reg, Reg>,
     changed: &mut bool,
 ) {
     for stmt in body.iter_mut() {
@@ -91,7 +91,7 @@ fn rename_top_level(
     }
 }
 
-fn rewrite_uses(stmt: &mut Stmt, current: &HashMap<Reg, Reg>) {
+fn rewrite_uses(stmt: &mut Stmt, current: &FxHashMap<Reg, Reg>) {
     for operand in stmt.operands_mut() {
         if let Operand::Reg(r) = operand {
             if let Some(new) = current.get(r) {
@@ -101,7 +101,7 @@ fn rewrite_uses(stmt: &mut Stmt, current: &HashMap<Reg, Reg>) {
     }
 }
 
-fn rewrite_uses_nested(body: &mut [Stmt], current: &HashMap<Reg, Reg>) {
+fn rewrite_uses_nested(body: &mut [Stmt], current: &FxHashMap<Reg, Reg>) {
     for stmt in body.iter_mut() {
         rewrite_uses(stmt, current);
         match stmt {

@@ -7,8 +7,8 @@
 //! coherent across a wave), and a linear-scan liveness estimate provides the
 //! register pressure figure the occupancy model consumes.
 
+use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
 
 /// Per-fragment instruction statistics for one compiled shader.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -228,8 +228,8 @@ pub fn register_pressure(shader: &Shader) -> f64 {
     linearise(&shader.body, &mut order);
 
     // First definition and last use index per register.
-    let mut first_def: HashMap<Reg, usize> = HashMap::new();
-    let mut last_use: HashMap<Reg, usize> = HashMap::new();
+    let mut first_def: FxHashMap<Reg, usize> = FxHashMap::default();
+    let mut last_use: FxHashMap<Reg, usize> = FxHashMap::default();
     for (idx, stmt) in order.iter().enumerate() {
         if let Stmt::Def { dst, .. } = stmt {
             first_def.entry(*dst).or_insert(idx);
@@ -249,7 +249,7 @@ pub fn register_pressure(shader: &Shader) -> f64 {
     // Sweep, counting live widths.
     let mut max_live = 0.0f64;
     let mut live = 0.0f64;
-    let mut events: HashMap<usize, Vec<(f64, bool)>> = HashMap::new();
+    let mut events: FxHashMap<usize, Vec<(f64, bool)>> = FxHashMap::default();
     for (reg, def_idx) in &first_def {
         let end_idx = last_use.get(reg).copied().unwrap_or(*def_idx);
         let width = shader.reg_ty(*reg).width as f64;

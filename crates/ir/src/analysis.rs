@@ -7,13 +7,13 @@
 //! module computes the supporting facts (definition counts, use counts, and
 //! whether a register is defined inside a loop or conditional).
 
+use crate::hash::FxHashMap;
 use crate::shader::Shader;
 use crate::stmt::Stmt;
 use crate::value::{Operand, Reg};
-use std::collections::HashMap;
 
 /// Per-register facts used to decide which optimizations are safe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RegFacts {
     /// Number of `Def` statements targeting the register.
     pub def_count: usize,
@@ -33,30 +33,45 @@ impl RegFacts {
     }
 }
 
-/// Dataflow facts for a whole shader.
+/// Dataflow facts for a whole shader: one dense entry per register, indexed
+/// by register number.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    facts: HashMap<Reg, RegFacts>,
+    facts: Vec<RegFacts>,
 }
 
 impl Analysis {
     /// Computes definition/use facts for every register in the shader.
+    ///
+    /// The table is sized from the shader's register table. A register
+    /// outside it (malformed IR, which the verifier reports) grows the table
+    /// instead of panicking.
     pub fn of(shader: &Shader) -> Analysis {
-        let mut a = Analysis::default();
+        let mut a = Analysis {
+            facts: vec![RegFacts::default(); shader.regs.len()],
+        };
         a.scan(&shader.body, false, false);
         a
+    }
+
+    fn entry(&mut self, reg: Reg) -> &mut RegFacts {
+        let index = reg.0 as usize;
+        if index >= self.facts.len() {
+            self.facts.resize(index + 1, RegFacts::default());
+        }
+        &mut self.facts[index]
     }
 
     fn scan(&mut self, body: &[Stmt], in_loop: bool, in_branch: bool) {
         for stmt in body {
             for operand in stmt.operands() {
                 if let Operand::Reg(r) = operand {
-                    self.facts.entry(*r).or_default().use_count += 1;
+                    self.entry(*r).use_count += 1;
                 }
             }
             match stmt {
                 Stmt::Def { dst, .. } => {
-                    let f = self.facts.entry(*dst).or_default();
+                    let f = self.entry(*dst);
                     f.def_count += 1;
                     f.defined_in_loop |= in_loop;
                     f.defined_in_branch |= in_branch;
@@ -71,7 +86,7 @@ impl Analysis {
                 }
                 Stmt::Loop { var, body, .. } => {
                     // The induction variable counts as defined in the loop.
-                    let f = self.facts.entry(*var).or_default();
+                    let f = self.entry(*var);
                     f.def_count += 1;
                     f.defined_in_loop = true;
                     self.scan(body, true, in_branch);
@@ -83,7 +98,7 @@ impl Analysis {
 
     /// Facts for one register (default-empty if never seen).
     pub fn facts(&self, reg: Reg) -> RegFacts {
-        self.facts.get(&reg).cloned().unwrap_or_default()
+        self.facts.get(reg.0 as usize).copied().unwrap_or_default()
     }
 
     /// `true` if the register has exactly one top-level definition (see
@@ -132,7 +147,7 @@ pub struct LiveRange {
 /// that feeds occupancy penalties.
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    ranges: HashMap<Reg, LiveRange>,
+    ranges: FxHashMap<Reg, LiveRange>,
     peak_regs: usize,
     peak_lanes: usize,
 }
@@ -315,6 +330,22 @@ mod tests {
         assert!(a.facts(i).defined_in_loop);
         assert!(!a.is_ssa(acc));
         assert_eq!(a.facts(acc).def_count, 2);
+    }
+
+    #[test]
+    fn registers_outside_the_table_read_default_and_grow_it() {
+        let mut s = Shader::new("oob");
+        let r = s.new_reg(IrType::F32);
+        let stray = Reg(7);
+        s.body = vec![
+            def(r, Op::Mov(Operand::Reg(stray))),
+            def(stray, Op::Mov(Operand::Reg(r))),
+        ];
+        let a = Analysis::of(&s);
+        assert_eq!(a.use_count(stray), 1);
+        assert_eq!(a.facts(stray).def_count, 1);
+        assert!(a.is_unused(Reg(1_000)));
+        assert!(!a.is_ssa(Reg(1_000)));
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //! * a structural, commutative-aware [fingerprint](mod@crate::fingerprint) used
 //!   by the compile session for early variant deduplication,
 //! * bit-exact [serialisation](crate::serde_impls) through the vendored
-//!   `serde` data model, used by the warm-start cache persistence layer.
+//!   `serde` data model, used by the warm-start cache persistence layer,
+//! * allocation-free analysis kernels shared by every optimizer and driver
+//!   pass: dense per-register [facts](crate::analysis::Analysis), structural
+//!   [value-numbering keys](crate::value_key::ValueKey), borrowed
+//!   [operand lists](crate::op::OperandList) and one integer
+//!   [hasher](crate::hash::FxHasher).
 //!
 //! ```
 //! use prism_ir::prelude::*;
@@ -36,6 +41,7 @@
 pub mod analysis;
 pub mod counters;
 pub mod fingerprint;
+pub mod hash;
 pub mod interp;
 pub mod op;
 pub mod printer;
@@ -44,6 +50,7 @@ pub mod shader;
 pub mod stmt;
 pub mod types;
 pub mod value;
+pub mod value_key;
 pub mod verify;
 
 /// Commonly used items, re-exported for convenience.

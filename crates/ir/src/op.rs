@@ -2,6 +2,7 @@
 
 use crate::types::{IrType, TextureDim};
 use crate::value::Operand;
+use crate::value_key::{OperandKey, OperandKeys, ValueKey};
 
 /// Binary arithmetic and comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -338,62 +339,103 @@ pub enum Op {
     },
 }
 
+/// Operands borrowed from one operation or statement, in order, with no
+/// heap allocation: up to three fixed operands held inline, or the operand
+/// vector of an intrinsic call or a constructor. `R` is `&Operand` or
+/// `&mut Operand`; [`Operands`] and [`OperandsMut`] name the two.
+///
+/// The list is its own iterator, so `for o in stmt.operands()` reads like a
+/// loop over a `Vec`.
+#[derive(Debug)]
+pub enum OperandList<R, S> {
+    /// Up to three fixed operands; `None` slots are skipped.
+    Fixed([Option<R>; 3]),
+    /// An operand vector, borrowed in place.
+    Slice(S),
+}
+
+/// Shared operands of an op or statement; see [`OperandList`].
+pub type Operands<'a> = OperandList<&'a Operand, std::slice::Iter<'a, Operand>>;
+/// Mutable operands of an op or statement; see [`OperandList`].
+pub type OperandsMut<'a> = OperandList<&'a mut Operand, std::slice::IterMut<'a, Operand>>;
+
+impl<R, S: ExactSizeIterator<Item = R>> Iterator for OperandList<R, S> {
+    type Item = R;
+
+    fn next(&mut self) -> Option<R> {
+        match self {
+            OperandList::Fixed(slots) => slots.iter_mut().find_map(Option::take),
+            OperandList::Slice(iter) => iter.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match self {
+            OperandList::Fixed(slots) => slots.iter().filter(|s| s.is_some()).count(),
+            OperandList::Slice(iter) => iter.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl<R, S: ExactSizeIterator<Item = R>> ExactSizeIterator for OperandList<R, S> {}
+
 impl Op {
     /// All operands of this operation, in order.
-    pub fn operands(&self) -> Vec<&Operand> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
             Op::Mov(a)
             | Op::Unary(_, a)
             | Op::Extract { vector: a, .. }
-            | Op::Swizzle { vector: a, .. } => vec![a],
-            Op::Binary(_, a, b) => vec![a, b],
-            Op::Intrinsic(_, args) => args.iter().collect(),
+            | Op::Swizzle { vector: a, .. }
+            | Op::Splat { value: a, .. }
+            | Op::ConstArrayLoad { index: a, .. }
+            | Op::Convert { value: a, .. } => OperandList::Fixed([Some(a), None, None]),
+            Op::Binary(_, a, b)
+            | Op::Insert {
+                vector: a,
+                value: b,
+                ..
+            } => OperandList::Fixed([Some(a), Some(b), None]),
+            Op::Intrinsic(_, args) => OperandList::Slice(args.iter()),
             Op::TextureSample { coords, lod, .. } => {
-                let mut v = vec![coords];
-                if let Some(l) = lod {
-                    v.push(l);
-                }
-                v
+                OperandList::Fixed([Some(coords), lod.as_ref(), None])
             }
-            Op::Construct { parts, .. } => parts.iter().collect(),
-            Op::Splat { value, .. } => vec![value],
-            Op::Insert { vector, value, .. } => vec![vector, value],
+            Op::Construct { parts, .. } => OperandList::Slice(parts.iter()),
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => vec![cond, if_true, if_false],
-            Op::ConstArrayLoad { index, .. } => vec![index],
-            Op::Convert { value, .. } => vec![value],
+            } => OperandList::Fixed([Some(cond), Some(if_true), Some(if_false)]),
         }
     }
 
     /// Mutable references to all operands of this operation.
-    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
+    pub fn operands_mut(&mut self) -> OperandsMut<'_> {
         match self {
             Op::Mov(a)
             | Op::Unary(_, a)
             | Op::Extract { vector: a, .. }
-            | Op::Swizzle { vector: a, .. } => vec![a],
-            Op::Binary(_, a, b) => vec![a, b],
-            Op::Intrinsic(_, args) => args.iter_mut().collect(),
+            | Op::Swizzle { vector: a, .. }
+            | Op::Splat { value: a, .. }
+            | Op::ConstArrayLoad { index: a, .. }
+            | Op::Convert { value: a, .. } => OperandList::Fixed([Some(a), None, None]),
+            Op::Binary(_, a, b)
+            | Op::Insert {
+                vector: a,
+                value: b,
+                ..
+            } => OperandList::Fixed([Some(a), Some(b), None]),
+            Op::Intrinsic(_, args) => OperandList::Slice(args.iter_mut()),
             Op::TextureSample { coords, lod, .. } => {
-                let mut v = vec![coords];
-                if let Some(l) = lod {
-                    v.push(l);
-                }
-                v
+                OperandList::Fixed([Some(coords), lod.as_mut(), None])
             }
-            Op::Construct { parts, .. } => parts.iter_mut().collect(),
-            Op::Splat { value, .. } => vec![value],
-            Op::Insert { vector, value, .. } => vec![vector, value],
+            Op::Construct { parts, .. } => OperandList::Slice(parts.iter_mut()),
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => vec![cond, if_true, if_false],
-            Op::ConstArrayLoad { index, .. } => vec![index],
-            Op::Convert { value, .. } => vec![value],
+            } => OperandList::Fixed([Some(cond), Some(if_true), Some(if_false)]),
         }
     }
 
@@ -413,57 +455,53 @@ impl Op {
         matches!(self, Op::TextureSample { .. })
     }
 
-    /// A canonical structural key (operator + operand keys) for CSE/GVN.
-    pub fn value_key(&self) -> String {
+    /// The structural key CSE and GVN number values by: operator plus
+    /// operand identities, with commutative operands in canonical order. See
+    /// [`ValueKey`] for which operands count as equal.
+    pub fn value_key(&self) -> ValueKey<'_> {
         match self {
-            Op::Mov(a) => format!("mov({})", a.key()),
+            Op::Mov(a) => ValueKey::Mov(OperandKey(a)),
             Op::Binary(op, a, b) => {
                 // Commutative operators get a canonical operand order so that
                 // `a+b` and `b+a` receive the same value number.
-                let (x, y) = if op.is_commutative() && b.key() < a.key() {
-                    (b.key(), a.key())
+                let (a, b) = (OperandKey(a), OperandKey(b));
+                if op.is_commutative() && b < a {
+                    ValueKey::Binary(*op, b, a)
                 } else {
-                    (a.key(), b.key())
-                };
-                format!("bin:{op:?}({x},{y})")
+                    ValueKey::Binary(*op, a, b)
+                }
             }
-            Op::Unary(op, a) => format!("un:{op:?}({})", a.key()),
-            Op::Intrinsic(i, args) => {
-                let keys: Vec<String> = args.iter().map(|a| a.key()).collect();
-                format!("call:{i:?}({})", keys.join(","))
-            }
+            Op::Unary(op, a) => ValueKey::Unary(*op, OperandKey(a)),
+            Op::Intrinsic(i, args) => ValueKey::Intrinsic(*i, OperandKeys(args)),
             Op::TextureSample {
                 sampler,
                 coords,
                 lod,
                 dim,
-            } => format!(
-                "tex:{sampler}:{:?}({},{})",
-                dim,
-                coords.key(),
-                lod.as_ref().map(|l| l.key()).unwrap_or_default()
-            ),
-            Op::Construct { ty, parts } => {
-                let keys: Vec<String> = parts.iter().map(|a| a.key()).collect();
-                format!("ctor:{ty}({})", keys.join(","))
-            }
-            Op::Splat { ty, value } => format!("splat:{ty}({})", value.key()),
-            Op::Extract { vector, index } => format!("ext({},{index})", vector.key()),
+            } => ValueKey::TextureSample {
+                sampler: *sampler,
+                dim: *dim,
+                coords: OperandKey(coords),
+                lod: lod.as_ref().map(OperandKey),
+            },
+            Op::Construct { ty, parts } => ValueKey::Construct(*ty, OperandKeys(parts)),
+            Op::Splat { ty, value } => ValueKey::Splat(*ty, OperandKey(value)),
+            Op::Extract { vector, index } => ValueKey::Extract(OperandKey(vector), *index),
             Op::Insert {
                 vector,
                 index,
                 value,
-            } => {
-                format!("ins({},{index},{})", vector.key(), value.key())
-            }
-            Op::Swizzle { vector, lanes } => format!("swz({},{lanes:?})", vector.key()),
+            } => ValueKey::Insert(OperandKey(vector), *index, OperandKey(value)),
+            Op::Swizzle { vector, lanes } => ValueKey::Swizzle(OperandKey(vector), lanes),
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => format!("sel({},{},{})", cond.key(), if_true.key(), if_false.key()),
-            Op::ConstArrayLoad { array, index } => format!("cal({array},{})", index.key()),
-            Op::Convert { to, value } => format!("cvt:{to}({})", value.key()),
+            } => ValueKey::Select(OperandKey(cond), OperandKey(if_true), OperandKey(if_false)),
+            Op::ConstArrayLoad { array, index } => {
+                ValueKey::ConstArrayLoad(*array, OperandKey(index))
+            }
+            Op::Convert { to, value } => ValueKey::Convert(*to, OperandKey(value)),
         }
     }
 }
@@ -534,6 +572,6 @@ mod tests {
         for o in op.operands_mut() {
             *o = Operand::float(1.0);
         }
-        assert!(op.operands().iter().all(|o| o.is_const()));
+        assert!(op.operands().all(|o| o.is_const()));
     }
 }

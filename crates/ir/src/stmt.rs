@@ -6,7 +6,7 @@
 //! and the paper's transformations (loop unrolling, conditional flattening)
 //! are naturally expressed as structured rewrites.
 
-use crate::op::Op;
+use crate::op::{Op, OperandList, Operands, OperandsMut};
 use crate::value::{Operand, Reg};
 
 /// One statement of a shader body.
@@ -99,24 +99,26 @@ impl Stmt {
     }
 
     /// All operands read by this statement itself (not nested statements).
-    pub fn operands(&self) -> Vec<&Operand> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
             Stmt::Def { op, .. } => op.operands(),
-            Stmt::StoreOutput { value, .. } => vec![value],
-            Stmt::If { cond, .. } => vec![cond],
-            Stmt::Loop { .. } => vec![],
-            Stmt::Discard { cond } => cond.iter().collect(),
+            Stmt::StoreOutput { value: a, .. } | Stmt::If { cond: a, .. } => {
+                OperandList::Fixed([Some(a), None, None])
+            }
+            Stmt::Loop { .. } => OperandList::Fixed([None, None, None]),
+            Stmt::Discard { cond } => OperandList::Fixed([cond.as_ref(), None, None]),
         }
     }
 
     /// Mutable references to the operands read by this statement itself.
-    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
+    pub fn operands_mut(&mut self) -> OperandsMut<'_> {
         match self {
             Stmt::Def { op, .. } => op.operands_mut(),
-            Stmt::StoreOutput { value, .. } => vec![value],
-            Stmt::If { cond, .. } => vec![cond],
-            Stmt::Loop { .. } => vec![],
-            Stmt::Discard { cond } => cond.iter_mut().collect(),
+            Stmt::StoreOutput { value: a, .. } | Stmt::If { cond: a, .. } => {
+                OperandList::Fixed([Some(a), None, None])
+            }
+            Stmt::Loop { .. } => OperandList::Fixed([None, None, None]),
+            Stmt::Discard { cond } => OperandList::Fixed([cond.as_mut(), None, None]),
         }
     }
 

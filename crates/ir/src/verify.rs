@@ -4,12 +4,12 @@
 //! debug builds and in tests, so malformed rewrites are caught immediately
 //! rather than surfacing as nonsense GLSL or bogus timing results.
 
+use crate::hash::FxHashSet;
 use crate::op::Op;
 use crate::shader::Shader;
 use crate::stmt::Stmt;
 use crate::types::IrType;
 use crate::value::{Operand, Reg};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A verification failure.
@@ -40,7 +40,7 @@ impl std::error::Error for VerifyError {}
 /// * vector component indices are within the operand width,
 /// * loop bounds describe a finite, forward-progressing loop.
 pub fn verify(shader: &Shader) -> Result<(), VerifyError> {
-    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut defined: FxHashSet<Reg> = FxHashSet::default();
     verify_body(shader, &shader.body, &mut defined)
 }
 
@@ -53,7 +53,7 @@ fn err(message: impl Into<String>) -> VerifyError {
 fn verify_body(
     shader: &Shader,
     body: &[Stmt],
-    defined: &mut HashSet<Reg>,
+    defined: &mut FxHashSet<Reg>,
 ) -> Result<(), VerifyError> {
     for stmt in body {
         verify_stmt(shader, stmt, defined)?;
@@ -64,7 +64,7 @@ fn verify_body(
 fn verify_stmt(
     shader: &Shader,
     stmt: &Stmt,
-    defined: &mut HashSet<Reg>,
+    defined: &mut FxHashSet<Reg>,
 ) -> Result<(), VerifyError> {
     // All operands of the statement itself must already be defined.
     for operand in stmt.operands() {
@@ -169,7 +169,7 @@ fn verify_stmt(
 fn verify_operand(
     shader: &Shader,
     operand: &Operand,
-    defined: &HashSet<Reg>,
+    defined: &FxHashSet<Reg>,
 ) -> Result<(), VerifyError> {
     match operand {
         Operand::Reg(r) => {
@@ -209,7 +209,7 @@ fn verify_op(
     shader: &Shader,
     dst: Reg,
     op: &Op,
-    defined: &HashSet<Reg>,
+    defined: &FxHashSet<Reg>,
 ) -> Result<(), VerifyError> {
     for operand in op.operands() {
         verify_operand(shader, operand, defined)?;

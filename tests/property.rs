@@ -18,12 +18,17 @@
 //! * **corpus-cache transparency**: übershader-family sessions sharing one
 //!   [`CorpusCache`] show nonzero cross-shader stage hits while every cached
 //!   result stays byte-identical to cold per-session compilation, for both
-//!   the desktop and GLES emission backends.
+//!   the desktop and GLES emission backends,
+//! * **value-key equivalence**: the structural value-numbering key
+//!   ([`Op::value_key`]) partitions every corpus operation exactly as the
+//!   printed string key it replaced, kept here as the oracle.
 
 use prism::core::{compile, unique_variants, CacheStore, CompileSession, CorpusCache, OptFlags};
 use prism::emit::{source_interface, Backend, BackendKind};
 use prism::glsl::ShaderSource;
 use prism::ir::interp::{results_approx_equal, run_fragment, FragmentContext};
+use prism::ir::{BinaryOp, Constant, Intrinsic, Op, Operand, Reg, Stmt, TextureDim};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Deterministic generator state (SplitMix64).
@@ -397,5 +402,189 @@ fn session_single_compiles_agree_with_batch_variants() {
             let single = session.compile(flags).expect("session compile");
             assert_eq!(single.glsl, set.variant_for(flags).glsl);
         }
+    }
+}
+
+/// The printed value-numbering key CSE and GVN used before [`Op::value_key`]
+/// became structural: the equivalence oracle for the structural key.
+fn oracle_value_key(op: &Op) -> String {
+    let list = |operands: &[Operand]| {
+        operands
+            .iter()
+            .map(Operand::key)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    match op {
+        Op::Mov(a) => format!("mov({})", a.key()),
+        Op::Binary(op, a, b) => {
+            let (x, y) = if op.is_commutative() && b.key() < a.key() {
+                (b.key(), a.key())
+            } else {
+                (a.key(), b.key())
+            };
+            format!("bin:{op:?}({x},{y})")
+        }
+        Op::Unary(op, a) => format!("un:{op:?}({})", a.key()),
+        Op::Intrinsic(i, args) => format!("call:{i:?}({})", list(args)),
+        Op::TextureSample {
+            sampler,
+            coords,
+            lod,
+            dim,
+        } => format!(
+            "tex:{sampler}:{dim:?}({},{})",
+            coords.key(),
+            lod.as_ref().map(|l| l.key()).unwrap_or_default()
+        ),
+        Op::Construct { ty, parts } => format!("ctor:{ty}({})", list(parts)),
+        Op::Splat { ty, value } => format!("splat:{ty}({})", value.key()),
+        Op::Extract { vector, index } => format!("ext({},{index})", vector.key()),
+        Op::Insert {
+            vector,
+            index,
+            value,
+        } => format!("ins({},{index},{})", vector.key(), value.key()),
+        Op::Swizzle { vector, lanes } => format!("swz({},{lanes:?})", vector.key()),
+        Op::Select {
+            cond,
+            if_true,
+            if_false,
+        } => format!("sel({},{},{})", cond.key(), if_true.key(), if_false.key()),
+        Op::ConstArrayLoad { array, index } => format!("cal({array},{})", index.key()),
+        Op::Convert { to, value } => format!("cvt:{to}({})", value.key()),
+    }
+}
+
+/// For each op, the index of the first op in its class under `key`: two
+/// keys partition `ops` identically exactly when these vectors are equal.
+fn partition<'a, K: std::hash::Hash + Eq>(ops: &[&'a Op], key: impl Fn(&'a Op) -> K) -> Vec<usize> {
+    let mut first: HashMap<K, usize> = HashMap::new();
+    ops.iter()
+        .enumerate()
+        .map(|(i, op)| *first.entry(key(op)).or_insert(i))
+        .collect()
+}
+
+#[test]
+fn value_keys_partition_every_corpus_op_like_the_string_key() {
+    let corpus = prism::corpus::Corpus::gfxbench_like();
+    let mut shaders = Vec::new();
+    for case in &corpus.cases {
+        shaders.push(Arc::new(
+            prism::core::lower(&case.source, &case.name).expect("corpus shaders lower"),
+        ));
+        let session = CompileSession::new(&case.source, &case.name).unwrap();
+        for variant in session.variants().unwrap().variants {
+            shaders.push(variant.ir);
+        }
+    }
+    let mut ops: Vec<&Op> = Vec::new();
+    for shader in &shaders {
+        prism::ir::stmt::walk_body(&shader.body, &mut |stmt| {
+            if let Stmt::Def { op, .. } = stmt {
+                ops.push(op);
+            }
+        });
+    }
+    let structural = partition(&ops, Op::value_key);
+    let printed = partition(&ops, oracle_value_key);
+    let classes = structural
+        .iter()
+        .enumerate()
+        .filter(|(i, first)| i == *first)
+        .count();
+    assert!(
+        classes > 1_000 && classes < ops.len(),
+        "{classes} classes over {} ops",
+        ops.len()
+    );
+    for (i, (s, p)) in structural.iter().zip(&printed).enumerate() {
+        assert_eq!(
+            s, p,
+            "op {i} ({:?}) joins op {s} under the structural key but op {p} under the string key",
+            ops[i]
+        );
+    }
+}
+
+#[test]
+fn value_key_hand_cases_agree_with_the_string_key() {
+    let float = Operand::float;
+    let r = |n| Operand::Reg(Reg(n));
+    let bin = |op, a, b| Op::Binary(op, a, b);
+    let mov = Op::Mov;
+    let sample = |lod| Op::TextureSample {
+        sampler: 0,
+        coords: r(1),
+        lod,
+        dim: TextureDim::Dim2D,
+    };
+    let quiet_nan = f64::NAN;
+    let other_nan = f64::from_bits(quiet_nan.to_bits() | 0x5);
+    assert!(other_nan.is_nan() && other_nan.to_bits() != quiet_nan.to_bits());
+    // (a, b, whether a and b take one value number)
+    let cases = [
+        (mov(float(0.0)), mov(float(-0.0)), true),
+        (mov(float(quiet_nan)), mov(float(other_nan)), true),
+        (mov(float(quiet_nan)), mov(float(-quiet_nan)), true),
+        (
+            mov(Operand::fvec(vec![1.0, -0.0, 2.0])),
+            mov(Operand::fvec(vec![1.0, 0.0, 2.0])),
+            true,
+        ),
+        (
+            mov(Operand::fvec(vec![1.0, 0.0])),
+            mov(Operand::fvec(vec![1.0, 0.0, 0.0])),
+            false,
+        ),
+        (
+            mov(Operand::int(1)),
+            mov(Operand::Const(Constant::Uint(1))),
+            false,
+        ),
+        (mov(Operand::int(1)), mov(float(1.0)), false),
+        (
+            mov(Operand::Const(Constant::Uint(1))),
+            mov(float(1.0)),
+            false,
+        ),
+        (mov(float(1.0)), mov(Operand::fvec(vec![1.0])), false),
+        (
+            bin(BinaryOp::Add, r(1), r(2)),
+            bin(BinaryOp::Add, r(2), r(1)),
+            true,
+        ),
+        (
+            bin(BinaryOp::Sub, r(1), r(2)),
+            bin(BinaryOp::Sub, r(2), r(1)),
+            false,
+        ),
+        (
+            bin(BinaryOp::Mul, float(-0.0), r(3)),
+            bin(BinaryOp::Mul, r(3), float(0.0)),
+            true,
+        ),
+        (sample(None), sample(Some(float(0.0))), false),
+        (
+            Op::Intrinsic(Intrinsic::Max, vec![r(1), r(2)]),
+            Op::Intrinsic(Intrinsic::Max, vec![r(1), r(2), r(3)]),
+            false,
+        ),
+        (sample(Some(float(0.0))), sample(Some(float(-0.0))), true),
+        (mov(r(1)), mov(Operand::Input(1)), false),
+        (mov(Operand::Input(1)), mov(Operand::Uniform(1)), false),
+    ];
+    for (a, b, same) in &cases {
+        assert_eq!(
+            oracle_value_key(a) == oracle_value_key(b),
+            *same,
+            "oracle: {a:?} vs {b:?}"
+        );
+        assert_eq!(
+            a.value_key() == b.value_key(),
+            *same,
+            "structural: {a:?} vs {b:?}"
+        );
     }
 }
