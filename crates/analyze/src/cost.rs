@@ -5,58 +5,18 @@
 //! ALU charges per vector slot, transcendentals and divides use the
 //! per-platform factors, and exceeding the register budget applies the
 //! platform's occupancy penalty. Unlike the dynamic model (which costs the
-//! driver-parsed IR after measurement), this walk runs on the optimizer's
-//! own IR and reports **both** the shortest and the longest execution path —
-//! conditionals pick their cheaper/dearer side per platform weighting, and
-//! counted loops multiply their body by the static trip count.
+//! driver-parsed IR after measurement), this model runs on the optimizer's
+//! own IR and reports **both** the shortest and the longest execution path,
+//! as walked by [`prism_gpu::cost::pipe_paths`] — the same walk
+//! [`Platform::static_cycles`](prism_gpu::Platform::static_cycles) reads
+//! Fig. 4b from.
 
+use prism_gpu::cost::pipe_paths;
+pub use prism_gpu::cost::PipeCycles;
 use prism_gpu::{AluStyle, DeviceSpec, Vendor};
 use prism_ir::analysis::Liveness;
 use prism_ir::prelude::*;
-
-/// Cycle totals for the three Mali-style execution pipes, the decomposition
-/// the paper's Fig. 4b plots.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PipeCycles {
-    /// Arithmetic-pipe cycles (simple ALU, transcendentals, divides,
-    /// selects, branch and loop bookkeeping).
-    pub arithmetic: f64,
-    /// Load/store-pipe cycles (interface reads, moves/shuffles, constant
-    /// array loads, output writes).
-    pub load_store: f64,
-    /// Texture-pipe cycles.
-    pub texture: f64,
-}
-
-serde::impl_serde_struct!(PipeCycles {
-    arithmetic,
-    load_store,
-    texture
-});
-
-impl PipeCycles {
-    /// Sum of the three pipes.
-    pub fn total(&self) -> f64 {
-        self.arithmetic + self.load_store + self.texture
-    }
-
-    /// The dominant pipe (what the shader is bound by on this path).
-    pub fn bound_by(&self) -> &'static str {
-        if self.texture >= self.arithmetic && self.texture >= self.load_store {
-            "texture"
-        } else if self.arithmetic >= self.load_store {
-            "arithmetic"
-        } else {
-            "load_store"
-        }
-    }
-
-    fn add(&mut self, other: &PipeCycles) {
-        self.arithmetic += other.arithmetic;
-        self.load_store += other.load_store;
-        self.texture += other.texture;
-    }
-}
+use serde::{Deserialize, Serialize, Value};
 
 /// Cost-model output for one shader under one personality.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,15 +41,65 @@ pub struct CostSummary {
     pub estimated_cycles: f64,
 }
 
-serde::impl_serde_struct!(CostSummary {
-    personality,
-    alu_style,
-    shortest,
-    longest,
-    registers_used,
-    pressure_factor,
-    estimated_cycles
-});
+// `PipeCycles` lives in prism-gpu, which has no serde, so the summary's
+// JSON form is written here: each path is one object of its three pipes.
+fn pipes_to_value(pipes: &PipeCycles) -> Value {
+    Value::Obj(vec![
+        ("arithmetic".to_string(), pipes.arithmetic.to_value()),
+        ("load_store".to_string(), pipes.load_store.to_value()),
+        ("texture".to_string(), pipes.texture.to_value()),
+    ])
+}
+
+fn pipes_from_value(v: &Value) -> Result<PipeCycles, String> {
+    let pipe = |name: &str| match v.get(name) {
+        Some(value) => f64::from_value(value),
+        None => Err(format!("missing field `{name}` in PipeCycles")),
+    };
+    Ok(PipeCycles {
+        arithmetic: pipe("arithmetic")?,
+        load_store: pipe("load_store")?,
+        texture: pipe("texture")?,
+    })
+}
+
+impl Serialize for CostSummary {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("personality".to_string(), self.personality.to_value()),
+            ("alu_style".to_string(), self.alu_style.to_value()),
+            ("shortest".to_string(), pipes_to_value(&self.shortest)),
+            ("longest".to_string(), pipes_to_value(&self.longest)),
+            ("registers_used".to_string(), self.registers_used.to_value()),
+            (
+                "pressure_factor".to_string(),
+                self.pressure_factor.to_value(),
+            ),
+            (
+                "estimated_cycles".to_string(),
+                self.estimated_cycles.to_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for CostSummary {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| format!("missing field `{name}` in CostSummary"))
+        };
+        Ok(CostSummary {
+            personality: String::from_value(field("personality")?)?,
+            alu_style: String::from_value(field("alu_style")?)?,
+            shortest: pipes_from_value(field("shortest")?)?,
+            longest: pipes_from_value(field("longest")?)?,
+            registers_used: f64::from_value(field("registers_used")?)?,
+            pressure_factor: f64::from_value(field("pressure_factor")?)?,
+            estimated_cycles: f64::from_value(field("estimated_cycles")?)?,
+        })
+    }
+}
 
 /// A static cost model parameterised by one platform personality.
 #[derive(Debug, Clone)]
@@ -112,15 +122,7 @@ impl CostModel {
 
     /// Evaluates the model for one shader.
     pub fn cost(&self, shader: &Shader) -> CostSummary {
-        let mut shortest = PipeCycles::default();
-        let mut longest = PipeCycles::default();
-        // Interface traffic is path-independent: every input and uniform is
-        // read at least once through the load/store pipe.
-        let interface = (shader.inputs.len() as f64 * 0.5 + shader.uniforms.len() as f64 * 0.25)
-            / self.spec.alu_per_cycle.max(1.0);
-        shortest.load_store += interface;
-        longest.load_store += interface;
-        self.walk(shader, &shader.body, 1.0, &mut shortest, &mut longest);
+        let (shortest, longest) = pipe_paths(&self.spec, shader);
 
         let liveness = Liveness::of(shader);
         let input_lanes: f64 = shader.inputs.iter().map(|i| i.ty.width as f64).sum();
@@ -146,168 +148,6 @@ impl CostModel {
             pressure_factor,
             estimated_cycles,
         }
-    }
-
-    /// Walks one statement list, accumulating shortest- and longest-path
-    /// cycles in lockstep. `scale` is the product of enclosing loop trip
-    /// counts.
-    fn walk(
-        &self,
-        shader: &Shader,
-        body: &[Stmt],
-        scale: f64,
-        shortest: &mut PipeCycles,
-        longest: &mut PipeCycles,
-    ) {
-        for stmt in body {
-            match stmt {
-                Stmt::Def { dst, op } => {
-                    let cycles = self.op_cycles(shader, *dst, op, scale);
-                    shortest.add(&cycles);
-                    longest.add(&cycles);
-                }
-                Stmt::StoreOutput { .. } => {
-                    let c = scale * 0.5 / self.spec.alu_per_cycle.max(1.0);
-                    shortest.load_store += c;
-                    longest.load_store += c;
-                }
-                Stmt::Discard { .. } => {
-                    let c = scale / self.spec.alu_per_cycle.max(1.0);
-                    shortest.arithmetic += c;
-                    longest.arithmetic += c;
-                }
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    let branch = scale * self.spec.branch_cost;
-                    shortest.arithmetic += branch;
-                    longest.arithmetic += branch;
-                    let mut then_short = PipeCycles::default();
-                    let mut then_long = PipeCycles::default();
-                    self.walk(shader, then_body, scale, &mut then_short, &mut then_long);
-                    let mut else_short = PipeCycles::default();
-                    let mut else_long = PipeCycles::default();
-                    self.walk(shader, else_body, scale, &mut else_short, &mut else_long);
-                    // Cheapest side on the shortest path, dearest on the
-                    // longest — per *this* platform's weighting, which is why
-                    // the walk is parameterised rather than post-weighted.
-                    shortest.add(if then_short.total() <= else_short.total() {
-                        &then_short
-                    } else {
-                        &else_short
-                    });
-                    longest.add(if then_long.total() >= else_long.total() {
-                        &then_long
-                    } else {
-                        &else_long
-                    });
-                }
-                Stmt::Loop {
-                    start,
-                    end,
-                    step,
-                    body: loop_body,
-                    ..
-                } => {
-                    let trips = trip_count(*start, *end, *step);
-                    let overhead = scale * trips * self.spec.loop_overhead;
-                    shortest.arithmetic += overhead;
-                    longest.arithmetic += overhead;
-                    self.walk(shader, loop_body, scale * trips, shortest, longest);
-                }
-            }
-        }
-    }
-
-    /// Cycle cost of one operation, split across the three pipes.
-    fn op_cycles(&self, shader: &Shader, dst: Reg, op: &Op, scale: f64) -> PipeCycles {
-        let mut cycles = PipeCycles::default();
-        let throughput = self.spec.alu_per_cycle.max(1.0);
-        let dst_width = shader.reg_ty(dst).width as f64;
-        // Scalar ALUs pay per lane; the vec4 ALU pays one slot whatever the
-        // width (scalar work wastes the remaining lanes).
-        let lanes = |width: f64| match self.spec.alu_style {
-            AluStyle::Scalar => width.max(1.0),
-            AluStyle::Vec4 => 1.0,
-        };
-        match op {
-            Op::Binary(bop, a, b) => {
-                let width = operand_width(shader, a).max(operand_width(shader, b));
-                let factor = match bop {
-                    BinaryOp::Div | BinaryOp::Mod => self.spec.divide_factor,
-                    _ => 1.0,
-                };
-                cycles.arithmetic += scale * lanes(width) * factor / throughput;
-            }
-            Op::Unary(_, a) => {
-                cycles.arithmetic += scale * lanes(operand_width(shader, a)) / throughput;
-            }
-            Op::Select { .. } => {
-                cycles.arithmetic += scale * lanes(dst_width) / throughput;
-            }
-            Op::Convert { .. } => {
-                cycles.arithmetic += scale * lanes(dst_width) / throughput;
-            }
-            Op::Intrinsic(i, args) => {
-                let width = args
-                    .iter()
-                    .map(|a| operand_width(shader, a))
-                    .fold(1.0, f64::max);
-                let factor = if i.is_transcendental() {
-                    self.spec.transcendental_factor
-                } else {
-                    2.0
-                };
-                cycles.arithmetic += scale * lanes(width) * factor / throughput;
-            }
-            Op::TextureSample { .. } => {
-                cycles.texture += scale * self.spec.texture_cost;
-            }
-            Op::ConstArrayLoad { .. } => {
-                cycles.load_store += scale * lanes(dst_width) / throughput;
-            }
-            Op::Mov(Operand::Uniform(_)) | Op::Mov(Operand::Input(_)) => {
-                cycles.load_store += scale * 0.5 * lanes(dst_width) / throughput;
-            }
-            Op::Mov(_)
-            | Op::Splat { .. }
-            | Op::Construct { .. }
-            | Op::Extract { .. }
-            | Op::Insert { .. }
-            | Op::Swizzle { .. } => {
-                cycles.load_store += scale * 0.5 * lanes(dst_width) / throughput;
-            }
-        }
-        cycles
-    }
-}
-
-fn operand_width(shader: &Shader, operand: &Operand) -> f64 {
-    match operand {
-        Operand::Reg(r) => shader.reg_ty(*r).width as f64,
-        Operand::Const(c) => c.ty().width as f64,
-        Operand::Input(i) => shader
-            .inputs
-            .get(*i)
-            .map(|v| v.ty.width as f64)
-            .unwrap_or(1.0),
-        Operand::Uniform(u) => shader
-            .uniforms
-            .get(*u)
-            .map(|v| v.ty.width as f64)
-            .unwrap_or(1.0),
-    }
-}
-
-fn trip_count(start: i64, end: i64, step: i64) -> f64 {
-    if step > 0 {
-        ((end - start).max(0) as f64 / step as f64).ceil()
-    } else if step < 0 {
-        ((start - end).max(0) as f64 / (-step) as f64).ceil()
-    } else {
-        0.0
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The paper characterises shader complexity with ARM's offline static
 //! analyser (Fig. 4b) — per-pipe cycle counts without running a frame. The
-//! seed reproduction stopped at one Midgard-flavoured longest-path walk
-//! (`prism_gpu::static_analysis`); this crate generalises it into a real
-//! static-analysis subsystem:
+//! per-pipe walk itself is [`prism_gpu::cost::pipe_paths`], the one walk
+//! that [`Platform::static_cycles`](prism_gpu::Platform::static_cycles)
+//! also reads Fig. 4b from; this crate builds the static-analysis subsystem
+//! on it:
 //!
 //! * [`CostModel`] — per-pipe (arithmetic / load-store / texture) cycle
 //!   counts along the **shortest and longest** execution path, loop-trip

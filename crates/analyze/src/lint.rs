@@ -250,8 +250,8 @@ fn lint_body(ctx: &mut BodyCtx<'_>, body: &[Stmt], loop_defs: Option<&HashSet<Re
 fn lint_def(ctx: &mut BodyCtx<'_>, dst: Reg, op: &Op, loop_defs: Option<&HashSet<Reg>>) {
     if !matches!(op, Op::TextureSample { .. }) {
         let mut uses_uniform = false;
-        let folds = op_operands(op)
-            .iter()
+        let folds = op
+            .operands()
             .all(|operand| match foldability(ctx, operand) {
                 Some(u) => {
                     uses_uniform |= u;
@@ -286,7 +286,7 @@ fn lint_def(ctx: &mut BodyCtx<'_>, dst: Reg, op: &Op, loop_defs: Option<&HashSet
     }
     if let Some(defs) = loop_defs {
         let invariant = !matches!(op, Op::TextureSample { .. })
-            && op_operands(op).iter().all(|operand| match operand {
+            && op.operands().all(|operand| match operand {
                 Operand::Reg(r) => !defs.contains(r),
                 _ => true,
             });
@@ -313,36 +313,6 @@ fn foldability(ctx: &BodyCtx<'_>, operand: &Operand) -> Option<bool> {
         Operand::Uniform(_) => Some(true),
         Operand::Input(_) => None,
         Operand::Reg(r) => ctx.foldable.get(r).copied(),
-    }
-}
-
-fn op_operands(op: &Op) -> Vec<&Operand> {
-    // `Stmt::operands` exists only at the statement level; rebuild the same
-    // view for a bare op via a throwaway statement.
-    match op {
-        Op::Mov(a) => vec![a],
-        Op::Binary(_, a, b) => vec![a, b],
-        Op::Unary(_, a) => vec![a],
-        Op::Intrinsic(_, args) => args.iter().collect(),
-        Op::TextureSample { coords, lod, .. } => {
-            let mut v = vec![coords];
-            if let Some(l) = lod {
-                v.push(l);
-            }
-            v
-        }
-        Op::Construct { parts, .. } => parts.iter().collect(),
-        Op::Splat { value, .. } => vec![value],
-        Op::Extract { vector, .. } => vec![vector],
-        Op::Insert { vector, value, .. } => vec![vector, value],
-        Op::Swizzle { vector, .. } => vec![vector],
-        Op::Select {
-            cond,
-            if_true,
-            if_false,
-        } => vec![cond, if_true, if_false],
-        Op::ConstArrayLoad { index, .. } => vec![index],
-        Op::Convert { value, .. } => vec![value],
     }
 }
 

@@ -150,7 +150,7 @@ fn compute_schedule_hash() -> u64 {
         let _ = write!(description, "{}={};", stage.label, fingerprint(&ir));
     }
     for backend in BackendKind::ALL {
-        description.push_str(&backend.backend().emit(&ir));
+        description.push_str(&backend.emit(&ir));
     }
     fnv64(description.as_bytes())
 }

@@ -560,7 +560,11 @@ impl<'a> Lowerer<'a> {
             return err("loop step must be non-zero");
         }
         if inclusive {
-            end += step_value.signum();
+            // `i <= i64::MAX` never ends: the bound one past it does not exist.
+            let Some(exclusive) = end.checked_add(step_value.signum()) else {
+                return err("inclusive loop bound is out of range");
+            };
+            end = exclusive;
         }
 
         let var_reg = self.shader.new_named_reg(IrType::I32, var);

@@ -20,6 +20,7 @@
 use super::{eval_const_op, DefMap, Pass};
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
+use prism_ir::verify::operand_ty;
 
 /// The unsafe floating-point reassociation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -403,7 +404,7 @@ impl Ctx {
                 for f in iter {
                     let r = shader.new_reg(IrType::vec(
                         prism_ir::types::Scalar::F32,
-                        width_of(&x, shader),
+                        operand_ty(shader, &x).map_or(dst_ty.width, |ty| ty.width),
                     ));
                     self.new_regs.push(Stmt::Def {
                         dst: r,
@@ -576,15 +577,6 @@ fn broadcast_const(c: &Constant, ty: IrType) -> Constant {
             let v = c.as_f64().unwrap_or(1.0);
             Constant::FloatVec(vec![v; ty.width as usize])
         }
-    }
-}
-
-fn width_of(operand: &Operand, shader: &Shader) -> u8 {
-    match operand {
-        Operand::Reg(r) => shader.reg_ty(*r).width,
-        Operand::Const(c) => c.ty().width,
-        Operand::Input(i) => shader.inputs[*i].ty.width,
-        Operand::Uniform(u) => shader.uniforms[*u].ty.width,
     }
 }
 

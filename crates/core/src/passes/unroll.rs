@@ -9,7 +9,7 @@
 
 use super::Pass;
 use prism_ir::prelude::*;
-use prism_ir::stmt::{body_size, rewrite_operands};
+use prism_ir::stmt::{body_size, rewrite_operands, trip_count};
 
 /// The loop-unrolling pass.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +66,8 @@ impl Unroll {
                 } => {
                     // Inner loops first so nested constant loops fully unroll.
                     self.unroll_body(loop_body, changed);
-                    let trip_count = trip_count(*start, *end, *step);
+                    let trip_count =
+                        usize::try_from(trip_count(*start, *end, *step)).unwrap_or(usize::MAX);
                     let expanded = trip_count.saturating_mul(body_size(loop_body));
                     if trip_count == 0 {
                         *changed = true;
@@ -87,31 +88,15 @@ impl Unroll {
                             }
                         });
                         out.extend(copy);
-                        i += *step;
+                        // The value after the last iteration is never read
+                        // and may lie past the end of `i64`.
+                        i = i.wrapping_add(*step);
                     }
                 }
                 _ => out.push(stmt),
             }
         }
         *body = out;
-    }
-}
-
-/// Number of iterations of a counted loop.
-fn trip_count(start: i64, end: i64, step: i64) -> usize {
-    if step == 0 {
-        return 0;
-    }
-    if step > 0 {
-        if end <= start {
-            0
-        } else {
-            (((end - start) + step - 1) / step) as usize
-        }
-    } else if start <= end {
-        0
-    } else {
-        (((start - end) + (-step) - 1) / (-step)) as usize
     }
 }
 
@@ -310,15 +295,5 @@ mod tests {
         // 4 + 3 + 2 + 1 = 10
         let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
         assert_eq!(run_fragment(&s, &ctx).unwrap().outputs[0][0], 10.0);
-    }
-
-    #[test]
-    fn trip_count_helper() {
-        assert_eq!(trip_count(0, 9, 1), 9);
-        assert_eq!(trip_count(0, 9, 2), 5);
-        assert_eq!(trip_count(9, 0, -1), 9);
-        assert_eq!(trip_count(0, 0, 1), 0);
-        assert_eq!(trip_count(5, 3, 1), 0);
-        assert_eq!(trip_count(0, 4, 0), 0);
     }
 }

@@ -483,10 +483,9 @@ mod tests {
     use super::*;
     use crate::flags::Flag;
     use crate::pipeline::compile;
-    use prism_emit::{Backend, Gles};
 
     fn emit_gles(shader: &prism_ir::Shader) -> String {
-        Gles.emit(shader)
+        BackendKind::Gles.emit(shader)
     }
 
     const BLURRY: &str = r#"

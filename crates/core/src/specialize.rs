@@ -34,6 +34,7 @@ use crate::pipeline::{CompiledShader, Stage};
 use prism_ir::interp::{results_exactly_equal, run_fragment, FragmentContext};
 use prism_ir::prelude::*;
 use prism_ir::stmt::rewrite_operands;
+use prism_ir::verify::operand_ty;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -385,14 +386,6 @@ impl crate::passes::Pass for SpecIdentities {
     }
 
     fn run(&self, shader: &mut Shader) -> bool {
-        fn operand_width(shader: &Shader, operand: &Operand) -> Option<u8> {
-            match operand {
-                Operand::Reg(r) => Some(shader.reg_ty(*r).width),
-                Operand::Const(c) => Some(c.ty().width),
-                Operand::Input(i) => shader.inputs.get(*i).map(|v| v.ty.width),
-                Operand::Uniform(u) => shader.uniforms.get(*u).map(|v| v.ty.width),
-            }
-        }
         fn const_all(operand: &Operand, value: f64) -> bool {
             matches!(operand, Operand::Const(c) if c.is_all(value))
         }
@@ -414,7 +407,8 @@ impl crate::passes::Pass for SpecIdentities {
             // width — a scalar opposite a vector operand broadcasts, and a
             // `Mov` would silently drop that.
             let keep = |x: &Operand| -> Option<Op> {
-                (operand_width(shader, x) == Some(dst_ty.width)).then(|| Op::Mov(x.clone()))
+                (operand_ty(shader, x).map(|ty| ty.width) == Some(dst_ty.width))
+                    .then(|| Op::Mov(x.clone()))
             };
             match op {
                 Op::Binary(BinaryOp::Mul, a, b) => {

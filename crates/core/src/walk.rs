@@ -146,7 +146,7 @@ where
         stats.emission_hits += 1;
         return text;
     }
-    let text: Arc<str> = Arc::from(backend.backend().emit(&state.ir));
+    let text: Arc<str> = Arc::from(backend.emit(&state.ir));
     stats.emissions += 1;
     store.record_emission(session, backend, state, Arc::clone(&text));
     text

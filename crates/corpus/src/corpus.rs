@@ -25,8 +25,8 @@ impl ShaderCase {
     }
 }
 
-/// The full benchmark corpus (the stand-in for GFXBench 4.0's fragment
-/// shaders — see DESIGN.md §1 for the substitution argument).
+/// The full benchmark corpus: the stand-in for GFXBench 4.0's fragment
+/// shaders, built to match the structural statistics the paper reports.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// All shader cases, in deterministic order.

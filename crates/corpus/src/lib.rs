@@ -1,7 +1,7 @@
 //! # prism-corpus — the GFXBench-4.0-like benchmark shader corpus
 //!
 //! GFXBench 4.0 is proprietary, so the study's shaders cannot be shipped;
-//! this crate provides the synthetic substitute described in DESIGN.md §1:
+//! this crate provides a synthetic substitute for them:
 //! around a hundred fragment shaders organised into übershader families
 //! specialised through `#define` switches (§IV-A of the paper), plus the
 //! hand-written flagship shaders including the paper's Listing-1 blur.

@@ -3,12 +3,14 @@
 //! The paper's study is inherently multi-platform: the same optimized IR must
 //! reach desktop drivers as `#version 450` GLSL and the two phones as
 //! `#version 310 es` GLES (converted through glslang + SPIRV-Cross in the
-//! paper, §III-C(d)). A [`Backend`] captures one such target. Emission works
-//! directly from IR in a single pass — the GLES backend renames temporaries
-//! *during* emission instead of cloning and rewriting the whole shader first.
+//! paper, §III-C(d)). A [`BackendKind`] names one such target and
+//! [`BackendKind::emit`] writes it. Emission works directly from IR in a
+//! single pass — the GLES backend renames temporaries *during* emission
+//! instead of cloning and rewriting the whole shader first.
 //!
-//! [`BackendKind`] is the cheap, hashable identity of a backend; it is what
-//! compile-session emission memos and platform declarations key on.
+//! The set of targets is closed: [`BackendKind`] is the cheap, hashable
+//! identity that compile-session emission memos and platform declarations
+//! key on.
 
 use crate::glsl_backend::{emit_glsl_with, EmitOptions, TempNameStyle};
 use prism_ir::Shader;
@@ -83,13 +85,24 @@ impl BackendKind {
         }
     }
 
-    /// The backend implementation for this kind.
-    pub fn backend(self) -> &'static dyn Backend {
+    /// Emits the complete shader text for `shader` in this backend's form
+    /// (the crate docs describe each form). Emission is a pure function of
+    /// the IR: the compile session memoises its output per (fingerprint,
+    /// backend) and replays it across shaders and threads.
+    pub fn emit(self, shader: &Shader) -> String {
         match self {
-            BackendKind::DesktopGlsl => &DesktopGlsl,
-            BackendKind::Gles => &Gles,
-            BackendKind::SpirvAsm => &SpirvAsm,
-            BackendKind::Msl => &Msl,
+            BackendKind::DesktopGlsl => emit_glsl_with(shader, &EmitOptions::default()),
+            BackendKind::Gles => emit_glsl_with(
+                shader,
+                &EmitOptions {
+                    version: BackendKind::Gles.version().to_string(),
+                    emit_precision: true,
+                    temp_names: TempNameStyle::SpirvCross,
+                    ..EmitOptions::default()
+                },
+            ),
+            BackendKind::SpirvAsm => crate::spirv::emit_spirv_asm(shader),
+            BackendKind::Msl => crate::msl::emit_msl(shader),
         }
     }
 
@@ -110,94 +123,6 @@ impl BackendKind {
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
-    }
-}
-
-/// An emission target: turns optimized IR into the source text one class of
-/// GPU driver consumes.
-///
-/// Implementations must be pure functions of the IR (the compile session
-/// memoises their output per (fingerprint, [`BackendKind`]) and replays it
-/// across shaders and threads).
-pub trait Backend: Send + Sync {
-    /// This backend's identity (cache key, platform declaration).
-    fn kind(&self) -> BackendKind;
-
-    /// Emits the complete shader text for `shader`.
-    fn emit(&self, shader: &Shader) -> String;
-}
-
-/// Desktop GLSL emission (`#version 450`, name-hint temporaries) — the
-/// LunarGlass-style output the paper feeds the three desktop drivers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DesktopGlsl;
-
-impl Backend for DesktopGlsl {
-    fn kind(&self) -> BackendKind {
-        BackendKind::DesktopGlsl
-    }
-
-    fn emit(&self, shader: &Shader) -> String {
-        emit_glsl_with(shader, &EmitOptions::default())
-    }
-}
-
-/// OpenGL ES emission (`#version 310 es`, precision qualifiers, SPIRV-Cross
-/// style `_NNN` temporaries) — the conversion path the paper runs for the two
-/// phones. Renaming happens inside the emitter's namer, so no intermediate
-/// shader clone is built.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gles;
-
-impl Backend for Gles {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Gles
-    }
-
-    fn emit(&self, shader: &Shader) -> String {
-        emit_glsl_with(
-            shader,
-            &EmitOptions {
-                version: BackendKind::Gles.version().to_string(),
-                emit_precision: true,
-                temp_names: TempNameStyle::SpirvCross,
-                ..EmitOptions::default()
-            },
-        )
-    }
-}
-
-/// SPIR-V-like textual assembly emission (structured `Op*` lines, SSA `%NNN`
-/// result ids by register index) — what the Vulkan-desktop platform's driver
-/// consumes. See [`crate::spirv`] for the grammar and the matching
-/// front-end.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpirvAsm;
-
-impl Backend for SpirvAsm {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SpirvAsm
-    }
-
-    fn emit(&self, shader: &Shader) -> String {
-        crate::spirv::emit_spirv_asm(shader)
-    }
-}
-
-/// Metal-Shading-Language-like emission (`#include <metal_stdlib>`,
-/// `[[stage_in]]` interface struct, `fragment` entry point) — what the
-/// Apple-mobile platform's driver consumes. See [`crate::msl`] for the
-/// shape and the matching front-end transform.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Msl;
-
-impl Backend for Msl {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Msl
-    }
-
-    fn emit(&self, shader: &Shader) -> String {
-        crate::msl::emit_msl(shader)
     }
 }
 
@@ -301,9 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn kinds_round_trip_to_backends() {
+    fn kinds_index_name_and_version_their_backend() {
         for (i, kind) in BackendKind::ALL.into_iter().enumerate() {
-            assert_eq!(kind.backend().kind(), kind);
             assert_eq!(kind.index(), i);
         }
         assert_eq!(BackendKind::COUNT, 4);
@@ -352,10 +276,7 @@ mod tests {
     #[test]
     fn all_four_backends_emit_distinct_text_from_one_ir() {
         let s = shader();
-        let texts: Vec<String> = BackendKind::ALL
-            .iter()
-            .map(|k| k.backend().emit(&s))
-            .collect();
+        let texts: Vec<String> = BackendKind::ALL.iter().map(|k| k.emit(&s)).collect();
         for (i, a) in texts.iter().enumerate() {
             for b in &texts[i + 1..] {
                 assert_ne!(a, b);
@@ -368,8 +289,8 @@ mod tests {
     #[test]
     fn desktop_and_gles_differ_in_header_and_temporaries() {
         let s = shader();
-        let desktop = DesktopGlsl.emit(&s);
-        let gles = Gles.emit(&s);
+        let desktop = BackendKind::DesktopGlsl.emit(&s);
+        let gles = BackendKind::Gles.emit(&s);
         assert!(desktop.starts_with("#version 450"));
         assert!(desktop.contains("vec4 base"));
         assert!(gles.starts_with("#version 310 es"));
@@ -382,7 +303,7 @@ mod tests {
     fn backends_are_pure_functions_of_the_ir() {
         let s = shader();
         for kind in BackendKind::ALL {
-            assert_eq!(kind.backend().emit(&s), kind.backend().emit(&s));
+            assert_eq!(kind.emit(&s), kind.emit(&s));
         }
     }
 }

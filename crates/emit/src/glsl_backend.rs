@@ -24,7 +24,7 @@ pub enum TempNameStyle {
     /// paper's glslang → SPIRV-Cross mobile conversion round trip.
     SpirvCross,
     /// SPIR-V style SSA result ids (`%<id>`) by register index — the id
-    /// space of the [`SpirvAsm`](crate::backend::SpirvAsm) textual-assembly
+    /// space of the [`SpirvAsm`](crate::BackendKind::SpirvAsm) textual-assembly
     /// backend, which has its own emitter. The C-like emitter here rejects
     /// this style (`%101` is not a C identifier): passing it to
     /// [`emit_glsl_with`] panics.

@@ -171,7 +171,7 @@ mod tests {
         let s = shader();
         let reference = SourceInterface::of_shader(&s);
         for kind in BackendKind::ALL {
-            let text = kind.backend().emit(&s);
+            let text = kind.emit(&s);
             let extracted =
                 source_interface(kind, &text).unwrap_or_else(|e| panic!("{kind}: {e}\n{text}"));
             assert!(
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn wrong_form_for_a_backend_is_an_error() {
         let s = shader();
-        let glsl = BackendKind::DesktopGlsl.backend().emit(&s);
+        let glsl = BackendKind::DesktopGlsl.emit(&s);
         assert!(source_interface(BackendKind::SpirvAsm, &glsl).is_err());
         assert!(source_interface(BackendKind::Msl, &glsl).is_err());
     }

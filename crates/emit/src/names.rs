@@ -110,7 +110,7 @@ impl RegNamer {
 
     /// Builds SPIR-V style SSA result ids (`%<100 + index>`) for all
     /// registers, by register index like [`RegNamer::spirv_cross`] — the id
-    /// space the [`SpirvAsm`](crate::backend::SpirvAsm) backend writes.
+    /// space the [`SpirvAsm`](crate::BackendKind::SpirvAsm) backend writes.
     /// Interface globals use named ids (`%uv`), which can never collide with
     /// the numeric register ids, so no avoidance set is needed.
     pub fn spirv_ids(shader: &Shader) -> RegNamer {

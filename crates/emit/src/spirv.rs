@@ -24,6 +24,7 @@ use crate::names::RegNamer;
 use prism_ir::prelude::*;
 use prism_ir::types::Scalar;
 use prism_ir::value::format_glsl_float;
+use prism_ir::verify::operand_ty;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 
@@ -292,16 +293,6 @@ impl<'a> SpirvEmitter<'a> {
         id
     }
 
-    /// The IR type of an operand (used to pick float/int/bool opcode forms).
-    fn operand_ty(&self, operand: &Operand) -> IrType {
-        match operand {
-            Operand::Reg(r) => self.shader.reg_ty(*r),
-            Operand::Const(c) => c.ty(),
-            Operand::Input(i) => self.shader.inputs[*i].ty,
-            Operand::Uniform(u) => self.shader.uniforms[*u].ty,
-        }
-    }
-
     fn emit_body(&mut self, body: &[Stmt], buf: &mut String) {
         for stmt in body {
             self.emit_stmt(stmt, buf);
@@ -399,10 +390,13 @@ impl<'a> SpirvEmitter<'a> {
     fn emit_def(&mut self, dst: Reg, op: &Op, buf: &mut String) {
         let id = self.namer.name(dst).to_string();
         let ty = type_token(self.shader.reg_ty(dst));
+        // The operand's scalar kind picks the float/int/bool opcode form.
+        let shader = self.shader;
+        let scalar_of = |o: &Operand| operand_ty(shader, o).map_or(Scalar::F32, |ty| ty.scalar);
         let line = match op {
             Op::Mov(a) => format!("OpCopyObject {ty} {}", self.operand(a)),
             Op::Binary(b, x, y) => {
-                let kind = self.operand_ty(x).scalar;
+                let kind = scalar_of(x);
                 format!(
                     "{} {ty} {} {}",
                     binary_opcode(*b, kind),
@@ -411,7 +405,7 @@ impl<'a> SpirvEmitter<'a> {
                 )
             }
             Op::Unary(UnaryOp::Neg, a) => {
-                let opcode = if self.operand_ty(a).is_float() {
+                let opcode = if scalar_of(a).is_float() {
                     "OpFNegate"
                 } else {
                     "OpSNegate"
@@ -490,7 +484,7 @@ impl<'a> SpirvEmitter<'a> {
                 format!("OpAccessChain {ty} {} {index}", self.array_ids[*array])
             }
             Op::Convert { to, value } => {
-                let from = self.operand_ty(value).scalar;
+                let from = scalar_of(value);
                 format!(
                     "{} {ty} {}",
                     convert_opcode(from, to.scalar),

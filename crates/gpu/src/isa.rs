@@ -9,6 +9,8 @@
 
 use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
+use prism_ir::stmt::trip_count;
+use prism_ir::verify::operand_ty;
 
 /// Per-fragment instruction statistics for one compiled shader.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,23 +46,6 @@ impl IsaStats {
         count_body(shader, &shader.body, 1.0, &mut stats);
         stats.register_pressure = register_pressure(shader);
         stats
-    }
-}
-
-fn width_of(shader: &Shader, operand: &Operand) -> f64 {
-    match operand {
-        Operand::Reg(r) => shader.reg_ty(*r).width as f64,
-        Operand::Const(c) => c.ty().width as f64,
-        Operand::Input(i) => shader
-            .inputs
-            .get(*i)
-            .map(|v| v.ty.width as f64)
-            .unwrap_or(1.0),
-        Operand::Uniform(u) => shader
-            .uniforms
-            .get(*u)
-            .map(|v| v.ty.width as f64)
-            .unwrap_or(1.0),
     }
 }
 
@@ -126,15 +111,16 @@ impl IsaStats {
 
 fn count_op(shader: &Shader, dst: Reg, op: &Op, scale: f64, stats: &mut IsaStats) {
     let dst_width = shader.reg_ty(dst).width as f64;
+    let width_of = |a: &Operand| operand_ty(shader, a).map_or(1.0, |ty| f64::from(ty.width));
     stats.instruction_count += scale;
     match op {
         Op::Mov(a) => {
             // Copies of constants/inputs still occupy an issue slot but are
             // usually folded into operands downstream; charge a light move.
-            stats.moves += scale * width_of(shader, a).min(dst_width);
+            stats.moves += scale * width_of(a).min(dst_width);
         }
         Op::Binary(bop, a, b) => {
-            let width = width_of(shader, a).max(width_of(shader, b)).max(1.0);
+            let width = width_of(a).max(width_of(b)).max(1.0);
             match bop {
                 BinaryOp::Div => {
                     if shader.reg_ty(dst).is_float() {
@@ -155,11 +141,11 @@ fn count_op(shader: &Shader, dst: Reg, op: &Op, scale: f64, stats: &mut IsaStats
             }
         }
         Op::Unary(_, a) => {
-            stats.scalar_alu += scale * width_of(shader, a);
+            stats.scalar_alu += scale * width_of(a);
             stats.vector_ops += scale;
         }
         Op::Intrinsic(i, args) => {
-            let width = args.iter().map(|a| width_of(shader, a)).fold(1.0, f64::max);
+            let width = args.iter().map(width_of).fold(1.0, f64::max);
             if i.is_transcendental() {
                 stats.transcendental += scale * width;
             } else {
@@ -200,23 +186,6 @@ fn count_op(shader: &Shader, dst: Reg, op: &Op, scale: f64, stats: &mut IsaStats
             stats.scalar_alu += scale * dst_width;
             stats.vector_ops += scale;
         }
-    }
-}
-
-fn trip_count(start: i64, end: i64, step: i64) -> usize {
-    if step == 0 {
-        return 0;
-    }
-    if step > 0 {
-        if end <= start {
-            0
-        } else {
-            (((end - start) + step - 1) / step) as usize
-        }
-    } else if start <= end {
-        0
-    } else {
-        (((start - end) + (-step) - 1) / (-step)) as usize
     }
 }
 

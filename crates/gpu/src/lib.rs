@@ -1,7 +1,7 @@
 //! # prism-gpu — the seven-vendor GPU substrate
 //!
 //! The paper measures real GPUs; this crate provides the simulated substitute
-//! (see DESIGN.md §1): for each of the seven platforms — the paper's five
+//! for them: for each of the seven platforms — the paper's five
 //! (Intel HD 530, AMD RX 480, NVIDIA GTX 1080, ARM Mali-T880, Qualcomm
 //! Adreno 530) plus the RX 480 again behind Mesa's Vulkan driver (RADV,
 //! consuming SPIR-V assembly) and an Apple A9 behind Metal (consuming MSL) —
@@ -18,8 +18,11 @@
 //!   timer-query noise),
 //! * the [cost model](cost) and [timing model](timing) that convert compiled
 //!   IR into per-frame `GL_TIME_ELAPSED`-style samples,
-//! * an ARM-offline-compiler-style [static analyser](static_analysis) used
-//!   for the Fig. 4b shader characterisation.
+//! * the static [pipe walk](cost::pipe_paths): per-pipe cycles along the
+//!   shortest and longest execution path under a [`DeviceSpec`]. Its Arm
+//!   longest path ([`Platform::static_cycles`]) stands in for ARM's offline
+//!   static analyser in the Fig. 4b shader characterisation, and
+//!   `prism_analyze` builds its per-platform cost models on it.
 //!
 //! A [`DriverMemo`] runs many submissions through the drivers at once: each
 //! distinct (source form, text) is parsed once, and each driver pass runs
@@ -34,15 +37,13 @@ pub mod driver;
 pub mod isa;
 pub mod memo;
 pub mod platform;
-pub mod static_analysis;
 pub mod timing;
 pub mod vendor;
 
-pub use cost::FragmentCost;
+pub use cost::{FragmentCost, PipeCycles};
 pub use driver::{DriverModel, DriverPass};
 pub use isa::IsaStats;
 pub use memo::{DriverMemo, DriverStats};
 pub use platform::{Platform, ShaderCost};
-pub use static_analysis::{analyze, StaticCycles};
 pub use timing::{DrawConfig, NoiseState, TimeSample};
 pub use vendor::{AluStyle, DeviceSpec, ThermalDrift, Vendor};

@@ -1,9 +1,8 @@
 //! One measurable platform: device model + driver model.
 
-use crate::cost::FragmentCost;
+use crate::cost::{pipe_paths, FragmentCost, PipeCycles};
 use crate::driver::DriverModel;
 use crate::isa::IsaStats;
-use crate::static_analysis::{analyze, StaticCycles};
 use crate::timing::{
     ideal_frame_time_ns, sample_frame_time_ns, sample_frame_time_ns_with, DrawConfig, NoiseState,
     TimeSample,
@@ -127,11 +126,13 @@ impl Platform {
         sample_frame_time_ns_with(&cost.cost, &self.spec, &self.draw, rng, state)
     }
 
-    /// Runs the ARM-style static analyser on driver-compiled IR (used for the
-    /// Fig. 4b complexity characterisation; defined for every platform but
-    /// the paper reports it for the Mali toolchain).
-    pub fn static_cycles(&self, driver_ir: &Shader) -> StaticCycles {
-        analyze(driver_ir)
+    /// Static per-pipe cycles of driver-compiled IR along its longest
+    /// execution path under this platform's own [`DeviceSpec`] — the
+    /// [pipe walk](crate::cost::pipe_paths) that `prism_analyze`'s cost
+    /// models share. On the Arm platform this is the ARM-offline-compiler
+    /// figure the paper's Fig. 4b characterises shaders with.
+    pub fn static_cycles(&self, driver_ir: &Shader) -> PipeCycles {
+        pipe_paths(&self.spec, driver_ir).1
     }
 }
 

@@ -264,7 +264,11 @@ impl<'a> State<'a> {
                     if self.discarded {
                         return Ok(());
                     }
-                    i += step;
+                    // A step past the end of `i64` also passes `end`.
+                    let Some(next) = i.checked_add(*step) else {
+                        break;
+                    };
+                    i = next;
                     guard += 1;
                     if guard > 1_000_000 {
                         return Err(err("loop exceeded iteration guard"));
@@ -792,6 +796,44 @@ mod tests {
         let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
         let r = run_fragment(&s, &ctx).unwrap();
         assert_eq!(r.outputs[0][0], 10.0);
+    }
+
+    #[test]
+    fn loop_stops_when_its_next_step_passes_the_end_of_i64() {
+        // i = 0, 2^62, then 2^63 is past both `end` and `i64::MAX`.
+        let mut s = shader_with_output();
+        let i = s.new_reg(IrType::I32);
+        let count = s.new_reg(IrType::fvec(4));
+        s.body = vec![
+            Stmt::Def {
+                dst: count,
+                op: Op::Splat {
+                    ty: IrType::fvec(4),
+                    value: Operand::float(0.0),
+                },
+            },
+            Stmt::Loop {
+                var: i,
+                start: 0,
+                end: i64::MAX,
+                step: 1 << 62,
+                body: vec![Stmt::Def {
+                    dst: count,
+                    op: Op::Binary(
+                        BinaryOp::Add,
+                        Operand::Reg(count),
+                        Operand::fvec(vec![1.0; 4]),
+                    ),
+                }],
+            },
+            Stmt::StoreOutput {
+                output: 0,
+                components: None,
+                value: Operand::Reg(count),
+            },
+        ];
+        let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
+        assert_eq!(run_fragment(&s, &ctx).unwrap().outputs[0], vec![2.0; 4]);
     }
 
     #[test]

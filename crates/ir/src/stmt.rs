@@ -136,6 +136,17 @@ pub fn body_size(body: &[Stmt]) -> usize {
     body.iter().map(Stmt::size).sum()
 }
 
+/// Number of iterations of a counted loop ([`Stmt::Loop`]):
+/// ⌈|end − start| / |step|⌉, or 0 when the step is zero or points away
+/// from `end`. Exact over the whole `i64` range of bounds and steps.
+pub fn trip_count(start: i64, end: i64, step: i64) -> u64 {
+    if (step > 0 && start < end) || (step < 0 && start > end) {
+        end.abs_diff(start).div_ceil(step.unsigned_abs())
+    } else {
+        0
+    }
+}
+
 /// Visits every statement in a body, pre-order.
 pub fn walk_body<'a>(body: &'a [Stmt], visit: &mut impl FnMut(&'a Stmt)) {
     for s in body {
@@ -222,6 +233,31 @@ mod tests {
             *o = Operand::float(0.0);
         });
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn trip_count_helper() {
+        assert_eq!(trip_count(0, 9, 1), 9);
+        assert_eq!(trip_count(0, 9, 2), 5);
+        assert_eq!(trip_count(9, 0, -1), 9);
+        assert_eq!(trip_count(0, 0, 1), 0);
+        assert_eq!(trip_count(5, 3, 1), 0);
+        assert_eq!(trip_count(0, 4, 0), 0);
+    }
+
+    #[test]
+    fn trip_count_is_exact_at_the_extremes_of_i64() {
+        assert_eq!(trip_count(-i64::MAX, i64::MAX, 1), u64::MAX - 1);
+        assert_eq!(trip_count(i64::MIN, i64::MAX, 1), u64::MAX);
+        assert_eq!(trip_count(i64::MAX, i64::MIN, -1), u64::MAX);
+        assert_eq!(trip_count(i64::MIN, i64::MAX, i64::MAX), 3);
+        assert_eq!(trip_count(i64::MAX, i64::MIN, i64::MIN), 2);
+        assert_eq!(trip_count(0, i64::MIN, i64::MIN), 1);
+        // A step pointing away from the bound runs zero times, however wide
+        // the range.
+        assert_eq!(trip_count(i64::MIN, i64::MAX, i64::MIN), 0);
+        assert_eq!(trip_count(i64::MAX, i64::MIN, 1), 0);
+        assert_eq!(trip_count(i64::MIN, i64::MAX, 0), 0);
     }
 
     #[test]

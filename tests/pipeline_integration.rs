@@ -2,7 +2,6 @@
 //! cost model, exercised together the way the study uses them.
 
 use prism::core::{compile, unique_variants, Flag, OptFlags};
-use prism::emit::Backend;
 use prism::glsl::ShaderSource;
 use prism::gpu::{Platform, Vendor};
 use prism::ir::interp::{results_approx_equal, run_fragment, FragmentContext};
@@ -209,7 +208,7 @@ fn mobile_conversion_differs_but_keeps_interface() {
     let source = blur_source();
     let compiled = compile(&source, "blur", OptFlags::lunarglass_default()).unwrap();
     let desktop = prism::emit::emit_glsl(&compiled.ir);
-    let mobile = prism::emit::Gles.emit(&compiled.ir);
+    let mobile = prism::emit::BackendKind::Gles.emit(&compiled.ir);
     assert_ne!(desktop, mobile);
     let reparsed = ShaderSource::preprocess_and_parse(&mobile, &Default::default()).unwrap();
     assert!(source.interface.same_io(&reparsed.interface));

@@ -24,7 +24,7 @@
 //!   printed string key it replaced, kept here as the oracle.
 
 use prism::core::{compile, unique_variants, CacheStore, CompileSession, CorpusCache, OptFlags};
-use prism::emit::{source_interface, Backend, BackendKind};
+use prism::emit::{source_interface, BackendKind};
 use prism::glsl::ShaderSource;
 use prism::ir::interp::{results_approx_equal, run_fragment, FragmentContext};
 use prism::ir::{BinaryOp, Constant, Intrinsic, Op, Operand, Reg, Stmt, TextureDim};
@@ -166,7 +166,7 @@ fn emitted_glsl_reparses_and_keeps_interface() {
         let reparsed = ShaderSource::preprocess_and_parse(&optimized.glsl, &Default::default())
             .expect("emitted GLSL re-parses");
         assert!(source.interface.same_io(&reparsed.interface));
-        let gles = prism::emit::Gles.emit(&optimized.ir);
+        let gles = prism::emit::BackendKind::Gles.emit(&optimized.ir);
         let interface = |kind, text: &str| source_interface(kind, text).expect("emission parses");
         assert_eq!(
             interface(BackendKind::DesktopGlsl, &optimized.glsl),
