@@ -9,7 +9,8 @@
 //!    are ≥ 90% of the stream and the p50 request costs zero work;
 //! 2. **warm boot** — a service booted from the previous service's snapshot
 //!    replays the same stream with **zero** stage runs and byte-identical
-//!    responses;
+//!    responses, every request answered by the memo on the calling thread
+//!    (no batch drained, nothing coalesced);
 //! 3. **hammer** — a worker-pool service under concurrent identical clients
 //!    coalesces (`coalesced_requests > 0`) and stays byte-identical;
 //! 4. **online tune** — a flag-search tenant on the warm-booted service
@@ -163,11 +164,24 @@ fn smoke_contract(_corpus: &Corpus, spec: &StreamSpec, stream: &[CompileRequest]
     assert!(cold_stats.cache.stage_runs > 0);
     cold.shutdown().unwrap().expect("snapshot written");
     let warm = CompileService::new(config);
+    let boot_stats = warm.stats();
     let warm_summary = run_stream(&warm, stream, 0);
+    let replay_stats = warm.stats();
+    let memo_answered = replay_stats.memo_answered - boot_stats.memo_answered;
+    let batches = replay_stats.batches - boot_stats.batches;
+    let coalesced = replay_stats.cache.coalesced_requests - boot_stats.cache.coalesced_requests;
     println!(
-        "serve warm boot: stage_runs={} memo_served={}/{}",
+        "serve warm boot: stage_runs={} memo_served={}/{} memo_answered={memo_answered} batches={batches} coalesced={coalesced}",
         warm_summary.stage_runs, warm_summary.memo_served, warm_summary.measured
     );
+    // Hits end on the calling thread: none may fall back into the flight
+    // table or a shard queue.
+    assert_eq!(
+        memo_answered, warm_summary.measured,
+        "warm-booted hits left the memo path: {replay_stats:?}"
+    );
+    assert_eq!(batches, 0, "warm-booted hits were queued: {replay_stats:?}");
+    assert_eq!(coalesced, 0, "warm-booted hits coalesced: {replay_stats:?}");
     assert_eq!(
         warm_summary.stage_runs, 0,
         "warm-booted service re-ran stages: {warm_summary:?}"
@@ -273,7 +287,7 @@ fn smoke_contract(_corpus: &Corpus, spec: &StreamSpec, stream: &[CompileRequest]
         "the replayed analysis did not come from the snapshot: {analysis_stats:?}"
     );
     println!(
-        "  contract: OK (>=90% free, warm boot 0 stage runs, coalescing live, tuned variant memo-served, analysis replay 0 walks)"
+        "  contract: OK (>=90% free, warm boot 0 stage runs and 0 queued hits, coalescing live, tuned variant memo-served, analysis replay 0 walks)"
     );
 }
 

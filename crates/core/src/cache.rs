@@ -292,12 +292,18 @@ pub trait CacheStore {
     /// clean stage without any per-stage lookup; 0 when nothing is known.
     fn identity_stages(&self, snapshot: &Snapshot) -> u64;
 
-    /// Reports that a session took `count` identity transitions straight off
-    /// an [`identity_stages`](CacheStore::identity_stages) mask (counted as
-    /// stage hits; no per-transition lookup happened).
-    fn note_identity_skips(&self, session: SessionId, count: usize);
+    /// Books `hits` stage hits one walk took, in one note: all of them are
+    /// charged to the session's family, and the `identity_skips` of them
+    /// taken straight off an [`identity_stages`](CacheStore::identity_stages)
+    /// mask (no per-transition lookup happened) are also counted as
+    /// store-wide stage hits and identity transitions. The rest were counted
+    /// store-wide by [`transition`](CacheStore::transition) as they
+    /// happened.
+    fn note_walk_hits(&self, session: SessionId, hits: usize, identity_skips: usize);
 
-    /// Looks up the output of running stage `stage` over `input`.
+    /// Looks up the output of running stage `stage` over `input`. A hit is
+    /// counted store-wide here; the walk charges it to the session's family
+    /// later, through [`note_walk_hits`](CacheStore::note_walk_hits).
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot>;
 
     /// Records that stage `stage` maps `input` to `output` and returns the
@@ -390,9 +396,10 @@ impl FamilyCacheStats {
     }
 }
 
-/// Lock-free per-family counters: hot-path bumps are atomic increments on an
-/// `Arc` resolved once per session under a read lock, so the multi-threaded
-/// sweep never serializes on telemetry.
+/// Lock-free per-family counters. Each bump resolves the session's `Arc`
+/// under the `families` read lock and then increments atomically; stage
+/// hits are bumped once per walk ([`CacheStore::note_walk_hits`]), not once
+/// per stage, so a walk reads the lock once however many stages it answers.
 #[derive(Default)]
 struct FamilyCounters {
     sessions: AtomicUsize,
@@ -1061,16 +1068,16 @@ impl CacheStore for CorpusCache {
             .unwrap_or(0)
     }
 
-    fn note_identity_skips(&self, session: SessionId, count: usize) {
-        self.stage_hits.fetch_add(count, Ordering::Relaxed);
-        self.identity_transitions
-            .fetch_add(count, Ordering::Relaxed);
-        self.bump_family(session, |f| {
-            f.stage_hits.fetch_add(count, Ordering::Relaxed);
-        });
-        for _ in 0..count {
-            prism_ir::counters::count_identity_transition();
+    fn note_walk_hits(&self, session: SessionId, hits: usize, identity_skips: usize) {
+        if identity_skips > 0 {
+            self.stage_hits.fetch_add(identity_skips, Ordering::Relaxed);
+            self.identity_transitions
+                .fetch_add(identity_skips, Ordering::Relaxed);
+            prism_ir::counters::count_identity_transitions(identity_skips);
         }
+        self.bump_family(session, |f| {
+            f.stage_hits.fetch_add(hits, Ordering::Relaxed);
+        });
     }
 
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot> {
@@ -1081,10 +1088,7 @@ impl CacheStore for CorpusCache {
             // warm attribution.
             self.stage_hits.fetch_add(1, Ordering::Relaxed);
             self.identity_transitions.fetch_add(1, Ordering::Relaxed);
-            self.bump_family(session, |f| {
-                f.stage_hits.fetch_add(1, Ordering::Relaxed);
-            });
-            prism_ir::counters::count_identity_transition();
+            prism_ir::counters::count_identity_transitions(1);
             return Some(input.clone());
         }
         let key = (stage, input.fp);
@@ -1121,9 +1125,6 @@ impl CacheStore for CorpusCache {
         } else if owner != session {
             self.cross_shader_stage_hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.bump_family(session, |f| {
-            f.stage_hits.fetch_add(1, Ordering::Relaxed);
-        });
         Some(Snapshot {
             ir: out_ir,
             fp: out_node.fp,
@@ -1397,7 +1398,7 @@ mod tests {
 
         // Other stages are unaffected; mask-skip notes land in the stats.
         assert!(store.transition(s1, 4, &input).is_none());
-        store.note_identity_skips(s1, 2);
+        store.note_walk_hits(s1, 2, 2);
         let stats = store.stats();
         assert_eq!(stats.identity_transitions, 4);
         assert!(stats.stage_hits >= stats.identity_transitions);
@@ -1534,9 +1535,20 @@ mod tests {
 
         let input = snapshot(1);
         cache.record_transition(blur, 0, input.clone(), snapshot(2));
-        assert!(cache.transition(blur2, 0, &input).is_some());
-        assert!(cache.transition(ui, 0, &input).is_some());
-        assert!(cache.transition(anon, 0, &input).is_some());
+        // Stage hits reach a family through the walk that took them.
+        for session in [blur2, ui, anon] {
+            let mut stats = crate::walk::SessionStats::default();
+            crate::walk::walk_stages(
+                &cache,
+                session,
+                input.clone(),
+                [(0, ())],
+                &mut stats,
+                |(), _| -> Result<bool, ()> { unreachable!("stage 0 is recorded") },
+            )
+            .unwrap();
+            assert_eq!(stats.stage_hits, 1);
+        }
         cache.record_emission(ui, BackendKind::Gles, &input, Arc::from("x"));
 
         let families = cache.family_stats();

@@ -45,4 +45,4 @@ pub use specialize::{
     SpecAssumption, SpecCounters, SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,
 };
 pub use variant::{unique_variants, Variant, VariantSet};
-pub use walk::{emit_memoised, walk_stages, SessionStats};
+pub use walk::{emit_memoised, walk_stages, SessionStats, Walk};

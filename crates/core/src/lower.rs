@@ -13,7 +13,7 @@
 //!   straight-line body with structured `if`/`for` statements.
 
 use prism_glsl::ast::{
-    self, AssignOp, BinOp, Decl, Expr, FunctionDef, LValue, Stmt as AstStmt, StorageQualifier, UnOp,
+    self, AssignOp, BinOp, Decl, Expr, LValue, Stmt as AstStmt, StorageQualifier, UnOp,
 };
 use prism_glsl::builtins::{resolve_call, Builtin, CallKind};
 use prism_glsl::types::{SamplerKind, ScalarKind, Type};
@@ -170,9 +170,11 @@ impl<'a> Lowerer<'a> {
 
     fn run(&mut self) -> Result<(), LowerError> {
         self.lower_globals()?;
-        let main = match self.src.ast.main() {
-            Some(m) => m.clone(),
-            None => return err("shader has no main function"),
+        // The source outlives the lowerer: borrowing it through a copy of
+        // the reference, not through `self`, walks the AST without cloning.
+        let src: &'a ShaderSource = self.src;
+        let Some(main) = src.ast.main() else {
+            return err("shader has no main function");
         };
         self.lower_body(&main.body.stmts)?;
         // Final output stores.
@@ -194,8 +196,8 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_globals(&mut self) -> Result<(), LowerError> {
-        let decls = self.src.ast.decls.clone();
-        for decl in &decls {
+        let src: &'a ShaderSource = self.src;
+        for decl in &src.ast.decls {
             let Decl::Global(g) = decl else { continue };
             match g.qualifier {
                 StorageQualifier::In => {
@@ -1280,9 +1282,9 @@ impl<'a> Lowerer<'a> {
         if self.inline_depth > 8 {
             return err("function inlining too deep (recursion is not supported)");
         }
-        let func: FunctionDef = match self.src.ast.function(name) {
-            Some(f) => f.clone(),
-            None => return err(format!("unknown function `{name}`")),
+        let src: &'a ShaderSource = self.src;
+        let Some(func) = src.ast.function(name) else {
+            return err(format!("unknown function `{name}`"));
         };
         if func.params.len() != args.len() {
             return err(format!("wrong number of arguments to `{name}`"));

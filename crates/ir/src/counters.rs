@@ -88,11 +88,11 @@ pub(crate) fn count_equality_confirm() {
     EQUALITY_CONFIRMS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one identity stage transition. Called by the session/cache layer
-/// (outside this crate), hence public.
+/// Records `n` identity stage transitions in one add. Called by the
+/// session/cache layer (outside this crate), hence public.
 #[inline]
-pub fn count_identity_transition() {
-    IDENTITY_TRANSITIONS.fetch_add(1, Ordering::Relaxed);
+pub fn count_identity_transitions(n: usize) {
+    IDENTITY_TRANSITIONS.fetch_add(n as u64, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -105,7 +105,7 @@ mod tests {
         count_ir_clone();
         count_fingerprint_computed();
         count_fingerprint_computed();
-        count_identity_transition();
+        count_identity_transitions(1);
         let after = snapshot();
         let delta = after.since(&before);
         // Other tests in this process may bump counters concurrently, so the

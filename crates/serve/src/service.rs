@@ -1,7 +1,7 @@
 //! The sharded compile service.
 //!
 //! One [`CompileService`] owns a [`CorpusCache`] and serves
-//! [`CompileRequest`]s through a four-step lifecycle:
+//! [`CompileRequest`]s in this order:
 //!
 //! 1. **route** — the source text goes through a shared *lower-once front
 //!    stage* (parse + lower + verify, memoised per source text), and the
@@ -9,18 +9,26 @@
 //!    16-way split ([`prism_core::shard_of`]) — the same split the warm-start
 //!    snapshot files use, so shard ownership survives restarts without
 //!    re-keying;
-//! 2. **coalesce** — a singleflight table keyed `(fingerprint, flags,
-//!    backend)` merges identical in-flight requests: one leader compiles,
-//!    every waiter blocks on the same flight and receives the same `Arc`'d
-//!    result ([`CacheStats::coalesced_requests`] counts the merged ones);
-//! 3. **batch** — the leader's job lands in its shard's queue, and the
+//! 2. **memo** — the calling thread walks the pass schedule over the shared
+//!    [`CorpusCache`] lookup-only: the specialized-base memo, the stage
+//!    transitions, the emitted text and (when asked for) the static analysis
+//!    are answered whenever an equivalent request (or a warm-start snapshot)
+//!    already paid for them. A request the memo answers completely **ends
+//!    here** ([`ServiceStats::memo_answered`]): it never coalesces or queues,
+//!    and its body is the memo's shared `Arc<str>` handle — a refcount bump,
+//!    never a copy;
+//! 3. **coalesce** — only a request the memo missed enters the singleflight
+//!    table keyed `(fingerprint, flags, backend, analysis, spec)`: one leader
+//!    compiles, every waiter blocks on the same flight and receives the same
+//!    `Arc`'d result ([`CacheStats::coalesced_requests`] counts the merged
+//!    ones);
+//! 4. **batch** — the leader's job lands in its shard's queue, and the
 //!    shard's owner drains the queue in batches so the queue lock is taken
 //!    once per batch, not once per request;
-//! 4. **memo** — the compile itself runs against the shared [`CorpusCache`]:
-//!    stage transitions and emitted text are answered from the memo whenever
-//!    an equivalent request (or a warm-start snapshot) already paid for them,
-//!    and the response body is the memo's shared `Arc<str>` handle — a
-//!    refcount bump, never a copy.
+//! 5. **run** — the job resumes the caller's walk at the stage it missed
+//!    (no stage the caller answered is looked up again), runs the passes,
+//!    emitter and analysis the memo lacked, and records them for every later
+//!    request. The test compute hook runs here, so only for leaders.
 //!
 //! With `workers == 0` the service is *inline*: the submitting thread drives
 //! its own shard, which makes request streams fully deterministic (the load
@@ -31,8 +39,8 @@
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, emit_memoised, shard_of, specialize_shader, walk_stages, CacheStats,
-    CacheStore, CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey, Stage, FINGERPRINT_SHARDS,
+    build_schedule, emit_memoised, shard_of, specialize_shader, CacheStats, CacheStore,
+    CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk, FINGERPRINT_SHARDS,
 };
 use prism_emit::{BackendChain, BackendKind};
 use prism_glsl::ShaderInterface;
@@ -306,8 +314,10 @@ pub struct CompileResponse {
     /// breakdown. A coalesced waiter reports the leader's work, because that
     /// is the work its response cost.
     pub work: SessionStats,
-    /// `true` when this response was coalesced onto another in-flight
-    /// request instead of compiling on its own.
+    /// `true` when the memo missed and this request coalesced onto an
+    /// identical in-flight compile instead of compiling on its own. A
+    /// request the memo answers completely never coalesces: it returns
+    /// from the calling thread without entering the flight table.
     pub coalesced: bool,
     /// `true` when the body was answered by the emission memo (no emitter
     /// ran for this request).
@@ -404,10 +414,28 @@ struct FrontEntry {
     interface: Arc<ShaderInterface>,
 }
 
+/// Where the calling thread's memo walk stopped: the leader's job picks up
+/// there, so none of the stages the caller answered is looked up again.
+enum Resume {
+    /// The specialized base of `base` is not memoised: derive it, then walk
+    /// every stage.
+    Specialize { base: Snapshot },
+    /// The transition graph could not answer `stage`: walk on from it.
+    Stage { walk: Walk, stage: usize },
+    /// Every stage was answered and `state` is final; the emission memo
+    /// missed (`text` is `None`) or only the analysis memo did.
+    Done {
+        state: Snapshot,
+        text: Option<Arc<str>>,
+    },
+}
+
 /// A queued compile job (the leader's, never a waiter's).
 struct Job {
     key: FlightKey,
-    base: Snapshot,
+    resume: Resume,
+    /// The caller's walk counts so far.
+    work: SessionStats,
     flight: Arc<Flight>,
 }
 
@@ -421,6 +449,7 @@ struct WorkerSignal {
 #[derive(Default)]
 struct Counters {
     requests: AtomicUsize,
+    memo_answered: AtomicUsize,
     front_hits: AtomicUsize,
     front_lowers: AtomicUsize,
     front_errors: AtomicUsize,
@@ -445,6 +474,11 @@ struct Counters {
 pub struct ServiceStats {
     /// Requests accepted (front stage attempted).
     pub requests: usize,
+    /// Requests the memo answered completely on the calling thread — no
+    /// flight, queue or compile. Every routed request is memo-answered, a
+    /// leader (one of `batched_requests`) or coalesced
+    /// ([`CacheStats::coalesced_requests`]).
+    pub memo_answered: usize,
     /// Requests whose front stage was answered from the source-text memo.
     pub front_hits: usize,
     /// Front-stage lowers actually performed (memo misses).
@@ -469,8 +503,8 @@ pub struct ServiceStats {
     /// tenant's scarce-resource spend).
     pub measurements_taken: usize,
     /// Distinct flag combinations the search tenant compiled across all
-    /// tune passes (each went through route → coalesce → batch → memo like
-    /// any serving request).
+    /// tune passes. Each was an ordinary request: routed, answered by the
+    /// memo when it could be, and coalesced, batched and run otherwise.
     pub search_compiles: usize,
     /// Search candidates whose timing measurement was skipped because the
     /// static prefilter found their static cost dominated by an already-
@@ -586,6 +620,7 @@ impl CompileService {
         let c = &self.inner.counters;
         ServiceStats {
             requests: c.requests.load(Ordering::Relaxed),
+            memo_answered: c.memo_answered.load(Ordering::Relaxed),
             front_hits: c.front_hits.load(Ordering::Relaxed),
             front_lowers: c.front_lowers.load(Ordering::Relaxed),
             front_errors: c.front_errors.load(Ordering::Relaxed),
@@ -606,7 +641,7 @@ impl CompileService {
     }
 
     /// Serves one request (blocking). See the [module docs](self) for the
-    /// route → coalesce → batch → memo lifecycle.
+    /// route → memo → coalesce → batch → run order.
     ///
     /// # Errors
     ///
@@ -634,8 +669,9 @@ impl CompileService {
     }
 
     /// Installs the test-only compute hook (runs at the start of every
-    /// leader compile). Used by the coalescing and torn-request suites to
-    /// hold or crash a compile deterministically.
+    /// leader compile; a request the memo answers never reaches it). Used by
+    /// the coalescing and torn-request suites to hold or crash a compile
+    /// deterministically.
     #[doc(hidden)]
     pub fn set_compute_hook(&self, hook: Option<ComputeHook>) {
         *self.inner.hook.write().expect("hook poisoned") = hook;
@@ -737,14 +773,49 @@ impl Inner {
         // Routed: the front stage succeeded and the fingerprint picked an
         // owning shard.
         self.cache.note_routed_request();
-        let key = FlightKey {
-            fp: front.base.fp,
-            flags: request.flags,
+        let mut work = SessionStats::default();
+        let (served, coalesced) =
+            match self.answer_from_memo(request, backend, &front.base, &mut work) {
+                Ok(served) => {
+                    self.counters.memo_answered.fetch_add(1, Ordering::Relaxed);
+                    self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
+                    (served, false)
+                }
+                Err(resume) => {
+                    let key = FlightKey {
+                        fp: front.base.fp,
+                        flags: request.flags,
+                        backend,
+                        analyze: request.analyze,
+                        spec: request.specialize.clone(),
+                    };
+                    self.fly(key, resume, work)?
+                }
+            };
+        Ok(CompileResponse {
+            text: served.text,
             backend,
-            analyze: request.analyze,
-            spec: request.specialize.clone(),
-        };
+            chain_fallback,
+            fingerprint: served.fp,
+            interface: Arc::clone(&front.interface),
+            work: served.work,
+            coalesced,
+            zero_copy: served.zero_copy,
+            analysis: served.analysis,
+        })
+    }
 
+    /// Coalesce → batch → run, for a request the memo missed: the first
+    /// request of its key leads — its job resumes the caller's walk from
+    /// `resume` with the `work` counted so far — and every identical request
+    /// arriving meanwhile waits on the leader's flight. Returns the result
+    /// and whether this request coalesced.
+    fn fly(
+        &self,
+        key: FlightKey,
+        resume: Resume,
+        work: SessionStats,
+    ) -> Result<(Served, bool), ServeError> {
         let (flight, leader) = {
             let mut flights = self.flights.lock().expect("flights poisoned");
             match flights.get(&key) {
@@ -766,7 +837,8 @@ impl Inner {
                 shard,
                 Job {
                     key,
-                    base: front.base.clone(),
+                    resume,
+                    work,
                     flight: Arc::clone(&flight),
                 },
             );
@@ -776,18 +848,60 @@ impl Inner {
         } else {
             self.cache.note_coalesced_request();
         }
+        Ok((flight.wait()?, !leader))
+    }
 
-        let served = flight.wait()?;
-        Ok(CompileResponse {
-            text: served.text,
-            backend,
-            chain_fallback,
-            fingerprint: served.fp,
-            interface: Arc::clone(&front.interface),
-            work: served.work,
-            coalesced: !leader,
-            zero_copy: served.zero_copy,
-            analysis: served.analysis,
+    /// The calling thread's walk: answers `request` from the memo planes
+    /// alone — the specialized-base memo, the transition graph, the emission
+    /// memo and (when asked for) the analysis memo — counting the hits into
+    /// `work`. Runs no pass, emitter or analysis and clones no IR; at the
+    /// first miss it returns where it stopped, for the leader to resume.
+    fn answer_from_memo(
+        &self,
+        request: &CompileRequest,
+        backend: BackendKind,
+        base: &Snapshot,
+        work: &mut SessionStats,
+    ) -> Result<Served, Resume> {
+        let start = if request.specialize.is_general() {
+            base.clone()
+        } else {
+            self.memoised_spec_base(base.fp, &request.specialize)
+                .ok_or_else(|| Resume::Specialize { base: base.clone() })?
+        };
+        let mut walk = Walk::new(&*self.cache, start);
+        let missed = with_schedule(|schedule| {
+            (0..schedule.len())
+                .filter(|&stage| schedule[stage].enabled_for(request.flags))
+                .find(|&stage| !walk.answer(&*self.cache, self.session, stage, work))
+        });
+        walk.settle(&*self.cache, self.session);
+        if let Some(stage) = missed {
+            return Err(Resume::Stage { walk, stage });
+        }
+        let state = walk.into_state();
+        let Some(text) = self.cache.emission(self.session, backend, &state) else {
+            return Err(Resume::Done { state, text: None });
+        };
+        work.emission_hits += 1;
+        let analysis = match request.analyze {
+            None => None,
+            Some(vendor) => match self.cache.analysis(self.session, vendor.name(), &state) {
+                Some(json) => Some(json),
+                None => {
+                    return Err(Resume::Done {
+                        state,
+                        text: Some(text),
+                    })
+                }
+            },
+        };
+        Ok(Served {
+            text,
+            fp: state.fp,
+            work: *work,
+            zero_copy: true,
+            analysis,
         })
     }
 
@@ -927,50 +1041,44 @@ impl Inner {
         guard.finish(result);
     }
 
-    /// The memo-backed compile: replays the pass schedule against the shared
-    /// cache (stage transitions confirmed structurally, exactly like a
-    /// `CompileSession`), then answers the emission from the memo or runs
-    /// the emitter once and records it.
+    /// The leader's compile: resumes the caller's memo walk where it
+    /// stopped — deriving the specialized base, or walking on from the stage
+    /// the graph missed — then emits and analyses whatever the memo lacked,
+    /// recording it for every later request.
     fn compute(&self, job: &Job) -> Result<Served, ServeError> {
         if let Some(hook) = self.hook.read().expect("hook poisoned").as_ref() {
             hook(&FlightProbe {
                 flight: &job.flight,
             });
         }
+        let mut work = job.work;
+        let flags = job.key.flags;
         // A specialized request runs the ordinary flag schedule, just from a
         // different starting snapshot: the substituted-and-folded base. That
         // base is another IR structure, so everything downstream (transition
         // memo, emission memo, analysis memo) dedups by fingerprint with no
         // special cases.
-        let base = self.spec_base(job)?;
-        let mut work = SessionStats::default();
-        // The same walk a `CompileSession` performs: a memo-warm request
-        // skips or replays every stage and does zero IR clones end to end.
-        let state = with_schedule(|schedule| {
-            let stages = schedule
-                .iter()
-                .enumerate()
-                .filter(|(_, stage)| stage.enabled_for(job.key.flags));
-            walk_stages(
+        let (state, text) = match &job.resume {
+            Resume::Specialize { base } => {
+                let start = self.spec_base(base, &job.key.spec)?;
+                let walk = Walk::new(&*self.cache, start);
+                (self.walk_on(walk, 0, flags, &mut work)?, None)
+            }
+            Resume::Stage { walk, stage } => {
+                (self.walk_on(walk.clone(), *stage, flags, &mut work)?, None)
+            }
+            Resume::Done { state, text } => (state.clone(), text.clone()),
+        };
+        let text = match text {
+            Some(text) => text,
+            None => emit_memoised(
                 &*self.cache,
                 self.session,
-                base,
-                stages,
+                job.key.backend,
+                &state,
                 &mut work,
-                |stage: &Stage, ir| {
-                    stage
-                        .run_verified(ir)
-                        .map_err(|e| ServeError::Compile(e.to_string()))
-                },
-            )
-        })?;
-        let text = emit_memoised(
-            &*self.cache,
-            self.session,
-            job.key.backend,
-            &state,
-            &mut work,
-        );
+            ),
+        };
         let zero_copy = work.emission_hits > 0;
         if zero_copy {
             self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
@@ -1011,39 +1119,71 @@ impl Inner {
         })
     }
 
-    /// The snapshot a job's flag walk starts from: the front-stage base for
-    /// a general request, else the memoised specialized base for this
-    /// `(fingerprint, spec)` pair.
+    /// Finishes `walk` over the stages `flags` enables from stage `from` on,
+    /// answering what the graph can and running the rest, as a
+    /// `CompileSession` walks. Stage `from` is the one the caller's walk
+    /// missed; it is looked up once more, because a leader of another key
+    /// may have recorded it since — two concurrent misses on one state then
+    /// run it once, as they would on one shard's queue.
+    fn walk_on(
+        &self,
+        walk: Walk,
+        from: usize,
+        flags: OptFlags,
+        work: &mut SessionStats,
+    ) -> Result<Snapshot, ServeError> {
+        with_schedule(|schedule| {
+            let stages = schedule
+                .iter()
+                .enumerate()
+                .skip(from)
+                .filter(|(_, stage)| stage.enabled_for(flags));
+            walk.finish(
+                &*self.cache,
+                self.session,
+                stages,
+                work,
+                |stage: &Stage, ir| {
+                    stage
+                        .run_verified(ir)
+                        .map_err(|e| ServeError::Compile(e.to_string()))
+                },
+            )
+        })
+    }
+
+    /// The specialized base of `(base, spec)` if it is memoised.
+    fn memoised_spec_base(&self, base: Fingerprint, spec: &SpecKey) -> Option<Snapshot> {
+        self.spec_bases
+            .read()
+            .expect("spec-base memo poisoned")
+            .get(&(base, spec.clone()))
+            .cloned()
+    }
+
+    /// The snapshot a specialized flag walk starts from: the memoised
+    /// specialized base for this `(fingerprint, spec)` pair, derived on a
+    /// miss.
     ///
-    /// On a memo miss the derivation substitutes the assumed constants,
-    /// folds, checks IR invariants, and then differentially executes the
-    /// specialized base against the general base through the interpreter on
+    /// The derivation substitutes the assumed constants, folds, checks IR
+    /// invariants, and then differentially executes the specialized base
+    /// against the general base through the interpreter on
     /// assumption-holding contexts at the standard probe points — the fold
     /// must be bit-for-bit exact or the request fails rather than serve a
     /// miscompile. The verified snapshot is interned into the cache's
     /// exemplar plane so it dedups like any other structure.
-    fn spec_base(&self, job: &Job) -> Result<Snapshot, ServeError> {
-        let spec = &job.key.spec;
-        if spec.is_general() {
-            return Ok(job.base.clone());
+    fn spec_base(&self, base: &Snapshot, spec: &SpecKey) -> Result<Snapshot, ServeError> {
+        if let Some(snap) = self.memoised_spec_base(base.fp, spec) {
+            return Ok(snap);
         }
-        let memo_key = (job.base.fp, spec.clone());
-        if let Some(snap) = self
-            .spec_bases
-            .read()
-            .expect("spec-base memo poisoned")
-            .get(&memo_key)
-        {
-            return Ok(snap.clone());
-        }
-        let ir = specialize_shader(&job.base.ir, spec)
-            .map_err(|e| ServeError::Specialize(e.to_string()))?;
+        let ir =
+            specialize_shader(&base.ir, spec).map_err(|e| ServeError::Specialize(e.to_string()))?;
         verify(&ir).map_err(|e| ServeError::Compile(e.to_string()))?;
         for (fx, fy) in default_probe_points() {
-            let ctx = spec.holding_context(&job.base.ir, fx, fy);
+            let ctx = spec.holding_context(&base.ir, fx, fy);
             let fast = run_fragment(&ir, &ctx)
                 .map_err(|e| ServeError::Specialize(format!("specialized base faulted: {e}")))?;
-            let slow = run_fragment(&job.base.ir, &ctx)
+            let slow = run_fragment(&base.ir, &ctx)
                 .map_err(|e| ServeError::Specialize(format!("general base faulted: {e}")))?;
             if !results_exactly_equal(&fast, &slow) {
                 return Err(ServeError::Specialize(format!(
@@ -1060,7 +1200,7 @@ impl Inner {
         self.spec_bases
             .write()
             .expect("spec-base memo poisoned")
-            .insert(memo_key, snap.clone());
+            .insert((base.fp, spec.clone()), snap.clone());
         Ok(snap)
     }
 

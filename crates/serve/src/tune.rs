@@ -3,15 +3,15 @@
 //! [`CompileService::tune`] runs a measurement-in-the-loop flag search for
 //! one shader on one simulated platform, *through the service itself*: every
 //! candidate combination the search strategy wants to try becomes an
-//! ordinary [`CompileRequest`] and walks the same route → coalesce → batch →
-//! memo lifecycle as serving traffic. The consequences are exactly the ones
-//! the service was built for:
+//! ordinary [`CompileRequest`] and takes the same route → memo → coalesce →
+//! batch → run path as serving traffic. The consequences are exactly the
+//! ones the service was built for:
 //!
 //! * variants the serving plane already emitted cost the search tenant a
 //!   memo hit (an `Arc<str>` refcount bump), not an emission — and vice
 //!   versa: variants the tuner paid for are served zero-copy afterwards;
-//! * concurrent tuners and servers asking for the same `(fingerprint,
-//!   flags, backend)` coalesce onto one compile;
+//! * concurrent tuners and servers missing the memo on the same
+//!   `(fingerprint, flags, backend)` coalesce onto one compile;
 //! * the tuner's compiles warm the shared [`CorpusCache`](prism_core::CorpusCache) for the whole
 //!   übershader family.
 //!
