@@ -10,8 +10,8 @@
 //! 2. **warm boot** — a service booted from the previous service's snapshot
 //!    replays the same stream with **zero** stage runs and byte-identical
 //!    responses, every request answered by the memo on the calling thread
-//!    (no batch drained, nothing coalesced);
-//! 3. **hammer** — a worker-pool service under concurrent identical clients
+//!    (no request led a compile, nothing coalesced);
+//! 3. **hammer** — a service under concurrent identical clients
 //!    coalesces (`coalesced_requests > 0`) and stays byte-identical;
 //! 4. **online tune** — a flag-search tenant on the warm-booted service
 //!    stays under its measurement budget, and the variant it lands on is
@@ -168,19 +168,22 @@ fn smoke_contract(_corpus: &Corpus, spec: &StreamSpec, stream: &[CompileRequest]
     let warm_summary = run_stream(&warm, stream, 0);
     let replay_stats = warm.stats();
     let memo_answered = replay_stats.memo_answered - boot_stats.memo_answered;
-    let batches = replay_stats.batches - boot_stats.batches;
+    let leaders = replay_stats.leader_requests - boot_stats.leader_requests;
     let coalesced = replay_stats.cache.coalesced_requests - boot_stats.cache.coalesced_requests;
     println!(
-        "serve warm boot: stage_runs={} memo_served={}/{} memo_answered={memo_answered} batches={batches} coalesced={coalesced}",
+        "serve warm boot: stage_runs={} memo_served={}/{} memo_answered={memo_answered} leaders={leaders} coalesced={coalesced}",
         warm_summary.stage_runs, warm_summary.memo_served, warm_summary.measured
     );
     // Hits end on the calling thread: none may fall back into the flight
-    // table or a shard queue.
+    // table or lead a compile.
     assert_eq!(
         memo_answered, warm_summary.measured,
         "warm-booted hits left the memo path: {replay_stats:?}"
     );
-    assert_eq!(batches, 0, "warm-booted hits were queued: {replay_stats:?}");
+    assert_eq!(
+        leaders, 0,
+        "warm-booted hits led a compile: {replay_stats:?}"
+    );
     assert_eq!(coalesced, 0, "warm-booted hits coalesced: {replay_stats:?}");
     assert_eq!(
         warm_summary.stage_runs, 0,
@@ -190,12 +193,12 @@ fn smoke_contract(_corpus: &Corpus, spec: &StreamSpec, stream: &[CompileRequest]
     assert_eq!(warm_summary.memo_served, warm_summary.measured);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Phase 3: hammer. A worker-pool service under concurrent identical
-    // clients must coalesce; the hook holds the leader until every other
-    // client has joined its flight, making `coalesced_requests > 0` a hard
-    // guarantee rather than a race.
+    // Phase 3: hammer. A service under concurrent identical clients must
+    // coalesce; the hook holds the leader until every other client has
+    // joined its flight, making `coalesced_requests > 0` a hard guarantee
+    // rather than a race.
     const CLIENTS: usize = 8;
-    let hammer = Arc::new(CompileService::new(ServeConfig::default().with_workers(4)));
+    let hammer = Arc::new(CompileService::new(ServeConfig::default()));
     hammer.set_compute_hook(Some(Box::new(|probe| {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while probe.waiters() < CLIENTS - 1 && std::time::Instant::now() < deadline {
@@ -287,7 +290,7 @@ fn smoke_contract(_corpus: &Corpus, spec: &StreamSpec, stream: &[CompileRequest]
         "the replayed analysis did not come from the snapshot: {analysis_stats:?}"
     );
     println!(
-        "  contract: OK (>=90% free, warm boot 0 stage runs and 0 queued hits, coalescing live, tuned variant memo-served, analysis replay 0 walks)"
+        "  contract: OK (>=90% free, warm boot 0 stage runs and 0 leaders, coalescing live, tuned variant memo-served, analysis replay 0 walks)"
     );
 }
 

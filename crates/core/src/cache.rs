@@ -353,8 +353,8 @@ const SHARDS: usize = 16;
 pub const FINGERPRINT_SHARDS: usize = SHARDS;
 
 /// The shard a fingerprint belongs to, in `0..FINGERPRINT_SHARDS`. This is
-/// the routing function: the cache's lock shards, the persisted snapshot
-/// files and a compile service's shard-owner workers all agree on it.
+/// the routing function: the cache's lock shards and the persisted snapshot
+/// files agree on it.
 pub fn shard_of(fp: Fingerprint) -> usize {
     (fp.0 as usize) % SHARDS
 }

@@ -63,9 +63,9 @@ fn mask_bit(stage: usize) -> u64 {
 /// One walk over the transition graph from a start state, advanced a stage
 /// at a time. [`walk_stages`] drives a walk over a whole pass list; the
 /// compile service drives one lookup-only on the calling thread and, at the
-/// first stage the graph cannot answer, hands the walk to a worker that
-/// [finishes](Walk::finish) it from there — so the stages the caller
-/// answered are not looked up again.
+/// first stage the graph cannot answer, hands the walk to the request's
+/// leader, which [finishes](Walk::finish) it from there — so the stages the
+/// caller answered are not looked up again.
 ///
 /// The store's clean-stage mask is read once per *distinct* state: every
 /// stage it marks as identity for the current structure is skipped

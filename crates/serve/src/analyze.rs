@@ -2,8 +2,8 @@
 //!
 //! [`CompileService::analyze`] answers "what does this platform's static
 //! model think of this shader under these flags" through the same path as
-//! any compile: route → memo, then coalesce → batch → run only when the memo
-//! misses. The analysed IR is the
+//! any compile: route → memo, then coalesce → run only when the memo misses.
+//! The analysed IR is the
 //! *optimized* IR of the requested flag combination (the schedule walk is
 //! memo-warm when any tenant already compiled it), and the report itself is
 //! memoised per `(fingerprint, personality)` in the shared [`CorpusCache`] —

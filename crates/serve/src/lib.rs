@@ -7,47 +7,45 @@
 //! sharing the paper's übershader study measures (ISPASS'18 §IV) pay off
 //! *across* clients, not just within one study process.
 //!
-//! ## Request order: route → memo → coalesce → batch → run
+//! ## Request order: route → memo → coalesce → run
+//!
+//! Every request is served on its caller's thread.
 //!
 //! 1. **route** — a shared *lower-once front stage* parses, lowers and
 //!    verifies the source (memoised per source text), and the base IR's
-//!    structural fingerprint routes the request to its owning shard using
-//!    the cache's own 16-way split ([`prism_core::FINGERPRINT_SHARDS`] /
+//!    structural fingerprint keys every later step; the cache splits its
+//!    locks 16 ways on it ([`prism_core::FINGERPRINT_SHARDS`] /
 //!    [`prism_core::shard_of`]). Warm-start snapshot files use the same
 //!    split, so shard ownership is stable across restarts.
 //! 2. **memo** — the calling thread walks the pass schedule lookup-only
 //!    over the shared [`CorpusCache`](prism_core::CorpusCache): stage
 //!    transitions, emitted text and static analyses that any previous
 //!    request (or a warm-start snapshot) paid for are answered from the
-//!    memo. **A hit ends here**: it never coalesces or queues, and its body
-//!    is the memo's shared `Arc<str>` handle — a refcount bump, never a
-//!    copy ([`ServiceStats::memo_answered`] counts these requests).
+//!    memo. **A hit ends here**: it never coalesces, and its body is the
+//!    memo's shared `Arc<str>` handle — a refcount bump, never a copy
+//!    ([`ServiceStats::memo_answered`] counts these requests).
 //! 3. **coalesce** — a request the memo missed joins a singleflight table:
 //!    identical in-flight misses (same fingerprint, flags, backend, analysis
 //!    and specialization) merge onto one compile, one leader compiles and
 //!    every waiter receives the same `Arc`'d result. Merged requests are
 //!    counted in
 //!    [`CacheStats::coalesced_requests`](prism_core::CacheStats).
-//! 4. **batch** — shard owners drain their queues in batches, taking the
-//!    queue lock once per batch rather than once per request.
-//! 5. **run** — the leader's job resumes the caller's walk at the stage the
-//!    graph missed, so no stage the caller answered is looked up again, and
-//!    runs only what the memo lacked. The test compute hook runs here, so
-//!    only for leaders.
+//! 4. **run** — the leader resumes the caller's walk at the stage the graph
+//!    missed, so no stage the caller answered is looked up again, and runs
+//!    only what the memo lacked. Leaders of different keys run in parallel.
+//!    The test compute hook runs here, so only for leaders.
 //!
-//! With `workers == 0` ([`ServeConfig`]) the submitting thread drives its
-//! own shard inline, making request streams fully deterministic; the
-//! [`load`] harness and the perf gate run this mode. With `workers > 0` a
-//! pool of shard-owner threads serves the queues.
+//! A single-threaded request stream is fully deterministic, down to every
+//! work counter; the [`load`] harness and the perf gate rely on that.
 //!
 //! ## The search tenant
 //!
 //! Serving is not the only client of the memo plane: [`CompileService::tune`]
 //! ([`tune`] module) runs an online, measurement-in-the-loop flag search
 //! whose every candidate compile is an ordinary request along the same
-//! route → memo → coalesce → batch → run path — so tuning traffic and
-//! serving traffic share one cache, coalesce against each other on misses,
-//! and hand each other zero-copy emissions. Spend and results are visible in
+//! route → memo → coalesce → run path — so tuning traffic and serving
+//! traffic share one cache, coalesce against each other on misses, and hand
+//! each other zero-copy emissions. Spend and results are visible in
 //! [`ServiceStats::tune_requests`], [`ServiceStats::measurements_taken`],
 //! [`ServiceStats::search_compiles`] and
 //! [`ServiceStats::tune_regret_x1000`].
@@ -91,6 +89,14 @@ mod tests {
 
     fn request(flags: OptFlags, backend: BackendKind) -> CompileRequest {
         CompileRequest::new(SOURCE, flags, backend)
+    }
+
+    /// Every request is rejected before routing, or routes and is answered
+    /// by the memo, leads a compile or coalesces onto a leader.
+    fn assert_requests_add_up(stats: &ServiceStats) {
+        let routed = stats.memo_answered + stats.leader_requests + stats.cache.coalesced_requests;
+        assert_eq!(stats.cache.routed_requests, routed, "{stats:?}");
+        assert_eq!(stats.requests, stats.front_errors + routed, "{stats:?}");
     }
 
     #[test]
@@ -175,6 +181,9 @@ mod tests {
             .compile(&CompileRequest::named(SOURCE, OptFlags::NONE, "dxbc"))
             .unwrap_err();
         assert_eq!(err, ServeError::UnknownTarget("dxbc".to_string()));
+        let stats = service.stats();
+        assert_eq!(stats.front_errors, 1, "an unknown target is a front error");
+        assert_requests_add_up(&stats);
     }
 
     #[test]
@@ -194,12 +203,13 @@ mod tests {
             Err(ServeError::Frontend(_))
         ));
         let stats = service.stats();
-        assert_eq!(stats.front_errors, 1, "the second failure is a memo hit");
-        assert_eq!(stats.front_lowers, 1);
+        assert_eq!(stats.front_errors, 2, "both rejections are front errors");
+        assert_eq!(stats.front_lowers, 1, "the second failure is a memo hit");
         assert_eq!(
             stats.cache.routed_requests, 0,
             "rejected requests never route"
         );
+        assert_requests_add_up(&stats);
     }
 
     /// Satellite 3 (coalescing): N threads submit the identical request and
@@ -208,10 +218,7 @@ mod tests {
     #[test]
     fn n_identical_inflight_requests_cost_exactly_one_compile() {
         const CLIENTS: usize = 6;
-        let service = Arc::new(CompileService::new(ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        }));
+        let service = Arc::new(CompileService::new(ServeConfig::default()));
 
         // The hook holds the leader's compile until every other client has
         // joined the flight as a waiter, making the coalescing deterministic.
@@ -331,6 +338,150 @@ mod tests {
         assert!(healthy.work.latency() > 0, "the error was not memoised");
     }
 
+    /// Runs `request` from `clients` threads released together by a barrier.
+    fn race(
+        service: &CompileService,
+        clients: usize,
+        request: &CompileRequest,
+    ) -> Vec<Result<CompileResponse, ServeError>> {
+        let barrier = Barrier::new(clients);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        service.compile(request)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A compute hook that holds each leader call until `clients - 1`
+    /// requests wait on its flight, then panics when `panics(call)` says so
+    /// (calls counted from 0).
+    fn held_hook(clients: usize, panics: fn(usize) -> bool) -> service::ComputeHook {
+        let calls = AtomicUsize::new(0);
+        Box::new(move |probe| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while probe.waiters() < clients - 1 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "waiters never joined: {}",
+                    probe.waiters()
+                );
+                std::thread::yield_now();
+            }
+            if panics(calls.fetch_add(1, Ordering::SeqCst)) {
+                panic!("injected leader crash");
+            }
+        })
+    }
+
+    /// A leader that panics with waiters on its flight: its retry serves
+    /// every client the same handle, and a leader that panics on the retry
+    /// too fails every client — leaving no flight behind, so the same
+    /// request leads again once the fault is gone.
+    #[test]
+    fn a_panicking_leader_with_waiters_serves_or_fails_every_client() {
+        const CLIENTS: usize = 5;
+        let service = CompileService::new(ServeConfig::default());
+        let retried = request(OptFlags::all(), BackendKind::Gles);
+        let failing = request(OptFlags::all(), BackendKind::Msl);
+        let saved = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        service.set_compute_hook(Some(held_hook(CLIENTS, |call| call == 0)));
+        let served = race(&service, CLIENTS, &retried);
+        let after_retry = service.stats();
+        service.set_compute_hook(Some(held_hook(CLIENTS, |_| true)));
+        let failed = race(&service, CLIENTS, &failing);
+        std::panic::set_hook(saved);
+        service.set_compute_hook(None);
+
+        let texts: Vec<Arc<str>> = served
+            .into_iter()
+            .map(|r| r.expect("the retry serves every client").text)
+            .collect();
+        assert!(texts.iter().all(|t| Arc::ptr_eq(t, &texts[0])));
+        assert_eq!(after_retry.compile_panics, 1);
+        assert_eq!(after_retry.retried_jobs, 1);
+        assert_eq!(after_retry.leader_requests, 1);
+        assert_eq!(after_retry.cache.coalesced_requests, CLIENTS - 1);
+
+        for result in &failed {
+            assert!(matches!(result, Err(ServeError::Panicked(_))), "{result:?}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.compile_panics, 3, "one retried crash, then two");
+        assert_eq!(stats.retried_jobs, 1);
+        assert_eq!(stats.cache.coalesced_requests, 2 * (CLIENTS - 1));
+
+        let again = service.compile(&failing).expect("the fault is gone");
+        assert!(!again.coalesced && again.work.latency() > 0, "{again:?}");
+        assert_eq!(service.stats().leader_requests, 3);
+    }
+
+    /// A leader held inside its compile stalls no miss on another base, not
+    /// even one in the same cache shard: leaders run in parallel, each on
+    /// its caller's thread.
+    #[test]
+    fn a_held_leader_does_not_stall_a_miss_on_another_base() {
+        use std::sync::{mpsc, Mutex};
+        let corpus = prism_corpus::Corpus::gfxbench_like();
+        let base = |source: &str| {
+            let parsed = prism_glsl::ShaderSource::parse(source).unwrap();
+            let ir = prism_core::lower(&parsed, &service::source_name(source)).unwrap();
+            prism_ir::fingerprint::fingerprint(&ir)
+        };
+        let held = corpus.cases[0].source.text.as_str();
+        let held_fp = base(held);
+        let other = corpus.cases[1..]
+            .iter()
+            .map(|case| case.source.text.as_str())
+            .find(|&source| {
+                let fp = base(source);
+                fp != held_fp && prism_core::shard_of(fp) == prism_core::shard_of(held_fp)
+            })
+            .expect("two corpus bases share a shard");
+
+        let service = CompileService::new(ServeConfig::default());
+        let first = std::sync::atomic::AtomicBool::new(true);
+        let (entered, on_entry) = mpsc::channel();
+        let (release, on_release) = mpsc::channel::<()>();
+        let on_release = Mutex::new(on_release);
+        service.set_compute_hook(Some(Box::new(move |_| {
+            if first.swap(false, Ordering::SeqCst) {
+                entered.send(()).unwrap();
+                // A timeout panics, and the panic shows in `compile_panics`.
+                on_release
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .expect("the other miss waited for the held leader");
+            }
+        })));
+        let compile = |source| {
+            service.compile(&CompileRequest::new(
+                source,
+                OptFlags::all(),
+                BackendKind::Gles,
+            ))
+        };
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| compile(held));
+            on_entry.recv().unwrap();
+            let response = compile(other);
+            release.send(()).unwrap();
+            response.expect("the other base compiles");
+            leader.join().unwrap().expect("the held leader compiles");
+        });
+        service.set_compute_hook(None);
+        let stats = service.stats();
+        assert_eq!(stats.compile_panics, 0, "a miss stalled: {stats:?}");
+        assert_eq!(stats.leader_requests, 2);
+    }
+
     /// Tentpole acceptance (warm boot): a service booted from the previous
     /// service's snapshot serves the replayed stream with **zero** stage
     /// runs and byte-identical responses.
@@ -379,7 +530,7 @@ mod tests {
 
     /// Tentpole acceptance (skewed stream): after warm-up, coalesced +
     /// memo-served requests are ≥ 90% of the measured window. Memo hits end
-    /// on the calling thread; every other request is one batched job.
+    /// on the calling thread; every other request leads one compile.
     #[test]
     fn zipf_stream_is_mostly_free_after_warmup() {
         let corpus = prism_corpus::Corpus::gfxbench_like();
@@ -396,10 +547,10 @@ mod tests {
         );
         assert_eq!(summary.p50_latency, 0, "the p50 request must be free");
         let stats = service.stats();
-        assert_eq!(stats.batched_requests + stats.memo_answered, stream.len());
+        assert_eq!(stats.leader_requests + stats.memo_answered, stream.len());
         assert_eq!(
-            stats.batches, stats.batched_requests,
-            "sequential inline replay drains one job per batch"
+            stats.cache.coalesced_requests, 0,
+            "a sequential replay never coalesces"
         );
     }
 

@@ -1,46 +1,39 @@
-//! The sharded compile service.
+//! The compile service.
 //!
-//! One [`CompileService`] owns a [`CorpusCache`] and serves
-//! [`CompileRequest`]s in this order:
+//! One [`CompileService`] owns a [`CorpusCache`] and serves every
+//! [`CompileRequest`] on its caller's thread, in this order:
 //!
 //! 1. **route** — the source text goes through a shared *lower-once front
 //!    stage* (parse + lower + verify, memoised per source text), and the
-//!    base IR's [`fingerprint`] picks the owning shard with the cache's own
-//!    16-way split ([`prism_core::shard_of`]) — the same split the warm-start
-//!    snapshot files use, so shard ownership survives restarts without
-//!    re-keying;
+//!    base IR's [`fingerprint`] keys every later step; the cache splits its
+//!    locks 16 ways on it ([`prism_core::shard_of`]) — the same split the
+//!    warm-start snapshot files use, so a request's shard survives restarts
+//!    without re-keying;
 //! 2. **memo** — the calling thread walks the pass schedule over the shared
 //!    [`CorpusCache`] lookup-only: the specialized-base memo, the stage
 //!    transitions, the emitted text and (when asked for) the static analysis
 //!    are answered whenever an equivalent request (or a warm-start snapshot)
 //!    already paid for them. A request the memo answers completely **ends
-//!    here** ([`ServiceStats::memo_answered`]): it never coalesces or queues,
-//!    and its body is the memo's shared `Arc<str>` handle — a refcount bump,
-//!    never a copy;
+//!    here** ([`ServiceStats::memo_answered`]): it never coalesces, and its
+//!    body is the memo's shared `Arc<str>` handle — a refcount bump, never a
+//!    copy;
 //! 3. **coalesce** — only a request the memo missed enters the singleflight
 //!    table keyed `(fingerprint, flags, backend, analysis, spec)`: one leader
 //!    compiles, every waiter blocks on the same flight and receives the same
 //!    `Arc`'d result ([`CacheStats::coalesced_requests`] counts the merged
 //!    ones);
-//! 4. **batch** — the leader's job lands in its shard's queue, and the
-//!    shard's owner drains the queue in batches so the queue lock is taken
-//!    once per batch, not once per request;
-//! 5. **run** — the job resumes the caller's walk at the stage it missed
+//! 4. **run** — the leader resumes the caller's walk at the stage it missed
 //!    (no stage the caller answered is looked up again), runs the passes,
 //!    emitter and analysis the memo lacked, and records them for every later
-//!    request. The test compute hook runs here, so only for leaders.
-//!
-//! With `workers == 0` the service is *inline*: the submitting thread drives
-//! its own shard, which makes request streams fully deterministic (the load
-//! harness and the perf gate run this mode). With `workers > 0` a pool of
-//! shard-owner threads drains the queues; each worker owns the shards
-//! congruent to its index.
+//!    request. Leaders of different keys run in parallel; two that miss the
+//!    same stage of one state may both run it, and the transition memo keeps
+//!    one result. The test compute hook runs here, so only for leaders.
 
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, emit_memoised, shard_of, specialize_shader, CacheStats, CacheStore,
-    CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk, FINGERPRINT_SHARDS,
+    build_schedule, emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache,
+    OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk,
 };
 use prism_emit::{BackendChain, BackendKind};
 use prism_glsl::ShaderInterface;
@@ -48,12 +41,11 @@ use prism_gpu::Vendor;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::interp::{results_exactly_equal, run_fragment};
 use prism_ir::verify::verify;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Duration;
 
 /// The pass schedule, instantiated once per thread: `Stage` holds boxed
 /// passes without `Send + Sync` bounds, so each thread that compiles owns
@@ -86,14 +78,9 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 ///
 /// Marked `#[non_exhaustive]`: construct with [`ServeConfig::default`] and
 /// the `with_*` setters, so future knobs are not breaking changes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Shard-owner worker threads. `0` = inline mode: the submitting thread
-    /// drives its own shard (deterministic; what benches and gates use).
-    pub workers: usize,
-    /// Maximum jobs drained from a shard queue per lock acquisition.
-    pub batch_limit: usize,
     /// Warm-start directory: loaded on boot ([`CorpusCache::load`]) and
     /// snapshotted on [`CompileService::shutdown`] ([`CorpusCache::save`]).
     pub warm_start_dir: Option<PathBuf>,
@@ -101,30 +88,7 @@ pub struct ServeConfig {
     pub cache_budget: Option<usize>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 0,
-            batch_limit: 64,
-            warm_start_dir: None,
-            cache_budget: None,
-        }
-    }
-}
-
 impl ServeConfig {
-    /// This config with a different worker-pool size (`0` = inline mode).
-    pub fn with_workers(mut self, workers: usize) -> ServeConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// This config with a different per-drain batch limit.
-    pub fn with_batch_limit(mut self, batch_limit: usize) -> ServeConfig {
-        self.batch_limit = batch_limit;
-        self
-    }
-
     /// This config with a warm-start snapshot directory.
     pub fn with_warm_start_dir(mut self, dir: impl Into<PathBuf>) -> ServeConfig {
         self.warm_start_dir = Some(dir.into());
@@ -385,10 +349,6 @@ impl Flight {
             state = self.cv.wait(state).expect("flight poisoned");
         }
     }
-
-    fn is_done(&self) -> bool {
-        self.state.lock().expect("flight poisoned").is_some()
-    }
 }
 
 /// Probe handed to the test-only compute hook: visibility into the flight
@@ -430,21 +390,6 @@ enum Resume {
     },
 }
 
-/// A queued compile job (the leader's, never a waiter's).
-struct Job {
-    key: FlightKey,
-    resume: Resume,
-    /// The caller's walk counts so far.
-    work: SessionStats,
-    flight: Arc<Flight>,
-}
-
-/// Wake signal for one worker thread.
-struct WorkerSignal {
-    state: Mutex<u64>,
-    cv: Condvar,
-}
-
 /// Monotonic service counters (everything not already owned by the cache).
 #[derive(Default)]
 struct Counters {
@@ -457,8 +402,7 @@ struct Counters {
     zero_copy_hits: AtomicUsize,
     compile_panics: AtomicUsize,
     retried_jobs: AtomicUsize,
-    batches: AtomicUsize,
-    batched_requests: AtomicUsize,
+    leader_requests: AtomicUsize,
     tune_requests: AtomicUsize,
     tune_measurements: AtomicUsize,
     search_compiles: AtomicUsize,
@@ -472,18 +416,23 @@ struct Counters {
 /// A point-in-time snapshot of service telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests accepted (front stage attempted).
+    /// Requests received. Each is counted in exactly one of
+    /// `front_errors`, `memo_answered`, `leader_requests` and
+    /// [`CacheStats::coalesced_requests`]; every one but the first kind is
+    /// routed ([`CacheStats::routed_requests`]).
     pub requests: usize,
     /// Requests the memo answered completely on the calling thread — no
-    /// flight, queue or compile. Every routed request is memo-answered, a
-    /// leader (one of `batched_requests`) or coalesced
-    /// ([`CacheStats::coalesced_requests`]).
+    /// flight or compile.
     pub memo_answered: usize,
-    /// Requests whose front stage was answered from the source-text memo.
+    /// Requests whose front stage was answered from the source-text memo
+    /// (a memoised rejection included).
     pub front_hits: usize,
-    /// Front-stage lowers actually performed (memo misses).
+    /// Front-stage lowers run: one per source-memo miss, whether the source
+    /// lowered or was rejected.
     pub front_lowers: usize,
-    /// Requests rejected by the front stage.
+    /// Requests rejected before routing: an unknown target form, or a
+    /// source the front stage rejects, whether lowered now or answered from
+    /// the memo.
     pub front_errors: usize,
     /// Requests that named a form and fell through the backend chain.
     pub chain_fallbacks: usize,
@@ -491,12 +440,11 @@ pub struct ServiceStats {
     pub zero_copy_hits: usize,
     /// Compile attempts that panicked (each is retried once).
     pub compile_panics: usize,
-    /// Jobs that succeeded on their post-panic retry.
+    /// Leader compiles that succeeded on their post-panic retry.
     pub retried_jobs: usize,
-    /// Shard-queue batch drains (each takes the queue lock exactly once).
-    pub batches: usize,
-    /// Jobs processed across those batches.
-    pub batched_requests: usize,
+    /// Requests the memo missed that led a compile (the first of their key
+    /// in flight).
+    pub leader_requests: usize,
     /// Online-tune passes completed (`CompileService::tune*`).
     pub tune_requests: usize,
     /// Timing measurements taken across all tune passes (the online search
@@ -504,7 +452,7 @@ pub struct ServiceStats {
     pub measurements_taken: usize,
     /// Distinct flag combinations the search tenant compiled across all
     /// tune passes. Each was an ordinary request: routed, answered by the
-    /// memo when it could be, and coalesced, batched and run otherwise.
+    /// memo when it could be, and coalesced and run otherwise.
     pub search_compiles: usize,
     /// Search candidates whose timing measurement was skipped because the
     /// static prefilter found their static cost dominated by an already-
@@ -522,9 +470,12 @@ pub struct ServiceStats {
     pub cache: CacheStats,
 }
 
-/// Everything the service and its worker threads share.
-struct Inner {
-    config: ServeConfig,
+/// The compile service. See the [module docs](self) for the request
+/// lifecycle; construction is [`CompileService::new`], teardown
+/// [`CompileService::shutdown`] (snapshots the cache) or a plain drop (no
+/// snapshot).
+pub struct CompileService {
+    warm_start_dir: Option<PathBuf>,
     cache: Arc<CorpusCache>,
     session: SessionId,
     chain: BackendChain,
@@ -535,20 +486,8 @@ struct Inner {
     /// refcount bump for every later request.
     spec_bases: RwLock<HashMap<(Fingerprint, SpecKey), Snapshot>>,
     flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    signals: Vec<WorkerSignal>,
     counters: Counters,
-    shutdown: AtomicBool,
     hook: RwLock<Option<ComputeHook>>,
-}
-
-/// The compile service. See the [module docs](self) for the request
-/// lifecycle; construction is [`CompileService::new`], teardown
-/// [`CompileService::shutdown`] (graceful, snapshots the cache) or `Drop`
-/// (joins workers, no snapshot).
-pub struct CompileService {
-    inner: Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     /// Per-übershader-family best-known flag sets, updated by every
     /// completed tune pass and used to warm-start the next one. The empty
     /// key `""` is the global fallback.
@@ -556,8 +495,8 @@ pub struct CompileService {
 }
 
 impl CompileService {
-    /// Boots a service: builds the cache (bounded if configured), warm-starts
-    /// it from `warm_start_dir` when set, and spawns the worker pool.
+    /// Boots a service: builds the cache (bounded if configured) and
+    /// warm-starts it from `warm_start_dir` when set.
     pub fn new(config: ServeConfig) -> CompileService {
         let cache = Arc::new(match config.cache_budget {
             Some(budget) => CorpusCache::bounded(budget),
@@ -572,52 +511,28 @@ impl CompileService {
             cache.load(dir);
         }
         let session = cache.register_session_in("serve");
-        let worker_count = config.workers;
-        let inner = Arc::new(Inner {
-            config,
+        CompileService {
+            warm_start_dir: config.warm_start_dir,
             cache,
             session,
             chain: BackendChain::standard(),
             front: RwLock::new(HashMap::new()),
             spec_bases: RwLock::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
-            queues: (0..FINGERPRINT_SHARDS)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            signals: (0..worker_count)
-                .map(|_| WorkerSignal {
-                    state: Mutex::new(0),
-                    cv: Condvar::new(),
-                })
-                .collect(),
             counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
             hook: RwLock::new(None),
-        });
-        let workers = (0..worker_count)
-            .map(|w| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("prism-serve-{w}"))
-                    .spawn(move || Inner::worker_loop(&inner, w))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        CompileService {
-            inner,
-            workers,
             best_known: Mutex::new(HashMap::new()),
         }
     }
 
     /// The service's shared cache (for telemetry and tests).
     pub fn cache(&self) -> &Arc<CorpusCache> {
-        &self.inner.cache
+        &self.cache
     }
 
     /// Current service telemetry.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.inner.counters;
+        let c = &self.counters;
         ServiceStats {
             requests: c.requests.load(Ordering::Relaxed),
             memo_answered: c.memo_answered.load(Ordering::Relaxed),
@@ -628,20 +543,19 @@ impl CompileService {
             zero_copy_hits: c.zero_copy_hits.load(Ordering::Relaxed),
             compile_panics: c.compile_panics.load(Ordering::Relaxed),
             retried_jobs: c.retried_jobs.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_requests: c.batched_requests.load(Ordering::Relaxed),
+            leader_requests: c.leader_requests.load(Ordering::Relaxed),
             tune_requests: c.tune_requests.load(Ordering::Relaxed),
             measurements_taken: c.tune_measurements.load(Ordering::Relaxed),
             search_compiles: c.search_compiles.load(Ordering::Relaxed),
             search_candidates_pruned: c.search_candidates_pruned.load(Ordering::Relaxed),
             lints_emitted: c.lints_emitted.load(Ordering::Relaxed),
             tune_regret_x1000: c.tune_regret_x1000.load(Ordering::Relaxed),
-            cache: self.inner.cache.stats(),
+            cache: self.cache.stats(),
         }
     }
 
-    /// Serves one request (blocking). See the [module docs](self) for the
-    /// route → memo → coalesce → batch → run order.
+    /// Serves one request on the calling thread (blocking). See the
+    /// [module docs](self) for the route → memo → coalesce → run order.
     ///
     /// # Errors
     ///
@@ -649,129 +563,11 @@ impl CompileService {
     /// (twice-)failing compile. Errors are results, never hangs: a panicking
     /// compile is retried once and then reported to every merged request.
     pub fn compile(&self, request: &CompileRequest) -> Result<CompileResponse, ServeError> {
-        self.inner.compile(request)
-    }
-
-    /// Graceful shutdown: joins the worker pool, then snapshots the cache to
-    /// the configured warm-start directory (if any) so the next boot serves
-    /// this process's work from disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CorpusCache::save`] failures (the workers are already
-    /// joined by then).
-    pub fn shutdown(mut self) -> Result<Option<prism_core::SaveReport>, String> {
-        self.stop_workers();
-        match &self.inner.config.warm_start_dir {
-            Some(dir) => self.inner.cache.save(dir).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Installs the test-only compute hook (runs at the start of every
-    /// leader compile; a request the memo answers never reaches it). Used by
-    /// the coalescing and torn-request suites to hold or crash a compile
-    /// deterministically.
-    #[doc(hidden)]
-    pub fn set_compute_hook(&self, hook: Option<ComputeHook>) {
-        *self.inner.hook.write().expect("hook poisoned") = hook;
-    }
-
-    /// The best-known flag set for a family (falling back to the global
-    /// `""` entry), if any tune pass has recorded one.
-    pub(crate) fn tune_warm_hint(&self, family: &str) -> Option<OptFlags> {
-        let map = self.best_known.lock().expect("best-known map poisoned");
-        map.get(family).copied().or_else(|| map.get("").copied())
-    }
-
-    /// Records a completed tune pass: updates the family's (and the global)
-    /// best-known set last-wins, and bumps the tune counters.
-    pub(crate) fn record_tune(
-        &self,
-        family: &str,
-        best_flags: OptFlags,
-        measurements: usize,
-        search_compiles: usize,
-        candidates_pruned: usize,
-        regret_x1000: Option<usize>,
-    ) {
-        {
-            let mut map = self.best_known.lock().expect("best-known map poisoned");
-            map.insert(family.to_string(), best_flags);
-            map.insert(String::new(), best_flags);
-        }
-        let c = &self.inner.counters;
-        c.tune_requests.fetch_add(1, Ordering::Relaxed);
-        c.tune_measurements
-            .fetch_add(measurements, Ordering::Relaxed);
-        c.search_compiles
-            .fetch_add(search_compiles, Ordering::Relaxed);
-        c.search_candidates_pruned
-            .fetch_add(candidates_pruned, Ordering::Relaxed);
-        if let Some(regret) = regret_x1000 {
-            c.tune_regret_x1000.store(regret, Ordering::Relaxed);
-        }
-    }
-
-    fn stop_workers(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        for signal in &self.inner.signals {
-            let _guard = signal.state.lock().expect("signal poisoned");
-            signal.cv.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for CompileService {
-    fn drop(&mut self) {
-        self.stop_workers();
-    }
-}
-
-/// Completes a flight (and unregisters it) exactly once, even if the
-/// processing path unwinds: dropping an unfinished guard reports a panic
-/// error to every waiter instead of leaving them blocked forever.
-struct FlightGuard<'a> {
-    inner: &'a Inner,
-    key: FlightKey,
-    flight: Arc<Flight>,
-    done: bool,
-}
-
-impl FlightGuard<'_> {
-    fn finish(mut self, result: Result<Served, ServeError>) {
-        self.done = true;
-        self.flight.complete(result);
-        self.inner.unregister_flight(&self.key, &self.flight);
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.flight.complete(Err(ServeError::Panicked(
-                "compile worker unwound without completing its flight".to_string(),
-            )));
-            self.inner.unregister_flight(&self.key, &self.flight);
-        }
-    }
-}
-
-impl Inner {
-    fn compile(&self, request: &CompileRequest) -> Result<CompileResponse, ServeError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (backend, chain_fallback) = self.resolve_target(&request.target)?;
-        if chain_fallback {
-            self.counters
-                .chain_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let front = self.front_entry(&request.source)?;
-        // Routed: the front stage succeeded and the fingerprint picked an
-        // owning shard.
+        let (backend, chain_fallback, front) = self.route(request).inspect_err(|_| {
+            self.counters.front_errors.fetch_add(1, Ordering::Relaxed);
+        })?;
+        // Routed: the target resolved and the front stage lowered the source.
         self.cache.note_routed_request();
         let mut work = SessionStats::default();
         let (served, coalesced) =
@@ -805,11 +601,116 @@ impl Inner {
         })
     }
 
-    /// Coalesce → batch → run, for a request the memo missed: the first
-    /// request of its key leads — its job resumes the caller's walk from
-    /// `resume` with the `work` counted so far — and every identical request
-    /// arriving meanwhile waits on the leader's flight. Returns the result
-    /// and whether this request coalesced.
+    /// Graceful shutdown: snapshots the cache to the configured warm-start
+    /// directory (if any) so the next boot serves this process's work from
+    /// disk.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CorpusCache::save`] failures.
+    pub fn shutdown(self) -> Result<Option<prism_core::SaveReport>, String> {
+        match &self.warm_start_dir {
+            Some(dir) => self.cache.save(dir).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Installs the test-only compute hook (runs at the start of every
+    /// leader compile; a request the memo answers never reaches it). Used by
+    /// the coalescing and torn-request suites to hold or crash a compile
+    /// deterministically.
+    #[doc(hidden)]
+    pub fn set_compute_hook(&self, hook: Option<ComputeHook>) {
+        *self.hook.write().expect("hook poisoned") = hook;
+    }
+
+    /// The best-known flag set for a family (falling back to the global
+    /// `""` entry), if any tune pass has recorded one.
+    pub(crate) fn tune_warm_hint(&self, family: &str) -> Option<OptFlags> {
+        let map = self.best_known.lock().expect("best-known map poisoned");
+        map.get(family).copied().or_else(|| map.get("").copied())
+    }
+
+    /// Records a completed tune pass: updates the family's (and the global)
+    /// best-known set last-wins, and bumps the tune counters.
+    pub(crate) fn record_tune(
+        &self,
+        family: &str,
+        best_flags: OptFlags,
+        measurements: usize,
+        search_compiles: usize,
+        candidates_pruned: usize,
+        regret_x1000: Option<usize>,
+    ) {
+        {
+            let mut map = self.best_known.lock().expect("best-known map poisoned");
+            map.insert(family.to_string(), best_flags);
+            map.insert(String::new(), best_flags);
+        }
+        let c = &self.counters;
+        c.tune_requests.fetch_add(1, Ordering::Relaxed);
+        c.tune_measurements
+            .fetch_add(measurements, Ordering::Relaxed);
+        c.search_compiles
+            .fetch_add(search_compiles, Ordering::Relaxed);
+        c.search_candidates_pruned
+            .fetch_add(candidates_pruned, Ordering::Relaxed);
+        if let Some(regret) = regret_x1000 {
+            c.tune_regret_x1000.store(regret, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Completes a flight (and unregisters it) exactly once, even if the
+/// processing path unwinds: dropping an unfinished guard reports a panic
+/// error to every waiter instead of leaving them blocked forever.
+struct FlightGuard<'a> {
+    service: &'a CompileService,
+    key: FlightKey,
+    flight: Arc<Flight>,
+    done: bool,
+}
+
+impl FlightGuard<'_> {
+    fn finish(mut self, result: Result<Served, ServeError>) {
+        self.done = true;
+        self.flight.complete(result);
+        self.service.unregister_flight(&self.key, &self.flight);
+    }
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        if !self.done {
+            self.flight.complete(Err(ServeError::Panicked(
+                "compile unwound without completing its flight".to_string(),
+            )));
+            self.service.unregister_flight(&self.key, &self.flight);
+        }
+    }
+}
+
+impl CompileService {
+    /// The steps a request passes before it routes: target resolution and
+    /// the front stage.
+    fn route(
+        &self,
+        request: &CompileRequest,
+    ) -> Result<(BackendKind, bool, Arc<FrontEntry>), ServeError> {
+        let (backend, chain_fallback) = self.resolve_target(&request.target)?;
+        if chain_fallback {
+            self.counters
+                .chain_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((backend, chain_fallback, self.front_entry(&request.source)?))
+    }
+
+    /// Coalesce → run, for a request the memo missed: the first request of
+    /// its key leads — its compile resumes the caller's walk from `resume`
+    /// with the `work` counted so far — and every identical request arriving
+    /// meanwhile waits on the leader's flight. Returns the result and
+    /// whether this request coalesced.
     fn fly(
         &self,
         key: FlightKey,
@@ -830,25 +731,14 @@ impl Inner {
                 }
             }
         };
-
-        if leader {
-            let shard = shard_of(key.fp);
-            self.enqueue(
-                shard,
-                Job {
-                    key,
-                    resume,
-                    work,
-                    flight: Arc::clone(&flight),
-                },
-            );
-            if self.config.workers == 0 {
-                self.drive_shard(shard, &flight);
-            }
-        } else {
+        if !leader {
             self.cache.note_coalesced_request();
+            return Ok((flight.wait()?, true));
         }
-        Ok((flight.wait()?, !leader))
+        self.counters
+            .leader_requests
+            .fetch_add(1, Ordering::Relaxed);
+        Ok((self.lead(key, resume, work, flight)?, false))
     }
 
     /// The calling thread's walk: answers `request` from the memo planes
@@ -927,9 +817,6 @@ impl Inner {
         // same text is wasted work but deterministic — the base IR and its
         // fingerprint are pure functions of the source.
         let entry = self.lower_front(source);
-        if entry.is_err() {
-            self.counters.front_errors.fetch_add(1, Ordering::Relaxed);
-        }
         self.front
             .write()
             .expect("front memo poisoned")
@@ -962,64 +849,25 @@ impl Inner {
         }))
     }
 
-    fn enqueue(&self, shard: usize, job: Job) {
-        self.queues[shard]
-            .lock()
-            .expect("shard queue poisoned")
-            .push_back(job);
-        if !self.signals.is_empty() {
-            let signal = &self.signals[shard % self.signals.len()];
-            let mut epoch = signal.state.lock().expect("signal poisoned");
-            *epoch += 1;
-            signal.cv.notify_one();
-        }
-    }
-
-    /// Inline mode: the submitting thread drains its own shard until its
-    /// flight completes. Another inline submitter may steal the job in its
-    /// own batch — then this loop simply waits on the flight.
-    fn drive_shard(&self, shard: usize, until: &Flight) {
-        while !until.is_done() {
-            if !self.process_batch(shard) {
-                return; // queue empty: someone else owns our job; wait() blocks.
-            }
-        }
-    }
-
-    /// Drains one batch from a shard queue — the queue lock is taken exactly
-    /// once — and processes every job in it. Returns `false` on an empty
-    /// queue.
-    fn process_batch(&self, shard: usize) -> bool {
-        let batch: Vec<Job> = {
-            let mut queue = self.queues[shard].lock().expect("shard queue poisoned");
-            let take = queue.len().min(self.config.batch_limit.max(1));
-            queue.drain(..take).collect()
-        };
-        if batch.is_empty() {
-            return false;
-        }
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .batched_requests
-            .fetch_add(batch.len(), Ordering::Relaxed);
-        for job in batch {
-            self.process_job(job);
-        }
-        true
-    }
-
-    /// Runs one job to flight completion. A panicking compile is caught and
-    /// retried once (transient failures — including the test hook — succeed
-    /// on retry); a second panic becomes a [`ServeError::Panicked`] result.
-    /// Either way the flight completes: waiters never hang.
-    fn process_job(&self, job: Job) {
+    /// Runs the leader's compile to flight completion. A panicking compile
+    /// is caught and retried once (transient failures — including the test
+    /// hook — succeed on retry); a second panic becomes a
+    /// [`ServeError::Panicked`] result. Either way the flight completes:
+    /// waiters never hang.
+    fn lead(
+        &self,
+        key: FlightKey,
+        resume: Resume,
+        work: SessionStats,
+        flight: Arc<Flight>,
+    ) -> Result<Served, ServeError> {
         let guard = FlightGuard {
-            inner: self,
-            key: job.key.clone(),
-            flight: Arc::clone(&job.flight),
+            service: self,
+            key,
+            flight,
             done: false,
         };
-        let attempt = || self.compute(&job);
+        let attempt = || self.compute(&guard.key, &resume, work, &guard.flight);
         let result = match catch_unwind(AssertUnwindSafe(attempt)) {
             Ok(result) => result,
             Err(_) => {
@@ -1038,29 +886,33 @@ impl Inner {
                 }
             }
         };
-        guard.finish(result);
+        guard.finish(result.clone());
+        result
     }
 
     /// The leader's compile: resumes the caller's memo walk where it
     /// stopped — deriving the specialized base, or walking on from the stage
     /// the graph missed — then emits and analyses whatever the memo lacked,
     /// recording it for every later request.
-    fn compute(&self, job: &Job) -> Result<Served, ServeError> {
+    fn compute(
+        &self,
+        key: &FlightKey,
+        resume: &Resume,
+        mut work: SessionStats,
+        flight: &Flight,
+    ) -> Result<Served, ServeError> {
         if let Some(hook) = self.hook.read().expect("hook poisoned").as_ref() {
-            hook(&FlightProbe {
-                flight: &job.flight,
-            });
+            hook(&FlightProbe { flight });
         }
-        let mut work = job.work;
-        let flags = job.key.flags;
+        let flags = key.flags;
         // A specialized request runs the ordinary flag schedule, just from a
         // different starting snapshot: the substituted-and-folded base. That
         // base is another IR structure, so everything downstream (transition
         // memo, emission memo, analysis memo) dedups by fingerprint with no
         // special cases.
-        let (state, text) = match &job.resume {
+        let (state, text) = match resume {
             Resume::Specialize { base } => {
-                let start = self.spec_base(base, &job.key.spec)?;
+                let start = self.spec_base(base, &key.spec)?;
                 let walk = Walk::new(&*self.cache, start);
                 (self.walk_on(walk, 0, flags, &mut work)?, None)
             }
@@ -1071,13 +923,7 @@ impl Inner {
         };
         let text = match text {
             Some(text) => text,
-            None => emit_memoised(
-                &*self.cache,
-                self.session,
-                job.key.backend,
-                &state,
-                &mut work,
-            ),
+            None => emit_memoised(&*self.cache, self.session, key.backend, &state, &mut work),
         };
         let zero_copy = work.emission_hits > 0;
         if zero_copy {
@@ -1086,7 +932,7 @@ impl Inner {
         // The analysis rides the same memo discipline as emitted text: one
         // walk of the optimized IR per distinct `(fingerprint, personality)`,
         // then shared `Arc` handles forever (including across warm restarts).
-        let analysis = match job.key.analyze {
+        let analysis = match key.analyze {
             None => None,
             Some(vendor) => {
                 let personality = vendor.name();
@@ -1123,8 +969,7 @@ impl Inner {
     /// answering what the graph can and running the rest, as a
     /// `CompileSession` walks. Stage `from` is the one the caller's walk
     /// missed; it is looked up once more, because a leader of another key
-    /// may have recorded it since — two concurrent misses on one state then
-    /// run it once, as they would on one shard's queue.
+    /// may have recorded it since.
     fn walk_on(
         &self,
         walk: Walk,
@@ -1209,35 +1054,6 @@ impl Inner {
         if let Some(current) = flights.get(key) {
             if Arc::ptr_eq(current, flight) {
                 flights.remove(key);
-            }
-        }
-    }
-
-    /// Worker `w` owns every shard congruent to `w` modulo the pool size;
-    /// it drains batches until told to shut down, napping briefly when all
-    /// its queues are empty (the nap doubles as the missed-notify backstop).
-    fn worker_loop(inner: &Arc<Inner>, w: usize) {
-        let workers = inner.signals.len();
-        loop {
-            let mut did_work = false;
-            for shard in (w..FINGERPRINT_SHARDS).step_by(workers) {
-                while inner.process_batch(shard) {
-                    did_work = true;
-                }
-            }
-            if inner.shutdown.load(Ordering::SeqCst) {
-                if !did_work {
-                    return; // queues drained after the shutdown signal
-                }
-                continue;
-            }
-            if !did_work {
-                let signal = &inner.signals[w];
-                let epoch = signal.state.lock().expect("signal poisoned");
-                let _ = signal
-                    .cv
-                    .wait_timeout(epoch, Duration::from_millis(20))
-                    .expect("signal poisoned");
             }
         }
     }

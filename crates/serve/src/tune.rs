@@ -4,8 +4,8 @@
 //! one shader on one simulated platform, *through the service itself*: every
 //! candidate combination the search strategy wants to try becomes an
 //! ordinary [`CompileRequest`] and takes the same route → memo → coalesce →
-//! batch → run path as serving traffic. The consequences are exactly the
-//! ones the service was built for:
+//! run path as serving traffic. The consequences are exactly the ones the
+//! service was built for:
 //!
 //! * variants the serving plane already emitted cost the search tenant a
 //!   memo hit (an `Arc<str>` refcount bump), not an emission — and vice

@@ -256,9 +256,9 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
     ])
 }
 
-/// The compile-service phase: a seeded Zipf request stream replayed against
-/// an inline (deterministic) service, then replayed again by a service
-/// warm-booted from the first one's snapshot. Gates the per-request p50/p99
+/// The compile-service phase: a seeded Zipf request stream replayed from one
+/// thread (deterministic) against a cold service, then replayed again by a
+/// service warm-booted from the first one's snapshot. Gates the per-request p50/p99
 /// work-counter latencies and the memo-served volume, and *hard-asserts*
 /// the serving contracts — p50 is free after warm-up, and the warm-booted
 /// replay performs zero stage runs — so those cannot regress even within

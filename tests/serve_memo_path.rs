@@ -1,9 +1,9 @@
 //! The compile service's memo path. A request the memo answers completely
-//! returns on the calling thread: it never registers a flight, joins a shard
-//! queue or reaches the compute hook. A request the memo misses part-way
-//! through the schedule is resumed by its leader where the caller's walk
-//! stopped, so no stage hit is counted twice and the request reports the
-//! work a `CompileSession` counts for the same call.
+//! returns on the calling thread: it never registers a flight or reaches the
+//! compute hook. A request the memo misses part-way through the schedule is
+//! resumed by its leader where the caller's walk stopped, so no stage hit is
+//! counted twice and the request reports the work a `CompileSession` counts
+//! for the same call.
 
 use prism::core::{candidate_keys, lower, CompileSession, Flag, OptFlags, SessionStats};
 use prism::corpus::Corpus;
@@ -14,7 +14,7 @@ use prism::serve::{
     StreamSpec,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn corpus() -> Corpus {
     Corpus::gfxbench_like().subset(&[
@@ -55,60 +55,55 @@ fn same_handle(a: &Option<Arc<str>>, b: &Option<Arc<str>>) -> bool {
     }
 }
 
-/// Every routed request is answered by the memo, leads one batched job, or
-/// coalesces onto a leader.
+/// Every request is rejected before routing, or routes and is answered by
+/// the memo, leads a compile or coalesces onto a leader.
 fn assert_requests_add_up(stats: &ServiceStats) {
-    assert_eq!(
-        stats.requests,
-        stats.front_errors
-            + stats.memo_answered
-            + stats.batched_requests
-            + stats.cache.coalesced_requests,
-        "{stats:?}"
-    );
+    let routed = stats.memo_answered + stats.leader_requests + stats.cache.coalesced_requests;
+    assert_eq!(stats.cache.routed_requests, routed, "{stats:?}");
+    assert_eq!(stats.requests, stats.front_errors + routed, "{stats:?}");
 }
 
 #[test]
 fn warm_hits_never_reach_the_flight_path() {
     let corpus = corpus();
     let stream = mixed_stream(&corpus, 5, 240);
-    for workers in [0, 2] {
-        let service = CompileService::new(ServeConfig::default().with_workers(workers));
-        let warm: Vec<CompileResponse> = stream
-            .iter()
-            .map(|r| service.compile(r).expect("the warm-up serves"))
-            .collect();
-        service.set_compute_hook(Some(Box::new(|_| {
-            panic!("a memo-answered request reached the compute path")
-        })));
-        let before = service.stats();
-        for (i, (request, first)) in stream.iter().zip(&warm).enumerate() {
-            let replay = service
-                .compile(request)
-                .unwrap_or_else(|e| panic!("workers {workers}, request {i}: {e}"));
-            assert!(
-                Arc::ptr_eq(&replay.text, &first.text),
-                "workers {workers}, request {i}: the body is not the memo's handle"
-            );
-            assert!(
-                same_handle(&replay.analysis, &first.analysis),
-                "workers {workers}, request {i}: the report is not the memo's handle"
-            );
-            assert!(replay.zero_copy && !replay.coalesced);
-            assert_eq!(replay.work.latency(), 0, "{:?}", replay.work);
-        }
-        service.set_compute_hook(None);
-        let after = service.stats();
-        assert_eq!(after.memo_answered - before.memo_answered, stream.len());
-        assert_eq!(after.batches, before.batches, "a hit was queued");
-        assert_eq!(after.batched_requests, before.batched_requests);
-        assert_eq!(
-            after.cache.coalesced_requests, before.cache.coalesced_requests,
-            "a hit coalesced"
+    let service = CompileService::new(ServeConfig::default());
+    let warm: Vec<CompileResponse> = stream
+        .iter()
+        .map(|r| service.compile(r).expect("the warm-up serves"))
+        .collect();
+    service.set_compute_hook(Some(Box::new(|_| {
+        panic!("a memo-answered request reached the compute path")
+    })));
+    let before = service.stats();
+    for (i, (request, first)) in stream.iter().zip(&warm).enumerate() {
+        let replay = service
+            .compile(request)
+            .unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert!(
+            Arc::ptr_eq(&replay.text, &first.text),
+            "request {i}: the body is not the memo's handle"
         );
-        assert_eq!(after.compile_panics, before.compile_panics);
-        assert_requests_add_up(&after);
+        assert!(
+            same_handle(&replay.analysis, &first.analysis),
+            "request {i}: the report is not the memo's handle"
+        );
+        assert!(replay.zero_copy && !replay.coalesced);
+        assert_eq!(replay.work.latency(), 0, "{:?}", replay.work);
     }
+    service.set_compute_hook(None);
+    let after = service.stats();
+    assert_eq!(after.memo_answered - before.memo_answered, stream.len());
+    assert_eq!(
+        after.leader_requests, before.leader_requests,
+        "a hit led a compile"
+    );
+    assert_eq!(
+        after.cache.coalesced_requests, before.cache.coalesced_requests,
+        "a hit coalesced"
+    );
+    assert_eq!(after.compile_panics, before.compile_panics);
+    assert_requests_add_up(&after);
 }
 
 #[test]
@@ -174,44 +169,78 @@ fn four_clients_replaying_a_warmed_stream_match_private_sessions() {
         let session = CompileSession::new(&case.source, &case.name).unwrap();
         sessions.insert(case.source.text.as_str(), session);
     }
-    for workers in [0, 2] {
-        let service = CompileService::new(ServeConfig::default().with_workers(workers));
-        // Warm half the stream, so the replay mixes memo hits with misses
-        // that lead, coalesce and resume concurrently.
-        for request in &stream[..stream.len() / 2] {
-            service.compile(request).expect("the warm-up serves");
+    let service = CompileService::new(ServeConfig::default());
+    // Warm half the stream, so the replay mixes memo hits with misses that
+    // lead, coalesce and resume concurrently.
+    for request in &stream[..stream.len() / 2] {
+        service.compile(request).expect("the warm-up serves");
+    }
+    let replies: Vec<Vec<CompileResponse>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    stream
+                        .iter()
+                        .map(|r| service.compile(r).expect("the replay serves"))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for responses in &replies {
+        for (i, (request, response)) in stream.iter().zip(responses).enumerate() {
+            let session = &sessions[request.source.as_str()];
+            let expected = if request.specialize.is_general() {
+                session.text_for(request.flags, response.backend)
+            } else {
+                session.text_for_spec(request.flags, &request.specialize, response.backend)
+            }
+            .unwrap();
+            assert_eq!(response.text, expected, "request {i}");
+            assert_eq!(response.analysis.is_some(), request.analyze.is_some());
         }
-        let replies: Vec<Vec<CompileResponse>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        stream
-                            .iter()
-                            .map(|r| service.compile(r).expect("the replay serves"))
-                            .collect()
+    }
+    let stats = service.stats();
+    assert_eq!(stats.requests, stream.len() / 2 + CLIENTS * stream.len());
+    assert_eq!(stats.compile_panics, 0);
+    assert_eq!(stats.front_errors, 0);
+    assert!(stats.memo_answered > 0, "{stats:?}");
+    assert_requests_add_up(&stats);
+}
+
+/// Four leaders of different keys on one base, released together, each
+/// serve a private session's text.
+#[test]
+fn concurrent_leaders_of_different_keys_on_one_base_match_private_sessions() {
+    let corpus = Corpus::gfxbench_like();
+    for case in corpus.cases.iter().step_by(13) {
+        let source = case.source.text.as_str();
+        let service = CompileService::new(ServeConfig::default());
+        // Memoise the front stage, so the four requests race in the walk.
+        let warm_up = CompileRequest::new(source, OptFlags::NONE, BackendKind::DesktopGlsl);
+        service.compile(&warm_up).expect("the warm-up serves");
+        let barrier = Barrier::new(BackendKind::ALL.len());
+        let responses: Vec<CompileResponse> = std::thread::scope(|scope| {
+            let handles: Vec<_> = BackendKind::ALL
+                .map(|backend| {
+                    let (barrier, service) = (&barrier, &service);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let request = CompileRequest::new(source, OptFlags::all(), backend);
+                        service.compile(&request).expect("the request serves")
                     })
                 })
+                .into_iter()
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for responses in &replies {
-            for (i, (request, response)) in stream.iter().zip(responses).enumerate() {
-                let session = &sessions[request.source.as_str()];
-                let expected = if request.specialize.is_general() {
-                    session.text_for(request.flags, response.backend)
-                } else {
-                    session.text_for_spec(request.flags, &request.specialize, response.backend)
-                }
-                .unwrap();
-                assert_eq!(response.text, expected, "workers {workers}, request {i}");
-                assert_eq!(response.analysis.is_some(), request.analyze.is_some());
-            }
+        let session = CompileSession::new(&case.source, &case.name).unwrap();
+        for response in &responses {
+            let expected = session.text_for(OptFlags::all(), response.backend).unwrap();
+            let at = format!("{} {}", case.name, response.backend);
+            assert_eq!(response.text, expected, "{at}");
         }
-        let stats = service.stats();
-        assert_eq!(stats.requests, stream.len() / 2 + CLIENTS * stream.len());
-        assert_eq!(stats.compile_panics, 0);
-        assert_eq!(stats.front_errors, 0);
-        assert!(stats.memo_answered > 0, "{stats:?}");
-        assert_requests_add_up(&stats);
+        assert_requests_add_up(&service.stats());
     }
 }
