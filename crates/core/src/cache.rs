@@ -4,15 +4,26 @@
 //! zero-copy storage:
 //!
 //! * **Exemplars** — one interned `Arc<Shader>` per *distinct IR structure*
-//!   (not per `(stage, fingerprint)` key), held in per-fingerprint chains so
+//!   (not per `(fingerprint, stage)` key), held in per-fingerprint chains so
 //!   hash collisions coexist instead of merging. Interning confirms
 //!   structural equality exactly once per distinct `Arc` entering the plane;
 //!   every later lookup resolves by pointer identity, so equality
 //!   confirmation runs once per collision candidate, not once per hit.
-//! * **Edges** — stage transitions recorded as fingerprint → fingerprint
-//!   edges between exemplars (`NodeId` = fingerprint + a never-reused
-//!   generation stamp). Replaying a flag combination is a walk over u64
-//!   edges with zero IR clones until emission.
+//! * **Memo planes** — three maps of one entry type, each keyed
+//!   `(input fingerprint, K)` and holding entries that reference their input
+//!   exemplar by generation (no per-hit structural compare):
+//!   * *edges* (`K` = stage index): stage transitions recorded as
+//!     fingerprint → fingerprint edges between exemplars (`NodeId` =
+//!     fingerprint + a never-reused generation stamp). Replaying a flag
+//!     combination is a walk over u64 edges with zero IR clones until
+//!     emission.
+//!   * *emissions* (`K` = backend): emitted text.
+//!   * *analyses* (`K` = platform personality): serialised static-analysis
+//!     reports.
+//!
+//!   The planes share one lookup, LRU touch, insert-with-eviction, warm
+//!   insert and persisted-entry walk; an edge differs only in that its value
+//!   is a second exemplar reference, its output node.
 //! * **Identity bits** — a stage whose passes report the IR unchanged sets a
 //!   bit in the input exemplar's `clean_stages` mask instead of storing an
 //!   edge. The walk ([`walk_stages`](crate::walk::walk_stages)) reads the
@@ -20,9 +31,6 @@
 //!   skips every clean stage in O(1): no re-fingerprint, no snapshot insert,
 //!   no equality confirmation. Consecutive identity edges collapse into a
 //!   single mask read.
-//! * **Emissions** — emitted text keyed `(fingerprint, backend)`, entries
-//!   referencing their final-IR exemplar by generation (again: no per-hit
-//!   structural compare).
 //!
 //! A standalone [`CompileSession`](crate::CompileSession) owns a private
 //! `CorpusCache`; the study sweep and the compile service share one across
@@ -38,7 +46,7 @@
 //! shared schedule prefixes hand around the same allocation.
 //!
 //! A [`CorpusCache`] can additionally be **bounded**
-//! ([`CorpusCache::bounded`]): edge and emission entries carry a last-use
+//! ([`CorpusCache::bounded`]): every memo entry carries a last-use
 //! generation stamp and the least-recently-used entry is evicted whenever a
 //! shard exceeds its budget, so a production-scale corpus sweep runs in
 //! fixed memory. Exemplars are reference-counted from the entries that use
@@ -48,15 +56,13 @@
 //! otherwise be kept alive forever by hits they never answered. Because the
 //! store is a pure cache (an evicted entry is simply recomputed on the next
 //! miss), a bounded cache produces byte-identical results to an unbounded
-//! one — only the work counters differ. Sessions registered with a family
-//! label ([`CacheStore::register_session_in`]) additionally feed
-//! per-übershader-family hit-rate telemetry ([`CorpusCache::family_stats`]).
+//! one — only the work counters differ.
 //!
 //! Finally, a [`CorpusCache`] can be **persisted** (the [`persist`] module):
-//! [`CorpusCache::save`] writes the exemplar store, the transition edges and
-//! the emissions as one versioned, checksummed file per fingerprint-range
-//! shard, and [`CorpusCache::load`] warm-starts a fresh process from such a
-//! snapshot — stale, torn or corrupt shards are skipped (and counted in
+//! [`CorpusCache::save`] writes the exemplar store and all three memo planes
+//! as one versioned, checksummed file per fingerprint-range shard, and
+//! [`CorpusCache::load`] warm-starts a fresh process from such a snapshot —
+//! stale, torn or corrupt shards are skipped (and counted in
 //! [`CacheStats`]), never trusted. Warm entries answer lookups through the
 //! exact same interning path as live ones, so a warm-started sweep produces
 //! byte-identical results while performing strictly less work; hits answered
@@ -113,8 +119,8 @@ struct Exemplar {
     /// The canonical allocation for this structure — the first `Arc` that
     /// entered the plane wins, and every hit hands it back (zero-copy).
     ir: Arc<Shader>,
-    /// Edges and emissions referencing this node. At 0 (and with no
-    /// identity knowledge) the exemplar is removable.
+    /// Memo entries referencing this node. At 0 (and with no identity
+    /// knowledge) the exemplar is removable.
     refs: usize,
     /// Bitmask over stage indices known to map this structure to itself.
     clean_stages: u64,
@@ -124,32 +130,47 @@ struct Exemplar {
 /// fingerprint collision: distinct structures coexisting under one hash.
 type ExemplarMap = HashMap<Fingerprint, Vec<Exemplar>>;
 
-/// One stage-transition edge of the graph: `input_gen`'s structure, run
-/// through the keyed stage, becomes `output`. Pure u64 bookkeeping — the IR
-/// itself lives once in the exemplar store.
-struct Edge {
+/// One memo entry: `input_gen`'s structure, under the entry's key, maps to
+/// `value`. Pure u64 bookkeeping plus the value — the IR itself lives once
+/// in the exemplar store.
+struct Entry<T> {
     owner: SessionId,
     input_gen: u64,
-    output: NodeId,
+    value: T,
 }
 
-/// Emission-cache entry: the final-IR exemplar (by generation) and the
-/// emitted text. The text is a shared `Arc<str>` so a memo hit hands the
-/// caller a refcount bump, never a copy of the response body.
-struct EmitEntry {
-    owner: SessionId,
-    input_gen: u64,
-    text: Arc<str>,
+/// What a memo entry maps its input to. An edge's value is its output node,
+/// which holds an exemplar reference of its own; emitted text and analysis
+/// reports are shared `Arc<str>`s (a hit hands the caller a refcount bump,
+/// never a copy of the body) and reference no node.
+trait EntryValue: Clone {
+    /// The exemplar this value holds a reference to, if any.
+    fn node(&self) -> Option<NodeId>;
 }
 
-/// Static-analysis memo entry: the analysed exemplar (by generation) and the
-/// serialised `StaticReport` JSON for one platform personality. The cache
-/// stores the report as opaque text — `prism-core` sits below the analyser in
-/// the crate graph, so the memo plane cannot (and need not) name its types.
-struct AnalysisEntry {
-    owner: SessionId,
-    input_gen: u64,
-    text: Arc<str>,
+impl EntryValue for NodeId {
+    fn node(&self) -> Option<NodeId> {
+        Some(*self)
+    }
+}
+
+impl EntryValue for Arc<str> {
+    fn node(&self) -> Option<NodeId> {
+        None
+    }
+}
+
+/// One memo plane: per-fingerprint-shard maps of entries keyed
+/// `(input fingerprint, K)`, behind `RwLock`s. Pure lookups peek under a
+/// read lock (the serve hot path is almost all hits, and readers must not
+/// serialize on each other); writers take the exclusive lock once per record
+/// — or once per confirmed hit for the bounded stores' LRU touch.
+type Plane<K, T> = Vec<RwLock<BoundedMap<(Fingerprint, K), Entry<T>>>>;
+
+fn plane<K: Eq + Hash + Clone, T>() -> Plane<K, T> {
+    (0..SHARDS)
+        .map(|_| RwLock::new(BoundedMap::new()))
+        .collect()
 }
 
 /// Finds `ir` in an exemplar chain: pointer identity first, then structural
@@ -277,10 +298,6 @@ pub trait CacheStore {
     /// cross-shader sharing).
     fn register_session(&self) -> SessionId;
 
-    /// Like [`CacheStore::register_session`], but attributing the session to
-    /// an übershader family for per-family hit-rate telemetry.
-    fn register_session_in(&self, family: &str) -> SessionId;
-
     /// Interns `snapshot`'s IR into the exemplar store and returns the
     /// canonical snapshot for its structure (the first-interned `Arc` wins).
     /// Sessions intern their base once at construction so every later
@@ -292,18 +309,14 @@ pub trait CacheStore {
     /// clean stage without any per-stage lookup; 0 when nothing is known.
     fn identity_stages(&self, snapshot: &Snapshot) -> u64;
 
-    /// Books `hits` stage hits one walk took, in one note: all of them are
-    /// charged to the session's family, and the `identity_skips` of them
-    /// taken straight off an [`identity_stages`](CacheStore::identity_stages)
-    /// mask (no per-transition lookup happened) are also counted as
-    /// store-wide stage hits and identity transitions. The rest were counted
-    /// store-wide by [`transition`](CacheStore::transition) as they
-    /// happened.
-    fn note_walk_hits(&self, session: SessionId, hits: usize, identity_skips: usize);
+    /// Books `skips` stage hits a walk took straight off an
+    /// [`identity_stages`](CacheStore::identity_stages) mask, in one note:
+    /// no per-transition lookup happened for them, so they are counted here
+    /// as store-wide stage hits and identity transitions.
+    fn note_identity_skips(&self, skips: usize);
 
     /// Looks up the output of running stage `stage` over `input`. A hit is
-    /// counted store-wide here; the walk charges it to the session's family
-    /// later, through [`note_walk_hits`](CacheStore::note_walk_hits).
+    /// counted store-wide here, with its cross-shader or warm attribution.
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot>;
 
     /// Records that stage `stage` maps `input` to `output` and returns the
@@ -359,97 +372,11 @@ pub fn shard_of(fp: Fingerprint) -> usize {
     (fp.0 as usize) % SHARDS
 }
 
-/// Family label given to sessions registered without one.
-const UNATTRIBUTED: &str = "(unattributed)";
-
 /// Pseudo-owner of entries restored from a warm-start snapshot
 /// ([`CorpusCache::load`]). Real session ids count up from 0 and can never
 /// reach this value, so a hit on a warm entry is attributable as
 /// answered-from-disk rather than answered-by-another-session.
 const WARM_OWNER: SessionId = SessionId::MAX;
-
-/// Per-übershader-family cache telemetry of one [`CorpusCache`]: how much
-/// work that family's sessions performed and how much was answered from the
-/// warm cache. This is the serving-layer signal the ROADMAP asks for — which
-/// families amortise their compilation and which run cold.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FamilyCacheStats {
-    /// The family label sessions registered under.
-    pub family: String,
-    /// Sessions registered under this family.
-    pub sessions: usize,
-    /// Stage executions this family's sessions actually ran.
-    pub stage_runs: usize,
-    /// Stage executions answered from the transition cache.
-    pub stage_hits: usize,
-    /// Emissions this family's sessions performed.
-    pub emissions: usize,
-    /// Emissions answered from the emission memo.
-    pub emission_hits: usize,
-}
-
-impl FamilyCacheStats {
-    /// Fraction of this family's stage executions served from cache
-    /// (0 when nothing ran).
-    pub fn stage_hit_rate(&self) -> f64 {
-        hit_rate(self.stage_hits, self.stage_runs)
-    }
-}
-
-/// Lock-free per-family counters. Each bump resolves the session's `Arc`
-/// under the `families` read lock and then increments atomically; stage
-/// hits are bumped once per walk ([`CacheStore::note_walk_hits`]), not once
-/// per stage, so a walk reads the lock once however many stages it answers.
-#[derive(Default)]
-struct FamilyCounters {
-    sessions: AtomicUsize,
-    stage_runs: AtomicUsize,
-    stage_hits: AtomicUsize,
-    emissions: AtomicUsize,
-    emission_hits: AtomicUsize,
-}
-
-/// Session → family attribution. Registration takes the write lock (rare:
-/// once per session); counter bumps take only a read lock to find the
-/// session's `Arc<FamilyCounters>` and then increment atomically.
-#[derive(Default)]
-struct FamilyTable {
-    by_session: HashMap<SessionId, Arc<FamilyCounters>>,
-    index: HashMap<String, usize>,
-    families: Vec<(String, Arc<FamilyCounters>)>,
-}
-
-impl FamilyTable {
-    fn register(&mut self, session: SessionId, family: &str) {
-        let idx = match self.index.get(family) {
-            Some(idx) => *idx,
-            None => {
-                let idx = self.families.len();
-                self.index.insert(family.to_string(), idx);
-                self.families
-                    .push((family.to_string(), Arc::new(FamilyCounters::default())));
-                idx
-            }
-        };
-        let counters = Arc::clone(&self.families[idx].1);
-        counters.sessions.fetch_add(1, Ordering::Relaxed);
-        self.by_session.insert(session, counters);
-    }
-
-    fn snapshot(&self) -> Vec<FamilyCacheStats> {
-        self.families
-            .iter()
-            .map(|(family, c)| FamilyCacheStats {
-                family: family.clone(),
-                sessions: c.sessions.load(Ordering::Relaxed),
-                stage_runs: c.stage_runs.load(Ordering::Relaxed),
-                stage_hits: c.stage_hits.load(Ordering::Relaxed),
-                emissions: c.emissions.load(Ordering::Relaxed),
-                emission_hits: c.emission_hits.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
 
 /// One shard of a bounded memo: buckets of entries stamped with their
 /// last-use generation, plus a running entry count so the LRU bound is
@@ -541,17 +468,15 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
 ///
 /// The study sweep builds every shader's session against one `CorpusCache`,
 /// so übershader family members reuse each other's stage transitions and
-/// emitted text across worker threads. The exemplar store, the edge map and
-/// the emission memo are all sharded by fingerprint to keep lock contention
-/// off the hot path; counters are atomics.
+/// emitted text across worker threads. The exemplar store and the three
+/// memo planes (edges, emissions, analyses) are all sharded by fingerprint
+/// to keep lock contention off the hot path; counters are atomics.
 ///
 /// A cache built with [`CorpusCache::bounded`] additionally enforces an
 /// entry budget with per-shard LRU eviction (entries are generation-stamped
 /// on every lookup), so incremental search over an arbitrarily large corpus
 /// runs in fixed memory; because eviction only ever forces recomputation,
-/// results stay byte-identical to an unbounded cache. Sessions registered
-/// through [`CacheStore::register_session_in`] feed the per-family hit-rate
-/// telemetry reported by [`CorpusCache::family_stats`].
+/// results stay byte-identical to an unbounded cache.
 ///
 /// # Examples
 ///
@@ -577,7 +502,8 @@ pub struct CorpusCache {
     /// unbounded growth. Exemplars are not counted — they are storage,
     /// reference-counted from the entries and reclaimed with them.
     budget: Option<usize>,
-    /// The per-shard-map slice of `budget` (there are `2 * SHARDS` maps).
+    /// The per-shard-map slice of `budget` (edges and emissions have
+    /// `2 * SHARDS` maps between them).
     shard_budget: Option<usize>,
     /// Monotonic generation clock for LRU stamping.
     clock: AtomicU64,
@@ -586,21 +512,20 @@ pub struct CorpusCache {
     /// The exemplar store: one interned `Arc<Shader>` per distinct
     /// structure, sharded by fingerprint.
     exemplars: Vec<RwLock<ExemplarMap>>,
-    /// Shard maps behind `RwLock`s: pure lookups peek under a read lock (the
-    /// serve hot path is almost all hits, and readers must not serialize on
-    /// each other), writers take the exclusive lock once per record — or once
-    /// per confirmed hit for the bounded stores' LRU touch.
-    transitions: Vec<RwLock<BoundedMap<(usize, Fingerprint), Edge>>>,
-    emissions: Vec<RwLock<BoundedMap<(Fingerprint, BackendKind), EmitEntry>>>,
-    /// Static-analysis memo, keyed `(fingerprint, personality name)` —
-    /// the third plane of the graph, mirroring `emissions`.
-    analyses: Vec<RwLock<BoundedMap<(Fingerprint, String), AnalysisEntry>>>,
+    /// Edges, keyed `(input fingerprint, stage index)`.
+    transitions: Plane<usize, NodeId>,
+    /// Emitted text, keyed `(input fingerprint, backend)`.
+    emissions: Plane<BackendKind, Arc<str>>,
+    /// Serialised `StaticReport` JSON, keyed `(input fingerprint,
+    /// personality name)`. The cache stores the report as opaque text —
+    /// `prism-core` sits below the analyser in the crate graph, so the memo
+    /// plane cannot (and need not) name its types.
+    analyses: Plane<String, Arc<str>>,
     /// Personality names this process can recompute analyses for
     /// ([`CorpusCache::register_personalities`]). A persisted analysis under
     /// an unregistered name is skipped at load time — forward compatibility,
     /// like an unknown backend.
     personalities: RwLock<Vec<String>>,
-    families: RwLock<FamilyTable>,
     stage_runs: AtomicUsize,
     stage_hits: AtomicUsize,
     identity_transitions: AtomicUsize,
@@ -637,17 +562,18 @@ impl CorpusCache {
         CorpusCache::default()
     }
 
-    /// An empty store bounded to at most `max_entries` cached entries across
-    /// both memos, enforced with per-shard LRU eviction.
+    /// An empty store bounded to at most `max_entries` edge and emission
+    /// entries, enforced with per-shard LRU eviction (the analysis plane
+    /// gets the same per-shard-map slice on top).
     ///
     /// To enforce the bound without a global lock, the budget is split
-    /// evenly across the `2 * SHARDS` (32) shard maps, quantizing the
-    /// *effective* capacity **down** to a multiple of 32 (e.g. `bounded(63)`
-    /// caches at most 32 entries) — so for budgets of at least 32 the
-    /// ceiling is hard and never exceeded, and callers wanting full use of a
-    /// budget should pass a multiple of 32. Budgets *below* 32 are raised to
-    /// the one-entry-per-shard-map minimum: `entry_count()` can then reach
-    /// 32 regardless of the smaller request.
+    /// evenly across the `2 * SHARDS` (32) edge and emission shard maps,
+    /// quantizing the *effective* capacity **down** to a multiple of 32
+    /// (e.g. `bounded(63)` caches at most 32 entries) — so for budgets of at
+    /// least 32 the ceiling is hard and never exceeded, and callers wanting
+    /// full use of a budget should pass a multiple of 32. Budgets *below* 32
+    /// are raised to the one-entry-per-shard-map minimum: `entry_count()`
+    /// can then reach 32 regardless of the smaller request.
     pub fn bounded(max_entries: usize) -> CorpusCache {
         CorpusCache::with_budget(Some(max_entries))
     }
@@ -660,17 +586,10 @@ impl CorpusCache {
             clock: AtomicU64::new(0),
             gens: AtomicU64::new(0),
             exemplars: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            transitions: (0..SHARDS)
-                .map(|_| RwLock::new(BoundedMap::new()))
-                .collect(),
-            emissions: (0..SHARDS)
-                .map(|_| RwLock::new(BoundedMap::new()))
-                .collect(),
-            analyses: (0..SHARDS)
-                .map(|_| RwLock::new(BoundedMap::new()))
-                .collect(),
+            transitions: plane(),
+            emissions: plane(),
+            analyses: plane(),
             personalities: RwLock::new(Vec::new()),
-            families: RwLock::new(FamilyTable::default()),
             stage_runs: AtomicUsize::new(0),
             stage_hits: AtomicUsize::new(0),
             identity_transitions: AtomicUsize::new(0),
@@ -712,28 +631,19 @@ impl CorpusCache {
         self.budget
     }
 
-    /// Entries currently cached across all three memos and every shard
+    /// Entries currently cached across all three memo planes and every shard
     /// (exemplars are storage, not entries, and are not counted). A bounded
-    /// store keeps the transition + emission total at or below
+    /// store keeps the edge + emission total at or below
     /// [`CorpusCache::budget`] (for budgets of at least `2 * SHARDS = 32`);
-    /// the analysis memo gets the same per-shard-map slice on top.
+    /// the analysis plane gets the same per-shard-map slice on top.
     pub fn entry_count(&self) -> usize {
-        let transitions: usize = self
-            .transitions
-            .iter()
-            .map(|s| s.read().expect("corpus cache poisoned").entries)
-            .sum();
-        let emissions: usize = self
-            .emissions
-            .iter()
-            .map(|s| s.read().expect("corpus cache poisoned").entries)
-            .sum();
-        let analyses: usize = self
-            .analyses
-            .iter()
-            .map(|s| s.read().expect("corpus cache poisoned").entries)
-            .sum();
-        transitions + emissions + analyses
+        fn entries<K, T>(plane: &Plane<K, T>) -> usize {
+            plane
+                .iter()
+                .map(|s| s.read().expect("corpus cache poisoned").entries)
+                .sum()
+        }
+        entries(&self.transitions) + entries(&self.emissions) + entries(&self.analyses)
     }
 
     /// Distinct IR structures currently interned in the exemplar store.
@@ -750,34 +660,12 @@ impl CorpusCache {
             .sum()
     }
 
-    /// Per-übershader-family hit-rate telemetry, in family registration
-    /// order. Sessions registered without a family land under
-    /// `"(unattributed)"`.
-    pub fn family_stats(&self) -> Vec<FamilyCacheStats> {
-        self.families
-            .read()
-            .expect("corpus cache poisoned")
-            .snapshot()
-    }
-
     fn shard(fp: Fingerprint) -> usize {
         shard_of(fp)
     }
 
     fn now(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn bump_family(&self, session: SessionId, update: impl FnOnce(&FamilyCounters)) {
-        if let Some(counters) = self
-            .families
-            .read()
-            .expect("corpus cache poisoned")
-            .by_session
-            .get(&session)
-        {
-            update(counters);
-        }
     }
 
     /// Resolves `snap` against its exemplar shard without interning:
@@ -862,7 +750,7 @@ impl CorpusCache {
     /// Drops one reference to `node`, removing the exemplar when nothing
     /// references it any more and it carries no identity knowledge (a clean
     /// mask is worth keeping: one bitfield that spares whole stage runs).
-    /// Never called while an edge/emission shard lock is held.
+    /// Never called while a memo-plane shard lock is held.
     fn release_node(&self, node: NodeId) {
         let mut map = self.exemplars[Self::shard(node.fp)]
             .write()
@@ -882,36 +770,120 @@ impl CorpusCache {
         }
     }
 
-    /// Releases the exemplar references a batch of evicted entries held.
-    fn release_evicted_edges(&self, evicted: Vec<((usize, Fingerprint), Edge)>) {
-        self.evictions.fetch_add(evicted.len(), Ordering::Relaxed);
-        for ((_, fp), edge) in evicted {
-            self.release_node(NodeId {
-                fp,
-                gen: edge.input_gen,
-            });
-            self.release_node(edge.output);
+    /// Drops the exemplar references an entry keyed under `fp` held: its
+    /// input node and, for an edge, its output node.
+    fn release_entry<T: EntryValue>(&self, fp: Fingerprint, entry: &Entry<T>) {
+        self.release_node(NodeId {
+            fp,
+            gen: entry.input_gen,
+        });
+        if let Some(output) = entry.value.node() {
+            self.release_node(output);
         }
     }
 
-    fn release_evicted_emissions(&self, evicted: Vec<((Fingerprint, BackendKind), EmitEntry)>) {
-        self.evictions.fetch_add(evicted.len(), Ordering::Relaxed);
-        for ((fp, _), entry) in evicted {
-            self.release_node(NodeId {
-                fp,
-                gen: entry.input_gen,
-            });
+    /// The entry `key` holds for the exemplar generation `gen`: its owner and
+    /// `resolve` of its value. `resolve` runs after the read lock is
+    /// released and before the LRU touch, so an entry it rejects (an edge
+    /// whose output exemplar a racing eviction reclaimed — generations are
+    /// never reused, so such an edge can only miss, never alias) is a miss
+    /// that refreshes nothing.
+    fn lookup<K, T, R>(
+        &self,
+        plane: &Plane<K, T>,
+        gen: u64,
+        key: (Fingerprint, K),
+        resolve: impl FnOnce(T) -> Option<R>,
+    ) -> Option<(SessionId, R)>
+    where
+        K: Eq + Hash + Clone,
+        T: EntryValue,
+    {
+        let shard = &plane[Self::shard(key.0)];
+        let (owner, value) = {
+            let map = shard.read().expect("corpus cache poisoned");
+            map.peek(&key)?
+                .iter()
+                .find(|(_, e)| e.input_gen == gen)
+                .map(|(_, e)| (e.owner, e.value.clone()))?
+        };
+        let resolved = resolve(value)?;
+        // LRU touch of exactly the resolved entry — unconfirmed bucket
+        // neighbours keep their stamps and stay evictable. Only bounded
+        // stores pay this write-lock acquisition; an unbounded store's hit
+        // path is read-locks only.
+        if self.shard_budget.is_some() {
+            let now = self.now();
+            shard
+                .write()
+                .expect("corpus cache poisoned")
+                .refresh(&key, now, |e| e.input_gen == gen);
         }
+        Some((owner, resolved))
     }
 
-    fn release_evicted_analyses(&self, evicted: Vec<((Fingerprint, String), AnalysisEntry)>) {
+    /// Inserts an entry of `owner` mapping `input`'s structure, under `k`,
+    /// to `value` — its exemplar references already taken — evicting
+    /// least-recently-used entries past the shard budget and releasing the
+    /// references they held. A warm insert ([`WARM_OWNER`]) yields to an
+    /// entry already present for the same input exemplar: its references
+    /// are handed back and `false` is returned, so loading into an
+    /// already-warm cache is a no-op.
+    fn insert<K, T>(
+        &self,
+        plane: &Plane<K, T>,
+        owner: SessionId,
+        input: NodeId,
+        k: K,
+        value: T,
+    ) -> bool
+    where
+        K: Eq + Hash + Clone,
+        T: EntryValue,
+    {
+        let key = (input.fp, k);
+        let entry = Entry {
+            owner,
+            input_gen: input.gen,
+            value,
+        };
+        let now = self.now();
+        let evicted = {
+            let mut map = plane[Self::shard(input.fp)]
+                .write()
+                .expect("corpus cache poisoned");
+            let present = |bucket: &Vec<(u64, Entry<T>)>| {
+                bucket.iter().any(|(_, e)| e.input_gen == input.gen)
+            };
+            if owner == WARM_OWNER && map.peek(&key).is_some_and(present) {
+                drop(map);
+                self.release_entry(input.fp, &entry);
+                return false;
+            }
+            map.insert(key, entry, now, self.shard_budget)
+        };
         self.evictions.fetch_add(evicted.len(), Ordering::Relaxed);
         for ((fp, _), entry) in evicted {
-            self.release_node(NodeId {
-                fp,
-                gen: entry.input_gen,
-            });
+            self.release_entry(fp, &entry);
         }
+        true
+    }
+
+    /// Inserts one restored entry under [`WARM_OWNER`]. Counts no work:
+    /// nothing ran.
+    fn insert_warm<K, T>(&self, plane: &Plane<K, T>, input: NodeId, k: K, value: T) -> bool
+    where
+        K: Eq + Hash + Clone,
+        T: EntryValue,
+    {
+        // References are taken before the entry lands so eviction of
+        // *other* entries can never reclaim these nodes out from under it;
+        // on the dedupe path they are handed back.
+        self.add_node_ref(input);
+        if let Some(output) = value.node() {
+            self.add_node_ref(output);
+        }
+        self.insert(plane, WARM_OWNER, input, k, value)
     }
 
     /// Declares the platform-personality names this process can recompute
@@ -941,39 +913,21 @@ impl CorpusCache {
     /// Looks up the memoised static-analysis report of `state` for
     /// `personality`. Mirrors [`CacheStore::emission`]: structural
     /// confirmation through the exemplar plane, shared-allocation handout,
-    /// warm/cross-session attribution, LRU touch on bounded stores.
+    /// warm attribution, LRU touch on bounded stores.
     pub fn analysis(
         &self,
         session: SessionId,
         personality: &str,
         state: &Snapshot,
     ) -> Option<Arc<str>> {
+        let _ = session;
         let (gen, _) = self.resolve_node(state)?;
         let key = (state.fp, personality.to_string());
-        let found = {
-            let shard = self.analyses[Self::shard(state.fp)]
-                .read()
-                .expect("corpus cache poisoned");
-            shard.peek(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(_, e)| e.input_gen == gen)
-                    .map(|(_, e)| (e.owner, Arc::clone(&e.text)))
-            })
-        };
-        let (owner, text) = found?;
-        if self.shard_budget.is_some() {
-            let now = self.now();
-            self.analyses[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned")
-                .refresh(&key, now, |e| e.input_gen == gen);
-        }
+        let (owner, text) = self.lookup(&self.analyses, gen, key, Some)?;
         self.analysis_memo_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_analysis_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let _ = session;
         Some(text)
     }
 
@@ -988,70 +942,13 @@ impl CorpusCache {
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
         let (node, _) = self.intern_node(state, 1, 0);
-        let now = self.now();
-        let evicted = {
-            let mut map = self.analyses[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            map.insert(
-                (state.fp, personality.to_string()),
-                AnalysisEntry {
-                    owner: session,
-                    input_gen: node.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_analyses(evicted);
-    }
-
-    /// Inserts one restored analysis under [`WARM_OWNER`] (see
-    /// [`CorpusCache::insert_warm_edge`]). Used by the persist module.
-    fn insert_warm_analysis(&self, personality: &str, input: NodeId, text: Arc<str>) -> bool {
-        self.add_node_ref(input);
-        let key = (input.fp, personality.to_string());
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let evicted = {
-            let mut map = self.analyses[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            if let Some(bucket) = map.peek(&key) {
-                if bucket.iter().any(|(_, e)| e.input_gen == input.gen) {
-                    drop(map);
-                    self.release_node(input);
-                    return false;
-                }
-            }
-            map.insert(
-                key,
-                AnalysisEntry {
-                    owner: WARM_OWNER,
-                    input_gen: input.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_analyses(evicted);
-        true
+        self.insert(&self.analyses, session, node, personality.to_string(), text);
     }
 }
 
 impl CacheStore for CorpusCache {
     fn register_session(&self) -> SessionId {
-        self.register_session_in(UNATTRIBUTED)
-    }
-
-    fn register_session_in(&self, family: &str) -> SessionId {
-        let id = self.sessions.fetch_add(1, Ordering::Relaxed);
-        self.families
-            .write()
-            .expect("corpus cache poisoned")
-            .register(id, family);
-        id
+        self.sessions.fetch_add(1, Ordering::Relaxed)
     }
 
     fn intern(&self, snapshot: Snapshot) -> Snapshot {
@@ -1068,16 +965,11 @@ impl CacheStore for CorpusCache {
             .unwrap_or(0)
     }
 
-    fn note_walk_hits(&self, session: SessionId, hits: usize, identity_skips: usize) {
-        if identity_skips > 0 {
-            self.stage_hits.fetch_add(identity_skips, Ordering::Relaxed);
-            self.identity_transitions
-                .fetch_add(identity_skips, Ordering::Relaxed);
-            prism_ir::counters::count_identity_transitions(identity_skips);
-        }
-        self.bump_family(session, |f| {
-            f.stage_hits.fetch_add(hits, Ordering::Relaxed);
-        });
+    fn note_identity_skips(&self, skips: usize) {
+        self.stage_hits.fetch_add(skips, Ordering::Relaxed);
+        self.identity_transitions
+            .fetch_add(skips, Ordering::Relaxed);
+        prism_ir::counters::count_identity_transitions(skips);
     }
 
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot> {
@@ -1086,49 +978,24 @@ impl CacheStore for CorpusCache {
             // O(1) identity fast path: the structure is known to pass
             // through this stage unchanged. No owner, so no cross-shader or
             // warm attribution.
-            self.stage_hits.fetch_add(1, Ordering::Relaxed);
-            self.identity_transitions.fetch_add(1, Ordering::Relaxed);
-            prism_ir::counters::count_identity_transitions(1);
+            self.note_identity_skips(1);
             return Some(input.clone());
         }
-        let key = (stage, input.fp);
-        let found = {
-            let shard = self.transitions[Self::shard(input.fp)]
-                .read()
-                .expect("corpus cache poisoned");
-            shard.peek(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(_, e)| e.input_gen == gen)
-                    .map(|(_, e)| (e.owner, e.output))
+        // The output exemplar is fetched before the LRU touch: an edge whose
+        // output was reclaimed misses (and recomputes — pure-cache rules).
+        let (owner, output) = self.lookup(&self.transitions, gen, (input.fp, stage), |out| {
+            Some(Snapshot {
+                ir: self.fetch_node(out)?,
+                fp: out.fp,
             })
-        };
-        let (owner, out_node) = found?;
-        // A racing eviction may have reclaimed the output exemplar between
-        // the two reads; generations are never reused, so the stale edge can
-        // only miss, never alias. The miss recomputes — pure-cache rules.
-        let out_ir = self.fetch_node(out_node)?;
-        // LRU touch of exactly the resolved entry — unconfirmed bucket
-        // neighbours keep their stamps and stay evictable. Only bounded
-        // stores pay this write-lock acquisition; an unbounded store's hit
-        // path is read-locks only.
-        if self.shard_budget.is_some() {
-            let now = self.now();
-            self.transitions[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned")
-                .refresh(&key, now, |e| e.input_gen == gen);
-        }
+        })?;
         self.stage_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_stage_hits.fetch_add(1, Ordering::Relaxed);
         } else if owner != session {
             self.cross_shader_stage_hits.fetch_add(1, Ordering::Relaxed);
         }
-        Some(Snapshot {
-            ir: out_ir,
-            fp: out_node.fp,
-        })
+        Some(output)
     }
 
     fn record_transition(
@@ -1139,9 +1006,6 @@ impl CacheStore for CorpusCache {
         output: Snapshot,
     ) -> Snapshot {
         self.stage_runs.fetch_add(1, Ordering::Relaxed);
-        self.bump_family(session, |f| {
-            f.stage_runs.fetch_add(1, Ordering::Relaxed);
-        });
         if stage < MASK_STAGES && is_identity(&input, &output) {
             // One bit instead of an edge: every future replay of this stage
             // over this structure is a mask read.
@@ -1150,23 +1014,7 @@ impl CacheStore for CorpusCache {
         }
         let (in_node, _) = self.intern_node(&input, 1, 0);
         let (out_node, out_ir) = self.intern_node(&output, 1, 0);
-        let now = self.now();
-        let evicted = {
-            let mut map = self.transitions[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            map.insert(
-                (stage, input.fp),
-                Edge {
-                    owner: session,
-                    input_gen: in_node.gen,
-                    output: out_node,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_edges(evicted);
+        self.insert(&self.transitions, session, in_node, stage, out_node);
         Snapshot {
             ir: out_ir,
             fp: output.fp,
@@ -1180,26 +1028,7 @@ impl CacheStore for CorpusCache {
         state: &Snapshot,
     ) -> Option<Arc<str>> {
         let (gen, _) = self.resolve_node(state)?;
-        let key = (state.fp, backend);
-        let found = {
-            let shard = self.emissions[Self::shard(state.fp)]
-                .read()
-                .expect("corpus cache poisoned");
-            shard.peek(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(_, e)| e.input_gen == gen)
-                    .map(|(_, e)| (e.owner, Arc::clone(&e.text)))
-            })
-        };
-        let (owner, text) = found?;
-        if self.shard_budget.is_some() {
-            let now = self.now();
-            self.emissions[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned")
-                .refresh(&key, now, |e| e.input_gen == gen);
-        }
+        let (owner, text) = self.lookup(&self.emissions, gen, (state.fp, backend), Some)?;
         self.emission_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_emission_hits.fetch_add(1, Ordering::Relaxed);
@@ -1207,9 +1036,6 @@ impl CacheStore for CorpusCache {
             self.cross_shader_emission_hits
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.bump_family(session, |f| {
-            f.emission_hits.fetch_add(1, Ordering::Relaxed);
-        });
         Some(text)
     }
 
@@ -1222,27 +1048,8 @@ impl CacheStore for CorpusCache {
     ) {
         self.emissions_done.fetch_add(1, Ordering::Relaxed);
         self.emissions_by_backend[backend.index()].fetch_add(1, Ordering::Relaxed);
-        self.bump_family(session, |f| {
-            f.emissions.fetch_add(1, Ordering::Relaxed);
-        });
         let (node, _) = self.intern_node(state, 1, 0);
-        let now = self.now();
-        let evicted = {
-            let mut map = self.emissions[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            map.insert(
-                (state.fp, backend),
-                EmitEntry {
-                    owner: session,
-                    input_gen: node.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_emissions(evicted);
+        self.insert(&self.emissions, session, node, backend, text);
     }
 
     fn stats(&self) -> CacheStats {
@@ -1398,7 +1205,7 @@ mod tests {
 
         // Other stages are unaffected; mask-skip notes land in the stats.
         assert!(store.transition(s1, 4, &input).is_none());
-        store.note_walk_hits(s1, 2, 2);
+        store.note_identity_skips(2);
         let stats = store.stats();
         assert_eq!(stats.identity_transitions, 4);
         assert!(stats.stage_hits >= stats.identity_transitions);
@@ -1431,20 +1238,27 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_lru_and_stays_within_budget() {
-        // The smallest enforceable budget: one entry per shard map.
+        // The smallest enforceable budget: one entry per edge and emission
+        // shard map, and the analysis plane's same per-shard slice on top.
         let cache = CorpusCache::bounded(32);
         assert_eq!(cache.budget(), Some(32));
+        let ceiling = 32 + SHARDS;
         let id = cache.register_session();
 
-        // Far more distinct transitions than the budget allows.
+        // Far more distinct entries of every plane than the budget allows,
+        // each plane keyed on its own states.
         for seed in 0..200u32 {
             let input = snapshot(seed);
             let output = snapshot(seed + 1000);
             if cache.transition(id, 0, &input).is_none() {
                 cache.record_transition(id, 0, input, output);
             }
+            let text = Arc::from(format!("// {seed}"));
+            cache.record_emission(id, BackendKind::Gles, &snapshot(seed + 2000), text);
+            let report = Arc::from(format!("{{\"seed\":{seed}}}"));
+            cache.record_analysis(id, "Arm", &snapshot(seed + 3000), report);
             assert!(
-                cache.entry_count() <= 32,
+                cache.entry_count() <= ceiling,
                 "entry count {} exceeded budget after seed {seed}",
                 cache.entry_count()
             );
@@ -1452,9 +1266,12 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
         assert_eq!(stats.stage_runs, 200);
+        assert_eq!(stats.emissions, 200);
+        assert_eq!(stats.static_analyses, 200);
 
-        // Eviction reclaims the exemplars the evicted edges referenced: the
-        // store cannot hold more structures than live entries can name.
+        // Eviction reclaims the exemplars the evicted entries referenced, text
+        // entries' included: the store cannot hold more structures than live
+        // entries can name (two per edge, one per text entry).
         assert!(
             cache.exemplar_count() <= 2 * cache.entry_count(),
             "{} exemplars outlive {} entries",
@@ -1467,6 +1284,10 @@ mod tests {
         let fresh = snapshot(5000);
         cache.record_transition(id, 0, fresh.clone(), snapshot(5001));
         assert!(cache.transition(id, 0, &fresh).is_some());
+        cache.record_emission(id, BackendKind::Gles, &fresh, Arc::from("// fresh"));
+        assert!(cache.emission(id, BackendKind::Gles, &fresh).is_some());
+        cache.record_analysis(id, "Arm", &fresh, Arc::from("{}"));
+        assert!(cache.analysis(id, "Arm", &fresh).is_some());
     }
 
     #[test]
@@ -1523,53 +1344,6 @@ mod tests {
         }
         assert_eq!(cache.entry_count(), 100);
         assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn family_telemetry_attributes_work_per_family() {
-        let cache = CorpusCache::new();
-        let blur = cache.register_session_in("blur");
-        let blur2 = cache.register_session_in("blur");
-        let ui = cache.register_session_in("ui");
-        let anon = cache.register_session();
-
-        let input = snapshot(1);
-        cache.record_transition(blur, 0, input.clone(), snapshot(2));
-        // Stage hits reach a family through the walk that took them.
-        for session in [blur2, ui, anon] {
-            let mut stats = crate::walk::SessionStats::default();
-            crate::walk::walk_stages(
-                &cache,
-                session,
-                input.clone(),
-                [(0, ())],
-                &mut stats,
-                |(), _| -> Result<bool, ()> { unreachable!("stage 0 is recorded") },
-            )
-            .unwrap();
-            assert_eq!(stats.stage_hits, 1);
-        }
-        cache.record_emission(ui, BackendKind::Gles, &input, Arc::from("x"));
-
-        let families = cache.family_stats();
-        let get = |name: &str| {
-            families
-                .iter()
-                .find(|f| f.family == name)
-                .unwrap_or_else(|| panic!("family {name} missing"))
-                .clone()
-        };
-        let blur_stats = get("blur");
-        assert_eq!(blur_stats.sessions, 2);
-        assert_eq!(blur_stats.stage_runs, 1);
-        assert_eq!(blur_stats.stage_hits, 1);
-        assert!(blur_stats.stage_hit_rate() > 0.49);
-        let ui_stats = get("ui");
-        assert_eq!(ui_stats.stage_hits, 1);
-        assert_eq!(ui_stats.emissions, 1);
-        let anon_stats = get("(unattributed)");
-        assert_eq!(anon_stats.sessions, 1);
-        assert_eq!(anon_stats.stage_hits, 1);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! shared corpus cache; this module amortises it *across* processes: after a
 //! sweep, [`CorpusCache::save`] writes the transition graph — the exemplar
 //! store (one IR per distinct structure, with its clean-stage identity
-//! mask), the stage-transition edges and the emitted text — to disk, and a
-//! later run's [`CorpusCache::load`] warm-starts from it so the second sweep
-//! of the same corpus performs strictly fewer stage runs and emissions while
-//! producing byte-identical results.
+//! mask) and the three memo planes: stage-transition edges, emitted text and
+//! static-analysis reports — to disk, and a later run's
+//! [`CorpusCache::load`] warm-starts from it so the second sweep of the same
+//! corpus performs strictly fewer stage runs and emissions while producing
+//! byte-identical results.
 //!
 //! # On-disk format (version 3)
 //!
@@ -18,16 +19,16 @@
 //!
 //! 1. a header object carrying the [`FORMAT_VERSION`], the FNV-64 hash of
 //!    the current pass schedule ([`schedule_hash`]), the shard index, the
-//!    entry count (edges + emissions; exemplars are storage, not entries)
-//!    and an FNV-64 checksum of the payload line;
+//!    entry count (edges + emissions + analyses; exemplars are storage, not
+//!    entries) and an FNV-64 checksum of the payload line;
 //! 2. the payload: the shard's exemplars — each IR serialised bit-exactly
 //!    (`prism_ir::serde_impls`) exactly **once**, with its clean-stage mask —
-//!    followed by its edges and emissions, which reference exemplars by
-//!    file-local index (edges may point at an output exemplar in another
-//!    shard's file: `output_shard` + index there). Version 1 stored one IR
-//!    clone per entry; version 2 stores one per distinct structure, and the
-//!    load path computes each exemplar's fingerprint once (memoised) instead
-//!    of once per entry.
+//!    followed by its edges, emissions and analyses, which reference
+//!    exemplars by file-local index (edges may point at an output exemplar
+//!    in another shard's file: `output_shard` + index there). Version 1
+//!    stored one IR clone per entry; version 2 stores one per distinct
+//!    structure, and the load path computes each exemplar's fingerprint once
+//!    (memoised) instead of once per entry.
 //!
 //! # Trust policy
 //!
@@ -53,10 +54,11 @@
 //! save→load→save is idempotent and the shard files are byte-deterministic
 //! (exemplars and entries are sorted before writing).
 
-use super::{CorpusCache, Edge, EmitEntry, Exemplar, NodeId, Snapshot, SHARDS, WARM_OWNER};
+use super::{CorpusCache, EntryValue, Exemplar, NodeId, Plane, Snapshot, SHARDS};
 use crate::pipeline::build_schedule;
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
+use prism_ir::hash::fnv64;
 use prism_ir::verify::verify;
 use prism_ir::Shader;
 use std::collections::HashMap;
@@ -73,18 +75,6 @@ use std::sync::Arc;
 /// time — a non-verifying exemplar is dropped with its dependent entries
 /// (`LoadReport::verify_rejects`), never interned.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// FNV-1a 64-bit hash — deterministic across processes and platforms (unlike
-/// `DefaultHasher`, whose algorithm is explicitly unspecified), used for both
-/// the pass-schedule hash and the per-shard payload checksum.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// A canary fragment shader pushed through the whole compiler to fingerprint
 /// its *behaviour* (see [`schedule_hash`]). It deliberately gives every pass
@@ -166,7 +156,7 @@ pub struct LoadReport {
     /// Shard files present but rejected (see the module's trust policy);
     /// each degrades to a cold shard.
     pub shards_skipped: usize,
-    /// Entries restored across both memos.
+    /// Entries restored across all three memo planes.
     pub entries_loaded: usize,
     /// Entries inside accepted shards that were individually skipped: an
     /// emission under a backend name unknown to this build (a snapshot from
@@ -185,8 +175,8 @@ pub struct LoadReport {
 pub struct SaveReport {
     /// Shard files written (always [`FINGERPRINT_SHARDS`](crate::FINGERPRINT_SHARDS) on success).
     pub shards_written: usize,
-    /// Entries written across both memos (exemplars are storage, not
-    /// entries, and are not counted).
+    /// Entries written across all three memo planes (exemplars are storage,
+    /// not entries, and are not counted).
     pub entries_written: usize,
 }
 
@@ -445,51 +435,37 @@ impl CorpusCache {
             })
             .collect();
 
-        // Phase C: insert edges, emissions and analyses under
-        // [`WARM_OWNER`]. An entry whose exemplar was verify-rejected, or an
-        // edge whose output file was skipped (or whose output index outruns
-        // that file), costs only itself.
+        // Phase C: warm-insert edges, emissions and analyses. An entry
+        // whose exemplar was verify-rejected, an edge whose output file was
+        // skipped (or whose output index outruns that file), or an analysis
+        // under a personality this process cannot recompute (a newer or
+        // differently configured writer's entry — forward compatibility, same
+        // as unknown backends) costs only itself.
         for shard in 0..SHARDS {
             let Some(p) = &parsed[shard] else { continue };
+            let input = |index: usize| nodes[shard][index];
             let mut loaded = 0usize;
             let mut skipped = p.skipped_entries;
-            for &(stage, input, output_shard, output) in &p.transitions {
-                let (Some(input_node), Some(Some(output_node))) = (
-                    nodes[shard][input],
-                    nodes[output_shard].get(output).copied(),
-                ) else {
-                    skipped += 1;
-                    continue;
-                };
-                if self.insert_warm_edge(stage, input_node, output_node) {
-                    loaded += 1;
-                }
-            }
-            for (backend, input, text) in &p.emissions {
-                let Some(input_node) = nodes[shard][*input] else {
-                    skipped += 1;
-                    continue;
-                };
-                if self.insert_warm_emission(*backend, input_node, Arc::clone(text)) {
-                    loaded += 1;
-                }
-            }
-            for (personality, input, text) in &p.analyses {
-                // An analysis under a personality this process cannot
-                // recompute is a newer (or differently configured) writer's
-                // entry — forward compatibility, same as unknown backends.
+            let edges = p
+                .transitions
+                .iter()
+                .map(|&(stage, index, output_shard, output)| {
+                    let output = nodes[output_shard].get(output).copied().flatten()?;
+                    Some((input(index)?, stage, output))
+                });
+            self.load_plane(&self.transitions, edges, &mut loaded, &mut skipped);
+            let emissions = p
+                .emissions
+                .iter()
+                .map(|(backend, index, text)| Some((input(*index)?, *backend, Arc::clone(text))));
+            self.load_plane(&self.emissions, emissions, &mut loaded, &mut skipped);
+            let analyses = p.analyses.iter().map(|(personality, index, text)| {
                 if !self.known_personality(personality) {
-                    skipped += 1;
-                    continue;
+                    return None;
                 }
-                let Some(input_node) = nodes[shard][*input] else {
-                    skipped += 1;
-                    continue;
-                };
-                if self.insert_warm_analysis(personality, input_node, Arc::clone(text)) {
-                    loaded += 1;
-                }
-            }
+                Some((input(*index)?, personality.clone(), Arc::clone(text)))
+            });
+            self.load_plane(&self.analyses, analyses, &mut loaded, &mut skipped);
             report.shards_loaded += 1;
             report.entries_loaded += loaded;
             report.entries_skipped += skipped;
@@ -528,55 +504,18 @@ impl CorpusCache {
             })
             .collect();
 
-        let mut transitions: Vec<(usize, usize, usize, usize)> = {
-            let map = self.transitions[shard]
-                .read()
-                .expect("corpus cache poisoned");
-            map.map
-                .iter()
-                .flat_map(|((stage, _), bucket)| {
-                    bucket.iter().filter_map(move |(_, edge)| {
-                        let (in_shard, input) = *index.get(&edge.input_gen)?;
-                        debug_assert_eq!(in_shard, shard, "edge keyed outside its input's shard");
-                        let (output_shard, output) = *index.get(&edge.output.gen)?;
-                        Some((*stage, input, output_shard, output))
-                    })
-                })
-                .collect()
-        };
-        // Input indices order by (fingerprint, generation) within the file,
-        // so this sort is stable across save→load→save.
-        transitions.sort_unstable();
-
-        let mut emissions: Vec<(usize, &'static str, String)> = {
-            let map = self.emissions[shard].read().expect("corpus cache poisoned");
-            map.map
-                .iter()
-                .flat_map(|((_, backend), bucket)| {
-                    bucket.iter().filter_map(move |(_, e)| {
-                        let (in_shard, input) = *index.get(&e.input_gen)?;
-                        debug_assert_eq!(in_shard, shard, "emission keyed outside its shard");
-                        Some((input, backend.name(), e.text.to_string()))
-                    })
-                })
-                .collect()
-        };
-        emissions.sort_unstable();
-
-        let mut analyses: Vec<(usize, String, String)> = {
-            let map = self.analyses[shard].read().expect("corpus cache poisoned");
-            map.map
-                .iter()
-                .flat_map(|((_, personality), bucket)| {
-                    bucket.iter().filter_map(move |(_, e)| {
-                        let (in_shard, input) = *index.get(&e.input_gen)?;
-                        debug_assert_eq!(in_shard, shard, "analysis keyed outside its shard");
-                        Some((input, personality.clone(), e.text.to_string()))
-                    })
-                })
-                .collect()
-        };
-        analyses.sort_unstable();
+        let transitions =
+            self.persisted_rows(&self.transitions, shard, index, |input, stage, out| {
+                let (output_shard, output) = *index.get(&out.gen)?;
+                Some((*stage, input, output_shard, output))
+            });
+        let emissions =
+            self.persisted_rows(&self.emissions, shard, index, |input, backend, text| {
+                Some((input, backend.name(), text.to_string()))
+            });
+        let analyses = self.persisted_rows(&self.analyses, shard, index, |input, name, text| {
+            Some((input, name.clone(), text.to_string()))
+        });
 
         ShardPayload {
             exemplars: persisted_exemplars,
@@ -608,75 +547,56 @@ impl CorpusCache {
         }
     }
 
-    /// Inserts one restored edge under [`WARM_OWNER`], deduplicating against
-    /// an entry already referencing the same input exemplar (loading into an
-    /// already-warm cache is a no-op). Does not bump `stage_runs`: no
-    /// optimization work happened.
-    fn insert_warm_edge(&self, stage: usize, input: NodeId, output: NodeId) -> bool {
-        // References are taken before the entry lands so eviction of *other*
-        // entries can never reclaim these nodes out from under it; on the
-        // dedupe path they are handed back.
-        self.add_node_ref(input);
-        self.add_node_ref(output);
-        let key = (stage, input.fp);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let evicted = {
-            let mut map = self.transitions[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            if let Some(bucket) = map.peek(&key) {
-                if bucket.iter().any(|(_, e)| e.input_gen == input.gen) {
-                    drop(map);
-                    self.release_node(input);
-                    self.release_node(output);
-                    return false;
-                }
-            }
-            map.insert(
-                key,
-                Edge {
-                    owner: WARM_OWNER,
-                    input_gen: input.gen,
-                    output,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_edges(evicted);
-        true
+    /// One shard of `plane` as sorted persisted rows: `row` maps each entry
+    /// whose input exemplar phase 1 indexed — its file-local input index,
+    /// key and value — to a row, or drops it (an edge whose output was not
+    /// indexed). Input indices order by (fingerprint, generation) within the
+    /// file, so the sort is stable across save→load→save.
+    fn persisted_rows<K, T, R: Ord>(
+        &self,
+        plane: &Plane<K, T>,
+        shard: usize,
+        index: &HashMap<u64, (usize, usize)>,
+        row: impl Fn(usize, &K, &T) -> Option<R>,
+    ) -> Vec<R> {
+        let map = plane[shard].read().expect("corpus cache poisoned");
+        let mut rows: Vec<R> = map
+            .map
+            .iter()
+            .flat_map(|((_, key), bucket)| {
+                bucket.iter().filter_map(|(_, e)| {
+                    let (in_shard, input) = *index.get(&e.input_gen)?;
+                    debug_assert_eq!(in_shard, shard, "entry keyed outside its input's shard");
+                    row(input, key, &e.value)
+                })
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
     }
 
-    /// Inserts one restored emission under [`WARM_OWNER`] (see
-    /// [`CorpusCache::insert_warm_edge`]).
-    fn insert_warm_emission(&self, backend: BackendKind, input: NodeId, text: Arc<str>) -> bool {
-        self.add_node_ref(input);
-        let key = (input.fp, backend);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let evicted = {
-            let mut map = self.emissions[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            if let Some(bucket) = map.peek(&key) {
-                if bucket.iter().any(|(_, e)| e.input_gen == input.gen) {
-                    drop(map);
-                    self.release_node(input);
-                    return false;
+    /// Warm-inserts one shard's restored entries of `plane`; a `None` entry
+    /// (see phase C of [`CorpusCache::load`]) is skipped and counted.
+    fn load_plane<K, T>(
+        &self,
+        plane: &Plane<K, T>,
+        entries: impl Iterator<Item = Option<(NodeId, K, T)>>,
+        loaded: &mut usize,
+        skipped: &mut usize,
+    ) where
+        K: Eq + std::hash::Hash + Clone,
+        T: EntryValue,
+    {
+        for entry in entries {
+            match entry {
+                Some((input, k, value)) => {
+                    if self.insert_warm(plane, input, k, value) {
+                        *loaded += 1;
+                    }
                 }
+                None => *skipped += 1,
             }
-            map.insert(
-                key,
-                EmitEntry {
-                    owner: WARM_OWNER,
-                    input_gen: input.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_emissions(evicted);
-        true
+        }
     }
 }
 
@@ -848,9 +768,15 @@ mod tests {
         }
     }
 
-    /// A cache with a handful of transitions and emissions across shards.
+    /// The personality `populated_cache` records its analyses under; a
+    /// loader must register it to restore them.
+    const PERSONALITY: &str = "Arm";
+
+    /// A cache with a handful of entries of every plane across shards: 20
+    /// transitions, 10 emissions and 5 analyses.
     fn populated_cache() -> CorpusCache {
         let cache = CorpusCache::new();
+        cache.register_personalities(&[PERSONALITY]);
         let id = cache.register_session();
         for seed in 0..20u32 {
             cache.record_transition(id, seed as usize % 3, snapshot(seed), snapshot(seed + 500));
@@ -867,7 +793,18 @@ mod tests {
                 Arc::from(format!("void main() {{ /* {seed} */ }}")),
             );
         }
+        for seed in 10..15u32 {
+            let report = Arc::from(format!("{{\"seed\":{seed}}}"));
+            cache.record_analysis(id, PERSONALITY, &snapshot(seed), report);
+        }
         cache
+    }
+
+    /// An empty cache that can restore `populated_cache`'s analyses.
+    fn warm_cache() -> CorpusCache {
+        let warm = CorpusCache::new();
+        warm.register_personalities(&[PERSONALITY]);
+        warm
     }
 
     #[test]
@@ -876,19 +813,20 @@ mod tests {
         let cache = populated_cache();
         let saved = cache.save(&dir.0).unwrap();
         assert_eq!(saved.shards_written, SHARDS);
-        assert_eq!(saved.entries_written, 30);
+        assert_eq!(saved.entries_written, 35);
 
-        let warm = CorpusCache::new();
+        let warm = warm_cache();
         let report = warm.load(&dir.0);
         assert_eq!(report.shards_skipped, 0);
-        assert_eq!(report.entries_loaded, 30);
+        assert_eq!(report.entries_loaded, 35);
         assert_eq!(warm.entry_count(), cache.entry_count());
         let stats = warm.stats();
-        assert_eq!(stats.warm_entries_loaded, 30);
+        assert_eq!(stats.warm_entries_loaded, 35);
         assert_eq!(stats.warm_shards_skipped, 0);
 
-        // Every persisted transition and emission answers a lookup, and the
-        // hits are attributed to the warm snapshot, not to any session.
+        // Every persisted transition, emission and analysis answers a lookup,
+        // and the hits are attributed to the warm snapshot, not to any
+        // session.
         let id = warm.register_session();
         for seed in 0..20u32 {
             let hit = warm
@@ -907,9 +845,16 @@ mod tests {
                 .unwrap_or_else(|| panic!("emission {seed} must warm-hit"));
             assert_eq!(*text, format!("void main() {{ /* {seed} */ }}"));
         }
+        for seed in 10..15u32 {
+            let report = warm
+                .analysis(id, PERSONALITY, &snapshot(seed))
+                .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
+            assert_eq!(*report, format!("{{\"seed\":{seed}}}"));
+        }
         let stats = warm.stats();
         assert_eq!(stats.warm_stage_hits, 20);
         assert_eq!(stats.warm_emission_hits, 10);
+        assert_eq!(stats.warm_analysis_hits, 5);
         assert_eq!(stats.cross_shader_stage_hits, 0);
         assert_eq!(stats.stage_runs, 0, "warm hits must not count as runs");
     }
@@ -949,15 +894,17 @@ mod tests {
         let cache = populated_cache();
         cache.save(&dir_a.0).unwrap();
 
-        let warm = CorpusCache::new();
-        warm.load(&dir_a.0);
+        let warm = warm_cache();
+        let report = warm.load(&dir_a.0);
+        assert_eq!(report.entries_loaded, 35);
         warm.save(&dir_b.0).unwrap();
         for shard in 0..SHARDS {
             let a = std::fs::read_to_string(shard_path(&dir_a.0, shard)).unwrap();
             let b = std::fs::read_to_string(shard_path(&dir_b.0, shard)).unwrap();
             assert_eq!(a, b, "shard {shard} drifted across save→load→save");
         }
-        // Loading the same snapshot twice adds nothing (dedup by structure).
+        // Loading the same snapshot twice adds nothing to any plane (dedup
+        // by structure).
         let before = warm.entry_count();
         let exemplars_before = warm.exemplar_count();
         let report = warm.load(&dir_a.0);
@@ -995,7 +942,7 @@ mod tests {
         let report = warm.load(&dir.0);
         assert_eq!(report.shards_skipped, 5);
         assert_eq!(report.shards_loaded, SHARDS - 5);
-        assert!(report.entries_loaded <= 30);
+        assert!(report.entries_loaded <= 35);
         let stats = warm.stats();
         assert_eq!(stats.warm_shards_skipped, 5);
         assert_eq!(stats.warm_shards_loaded, SHARDS - 5);
@@ -1058,15 +1005,16 @@ mod tests {
         );
         assert_eq!(
             report.entries_loaded + report.entries_skipped,
-            30 - entries_in_shard(&cache, victim),
+            35 - entries_in_shard(&cache, victim),
             "every surviving shard's entries are either loaded or skipped"
         );
     }
 
-    /// Edge + emission count of one shard in a live cache.
+    /// Entries of one shard of a live cache, across all three planes.
     fn entries_in_shard(cache: &CorpusCache, shard: usize) -> usize {
         cache.transitions[shard].read().unwrap().entries
             + cache.emissions[shard].read().unwrap().entries
+            + cache.analyses[shard].read().unwrap().entries
     }
 
     #[test]
@@ -1100,17 +1048,17 @@ mod tests {
         }
         patched_shard.expect("populated cache has at least one GLES emission");
 
-        let warm = CorpusCache::new();
+        let warm = warm_cache();
         let report = warm.load(&dir.0);
         assert_eq!(
             report.shards_skipped, 0,
             "an unknown entry must not reject its shard"
         );
         assert_eq!(report.entries_skipped, 1);
-        assert_eq!(report.entries_loaded, 29);
+        assert_eq!(report.entries_loaded, 34);
         let stats = warm.stats();
         assert_eq!(stats.warm_entries_skipped, 1);
-        assert_eq!(stats.warm_entries_loaded, 29);
+        assert_eq!(stats.warm_entries_loaded, 34);
         assert_eq!(stats.warm_shards_skipped, 0);
 
         // Every entry other than the retagged one still answers.
@@ -1173,11 +1121,11 @@ mod tests {
                 Arc::from(format!("{{\"nv\":{seed}}}")),
             );
         }
-        assert_eq!(cache.stats().static_analyses, 8);
+        assert_eq!(cache.stats().static_analyses, 5 + 8);
         let saved = cache.save(&dir.0).unwrap();
         assert_eq!(
-            saved.entries_written, 38,
-            "30 edge/emission entries + 8 analyses"
+            saved.entries_written, 43,
+            "35 populated entries + 8 analyses"
         );
 
         // A loader that only knows the Arm personality: the NVIDIA entries
@@ -1187,7 +1135,7 @@ mod tests {
         let report = warm.load(&dir.0);
         assert_eq!(report.shards_skipped, 0);
         assert_eq!(report.verify_rejects, 0);
-        assert_eq!(report.entries_loaded, 34);
+        assert_eq!(report.entries_loaded, 39);
         assert_eq!(report.entries_skipped, 4, "the four NVIDIA analyses");
 
         // Warm analysis hits serve from the memo: zero fresh walks.

@@ -13,9 +13,10 @@
 //! * [`pipeline`] — the staged pass schedule and single-shot compilation.
 //! * [`session`] — lower-once, prefix-shared variant compilation sessions
 //!   with per-backend (desktop GLSL / mobile GLES) emission memos.
-//! * [`cache`] — the memo store: a thread-safe fingerprint transition graph,
+//! * [`cache`] — the memo store: a thread-safe fingerprint transition graph
+//!   with one entry type across its edge, emission and analysis planes,
 //!   private to a standalone session or shared by a whole study sweep,
-//!   optionally bounded with LRU eviction and per-family hit-rate telemetry.
+//!   optionally bounded with LRU eviction and persisted for warm starts.
 //! * [`walk`] — the one walk over that graph and the one emission-memo
 //!   step, shared by sessions, the compile service and the driver memo.
 //! * [`variant`] — exhaustive variant generation and deduplication (§V-C).
@@ -31,14 +32,15 @@ pub mod variant;
 pub mod walk;
 
 pub use cache::persist::{LoadReport, SaveReport};
-pub use cache::{
-    shard_of, CacheStats, CacheStore, CorpusCache, FamilyCacheStats, Snapshot, FINGERPRINT_SHARDS,
-};
+pub use cache::{shard_of, CacheStats, CacheStore, CorpusCache, Snapshot, FINGERPRINT_SHARDS};
 pub use flags::{Flag, OptFlags};
 pub use lower::{lower, LowerError};
 pub use pipeline::{
     build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,
 };
+/// The one stable byte hash, re-exported for crates above this one that do
+/// not depend on `prism-ir` themselves.
+pub use prism_ir::hash::fnv64;
 pub use session::CompileSession;
 pub use specialize::{
     candidate_keys, spec_counters, specialize_shader, verify_specialization, GuardedDispatch,

@@ -122,39 +122,10 @@ impl CompileSession {
         name: &str,
         cache: Arc<dyn CacheStore>,
     ) -> Result<CompileSession, CompileError> {
-        CompileSession::construct(source, name, None, cache)
-    }
-
-    /// Like [`CompileSession::with_cache`], but registering the session under
-    /// an übershader `family` label so the store can report per-family
-    /// hit-rate telemetry. The label is attribution only — it never changes
-    /// what the session compiles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError`] when lowering fails or produces invalid IR.
-    pub fn with_cache_in_family(
-        source: &ShaderSource,
-        name: &str,
-        family: &str,
-        cache: Arc<dyn CacheStore>,
-    ) -> Result<CompileSession, CompileError> {
-        CompileSession::construct(source, name, Some(family), cache)
-    }
-
-    fn construct(
-        source: &ShaderSource,
-        name: &str,
-        family: Option<&str>,
-        cache: Arc<dyn CacheStore>,
-    ) -> Result<CompileSession, CompileError> {
         let ir = lower(source, name)?;
         verify(&ir).map_err(CompileError::Verify)?;
         let fp = fingerprint(&ir);
-        let id = match family {
-            Some(family) => cache.register_session_in(family),
-            None => cache.register_session(),
-        };
+        let id = cache.register_session();
         // Intern the base into the store's exemplar plane: family members
         // with identical lowerings then share one allocation, and every
         // later lookup resolves this session's states by pointer identity.
@@ -171,6 +142,22 @@ impl CompileSession {
             stats: RefCell::new(SessionStats::default()),
             spec_bases: RefCell::new(HashMap::new()),
         })
+    }
+
+    /// [`CompileSession::with_cache`]; `family` is ignored. Kept only for
+    /// the wall-clock benchmark (`perfbench/`, a workspace of its own),
+    /// which calls it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] when lowering fails or produces invalid IR.
+    pub fn with_cache_in_family(
+        source: &ShaderSource,
+        name: &str,
+        _family: &str,
+        cache: Arc<dyn CacheStore>,
+    ) -> Result<CompileSession, CompileError> {
+        CompileSession::with_cache(source, name, cache)
     }
 
     /// The shader's corpus name.

@@ -70,9 +70,9 @@ fn mask_bit(stage: usize) -> u64 {
 /// The store's clean-stage mask is read once per *distinct* state: every
 /// stage it marks as identity for the current structure is skipped
 /// outright — no lookup, no fingerprint, no clone — and consecutive
-/// identity stages collapse into one mask read. Stage hits are booked with
-/// the store once per [`Walk::settle`], not once per stage: the session's
-/// family is charged for all of them in one note.
+/// identity stages collapse into one mask read. Those mask skips are booked
+/// with the store once per [`Walk::settle`], not once per stage; an edge hit
+/// is counted by the store's lookup itself.
 #[derive(Debug, Clone)]
 pub struct Walk {
     state: Snapshot,
@@ -80,8 +80,6 @@ pub struct Walk {
     clean: u64,
     /// Stages taken off `clean` since the last settle.
     skipped: usize,
-    /// Stages answered by a graph edge since the last settle.
-    answered: usize,
 }
 
 impl Walk {
@@ -92,7 +90,6 @@ impl Walk {
             state: start,
             clean,
             skipped: 0,
-            answered: 0,
         }
     }
 
@@ -113,7 +110,6 @@ impl Walk {
             let Some(next) = store.transition(session, stage, &self.state) else {
                 return false;
             };
-            self.answered += 1;
             self.advance(store, bit, next);
         }
         stats.stage_hits += 1;
@@ -179,22 +175,20 @@ impl Walk {
                 continue;
             }
             if let Err(e) = self.run(store, session, stage, item, stats, &mut step) {
-                self.settle(store, session);
+                self.settle(store);
                 return Err(e);
             }
         }
-        self.settle(store, session);
+        self.settle(store);
         Ok(self.state)
     }
 
-    /// Books the stage hits taken since the last settle with the store in
-    /// one note ([`CacheStore::note_walk_hits`]).
-    pub fn settle<S: CacheStore + ?Sized>(&mut self, store: &S, session: SessionId) {
-        let hits = self.skipped + self.answered;
-        if hits > 0 {
-            store.note_walk_hits(session, hits, self.skipped);
+    /// Books the mask skips taken since the last settle with the store in
+    /// one note ([`CacheStore::note_identity_skips`]).
+    pub fn settle<S: CacheStore + ?Sized>(&mut self, store: &S) {
+        if self.skipped > 0 {
+            store.note_identity_skips(self.skipped);
             self.skipped = 0;
-            self.answered = 0;
         }
     }
 

@@ -1,5 +1,7 @@
 //! One fast hasher for the small keys the IR kernels hash: registers,
-//! statement positions and [value keys](crate::value_key::ValueKey).
+//! statement positions and [value keys](crate::value_key::ValueKey), and one
+//! stable byte hash ([`fnv64`]) for everything that is persisted or seeds a
+//! random stream.
 //!
 //! The standard library's default is a randomly seeded SipHash, built to
 //! resist hash flooding by untrusted keys. The analyses and passes hash
@@ -51,6 +53,16 @@ impl Hasher for FxHasher {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`: stable across processes, platforms and
+/// toolchains (unlike `DefaultHasher`, whose algorithm is unspecified). The
+/// warm-start snapshots' schedule hash and shard checksums, the compile
+/// service's source names and the seeded measurement streams all use it.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// The [`BuildHasher`](std::hash::BuildHasher) for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed through [`FxHasher`].
@@ -76,5 +88,12 @@ mod tests {
         }
         // Byte slices hash by content, tail included.
         assert_ne!(build.hash_one(b"abcdefghi"), build.hash_one(b"abcdefghj"));
+    }
+
+    #[test]
+    fn fnv64_matches_the_reference_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -486,10 +486,9 @@ pub fn incremental_search_records(
     let mut accs: HashMap<(String, String), Acc> = HashMap::new();
 
     for case in &corpus.cases {
-        let session = match CompileSession::with_cache_in_family(
+        let session = match CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             Arc::clone(&cache) as Arc<dyn CacheStore>,
         ) {
             Ok(session) => session,

@@ -81,12 +81,7 @@ pub trait Evaluator {
 /// FNV-1a over `shader NUL vendor` — the (shader, platform) identity hash
 /// both evaluators key their RNG streams on.
 pub(crate) fn context_seed_for(shader: &str, vendor: &str) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in shader.bytes().chain([0u8]).chain(vendor.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    prism_core::fnv64(format!("{shader}\0{vendor}").as_bytes())
 }
 
 /// The offline evaluator: compiles through a live [`CompileSession`] (real,

@@ -55,52 +55,15 @@ pub struct ShaderPlatformRecord {
     pub flag_to_variant: Vec<usize>,
 }
 
-// Hand-written (not `impl_serde_struct!`) because the version field was
-// renamed when the study outgrew GLSL-only drivers: new reports serialise
-// `driver_source_version`, old `study-report.json` artifacts carrying
-// `driver_glsl_version` still deserialize.
-impl serde::Serialize for ShaderPlatformRecord {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("shader".to_string(), self.shader.to_value()),
-            ("vendor".to_string(), self.vendor.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            (
-                "driver_source_version".to_string(),
-                self.driver_source_version.to_value(),
-            ),
-            ("original_ns".to_string(), self.original_ns.to_value()),
-            ("variants".to_string(), self.variants.to_value()),
-            (
-                "flag_to_variant".to_string(),
-                self.flag_to_variant.to_value(),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for ShaderPlatformRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("missing field `{name}` in ShaderPlatformRecord"))
-        };
-        let version = match v.get("driver_source_version") {
-            Some(value) => value,
-            // Pre-rename reports (GLSL-only study runs).
-            None => field("driver_glsl_version")?,
-        };
-        Ok(ShaderPlatformRecord {
-            shader: serde::Deserialize::from_value(field("shader")?)?,
-            vendor: serde::Deserialize::from_value(field("vendor")?)?,
-            backend: serde::Deserialize::from_value(field("backend")?)?,
-            driver_source_version: serde::Deserialize::from_value(version)?,
-            original_ns: serde::Deserialize::from_value(field("original_ns")?)?,
-            variants: serde::Deserialize::from_value(field("variants")?)?,
-            flag_to_variant: serde::Deserialize::from_value(field("flag_to_variant")?)?,
-        })
-    }
-}
+serde::impl_serde_struct!(ShaderPlatformRecord {
+    shader,
+    vendor,
+    backend,
+    driver_source_version,
+    original_ns,
+    variants,
+    flag_to_variant
+});
 
 impl ShaderPlatformRecord {
     /// Frame time of the variant a flag combination produces.
@@ -243,82 +206,21 @@ pub struct SearchRecord {
     pub regret_final: f64,
 }
 
-// Hand-written (not `impl_serde_struct!`) because the regret fields postdate
-// the first study-report.json artifacts: new reports serialise them, old
-// reports without them still deserialize (empty curve, zero final regret).
-impl serde::Serialize for SearchRecord {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("vendor".to_string(), self.vendor.to_value()),
-            ("strategy".to_string(), self.strategy.to_value()),
-            ("shaders".to_string(), self.shaders.to_value()),
-            ("budget".to_string(), self.budget.to_value()),
-            ("mean_compiles".to_string(), self.mean_compiles.to_value()),
-            (
-                "candidates_pruned".to_string(),
-                self.candidates_pruned.to_value(),
-            ),
-            ("max_compiles".to_string(), self.max_compiles.to_value()),
-            ("mean_speedup".to_string(), self.mean_speedup.to_value()),
-            (
-                "oracle_mean_speedup".to_string(),
-                self.oracle_mean_speedup.to_value(),
-            ),
-            (
-                "default_mean_speedup".to_string(),
-                self.default_mean_speedup.to_value(),
-            ),
-            (
-                "regret_checkpoints".to_string(),
-                self.regret_checkpoints.to_value(),
-            ),
-            ("mean_regret".to_string(), self.mean_regret.to_value()),
-            ("regret_final".to_string(), self.regret_final.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for SearchRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("missing field `{name}` in SearchRecord"))
-        };
-        // Pre-regret reports have no curve; default rather than fail.
-        let regret_checkpoints = match v.get("regret_checkpoints") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => Vec::new(),
-        };
-        let mean_regret = match v.get("mean_regret") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => Vec::new(),
-        };
-        let regret_final = match v.get("regret_final") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => 0.0,
-        };
-        // Pre-prefilter reports never pruned; absent means 0.
-        let candidates_pruned = match v.get("candidates_pruned") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => 0,
-        };
-        Ok(SearchRecord {
-            vendor: serde::Deserialize::from_value(field("vendor")?)?,
-            strategy: serde::Deserialize::from_value(field("strategy")?)?,
-            shaders: serde::Deserialize::from_value(field("shaders")?)?,
-            budget: serde::Deserialize::from_value(field("budget")?)?,
-            mean_compiles: serde::Deserialize::from_value(field("mean_compiles")?)?,
-            candidates_pruned,
-            max_compiles: serde::Deserialize::from_value(field("max_compiles")?)?,
-            mean_speedup: serde::Deserialize::from_value(field("mean_speedup")?)?,
-            oracle_mean_speedup: serde::Deserialize::from_value(field("oracle_mean_speedup")?)?,
-            default_mean_speedup: serde::Deserialize::from_value(field("default_mean_speedup")?)?,
-            regret_checkpoints,
-            mean_regret,
-            regret_final,
-        })
-    }
-}
+serde::impl_serde_struct!(SearchRecord {
+    vendor,
+    strategy,
+    shaders,
+    budget,
+    mean_compiles,
+    candidates_pruned,
+    max_compiles,
+    mean_speedup,
+    oracle_mean_speedup,
+    default_mean_speedup,
+    regret_checkpoints,
+    mean_regret,
+    regret_final
+});
 
 impl SearchRecord {
     /// Mean fraction of the exhaustive 256 combinations compiled.
@@ -415,152 +317,87 @@ pub struct CacheRecord {
     pub stats: CacheStats,
 }
 
+/// `stats`' scalar counters, in the order [`CacheRecord`]'s JSON writes
+/// them; the per-backend `emissions_*` split follows `emissions`. Fields
+/// come back `&mut` so the writer and the reader share this one key list.
+fn counters(stats: &mut CacheStats) -> [(&'static str, &mut usize); 21] {
+    [
+        ("sessions", &mut stats.sessions),
+        ("stage_runs", &mut stats.stage_runs),
+        ("stage_hits", &mut stats.stage_hits),
+        ("identity_transitions", &mut stats.identity_transitions),
+        (
+            "cross_shader_stage_hits",
+            &mut stats.cross_shader_stage_hits,
+        ),
+        ("emissions", &mut stats.emissions),
+        ("emission_hits", &mut stats.emission_hits),
+        (
+            "cross_shader_emission_hits",
+            &mut stats.cross_shader_emission_hits,
+        ),
+        ("evictions", &mut stats.evictions),
+        ("warm_stage_hits", &mut stats.warm_stage_hits),
+        ("warm_emission_hits", &mut stats.warm_emission_hits),
+        ("warm_entries_loaded", &mut stats.warm_entries_loaded),
+        ("warm_shards_loaded", &mut stats.warm_shards_loaded),
+        ("warm_shards_skipped", &mut stats.warm_shards_skipped),
+        ("warm_entries_skipped", &mut stats.warm_entries_skipped),
+        ("routed_requests", &mut stats.routed_requests),
+        ("coalesced_requests", &mut stats.coalesced_requests),
+        ("static_analyses", &mut stats.static_analyses),
+        ("analysis_memo_hits", &mut stats.analysis_memo_hits),
+        ("warm_analysis_hits", &mut stats.warm_analysis_hits),
+        ("warm_verify_rejects", &mut stats.warm_verify_rejects),
+    ]
+}
+
+/// The per-backend emission keys (`emissions_desktop`, ...), in
+/// [`BackendKind::ALL`](prism_emit::BackendKind::ALL) order.
+fn backend_keys() -> impl Iterator<Item = (String, usize)> {
+    prism_emit::BackendKind::ALL
+        .into_iter()
+        .map(|backend| (format!("emissions_{}", backend.name()), backend.index()))
+}
+
 // Serialised flat so the JSON stays a single small object. Hand-written
 // because the counter struct (`CacheStats`) lives in prism-core and is not
 // tied to this crate's record shape.
 impl serde::Serialize for CacheRecord {
     fn to_value(&self) -> serde::Value {
         let num = |n: usize| serde::Value::Num(n as f64);
-        let mut fields = vec![
-            ("sessions".to_string(), num(self.stats.sessions)),
-            ("stage_runs".to_string(), num(self.stats.stage_runs)),
-            ("stage_hits".to_string(), num(self.stats.stage_hits)),
-            (
-                "identity_transitions".to_string(),
-                num(self.stats.identity_transitions),
-            ),
-            (
-                "cross_shader_stage_hits".to_string(),
-                num(self.stats.cross_shader_stage_hits),
-            ),
-            ("emissions".to_string(), num(self.stats.emissions)),
-        ];
-        for backend in prism_emit::BackendKind::ALL {
-            fields.push((
-                format!("emissions_{}", backend.name()),
-                num(self.stats.emissions_by_backend[backend.index()]),
-            ));
+        let mut stats = self.stats;
+        let mut fields = Vec::new();
+        for (name, count) in counters(&mut stats) {
+            fields.push((name.to_string(), num(*count)));
+            if name == "emissions" {
+                fields.extend(
+                    backend_keys()
+                        .map(|(key, index)| (key, num(self.stats.emissions_by_backend[index]))),
+                );
+            }
         }
-        fields.extend(vec![
-            ("emission_hits".to_string(), num(self.stats.emission_hits)),
-            (
-                "cross_shader_emission_hits".to_string(),
-                num(self.stats.cross_shader_emission_hits),
-            ),
-            ("evictions".to_string(), num(self.stats.evictions)),
-            (
-                "warm_stage_hits".to_string(),
-                num(self.stats.warm_stage_hits),
-            ),
-            (
-                "warm_emission_hits".to_string(),
-                num(self.stats.warm_emission_hits),
-            ),
-            (
-                "warm_entries_loaded".to_string(),
-                num(self.stats.warm_entries_loaded),
-            ),
-            (
-                "warm_shards_loaded".to_string(),
-                num(self.stats.warm_shards_loaded),
-            ),
-            (
-                "warm_shards_skipped".to_string(),
-                num(self.stats.warm_shards_skipped),
-            ),
-            (
-                "warm_entries_skipped".to_string(),
-                num(self.stats.warm_entries_skipped),
-            ),
-            (
-                "routed_requests".to_string(),
-                num(self.stats.routed_requests),
-            ),
-            (
-                "coalesced_requests".to_string(),
-                num(self.stats.coalesced_requests),
-            ),
-            (
-                "static_analyses".to_string(),
-                num(self.stats.static_analyses),
-            ),
-            (
-                "analysis_memo_hits".to_string(),
-                num(self.stats.analysis_memo_hits),
-            ),
-            (
-                "warm_analysis_hits".to_string(),
-                num(self.stats.warm_analysis_hits),
-            ),
-            (
-                "warm_verify_rejects".to_string(),
-                num(self.stats.warm_verify_rejects),
-            ),
-        ]);
         serde::Value::Obj(fields)
     }
 }
 
 impl serde::Deserialize for CacheRecord {
     fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| format!("missing field `{name}` in CacheRecord"))
-        };
         let count = |name: &str| -> Result<usize, String> {
-            match field(name)? {
-                serde::Value::Num(n) => Ok(*n as usize),
-                other => Err(format!("expected number for `{name}`, got {other:?}")),
-            }
-        };
-        // The warm-start counters postdate the first study-report.json
-        // artifacts; an absent key means a pre-warm-start report, which is
-        // still perfectly usable with the counters at 0.
-        let warm_count = |name: &str| -> Result<usize, String> {
             match v.get(name) {
-                None => Ok(0),
                 Some(serde::Value::Num(n)) => Ok(*n as usize),
                 Some(other) => Err(format!("expected number for `{name}`, got {other:?}")),
+                None => Err(format!("missing field `{name}` in CacheRecord")),
             }
         };
-        // Like the warm counters, the per-backend split postdates the first
-        // artifacts; absent keys stay 0.
-        let mut emissions_by_backend = [0usize; prism_emit::BackendKind::COUNT];
-        for backend in prism_emit::BackendKind::ALL {
-            emissions_by_backend[backend.index()] =
-                warm_count(&format!("emissions_{}", backend.name()))?;
+        let mut stats = CacheStats::default();
+        for (name, field) in counters(&mut stats) {
+            *field = count(name)?;
         }
-        Ok(CacheRecord {
-            stats: CacheStats {
-                sessions: count("sessions")?,
-                stage_runs: count("stage_runs")?,
-                stage_hits: count("stage_hits")?,
-                // The identity-transition counter postdates the transition
-                // graph refactor; absent means an older report, counter 0.
-                identity_transitions: warm_count("identity_transitions")?,
-                cross_shader_stage_hits: count("cross_shader_stage_hits")?,
-                emissions: count("emissions")?,
-                emissions_by_backend,
-                emission_hits: count("emission_hits")?,
-                cross_shader_emission_hits: count("cross_shader_emission_hits")?,
-                evictions: count("evictions")?,
-                warm_stage_hits: warm_count("warm_stage_hits")?,
-                warm_emission_hits: warm_count("warm_emission_hits")?,
-                warm_entries_loaded: warm_count("warm_entries_loaded")?,
-                warm_shards_loaded: warm_count("warm_shards_loaded")?,
-                warm_shards_skipped: warm_count("warm_shards_skipped")?,
-                warm_entries_skipped: warm_count("warm_entries_skipped")?,
-                // The serving counters postdate the warm-start ones; the
-                // same absent-key-means-0 compatibility applies.
-                routed_requests: warm_count("routed_requests")?,
-                coalesced_requests: warm_count("coalesced_requests")?,
-                // The static-analysis plane postdates the serving counters.
-                static_analyses: warm_count("static_analyses")?,
-                analysis_memo_hits: warm_count("analysis_memo_hits")?,
-                warm_analysis_hits: warm_count("warm_analysis_hits")?,
-                warm_verify_rejects: warm_count("warm_verify_rejects")?,
-            },
-        })
+        for (key, index) in backend_keys() {
+            stats.emissions_by_backend[index] = count(&key)?;
+        }
+        Ok(CacheRecord { stats })
     }
 }
 
@@ -601,12 +438,11 @@ fn driver_to_value(driver: &DriverStats) -> serde::Value {
     ])
 }
 
-/// Reads the driver counters. Reports written before the driver memo
-/// existed have none; an absent counter reads as 0.
-fn driver_from_value(v: Option<&serde::Value>) -> Result<DriverStats, String> {
-    let count = |name: &str| match v.and_then(|v| v.get(name)) {
-        Some(value) => serde::Deserialize::from_value(value),
-        None => Ok(0),
+fn driver_from_value(v: &serde::Value) -> Result<DriverStats, String> {
+    let count = |name: &str| {
+        v.get(name)
+            .ok_or_else(|| format!("missing field `{name}` in DriverStats"))
+            .and_then(serde::Deserialize::from_value)
     };
     Ok(DriverStats {
         front_parses: count("front_parses")?,
@@ -640,26 +476,15 @@ impl serde::Deserialize for StudyResults {
             v.get(name)
                 .ok_or_else(|| format!("missing field `{name}` in StudyResults"))
         };
-        // Reports written before the warning channel / the specialization
-        // axis landed simply omit those keys; absent means empty, not
-        // malformed.
-        let warnings = match v.get("warnings") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => Vec::new(),
-        };
-        let specializations = match v.get("specializations") {
-            Some(value) => serde::Deserialize::from_value(value)?,
-            None => Vec::new(),
-        };
         Ok(StudyResults {
             shaders: serde::Deserialize::from_value(field("shaders")?)?,
             measurements: serde::Deserialize::from_value(field("measurements")?)?,
             skipped: serde::Deserialize::from_value(field("skipped")?)?,
             cache: serde::Deserialize::from_value(field("cache")?)?,
             search: serde::Deserialize::from_value(field("search")?)?,
-            warnings,
-            specializations,
-            driver: driver_from_value(v.get("driver"))?,
+            warnings: serde::Deserialize::from_value(field("warnings")?)?,
+            specializations: serde::Deserialize::from_value(field("specializations")?)?,
+            driver: driver_from_value(field("driver")?)?,
         })
     }
 }
@@ -884,63 +709,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_glsl_version_key_still_deserializes() {
-        // Reports written before the study spoke SPIR-V/MSL used
-        // `driver_glsl_version`; they must keep loading under the renamed
-        // field, and new reports must serialise the new key.
-        let json = serde_json::to_string(&record()).unwrap();
-        assert!(json.contains("\"driver_source_version\":\"450\""));
-        assert!(!json.contains("driver_glsl_version"));
-        let legacy = json.replace("driver_source_version", "driver_glsl_version");
-        let restored: ShaderPlatformRecord = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(restored, record());
-    }
-
-    #[test]
-    fn pre_regret_search_records_still_deserialize() {
-        // Search rows written before the regret curve existed must keep
-        // loading, with an empty curve and zero final regret.
-        let old = r#"{"vendor":"AMD","strategy":"ablation","shaders":5,"budget":63,"mean_compiles":10.0,"max_compiles":10,"mean_speedup":17.0,"oracle_mean_speedup":20.0,"default_mean_speedup":12.0}"#;
-        let record: SearchRecord = serde_json::from_str(old).unwrap();
-        assert_eq!(record.strategy, "ablation");
-        assert!(record.regret_checkpoints.is_empty());
-        assert!(record.mean_regret.is_empty());
-        assert_eq!(record.regret_final, 0.0);
-        // Ditto the prefilter counter, which postdates the regret curve.
-        assert_eq!(record.candidates_pruned, 0);
-    }
-
-    #[test]
-    fn pre_warm_start_cache_records_still_deserialize() {
-        // study-report.json artifacts written before the warm-start counters
-        // existed must stay readable, with the counters defaulted to 0.
-        let old = r#"{"shared":true,"sessions":1,"stage_runs":7,"stage_hits":21,"cross_shader_stage_hits":3,"emissions":4,"emission_hits":8,"cross_shader_emission_hits":2,"evictions":5}"#;
-        let record: CacheRecord = serde_json::from_str(old).unwrap();
-        assert_eq!(record.stats.stage_runs, 7);
-        assert_eq!(record.stats.warm_stage_hits, 0);
-        assert_eq!(record.stats.warm_shards_skipped, 0);
-        assert_eq!(record.stats.static_analyses, 0);
-        assert_eq!(record.stats.warm_verify_rejects, 0);
-    }
-
-    #[test]
-    fn pre_specialization_reports_still_deserialize() {
-        // study-report.json artifacts written before the specialization axis
-        // (and before the warning channel) omit those keys entirely; they
-        // must load with both defaulted to empty.
-        let old = r#"{"shaders":[],"measurements":[],"skipped":[],"cache":{"shared":false,"sessions":0,"stage_runs":0,"stage_hits":0,"cross_shader_stage_hits":0,"emissions":0,"emission_hits":0,"cross_shader_emission_hits":0,"evictions":0},"search":[]}"#;
-        let restored = StudyResults::from_json(old).unwrap();
-        assert!(restored.warnings.is_empty());
-        assert!(restored.specializations.is_empty());
-        // Ditto the driver-memo counters, and any one of them.
-        assert_eq!(restored.driver, DriverStats::default());
-        let partial = old.replace(
-            r#""search":[]"#,
-            r#""search":[],"driver":{"front_parses":3}"#,
-        );
-        let restored = StudyResults::from_json(&partial).unwrap();
-        assert_eq!(restored.driver.front_parses, 3);
-        assert_eq!(restored.driver.stage_runs, 0);
+    fn the_committed_study_report_round_trips_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../study-report.json");
+        let text = std::fs::read_to_string(path).expect("committed study-report.json");
+        let study = StudyResults::from_json(&text).unwrap();
+        assert_eq!(study.to_json().unwrap(), text);
     }
 
     #[test]

@@ -230,10 +230,9 @@ fn process_shader(
         family: case.family.clone(),
         error,
     };
-    let session = CompileSession::with_cache_in_family(
+    let session = CompileSession::with_cache(
         &case.source,
         &case.name,
-        &case.family,
         Arc::clone(corpus_cache) as Arc<dyn CacheStore>,
     )
     .map_err(|e| skip(e.to_string()))?;

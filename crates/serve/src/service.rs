@@ -39,6 +39,7 @@ use prism_emit::{BackendChain, BackendKind};
 use prism_glsl::ShaderInterface;
 use prism_gpu::Vendor;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
+use prism_ir::hash::fnv64;
 use prism_ir::interp::{results_exactly_equal, run_fragment};
 use prism_ir::verify::verify;
 use std::collections::HashMap;
@@ -61,17 +62,6 @@ fn with_schedule<R>(f: impl FnOnce(&[Stage]) -> R) -> R {
 /// for the lowered IR and as the tune tenant's measurement identity.
 pub(crate) fn source_name(source: &str) -> String {
     format!("serve-{:016x}", fnv64(source.as_bytes()))
-}
-
-/// FNV-1a 64-bit hash (shader naming for anonymous request sources; the
-/// tune tenant's specialization-arm stream derivation).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Service configuration.
@@ -510,7 +500,7 @@ impl CompileService {
         if let Some(dir) = &config.warm_start_dir {
             cache.load(dir);
         }
-        let session = cache.register_session_in("serve");
+        let session = cache.register_session();
         CompileService {
             warm_start_dir: config.warm_start_dir,
             cache,
@@ -765,7 +755,7 @@ impl CompileService {
                 .filter(|&stage| schedule[stage].enabled_for(request.flags))
                 .find(|&stage| !walk.answer(&*self.cache, self.session, stage, work))
         });
-        walk.settle(&*self.cache, self.session);
+        walk.settle(&*self.cache);
         if let Some(stage) = missed {
             return Err(Resume::Stage { walk, stage });
         }

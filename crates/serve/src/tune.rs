@@ -331,7 +331,7 @@ impl CompileService {
                 };
                 // One deterministic stream per (shader, platform, flags,
                 // spec) arm, disjoint from the flag streams by the key hash.
-                let stream = crate::service::fnv64(
+                let stream = prism_ir::hash::fnv64(
                     format!(
                         "{shader_name}\0{}\0{}\0{key}",
                         spec.vendor.name(),

@@ -200,10 +200,9 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
     let cache = Arc::new(CorpusCache::new());
     let probes = default_probe_points();
     for case in &corpus.cases {
-        let session = CompileSession::with_cache_in_family(
+        let session = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             cache.clone() as Arc<dyn CacheStore>,
         )
         .expect("smoke corpus session");

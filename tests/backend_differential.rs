@@ -21,17 +21,8 @@
 use prism::core::{CacheStore, CompileSession, CorpusCache, OptFlags};
 use prism::corpus::Corpus;
 use prism::emit::{source_interface, BackendKind};
+use prism::ir::hash::fnv64;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit — the deterministic per-shader seed for flag sampling.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// A deterministic sample of flag combinations for one shader: the no-flag
 /// baseline, everything-on, and two shader-dependent masks — stable across
@@ -56,10 +47,9 @@ fn all_four_backends_agree_for_every_corpus_shader() {
     let shared_cache = Arc::new(CorpusCache::new());
     for case in &corpus.cases {
         let cold = CompileSession::new(&case.source, &case.name).expect("cold session");
-        let shared = CompileSession::with_cache_in_family(
+        let shared = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             shared_cache.clone() as Arc<dyn CacheStore>,
         )
         .expect("shared session");
@@ -149,10 +139,9 @@ fn transition_graph_replay_is_byte_identical_cold_shared_and_warm_booted() {
     let mut expected: Vec<(String, OptFlags, BackendKind, std::sync::Arc<str>)> = Vec::new();
     for case in &corpus.cases {
         let cold = CompileSession::new(&case.source, &case.name).expect("cold session");
-        let shared = CompileSession::with_cache_in_family(
+        let shared = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             shared_cache.clone() as Arc<dyn CacheStore>,
         )
         .expect("shared session");
@@ -187,10 +176,9 @@ fn transition_graph_replay_is_byte_identical_cold_shared_and_warm_booted() {
 
     let mut cursor = expected.iter();
     for case in &corpus.cases {
-        let warm = CompileSession::with_cache_in_family(
+        let warm = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             warm_cache.clone() as Arc<dyn CacheStore>,
         )
         .expect("warm session");

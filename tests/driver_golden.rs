@@ -22,28 +22,12 @@ use prism::corpus::{Corpus, ShaderCase};
 use prism::emit::BackendKind;
 use prism::gpu::Platform;
 use prism::ir::fingerprint;
+use prism::ir::hash::fnv64;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/driver_corpus.txt")
-}
-
-/// 64-bit FNV-1a: stable across processes, platforms and toolchains, unlike
-/// `DefaultHasher`.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 /// The texts the sweep submits for `case`, one per platform backend and
@@ -83,7 +67,7 @@ fn lines_for(case: &ShaderCase, platforms: &[Platform]) -> Vec<String> {
     platforms
         .iter()
         .map(|platform| {
-            let mut digest = Fnv64::new();
+            let mut bytes = Vec::new();
             for column in &columns {
                 let (_, text) = column
                     .iter()
@@ -91,15 +75,15 @@ fn lines_for(case: &ShaderCase, platforms: &[Platform]) -> Vec<String> {
                     .expect("every backend has a text");
                 match platform.submit(text, &case.name) {
                     Ok(cost) => {
-                        digest.write(&[0]);
-                        digest.write(&fingerprint(&cost.driver_ir).0.to_le_bytes());
-                        digest.write(&cost.ideal_frame_ns.to_bits().to_le_bytes());
+                        bytes.push(0);
+                        bytes.extend_from_slice(&fingerprint(&cost.driver_ir).0.to_le_bytes());
+                        bytes.extend_from_slice(&cost.ideal_frame_ns.to_bits().to_le_bytes());
                     }
                     Err(e) => {
                         let text = e.to_string();
-                        digest.write(&[1]);
-                        digest.write(&(text.len() as u64).to_le_bytes());
-                        digest.write(text.as_bytes());
+                        bytes.push(1);
+                        bytes.extend_from_slice(&(text.len() as u64).to_le_bytes());
+                        bytes.extend_from_slice(text.as_bytes());
                     }
                 }
             }
@@ -108,7 +92,7 @@ fn lines_for(case: &ShaderCase, platforms: &[Platform]) -> Vec<String> {
                 case.name,
                 platform.vendor().name(),
                 columns.len(),
-                digest.0
+                fnv64(&bytes)
             )
         })
         .collect()

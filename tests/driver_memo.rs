@@ -125,10 +125,9 @@ fn memoised_submits_equal_the_reference_for_every_column_and_platform() {
     let cache = Arc::new(CorpusCache::new());
     let mut submits = 0;
     for case in &corpus().cases {
-        let session = CompileSession::with_cache_in_family(
+        let session = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             Arc::clone(&cache) as Arc<dyn CacheStore>,
         )
         .expect("corpus session");

@@ -21,6 +21,7 @@
 use prism::analyze::lint;
 use prism::core::{CompileSession, OptFlags};
 use prism::corpus::Corpus;
+use prism::ir::hash::fnv64;
 use prism::ir::stmt::{rewrite_operands, walk_body};
 use prism::ir::verify::verify;
 use prism::ir::{IrType, Op, Operand, Reg, Shader, Stmt};
@@ -30,12 +31,7 @@ use std::collections::HashMap;
 /// different shaders corrupt different sites but every run corrupts the same
 /// ones.
 fn seed(label: &str, kind: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.bytes().chain(kind.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64(format!("{label}{kind}").as_bytes())
 }
 
 /// Every corpus shader, in both unoptimized and default-optimized form.

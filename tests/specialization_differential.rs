@@ -20,17 +20,8 @@
 use prism::core::specialize::{candidate_keys, default_probe_points, verify_specialization};
 use prism::core::{spec_counters, CacheStore, CompileSession, CorpusCache, OptFlags};
 use prism::corpus::Corpus;
+use prism::ir::hash::fnv64;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit — the deterministic per-shader seed for flag sampling.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// A deterministic sample of flag combinations per shader: the no-flag
 /// baseline, the LunarGlass default, and a shader-dependent mask — stable
@@ -114,10 +105,9 @@ fn specialized_compiles_agree_cold_vs_shared_cache() {
     let flags = OptFlags::lunarglass_default();
     for case in &corpus.cases {
         let cold = CompileSession::new(&case.source, &case.name).expect("cold session");
-        let shared = CompileSession::with_cache_in_family(
+        let shared = CompileSession::with_cache(
             &case.source,
             &case.name,
-            &case.family,
             shared_cache.clone() as Arc<dyn CacheStore>,
         )
         .expect("shared session");

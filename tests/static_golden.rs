@@ -26,27 +26,11 @@ use prism::core::{CompileSession, OptFlags};
 use prism::corpus::{Corpus, ShaderCase};
 use prism::emit::BackendKind;
 use prism::gpu::{Platform, Vendor};
+use prism::ir::hash::fnv64;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/static_reports.txt")
-}
-
-/// 64-bit FNV-1a: stable across processes, platforms and toolchains, unlike
-/// `DefaultHasher`.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 /// One golden line per vendor for `case`: `<shader> <vendor> <digest>`.
@@ -60,13 +44,13 @@ fn lines_for(case: &ShaderCase) -> Vec<String> {
     Vendor::ALL
         .iter()
         .map(|&vendor| {
-            let mut digest = Fnv64::new();
+            let mut bytes = Vec::new();
             for ir in forms {
                 let json = analyze(ir, vendor).to_json().expect("report serialises");
-                digest.write(&(json.len() as u64).to_le_bytes());
-                digest.write(json.as_bytes());
+                bytes.extend_from_slice(&(json.len() as u64).to_le_bytes());
+                bytes.extend_from_slice(json.as_bytes());
             }
-            format!("{} {} {:016x}", case.name, vendor.name(), digest.0)
+            format!("{} {} {:016x}", case.name, vendor.name(), fnv64(&bytes))
         })
         .collect()
 }
