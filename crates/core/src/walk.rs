@@ -116,24 +116,33 @@ impl Walk {
         true
     }
 
-    /// Runs a stage the graph could not answer: `step` gets a copy of the
-    /// IR and returns whether it changed it (or rejects the result with an
-    /// error). The transition is recorded either way, and after a change
-    /// the walk continues from the store's canonical exemplar, so later
-    /// lookups resolve by pointer.
+    /// Runs a stage the graph could not answer: `step` gets the working
+    /// copy of the current state's IR and returns whether it changed it (or
+    /// rejects the result with an error). The transition is recorded either
+    /// way, and after a change the walk continues from the store's canonical
+    /// exemplar, so later lookups resolve by pointer.
+    ///
+    /// The step contract: `Ok(false)` means the step left the IR untouched,
+    /// so the copy still equals the state it was taken from and the next
+    /// step reuses it. `work` holds that copy next to the state it copies;
+    /// the IR is cloned again only after a step changed it (the copy then
+    /// becomes the new state) or after the walk moved to another state.
     fn run<S, T, E>(
         &mut self,
         store: &S,
         session: SessionId,
-        stage: usize,
-        item: T,
+        (stage, item): (usize, T),
         stats: &mut SessionStats,
+        work: &mut Option<(Arc<Shader>, Shader)>,
         step: impl FnOnce(T, &mut Shader) -> Result<bool, E>,
     ) -> Result<(), E>
     where
         S: CacheStore + ?Sized,
     {
-        let mut ir = (*self.state.ir).clone();
+        let mut ir = match work.take() {
+            Some((of, ir)) if Arc::ptr_eq(&of, &self.state.ir) => ir,
+            _ => (*self.state.ir).clone(),
+        };
         let output = if step(item, &mut ir)? {
             ir.invalidate_fingerprint();
             Snapshot {
@@ -142,7 +151,9 @@ impl Walk {
             }
         } else {
             // Identity: the input snapshot is the output — no fingerprint,
-            // no new allocation. The store records it as a clean-stage bit.
+            // no new allocation. The store records it as a clean-stage bit,
+            // and the untouched copy serves the next step.
+            *work = Some((Arc::clone(&self.state.ir), ir));
             self.state.clone()
         };
         stats.stage_runs += 1;
@@ -154,6 +165,11 @@ impl Walk {
     /// Walks the remaining `stages` — `(stage id, item)` pairs in schedule
     /// order — answering what the graph can and running `step` for the
     /// rest, then settles and returns the final state.
+    ///
+    /// `step` must return `Ok(false)` only when it left the IR untouched:
+    /// the walk keeps one working copy of the current state's IR, local to
+    /// this call, and hands the same copy to every step until one changes
+    /// it or the walk moves to another state (see `tests/pass_identity.rs`).
     ///
     /// # Errors
     ///
@@ -170,11 +186,12 @@ impl Walk {
     where
         S: CacheStore + ?Sized,
     {
+        let mut work = None;
         for (stage, item) in stages {
             if self.answer(store, session, stage, stats) {
                 continue;
             }
-            if let Err(e) = self.run(store, session, stage, item, stats, &mut step) {
+            if let Err(e) = self.run(store, session, (stage, item), stats, &mut work, &mut step) {
                 self.settle(store);
                 return Err(e);
             }
@@ -210,7 +227,10 @@ impl Walk {
 /// Walks `stages` — `(stage id, item)` pairs in schedule order — from
 /// `start` over `store`'s transition graph and returns the final state: a
 /// [`Walk`] from `start`, [finished](Walk::finish) over every stage. A
-/// stage the graph cannot answer runs `step` on a copy of the IR.
+/// stage the graph cannot answer runs `step` on a working copy of the IR.
+/// `Ok(false)` from `step` means the IR is untouched, and the one working
+/// copy is reused by the next step; it is cloned again only after a change
+/// or a move to another state.
 ///
 /// # Errors
 ///

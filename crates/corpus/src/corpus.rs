@@ -21,7 +21,7 @@ pub struct ShaderCase {
 impl ShaderCase {
     /// The paper's lines-of-code metric for this shader (post-preprocessing).
     pub fn lines_of_code(&self) -> usize {
-        self.source.lines_of_code
+        self.source.lines_of_code()
     }
 }
 

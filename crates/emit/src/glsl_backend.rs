@@ -9,9 +9,9 @@
 use crate::names::RegNamer;
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use prism_ir::value::format_glsl_float;
+use prism_ir::value::{Floats, GlslFloat};
 use std::collections::HashSet;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// How the emitter names temporaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,16 +114,21 @@ pub fn emit_glsl(shader: &Shader) -> String {
 /// Panics on [`TempNameStyle::SpirvId`]: SPIR-V result ids are not C
 /// identifiers — that style belongs to the `SpirvAsm` backend's own emitter.
 pub fn emit_glsl_with(shader: &Shader, options: &EmitOptions) -> String {
-    Emitter::new(shader, options).run()
+    let mut out = String::new();
+    Emitter::new(shader, options).run(&mut out);
+    out
 }
 
+/// One emission: every line is written straight into the caller's output
+/// buffer; operands, types and constants go through [`fmt::Display`]
+/// adapters instead of intermediate strings.
 struct Emitter<'a> {
     shader: &'a Shader,
     options: &'a EmitOptions,
     namer: RegNamer,
     analysis: Analysis,
-    declared: HashSet<Reg>,
-    out: String,
+    /// Registers already declared, indexed by register number.
+    declared: Vec<bool>,
     indent: usize,
 }
 
@@ -142,183 +147,159 @@ impl<'a> Emitter<'a> {
             options,
             namer,
             analysis: Analysis::of(shader),
-            declared: HashSet::new(),
-            out: String::new(),
+            declared: vec![false; shader.regs.len()],
             indent: 0,
         }
     }
 
-    fn run(self) -> String {
+    fn run(mut self, out: &mut String) {
+        let shader = self.shader;
         match self.options.syntax {
-            Syntax::Glsl => self.run_glsl(),
-            Syntax::Msl => self.run_msl(),
+            Syntax::Glsl => {
+                let _ = writeln!(out, "#version {}", self.options.version);
+                if self.options.emit_precision {
+                    out.push_str("precision highp float;\n");
+                    out.push_str("precision highp int;\n");
+                }
+                self.emit_interface(out);
+                self.emit_const_arrays(out);
+                out.push_str("void main()\n{\n");
+                self.indent = 1;
+                self.emit_predeclarations(out);
+                self.emit_body(out, &shader.body);
+            }
+            Syntax::Msl => {
+                out.push_str("#include <metal_stdlib>\n");
+                out.push_str("using namespace metal;\n\n");
+                self.emit_msl_interface_structs(out);
+                self.emit_const_arrays(out);
+                out.push_str("fragment main0_out main0(");
+                self.emit_msl_entry_params(out);
+                out.push_str(")\n{\n");
+                self.indent = 1;
+                self.line(out, "main0_out out = {};");
+                self.emit_predeclarations(out);
+                self.emit_body(out, &shader.body);
+                self.line(out, "return out;");
+            }
         }
-    }
-
-    fn run_glsl(mut self) -> String {
-        let _ = writeln!(self.out, "#version {}", self.options.version);
-        if self.options.emit_precision {
-            self.out.push_str("precision highp float;\n");
-            self.out.push_str("precision highp int;\n");
-        }
-        self.emit_interface();
-        self.emit_const_arrays();
-        self.out.push_str("void main()\n{\n");
-        self.indent = 1;
-        self.emit_predeclarations();
-        let body = self.shader.body.clone();
-        self.emit_body(&body);
-        self.indent = 0;
-        self.out.push_str("}\n");
-        self.out
-    }
-
-    fn run_msl(mut self) -> String {
-        self.out.push_str("#include <metal_stdlib>\n");
-        self.out.push_str("using namespace metal;\n\n");
-        self.emit_msl_interface_structs();
-        self.emit_const_arrays();
-        let params = self.msl_entry_params();
-        let _ = writeln!(
-            self.out,
-            "fragment main0_out main0({})\n{{",
-            params.join(", ")
-        );
-        self.indent = 1;
-        self.line("main0_out out = {};");
-        self.emit_predeclarations();
-        let body = self.shader.body.clone();
-        self.emit_body(&body);
-        self.line("return out;");
-        self.indent = 0;
-        self.out.push_str("}\n");
-        self.out
+        out.push_str("}\n");
     }
 
     /// The target-syntax spelling of an IR value type.
-    fn ty_name(&self, ty: IrType) -> String {
-        match self.options.syntax {
-            Syntax::Glsl => ty.glsl_name(),
-            Syntax::Msl => msl_type_name(ty),
-        }
+    fn ty(&self, ty: IrType) -> TyName {
+        TyName(ty, self.options.syntax)
     }
 
-    fn emit_interface(&mut self) {
+    /// An operand in the target syntax.
+    fn opnd<'e>(&'e self, operand: &'e Operand) -> Opnd<'e, 'a> {
+        Opnd(self, operand)
+    }
+
+    fn emit_interface(&self, out: &mut String) {
         for v in &self.shader.inputs {
-            let _ = writeln!(self.out, "in {} {};", v.ty.glsl_name(), v.name);
+            let _ = writeln!(out, "in {} {};", v.ty, v.name);
         }
         for v in &self.shader.outputs {
-            let _ = writeln!(self.out, "out {} {};", v.ty.glsl_name(), v.name);
+            let _ = writeln!(out, "out {} {};", v.ty, v.name);
         }
         // Group uniform slots back into their original declarations so the
         // external interface is unchanged by optimization.
         let mut seen = HashSet::new();
         for u in &self.shader.uniforms {
-            if seen.insert(u.name.clone()) {
-                let _ = writeln!(self.out, "uniform {} {};", u.original, u.name);
+            if seen.insert(u.name.as_str()) {
+                let _ = writeln!(out, "uniform {} {};", u.original, u.name);
             }
         }
         for s in &self.shader.samplers {
-            let _ = writeln!(self.out, "uniform {} {};", glsl_sampler_name(s.dim), s.name);
+            let _ = writeln!(out, "uniform {} {};", glsl_sampler_name(s.dim), s.name);
         }
     }
 
     /// The `[[stage_in]]` / `[[color(n)]]` interface structs of the MSL form
     /// (SPIRV-Cross's `main0_in` / `main0_out` shape).
-    fn emit_msl_interface_structs(&mut self) {
-        self.out.push_str("struct main0_in\n{\n");
+    fn emit_msl_interface_structs(&self, out: &mut String) {
+        out.push_str("struct main0_in\n{\n");
         for (i, v) in self.shader.inputs.iter().enumerate() {
             let _ = writeln!(
-                self.out,
+                out,
                 "    {} {} [[user(locn{i})]];",
-                msl_type_name(v.ty),
+                TyName(v.ty, Syntax::Msl),
                 v.name
             );
         }
-        self.out.push_str("};\n\nstruct main0_out\n{\n");
+        out.push_str("};\n\nstruct main0_out\n{\n");
         for (i, v) in self.shader.outputs.iter().enumerate() {
             let _ = writeln!(
-                self.out,
+                out,
                 "    {} {} [[color({i})]];",
-                msl_type_name(v.ty),
+                TyName(v.ty, Syntax::Msl),
                 v.name
             );
         }
-        self.out.push_str("};\n\n");
+        out.push_str("};\n\n");
     }
 
     /// The entry-point parameter list of the MSL form: stage-in struct,
     /// one `constant` argument per uniform declaration, one texture + one
     /// `<name>Smplr` sampler per sampler binding.
-    fn msl_entry_params(&self) -> Vec<String> {
-        let mut params = vec!["main0_in in [[stage_in]]".to_string()];
+    fn emit_msl_entry_params(&self, out: &mut String) {
+        out.push_str("main0_in in [[stage_in]]");
         let mut seen = HashSet::new();
         let mut buffer = 0usize;
         for u in &self.shader.uniforms {
-            if seen.insert(u.name.clone()) {
-                params.push(format!(
-                    "constant {} [[buffer({buffer})]]",
-                    msl_uniform_decl(&u.original, &u.name)
-                ));
+            if seen.insert(u.name.as_str()) {
+                out.push_str(", constant ");
+                write_msl_uniform_decl(out, &u.original, &u.name);
+                let _ = write!(out, " [[buffer({buffer})]]");
                 buffer += 1;
             }
         }
         for (i, s) in self.shader.samplers.iter().enumerate() {
-            params.push(format!(
-                "{}<float> {} [[texture({i})]]",
+            let _ = write!(
+                out,
+                ", {}<float> {} [[texture({i})]], sampler {}Smplr [[sampler({i})]]",
                 msl_texture_name(s.dim),
+                s.name,
                 s.name
-            ));
-            params.push(format!("sampler {}Smplr [[sampler({i})]]", s.name));
+            );
         }
-        params
     }
 
-    fn emit_const_arrays(&mut self) {
+    fn emit_const_arrays(&self, out: &mut String) {
         for arr in &self.shader.const_arrays {
-            let elem = self.ty_name(arr.elem_ty);
-            let elems: Vec<String> = arr
-                .elements
-                .iter()
-                .map(|lanes| {
-                    if arr.elem_ty.is_scalar() {
-                        format_glsl_float(lanes[0])
-                    } else {
-                        let parts: Vec<String> =
-                            lanes.iter().map(|v| format_glsl_float(*v)).collect();
-                        format!("{elem}({})", parts.join(", "))
-                    }
-                })
-                .collect();
-            match self.options.syntax {
+            let elem = self.ty(arr.elem_ty);
+            // One line in MSL so the MSL → GLSL front-end transform stays a
+            // line-local rewrite.
+            let (open, sep, close) = match self.options.syntax {
                 Syntax::Glsl => {
-                    let _ = writeln!(
-                        self.out,
-                        "const {elem} {}[{}] = {elem}[](\n    {}\n);",
-                        arr.name,
-                        arr.len(),
-                        elems.join(",\n    ")
-                    );
+                    let _ = write!(out, "const {elem} {}[{}] = {elem}[](", arr.name, arr.len());
+                    ("\n    ", ",\n    ", "\n);\n")
                 }
-                // One line so the MSL → GLSL front-end transform stays a
-                // line-local rewrite.
                 Syntax::Msl => {
-                    let _ = writeln!(
-                        self.out,
-                        "constant {elem} {}[{}] = {{ {} }};",
-                        arr.name,
-                        arr.len(),
-                        elems.join(", ")
-                    );
+                    let _ = write!(out, "constant {elem} {}[{}] = {{", arr.name, arr.len());
+                    (" ", ", ", " };\n")
+                }
+            };
+            out.push_str(open);
+            for (i, lanes) in arr.elements.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(sep);
+                }
+                if arr.elem_ty.is_scalar() {
+                    let _ = write!(out, "{}", GlslFloat(lanes[0]));
+                } else {
+                    let _ = write!(out, "{elem}({})", Floats(lanes, ", "));
                 }
             }
+            out.push_str(close);
         }
     }
 
     /// Registers with multiple definitions or definitions nested inside
     /// control flow are declared up front; single-definition top-level
     /// registers are declared at their definition site.
-    fn emit_predeclarations(&mut self) {
+    fn emit_predeclarations(&mut self, out: &mut String) {
         for (i, info) in self.shader.regs.iter().enumerate() {
             let reg = Reg(i as u32);
             let facts = self.analysis.facts(reg);
@@ -327,68 +308,69 @@ impl<'a> Emitter<'a> {
             }
             let needs_predecl = !facts.is_ssa() && facts.use_count > 0;
             if needs_predecl {
-                self.line(&format!(
-                    "{} {};",
-                    self.ty_name(info.ty),
-                    self.namer.name(reg)
-                ));
-                self.declared.insert(reg);
+                self.pad(out);
+                let _ = writeln!(out, "{} {};", self.ty(info.ty), self.namer.name(reg));
+                self.declared[i] = true;
             }
         }
     }
 
-    fn line(&mut self, text: &str) {
+    /// The current indentation.
+    fn pad(&self, out: &mut String) {
         for _ in 0..self.indent {
-            self.out.push_str("    ");
+            out.push_str("    ");
         }
-        self.out.push_str(text);
-        self.out.push('\n');
     }
 
-    fn emit_body(&mut self, body: &[Stmt]) {
+    fn line(&self, out: &mut String, text: &str) {
+        self.pad(out);
+        out.push_str(text);
+        out.push('\n');
+    }
+
+    fn emit_body(&mut self, out: &mut String, body: &[Stmt]) {
         for stmt in body {
-            self.emit_stmt(stmt);
+            self.emit_stmt(out, stmt);
         }
     }
 
-    fn emit_stmt(&mut self, stmt: &Stmt) {
+    fn emit_stmt(&mut self, out: &mut String, stmt: &Stmt) {
         match stmt {
-            Stmt::Def { dst, op } => self.emit_def(*dst, op),
+            Stmt::Def { dst, op } => self.emit_def(out, *dst, op),
             Stmt::StoreOutput {
                 output,
                 components,
                 value,
             } => {
+                self.pad(out);
                 let name = &self.shader.outputs[*output].name;
-                let out_name = match self.options.syntax {
-                    Syntax::Glsl => name.clone(),
-                    Syntax::Msl => format!("out.{name}"),
-                };
-                let target = match components {
-                    None => out_name,
-                    Some(comps) => format!("{out_name}.{}", swizzle_string(comps)),
-                };
-                let value = self.operand(value);
-                self.line(&format!("{target} = {value};"));
+                if self.options.syntax == Syntax::Msl {
+                    out.push_str("out.");
+                }
+                out.push_str(name);
+                if let Some(comps) = components {
+                    let _ = write!(out, ".{}", Swizzle(comps));
+                }
+                let _ = writeln!(out, " = {};", self.opnd(value));
             }
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let cond = self.operand(cond);
-                self.line(&format!("if ({cond}) {{"));
+                self.pad(out);
+                let _ = writeln!(out, "if ({}) {{", self.opnd(cond));
                 self.indent += 1;
-                self.emit_body(then_body);
+                self.emit_body(out, then_body);
                 self.indent -= 1;
                 if else_body.is_empty() {
-                    self.line("}");
+                    self.line(out, "}");
                 } else {
-                    self.line("} else {");
+                    self.line(out, "} else {");
                     self.indent += 1;
-                    self.emit_body(else_body);
+                    self.emit_body(out, else_body);
                     self.indent -= 1;
-                    self.line("}");
+                    self.line(out, "}");
                 }
             }
             Stmt::Loop {
@@ -398,21 +380,21 @@ impl<'a> Emitter<'a> {
                 step,
                 body,
             } => {
-                let name = self.namer.name(*var).to_string();
-                let step_text = match *step {
-                    1 => format!("{name}++"),
-                    -1 => format!("{name}--"),
-                    s if s > 0 => format!("{name} += {s}"),
-                    s => format!("{name} -= {}", -s),
-                };
+                self.pad(out);
+                let name = self.namer.name(*var);
                 let cmp = if *step > 0 { "<" } else { ">" };
-                self.line(&format!(
-                    "for (int {name} = {start}; {name} {cmp} {end}; {step_text}) {{"
-                ));
+                let _ = write!(out, "for (int {name} = {start}; {name} {cmp} {end}; {name}");
+                let _ = match *step {
+                    1 => write!(out, "++"),
+                    -1 => write!(out, "--"),
+                    s if s > 0 => write!(out, " += {s}"),
+                    s => write!(out, " -= {}", -s),
+                };
+                out.push_str(") {\n");
                 self.indent += 1;
-                self.emit_body(body);
+                self.emit_body(out, body);
                 self.indent -= 1;
-                self.line("}");
+                self.line(out, "}");
             }
             Stmt::Discard { cond } => {
                 let kill = match self.options.syntax {
@@ -420,20 +402,17 @@ impl<'a> Emitter<'a> {
                     Syntax::Msl => "discard_fragment();",
                 };
                 match cond {
-                    None => self.line(kill),
+                    None => self.line(out, kill),
                     Some(c) => {
-                        let c = self.operand(c);
-                        self.line(&format!("if ({c}) {{ {kill} }}"));
+                        self.pad(out);
+                        let _ = writeln!(out, "if ({}) {{ {kill} }}", self.opnd(c));
                     }
                 }
             }
         }
     }
 
-    fn emit_def(&mut self, dst: Reg, op: &Op) {
-        let name = self.namer.name(dst).to_string();
-        let ty = self.ty_name(self.shader.reg_ty(dst));
-
+    fn emit_def(&mut self, out: &mut String, dst: Reg, op: &Op) {
         // Vector-component insertion emits as a component assignment rather
         // than an expression.
         if let Op::Insert {
@@ -442,48 +421,45 @@ impl<'a> Emitter<'a> {
             value,
         } = op
         {
-            let value_text = self.operand(value);
-            let comp = swizzle_string(&[*index]);
-            match vector {
-                Operand::Reg(src) if *src == dst => {
-                    self.line(&format!("{name}.{comp} = {value_text};"));
+            let comp = Swizzle(std::slice::from_ref(index));
+            if !matches!(vector, Operand::Reg(src) if *src == dst) {
+                let first = !std::mem::replace(&mut self.declared[dst.0 as usize], true);
+                self.pad(out);
+                if first {
+                    let _ = write!(out, "{} ", self.ty(self.shader.reg_ty(dst)));
                 }
-                other => {
-                    let base = self.operand(other);
-                    if self.declared.insert(dst) {
-                        self.line(&format!("{ty} {name} = {base};"));
-                    } else {
-                        self.line(&format!("{name} = {base};"));
-                    }
-                    self.line(&format!("{name}.{comp} = {value_text};"));
-                }
+                let _ = writeln!(out, "{} = {};", self.namer.name(dst), self.opnd(vector));
             }
+            self.pad(out);
+            let name = self.namer.name(dst);
+            let _ = writeln!(out, "{name}.{comp} = {};", self.opnd(value));
             return;
         }
 
-        let expr = self.op_expr(op);
-        if self.declared.insert(dst) {
-            self.line(&format!("{ty} {name} = {expr};"));
-        } else {
-            self.line(&format!("{name} = {expr};"));
+        let first = !std::mem::replace(&mut self.declared[dst.0 as usize], true);
+        self.pad(out);
+        if first {
+            let _ = write!(out, "{} ", self.ty(self.shader.reg_ty(dst)));
         }
+        let _ = write!(out, "{} = ", self.namer.name(dst));
+        self.write_op(out, op);
+        out.push_str(";\n");
     }
 
-    fn op_expr(&self, op: &Op) -> String {
-        match op {
-            Op::Mov(a) => self.operand(a),
+    fn write_op(&self, out: &mut String, op: &Op) {
+        let _ = match op {
+            Op::Mov(a) => write!(out, "{}", self.opnd(a)),
             Op::Binary(b, x, y) => {
-                format!("({} {} {})", self.operand(x), b.symbol(), self.operand(y))
+                write!(out, "({} {} {})", self.opnd(x), b.symbol(), self.opnd(y))
             }
-            Op::Unary(UnaryOp::Neg, a) => format!("(-{})", self.operand(a)),
-            Op::Unary(UnaryOp::Not, a) => format!("(!{})", self.operand(a)),
+            Op::Unary(UnaryOp::Neg, a) => write!(out, "(-{})", self.opnd(a)),
+            Op::Unary(UnaryOp::Not, a) => write!(out, "(!{})", self.opnd(a)),
             Op::Intrinsic(i, args) => {
-                let parts: Vec<String> = args.iter().map(|a| self.operand(a)).collect();
                 let name = match self.options.syntax {
                     Syntax::Glsl => i.glsl_name(),
                     Syntax::Msl => msl_intrinsic_name(*i),
                 };
-                format!("{name}({})", parts.join(", "))
+                write!(out, "{name}({})", Opnds(self, args))
             }
             Op::TextureSample {
                 sampler,
@@ -492,14 +468,11 @@ impl<'a> Emitter<'a> {
                 dim,
             } => {
                 let s = &self.shader.samplers[*sampler].name;
+                let coords = self.opnd(coords);
                 match self.options.syntax {
                     Syntax::Glsl => match lod {
-                        Some(l) => format!(
-                            "textureLod({s}, {}, {})",
-                            self.operand(coords),
-                            self.operand(l)
-                        ),
-                        None => format!("texture({s}, {})", self.operand(coords)),
+                        Some(l) => write!(out, "textureLod({s}, {coords}, {})", self.opnd(l)),
+                        None => write!(out, "texture({s}, {coords})"),
                     },
                     Syntax::Msl => {
                         // Shadow textures compare rather than sample; the
@@ -511,71 +484,130 @@ impl<'a> Emitter<'a> {
                             "sample"
                         };
                         match lod {
-                            Some(l) => format!(
-                                "{s}.{method}({s}Smplr, {}, level({}))",
-                                self.operand(coords),
-                                self.operand(l)
+                            Some(l) => write!(
+                                out,
+                                "{s}.{method}({s}Smplr, {coords}, level({}))",
+                                self.opnd(l)
                             ),
-                            None => format!("{s}.{method}({s}Smplr, {})", self.operand(coords)),
+                            None => write!(out, "{s}.{method}({s}Smplr, {coords})"),
                         }
                     }
                 }
             }
             Op::Construct { ty, parts } => {
-                let p: Vec<String> = parts.iter().map(|a| self.operand(a)).collect();
-                format!("{}({})", self.ty_name(*ty), p.join(", "))
+                write!(out, "{}({})", self.ty(*ty), Opnds(self, parts))
             }
-            Op::Splat { ty, value } => format!("{}({})", self.ty_name(*ty), self.operand(value)),
-            Op::Extract { vector, index } => {
-                format!("{}.{}", self.operand(vector), swizzle_string(&[*index]))
-            }
+            Op::Splat { ty, value } => write!(out, "{}({})", self.ty(*ty), self.opnd(value)),
+            Op::Extract { vector, index } => write!(
+                out,
+                "{}.{}",
+                self.opnd(vector),
+                Swizzle(std::slice::from_ref(index))
+            ),
             Op::Insert { .. } => unreachable!("handled in emit_def"),
             Op::Swizzle { vector, lanes } => {
-                format!("{}.{}", self.operand(vector), swizzle_string(lanes))
+                write!(out, "{}.{}", self.opnd(vector), Swizzle(lanes))
             }
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => format!(
+            } => write!(
+                out,
                 "({} ? {} : {})",
-                self.operand(cond),
-                self.operand(if_true),
-                self.operand(if_false)
+                self.opnd(cond),
+                self.opnd(if_true),
+                self.opnd(if_false)
             ),
             Op::ConstArrayLoad { array, index } => {
                 let arr = &self.shader.const_arrays[*array];
-                format!("{}[{}]", arr.name, self.operand(index))
+                write!(out, "{}[{}]", arr.name, self.opnd(index))
             }
             Op::Convert { to, value } => {
-                format!("{}({})", self.ty_name(*to), self.operand(value))
+                write!(out, "{}({})", self.ty(*to), self.opnd(value))
+            }
+        };
+    }
+}
+
+/// An operand in the emitter's target syntax.
+struct Opnd<'e, 'a>(&'e Emitter<'a>, &'e Operand);
+
+impl fmt::Display for Opnd<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Opnd(emitter, operand) = *self;
+        let msl = emitter.options.syntax == Syntax::Msl;
+        match operand {
+            Operand::Reg(r) => f.write_str(emitter.namer.name(*r)),
+            // MSL spells float-vector constructors `floatN`; every other
+            // literal is the constant's GLSL text.
+            Operand::Const(Constant::FloatVec(v)) if msl => {
+                write!(f, "float{}({})", v.len(), Floats(v, ", "))
+            }
+            Operand::Const(c) => write!(f, "{c}"),
+            Operand::Input(i) => {
+                if msl {
+                    f.write_str("in.")?;
+                }
+                f.write_str(&emitter.shader.inputs[*i].name)
+            }
+            Operand::Uniform(u) => {
+                let u = &emitter.shader.uniforms[*u];
+                if uniform_needs_index(&u.original) {
+                    write!(f, "{}[{}]", u.name, u.slot)
+                } else {
+                    f.write_str(&u.name)
+                }
             }
         }
     }
+}
 
-    fn operand(&self, operand: &Operand) -> String {
-        match operand {
-            Operand::Reg(r) => self.namer.name(*r).to_string(),
-            Operand::Const(c) => match self.options.syntax {
-                Syntax::Glsl => constant_text(c),
-                Syntax::Msl => msl_constant_text(c),
-            },
-            Operand::Input(i) => {
-                let name = &self.shader.inputs[*i].name;
-                match self.options.syntax {
-                    Syntax::Glsl => name.clone(),
-                    Syntax::Msl => format!("in.{name}"),
-                }
+/// A comma-separated operand list (call arguments, constructor parts).
+struct Opnds<'e, 'a>(&'e Emitter<'a>, &'e [Operand]);
+
+impl fmt::Display for Opnds<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, operand) in self.1.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
             }
-            Operand::Uniform(u) => {
-                let u = &self.shader.uniforms[*u];
-                if uniform_needs_index(&u.original) {
-                    format!("{}[{}]", u.name, u.slot)
-                } else {
-                    u.name.clone()
-                }
-            }
+            write!(f, "{}", Opnd(self.0, operand))?;
         }
+        Ok(())
+    }
+}
+
+/// The spelling of an IR value type in one surface syntax (`vec4` in GLSL,
+/// `float4` in MSL).
+#[derive(Clone, Copy)]
+struct TyName(IrType, Syntax);
+
+impl fmt::Display for TyName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let TyName(ty, syntax) = *self;
+        if syntax == Syntax::Glsl || ty.width == 1 {
+            return write!(f, "{ty}");
+        }
+        let prefix = match ty.scalar {
+            prism_ir::types::Scalar::F32 => "float",
+            prism_ir::types::Scalar::I32 => "int",
+            prism_ir::types::Scalar::U32 => "uint",
+            prism_ir::types::Scalar::Bool => "bool",
+        };
+        write!(f, "{prefix}{}", ty.width)
+    }
+}
+
+/// Component indices as a swizzle (`xyzw`).
+pub(crate) struct Swizzle<'c>(pub(crate) &'c [u8]);
+
+impl fmt::Display for Swizzle<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0 {
+            f.write_char("xyzw".chars().nth(*c as usize).unwrap_or('x'))?;
+        }
+        Ok(())
     }
 }
 
@@ -583,19 +615,6 @@ impl<'a> Emitter<'a> {
 /// IR slot (matrices and arrays do; plain scalars/vectors do not).
 fn uniform_needs_index(original: &str) -> bool {
     original.starts_with("mat") || original.contains('[')
-}
-
-fn constant_text(c: &Constant) -> String {
-    match c {
-        Constant::Float(v) => format_glsl_float(*v),
-        Constant::Int(v) => format!("{v}"),
-        Constant::Uint(v) => format!("{v}u"),
-        Constant::Bool(b) => format!("{b}"),
-        Constant::FloatVec(v) => {
-            let parts: Vec<String> = v.iter().map(|x| format_glsl_float(*x)).collect();
-            format!("vec{}({})", v.len(), parts.join(", "))
-        }
-    }
 }
 
 /// The GLSL sampler spelling of a texture dimensionality.
@@ -606,21 +625,6 @@ pub(crate) fn glsl_sampler_name(dim: TextureDim) -> &'static str {
         TextureDim::Cube => "samplerCube",
         TextureDim::Shadow2D => "sampler2DShadow",
         TextureDim::Array2D => "sampler2DArray",
-    }
-}
-
-/// The MSL spelling of an IR value type (`vec4` → `float4`, …).
-pub(crate) fn msl_type_name(ty: IrType) -> String {
-    if ty.width == 1 {
-        ty.glsl_name()
-    } else {
-        let prefix = match ty.scalar {
-            prism_ir::types::Scalar::F32 => "float",
-            prism_ir::types::Scalar::I32 => "int",
-            prism_ir::types::Scalar::U32 => "uint",
-            prism_ir::types::Scalar::Bool => "bool",
-        };
-        format!("{prefix}{}", ty.width)
     }
 }
 
@@ -639,35 +643,35 @@ pub(crate) fn msl_texture_name(dim: TextureDim) -> &'static str {
 /// `float4x4&` references, arrays stay arrays (prism's MSL-like subset), and
 /// plain scalars/vectors become references — all reversible to the original
 /// GLSL `uniform` declaration.
-fn msl_uniform_decl(original: &str, name: &str) -> String {
-    if let Some(bracket) = original.find('[') {
-        let (elem, dims) = original.split_at(bracket);
-        format!("{} {name}{dims}", msl_decl_type(elem))
-    } else {
-        format!("{}& {name}", msl_decl_type(original))
-    }
+fn write_msl_uniform_decl(out: &mut String, original: &str, name: &str) {
+    let _ = match original.find('[') {
+        Some(bracket) => {
+            let (elem, dims) = original.split_at(bracket);
+            write!(out, "{} {name}{dims}", msl_decl_type(elem))
+        }
+        None => write!(out, "{}& {name}", msl_decl_type(original)),
+    };
 }
 
 /// Maps a GLSL declaration type to its MSL spelling.
-fn msl_decl_type(glsl: &str) -> String {
+fn msl_decl_type(glsl: &str) -> &str {
     match glsl {
-        "float" | "int" | "uint" | "bool" => glsl.to_string(),
-        "vec2" => "float2".into(),
-        "vec3" => "float3".into(),
-        "vec4" => "float4".into(),
-        "ivec2" => "int2".into(),
-        "ivec3" => "int3".into(),
-        "ivec4" => "int4".into(),
-        "uvec2" => "uint2".into(),
-        "uvec3" => "uint3".into(),
-        "uvec4" => "uint4".into(),
-        "bvec2" => "bool2".into(),
-        "bvec3" => "bool3".into(),
-        "bvec4" => "bool4".into(),
-        "mat2" => "float2x2".into(),
-        "mat3" => "float3x3".into(),
-        "mat4" => "float4x4".into(),
-        other => other.to_string(),
+        "vec2" => "float2",
+        "vec3" => "float3",
+        "vec4" => "float4",
+        "ivec2" => "int2",
+        "ivec3" => "int3",
+        "ivec4" => "int4",
+        "uvec2" => "uint2",
+        "uvec3" => "uint3",
+        "uvec4" => "uint4",
+        "bvec2" => "bool2",
+        "bvec3" => "bool3",
+        "bvec4" => "bool4",
+        "mat2" => "float2x2",
+        "mat3" => "float3x3",
+        "mat4" => "float4x4",
+        other => other,
     }
 }
 
@@ -681,24 +685,6 @@ pub(crate) fn msl_intrinsic_name(i: prism_ir::op::Intrinsic) -> &'static str {
         Intrinsic::DFdy => "dfdy",
         other => other.glsl_name(),
     }
-}
-
-/// MSL constant literals: identical to GLSL except vector constructors.
-fn msl_constant_text(c: &Constant) -> String {
-    match c {
-        Constant::FloatVec(v) => {
-            let parts: Vec<String> = v.iter().map(|x| format_glsl_float(*x)).collect();
-            format!("float{}({})", v.len(), parts.join(", "))
-        }
-        other => constant_text(other),
-    }
-}
-
-fn swizzle_string(comps: &[u8]) -> String {
-    comps
-        .iter()
-        .map(|c| "xyzw".chars().nth(*c as usize).unwrap_or('x'))
-        .collect()
 }
 
 #[cfg(test)]

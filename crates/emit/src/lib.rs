@@ -9,7 +9,13 @@
 //!
 //! Emission is organised around [`BackendKind`], the closed set of targets —
 //! one IR, N source-text targets, all emitting straight from the IR with no
-//! intermediate shader clone through [`BackendKind::emit`]:
+//! intermediate shader clone through [`BackendKind::emit`]. Each emitter
+//! writes into one output `String`: operands, types and literals go in
+//! through `Display` adapters rather than per-operand strings, and register
+//! names come from one dense per-register table built once per emission
+//! ([`names::RegNamer`]). The SPIR-V form gathers only its constant
+//! declarations aside, since the body it writes later is what discovers
+//! them:
 //!
 //! * `DesktopGlsl` writes `#version 450` GLSL with name-hint temporaries for
 //!   the three desktop OpenGL drivers;

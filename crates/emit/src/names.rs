@@ -5,6 +5,7 @@
 //! output) and otherwise falls back to `t<N>` temporaries.
 
 use prism_ir::prelude::*;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Assigns a stable GLSL identifier to every register of a shader.
@@ -14,9 +15,12 @@ use std::collections::{HashMap, HashSet};
 /// identical text even if their register tables differ — a property the
 /// variant-deduplication step and the "ADCE never changes the output"
 /// observation rely on.
+///
+/// The names live in one dense table indexed by register number, built once
+/// per emission; [`RegNamer::name`] borrows from it.
 #[derive(Debug, Clone)]
 pub struct RegNamer {
-    names: HashMap<Reg, String>,
+    names: Vec<String>,
 }
 
 impl RegNamer {
@@ -31,60 +35,36 @@ impl RegNamer {
     /// as locals (e.g. `in`/`out`, the MSL interface struct instances).
     pub fn with_reserved(shader: &Shader, reserved: &[&str]) -> RegNamer {
         let mut taken = interface_names(shader);
-        taken.extend(reserved.iter().map(|r| r.to_string()));
+        taken.extend(reserved.iter().map(|r| Cow::Borrowed(*r)));
+        let mut namer = HintNamer {
+            shader,
+            taken,
+            next_suffix: HashMap::new(),
+            temps: 0,
+            names: vec![None; shader.regs.len()],
+        };
 
         // Registers in order of first appearance (definitions, loop variables
         // and uses), followed by any register never referenced in the body.
-        let mut ordered: Vec<Reg> = Vec::new();
-        let mut seen: HashSet<Reg> = HashSet::new();
         prism_ir::stmt::walk_body(&shader.body, &mut |stmt| {
             if let prism_ir::Stmt::Def { dst, .. } = stmt {
-                if seen.insert(*dst) {
-                    ordered.push(*dst);
-                }
+                namer.assign(*dst);
             }
             if let prism_ir::Stmt::Loop { var, .. } = stmt {
-                if seen.insert(*var) {
-                    ordered.push(*var);
-                }
+                namer.assign(*var);
             }
             for operand in stmt.operands() {
                 if let prism_ir::Operand::Reg(r) = operand {
-                    if seen.insert(*r) {
-                        ordered.push(*r);
-                    }
+                    namer.assign(*r);
                 }
             }
         });
         for i in 0..shader.regs.len() {
-            let reg = Reg(i as u32);
-            if seen.insert(reg) {
-                ordered.push(reg);
-            }
+            namer.assign(Reg(i as u32));
         }
-
-        let mut names = HashMap::new();
-        let mut counter = 0usize;
-        for reg in ordered {
-            let info = &shader.regs[reg.0 as usize];
-            let base = match info.name_hint.clone().filter(|h| is_valid_ident(h)) {
-                Some(hint) => hint,
-                None => {
-                    let name = format!("t{counter}");
-                    counter += 1;
-                    name
-                }
-            };
-            let mut candidate = base.clone();
-            let mut suffix = 0;
-            while taken.contains(&candidate) {
-                suffix += 1;
-                candidate = format!("{base}_{suffix}");
-            }
-            taken.insert(candidate.clone());
-            names.insert(reg, candidate);
+        RegNamer {
+            names: namer.names.into_iter().flatten().collect(),
         }
-        RegNamer { names }
     }
 
     /// Builds SPIRV-Cross style names (`_<100 + index>`) for all registers,
@@ -92,19 +72,22 @@ impl RegNamer {
     /// conversion path. Naming is by register index, so it needs no shader
     /// rewrite — the GLES backend renames during emission.
     pub fn spirv_cross(shader: &Shader) -> RegNamer {
-        let mut taken = interface_names(shader);
-        let mut names = HashMap::new();
-        for i in 0..shader.regs.len() {
-            let base = format!("_{}", 100 + i);
-            let mut candidate = base.clone();
-            let mut suffix = 0;
-            while taken.contains(&candidate) {
-                suffix += 1;
-                candidate = format!("{base}_{suffix}");
-            }
-            taken.insert(candidate.clone());
-            names.insert(Reg(i as u32), candidate);
-        }
+        // `_<n>` names never collide with each other, and a suffixed
+        // `_<n>_<k>` never with a plain one, so the interface is the only
+        // thing a register name can clash with.
+        let taken = interface_names(shader);
+        let names = (0..shader.regs.len())
+            .map(|i| {
+                let base = format!("_{}", 100 + i);
+                if !taken.contains(base.as_str()) {
+                    return base;
+                }
+                (1..)
+                    .map(|suffix| format!("{base}_{suffix}"))
+                    .find(|candidate| !taken.contains(candidate.as_str()))
+                    .expect("a free suffix exists")
+            })
+            .collect();
         RegNamer { names }
     }
 
@@ -115,7 +98,7 @@ impl RegNamer {
     /// the numeric register ids, so no avoidance set is needed.
     pub fn spirv_ids(shader: &Shader) -> RegNamer {
         let names = (0..shader.regs.len())
-            .map(|i| (Reg(i as u32), format!("%{}", 100 + i)))
+            .map(|i| format!("%{}", 100 + i))
             .collect();
         RegNamer { names }
     }
@@ -127,30 +110,89 @@ impl RegNamer {
     /// Panics if the register does not belong to the shader the namer was
     /// built for.
     pub fn name(&self, reg: Reg) -> &str {
-        &self.names[&reg]
+        &self.names[reg.0 as usize]
+    }
+}
+
+/// The state of one hinted naming pass ([`RegNamer::with_reserved`]).
+struct HintNamer<'s> {
+    shader: &'s Shader,
+    /// Every identifier a new name must avoid: the interface, the reserved
+    /// words and the names handed out so far.
+    taken: HashSet<Cow<'s, str>>,
+    /// Per hint, the first suffix not yet known to be taken: every
+    /// `<hint>_<k>` below it is, so a later probe starts there. SSA
+    /// renaming gives every redefinition of a variable the same hint, so
+    /// probing from 1 each time would be quadratic in the redefinitions.
+    next_suffix: HashMap<&'s str, usize>,
+    /// `t<N>` temporaries handed out so far.
+    temps: usize,
+    names: Vec<Option<String>>,
+}
+
+impl<'s> HintNamer<'s> {
+    /// Names `reg` on first sight: its hint when valid and free, else
+    /// `t<N>`, suffixed `_<k>` with the first free `k` on a clash.
+    fn assign(&mut self, reg: Reg) {
+        if self.names[reg.0 as usize].is_some() {
+            return;
+        }
+        let hint = self.shader.regs[reg.0 as usize]
+            .name_hint
+            .as_deref()
+            .filter(|h| is_valid_ident(h));
+        let name = match hint {
+            Some(hint) if !self.taken.contains(hint) => {
+                self.taken.insert(Cow::Borrowed(hint));
+                hint.to_string()
+            }
+            Some(hint) => {
+                let from = self.next_suffix.get(hint).copied().unwrap_or(1);
+                let (suffix, name) = self.first_free(hint, from);
+                self.next_suffix.insert(hint, suffix + 1);
+                name
+            }
+            None => {
+                let base = format!("t{}", self.temps);
+                self.temps += 1;
+                if self.taken.contains(base.as_str()) {
+                    self.first_free(&base, 1).1
+                } else {
+                    self.taken.insert(Cow::Owned(base.clone()));
+                    base
+                }
+            }
+        };
+        self.names[reg.0 as usize] = Some(name);
+    }
+
+    /// The first `<base>_<k>` with `k >= from` that is not taken, marked
+    /// taken.
+    fn first_free(&mut self, base: &str, from: usize) -> (usize, String) {
+        let (suffix, name) = (from..)
+            .map(|suffix| (suffix, format!("{base}_{suffix}")))
+            .find(|(_, candidate)| !self.taken.contains(candidate.as_str()))
+            .expect("a free suffix exists");
+        self.taken.insert(Cow::Owned(name.clone()));
+        (suffix, name)
     }
 }
 
 /// Every identifier of the shader's external interface (plus const arrays),
 /// which register names must not collide with.
-fn interface_names(shader: &Shader) -> HashSet<String> {
-    let mut taken: HashSet<String> = HashSet::new();
-    for v in &shader.inputs {
-        taken.insert(v.name.clone());
-    }
-    for v in &shader.uniforms {
-        taken.insert(v.name.clone());
-    }
-    for v in &shader.samplers {
-        taken.insert(v.name.clone());
-    }
-    for v in &shader.outputs {
-        taken.insert(v.name.clone());
-    }
-    for a in &shader.const_arrays {
-        taken.insert(a.name.clone());
-    }
-    taken
+fn interface_names(shader: &Shader) -> HashSet<Cow<'_, str>> {
+    let inputs = shader.inputs.iter().map(|v| &v.name);
+    let uniforms = shader.uniforms.iter().map(|v| &v.name);
+    let samplers = shader.samplers.iter().map(|v| &v.name);
+    let outputs = shader.outputs.iter().map(|v| &v.name);
+    let arrays = shader.const_arrays.iter().map(|a| &a.name);
+    inputs
+        .chain(uniforms)
+        .chain(samplers)
+        .chain(outputs)
+        .chain(arrays)
+        .map(|name| Cow::Borrowed(name.as_str()))
+        .collect()
 }
 
 fn is_valid_ident(s: &str) -> bool {

@@ -20,13 +20,15 @@
 //!
 //! [`TempNameStyle::SpirvId`]: crate::glsl_backend::TempNameStyle
 
+use crate::glsl_backend::Swizzle;
 use crate::names::RegNamer;
 use prism_ir::prelude::*;
 use prism_ir::types::Scalar;
-use prism_ir::value::format_glsl_float;
+use prism_ir::value::{Floats, GlslFloat};
+use prism_ir::value_key::OperandKey;
 use prism_ir::verify::operand_ty;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// The version token the assembly header carries (and the parser reports as
 /// the source-form version the driver saw).
@@ -34,12 +36,19 @@ pub const SPIRV_VERSION: &str = "spirv-1.0";
 
 /// Emits the complete SPIR-V-like assembly of a shader.
 pub fn emit_spirv_asm(shader: &Shader) -> String {
-    SpirvEmitter::new(shader).run()
+    let mut out = String::new();
+    SpirvEmitter::new(shader).run(&mut out);
+    out
 }
 
+/// One emission, written straight into the caller's output buffer. Only the
+/// constant declarations, which the body discovers but the global section
+/// above it declares, are gathered aside and spliced in at the end.
 struct SpirvEmitter<'a> {
     shader: &'a Shader,
     namer: RegNamer,
+    /// Named ids handed out so far. The numeric register ids are never
+    /// stored: [`is_register_id`] recognises them by shape.
     used_ids: HashSet<String>,
     /// Interface / const-array ids, in declaration order.
     input_ids: Vec<String>,
@@ -51,24 +60,20 @@ struct SpirvEmitter<'a> {
     /// Ids of the per-input / per-uniform-slot `OpLoad` results.
     input_loads: Vec<String>,
     uniform_loads: Vec<String>,
-    /// Constant lines in first-use order and their dedup map.
-    const_lines: Vec<String>,
-    const_ids: HashMap<String, String>,
+    /// Constant declaration lines in first-use order, the constants' ids,
+    /// and each distinct constant's index among them.
+    consts: String,
+    const_names: Vec<String>,
+    const_ids: HashMap<OperandKey<'a>, usize>,
     label: usize,
 }
 
 impl<'a> SpirvEmitter<'a> {
     fn new(shader: &'a Shader) -> Self {
-        let namer = RegNamer::spirv_ids(shader);
-        let mut used_ids: HashSet<String> = (0..shader.regs.len())
-            .map(|i| format!("%{}", 100 + i))
-            .collect();
-        used_ids.insert("%main".to_string());
-        used_ids.insert("%entry".to_string());
         SpirvEmitter {
             shader,
-            namer,
-            used_ids,
+            namer: RegNamer::spirv_ids(shader),
+            used_ids: ["%main", "%entry"].map(String::from).into_iter().collect(),
             input_ids: Vec::new(),
             output_ids: Vec::new(),
             uniform_ids: Vec::new(),
@@ -76,7 +81,8 @@ impl<'a> SpirvEmitter<'a> {
             array_ids: Vec::new(),
             input_loads: Vec::new(),
             uniform_loads: Vec::new(),
-            const_lines: Vec::new(),
+            consts: String::new(),
+            const_names: Vec::new(),
             const_ids: HashMap::new(),
             label: 0,
         }
@@ -84,9 +90,12 @@ impl<'a> SpirvEmitter<'a> {
 
     /// Allocates a not-yet-used id, suffixing on collision.
     fn fresh(&mut self, base: &str) -> String {
+        let taken = |this: &Self, id: &str| {
+            this.used_ids.contains(id) || is_register_id(id, this.shader.regs.len())
+        };
         let mut candidate = format!("%{base}");
         let mut n = 0;
-        while self.used_ids.contains(&candidate) {
+        while taken(self, &candidate) {
             n += 1;
             candidate = format!("%{base}_{n}");
         }
@@ -94,26 +103,18 @@ impl<'a> SpirvEmitter<'a> {
         candidate
     }
 
-    fn run(mut self) -> String {
+    fn run(mut self, out: &mut String) {
+        let shader = self.shader;
         self.allocate_interface_ids();
 
-        // Body first (into a side buffer): it discovers the constants the
-        // global section above it must declare.
-        let mut body = String::new();
-        self.emit_loads(&mut body);
-        let stmts = self.shader.body.clone();
-        self.emit_body(&stmts, &mut body);
-
-        let mut out = String::new();
         out.push_str("; SPIR-V\n; Version: 1.0\n; Generator: prism; 0\n; Schema: 0\n");
         out.push_str("OpCapability Shader\n");
         out.push_str("OpMemoryModel Logical GLSL450\n");
-        let mut entry_interface = String::new();
+        out.push_str("OpEntryPoint Fragment %main \"main\"");
         for id in self.input_ids.iter().chain(&self.output_ids) {
-            let _ = write!(entry_interface, " {id}");
+            let _ = write!(out, " {id}");
         }
-        let _ = writeln!(out, "OpEntryPoint Fragment %main \"main\"{entry_interface}");
-        out.push_str("OpExecutionMode %main OriginUpperLeft\n");
+        out.push_str("\nOpExecutionMode %main OriginUpperLeft\n");
         out.push_str("OpSource GLSL 450\n");
         out.push_str("OpName %main \"main\"\n");
         for (i, id) in self.input_ids.iter().enumerate() {
@@ -128,195 +129,196 @@ impl<'a> SpirvEmitter<'a> {
         for (i, id) in self.sampler_ids.iter().enumerate() {
             let _ = writeln!(out, "OpDecorate {id} Binding {i}");
         }
-        for (i, v) in self.shader.inputs.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{} = OpVariable Input {}",
-                self.input_ids[i],
-                type_token(v.ty)
-            );
+        for (id, v) in self.input_ids.iter().zip(&shader.inputs) {
+            let _ = writeln!(out, "{id} = OpVariable Input {}", TypeToken(v.ty));
         }
-        for (i, v) in self.shader.outputs.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{} = OpVariable Output {}",
-                self.output_ids[i],
-                type_token(v.ty)
-            );
+        for (id, v) in self.output_ids.iter().zip(&shader.outputs) {
+            let _ = writeln!(out, "{id} = OpVariable Output {}", TypeToken(v.ty));
         }
         for (id, base, slots) in &self.uniform_ids {
-            let u = &self.shader.uniforms[*base];
+            let u = &shader.uniforms[*base];
             let _ = writeln!(
                 out,
                 "{id} = OpVariable Uniform {} x{slots} ; {}",
-                type_token(u.ty),
+                TypeToken(u.ty),
                 u.original
             );
         }
-        for (i, s) in self.shader.samplers.iter().enumerate() {
+        for (id, s) in self.sampler_ids.iter().zip(&shader.samplers) {
             let _ = writeln!(
                 out,
-                "{} = OpVariable UniformConstant {}",
-                self.sampler_ids[i],
+                "{id} = OpVariable UniformConstant {}",
                 crate::glsl_backend::glsl_sampler_name(s.dim)
             );
         }
-        for (i, arr) in self.shader.const_arrays.iter().enumerate() {
-            let elems: Vec<String> = arr
-                .elements
-                .iter()
-                .map(|lanes| {
-                    let parts: Vec<String> = lanes.iter().map(|v| format_glsl_float(*v)).collect();
-                    format!("({})", parts.join(" "))
-                })
-                .collect();
-            let _ = writeln!(
+        for (id, arr) in self.array_ids.iter().zip(&shader.const_arrays) {
+            let _ = write!(
                 out,
-                "{} = OpConstantComposite {}[{}] {}",
-                self.array_ids[i],
-                type_token(arr.elem_ty),
-                arr.len(),
-                elems.join(" ")
+                "{id} = OpConstantComposite {}[{}] ",
+                TypeToken(arr.elem_ty),
+                arr.len()
             );
-        }
-        for line in &self.const_lines {
-            out.push_str(line);
+            for (i, lanes) in arr.elements.iter().enumerate() {
+                let sep = if i > 0 { " " } else { "" };
+                let _ = write!(out, "{sep}({})", Floats(lanes, " "));
+            }
             out.push('\n');
         }
+        // The constant declarations belong here, but the body below is what
+        // discovers them: they are spliced in once it is written.
+        let consts_at = out.len();
         out.push_str("%main = OpFunction void None\n%entry = OpLabel\n");
-        out.push_str(&body);
+        self.emit_loads(out);
+        self.emit_body(out, &shader.body);
         out.push_str("OpReturn\nOpFunctionEnd\n");
-        out
+        out.insert_str(consts_at, &self.consts);
     }
 
     fn allocate_interface_ids(&mut self) {
-        for i in 0..self.shader.inputs.len() {
-            let name = self.shader.inputs[i].name.clone();
-            let id = self.fresh(&name);
+        let shader = self.shader;
+        for v in &shader.inputs {
+            let id = self.fresh(&v.name);
             self.input_ids.push(id);
         }
-        for i in 0..self.shader.outputs.len() {
-            let name = self.shader.outputs[i].name.clone();
-            let id = self.fresh(&name);
+        for v in &shader.outputs {
+            let id = self.fresh(&v.name);
             self.output_ids.push(id);
         }
         // Group uniform slots under one id per declaration, like the GLSL
         // interface emission does.
         let mut idx = 0;
-        while idx < self.shader.uniforms.len() {
-            let name = self.shader.uniforms[idx].name.clone();
-            let slots = self.shader.uniforms[idx..]
+        while idx < shader.uniforms.len() {
+            let name = &shader.uniforms[idx].name;
+            let slots = shader.uniforms[idx..]
                 .iter()
-                .take_while(|u| u.name == name)
+                .take_while(|u| u.name == *name)
                 .count();
-            let id = self.fresh(&name);
+            let id = self.fresh(name);
             self.uniform_ids.push((id, idx, slots));
             idx += slots;
         }
-        for i in 0..self.shader.samplers.len() {
-            let name = self.shader.samplers[i].name.clone();
-            let id = self.fresh(&name);
+        for v in &shader.samplers {
+            let id = self.fresh(&v.name);
             self.sampler_ids.push(id);
         }
-        for i in 0..self.shader.const_arrays.len() {
-            let name = self.shader.const_arrays[i].name.clone();
-            let id = self.fresh(&name);
+        for a in &shader.const_arrays {
+            let id = self.fresh(&a.name);
             self.array_ids.push(id);
         }
     }
 
     /// Every input and uniform slot is loaded once at function entry (the
     /// assembly's stand-in for per-use access chains).
-    fn emit_loads(&mut self, buf: &mut String) {
-        for i in 0..self.shader.inputs.len() {
+    fn emit_loads(&mut self, out: &mut String) {
+        let shader = self.shader;
+        for (i, v) in shader.inputs.iter().enumerate() {
             let id = self.fresh(&format!("in{i}"));
             let _ = writeln!(
-                buf,
+                out,
                 "{id} = OpLoad {} {}",
-                type_token(self.shader.inputs[i].ty),
+                TypeToken(v.ty),
                 self.input_ids[i]
             );
             self.input_loads.push(id);
         }
-        let groups = self.uniform_ids.clone();
-        for (gid, base, slots) in &groups {
-            for slot in 0..*slots {
+        for group in 0..self.uniform_ids.len() {
+            let (_, base, slots) = self.uniform_ids[group];
+            for slot in 0..slots {
                 let flat = base + slot;
                 let id = self.fresh(&format!("u{flat}"));
                 let _ = writeln!(
-                    buf,
-                    "{id} = OpLoad {} {gid} {slot}",
-                    type_token(self.shader.uniforms[flat].ty)
+                    out,
+                    "{id} = OpLoad {} {} {slot}",
+                    TypeToken(shader.uniforms[flat].ty),
+                    self.uniform_ids[group].0
                 );
                 self.uniform_loads.push(id);
             }
         }
     }
 
-    fn operand(&mut self, operand: &Operand) -> String {
-        match operand {
-            Operand::Reg(r) => self.namer.name(*r).to_string(),
-            Operand::Input(i) => self.input_loads[*i].clone(),
-            Operand::Uniform(u) => self.uniform_loads[*u].clone(),
-            Operand::Const(c) => self.const_id(c),
-        }
-    }
-
-    fn const_id(&mut self, c: &Constant) -> String {
-        let key = c.key();
-        if let Some(id) = self.const_ids.get(&key) {
-            return id.clone();
-        }
-        let (base, line_tail) = match c {
-            Constant::Float(v) => (
-                format!("float_{}", mangle_number(&format_glsl_float(*v))),
-                format!("OpConstant float {}", format_glsl_float(*v)),
-            ),
-            Constant::Int(v) => (
-                format!("int_{}", mangle_number(&v.to_string())),
-                format!("OpConstant int {v}"),
-            ),
-            Constant::Uint(v) => (format!("uint_{v}"), format!("OpConstant uint {v}")),
-            Constant::Bool(true) => ("true".to_string(), "OpConstantTrue bool".to_string()),
-            Constant::Bool(false) => ("false".to_string(), "OpConstantFalse bool".to_string()),
-            Constant::FloatVec(v) => {
-                let parts: Vec<String> = v.iter().map(|x| format_glsl_float(*x)).collect();
-                (
-                    format!("cv{}", self.const_ids.len()),
-                    format!("OpConstantComposite v{}float {}", v.len(), parts.join(" ")),
-                )
+    /// Writes an operand's id, declaring a constant on its first use.
+    fn operand(&mut self, out: &mut String, operand: &'a Operand) {
+        let id = match operand {
+            Operand::Reg(r) => self.namer.name(*r),
+            Operand::Input(i) => &self.input_loads[*i],
+            Operand::Uniform(u) => &self.uniform_loads[*u],
+            Operand::Const(c) => {
+                let index = self.const_id(operand, c);
+                &self.const_names[index]
             }
         };
-        let id = self.fresh(&base);
-        self.const_lines.push(format!("{id} = {line_tail}"));
-        self.const_ids.insert(key, id.clone());
-        id
+        out.push_str(id);
     }
 
-    fn emit_body(&mut self, body: &[Stmt], buf: &mut String) {
-        for stmt in body {
-            self.emit_stmt(stmt, buf);
+    /// Writes operands separated by single spaces.
+    fn operands(&mut self, out: &mut String, operands: &'a [Operand]) {
+        for (i, operand) in operands.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            self.operand(out, operand);
         }
     }
 
-    fn emit_stmt(&mut self, stmt: &Stmt, buf: &mut String) {
+    /// The index of constant `c` (the payload of `operand`), declaring it on
+    /// first sight. Constants equal as values (`0.0` and `-0.0`) share one
+    /// declaration: the first one's.
+    fn const_id(&mut self, operand: &'a Operand, c: &Constant) -> usize {
+        let key = OperandKey(operand);
+        if let Some(&index) = self.const_ids.get(&key) {
+            return index;
+        }
+        let id = match c {
+            Constant::Float(v) => self.fresh(&format!(
+                "float_{}",
+                mangle_number(&GlslFloat(*v).to_string())
+            )),
+            Constant::Int(v) => self.fresh(&format!("int_{}", mangle_number(&v.to_string()))),
+            Constant::Uint(v) => self.fresh(&format!("uint_{v}")),
+            Constant::Bool(b) => self.fresh(if *b { "true" } else { "false" }),
+            Constant::FloatVec(_) => self.fresh(&format!("cv{}", self.const_ids.len())),
+        };
+        let consts = &mut self.consts;
+        let _ = match c {
+            Constant::Float(v) => writeln!(consts, "{id} = OpConstant float {}", GlslFloat(*v)),
+            Constant::Int(v) => writeln!(consts, "{id} = OpConstant int {v}"),
+            Constant::Uint(v) => writeln!(consts, "{id} = OpConstant uint {v}"),
+            Constant::Bool(true) => writeln!(consts, "{id} = OpConstantTrue bool"),
+            Constant::Bool(false) => writeln!(consts, "{id} = OpConstantFalse bool"),
+            Constant::FloatVec(v) => writeln!(
+                consts,
+                "{id} = OpConstantComposite v{}float {}",
+                v.len(),
+                Floats(v, " ")
+            ),
+        };
+        let index = self.const_names.len();
+        self.const_names.push(id);
+        self.const_ids.insert(key, index);
+        index
+    }
+
+    fn emit_body(&mut self, out: &mut String, body: &'a [Stmt]) {
+        for stmt in body {
+            self.emit_stmt(out, stmt);
+        }
+    }
+
+    fn emit_stmt(&mut self, out: &mut String, stmt: &'a Stmt) {
         match stmt {
-            Stmt::Def { dst, op } => self.emit_def(*dst, op, buf),
+            Stmt::Def { dst, op } => self.emit_def(out, *dst, op),
             Stmt::StoreOutput {
                 output,
                 components,
                 value,
             } => {
-                let value = self.operand(value);
-                let target = self.output_ids[*output].clone();
-                match components {
-                    None => {
-                        let _ = writeln!(buf, "OpStore {target} {value}");
-                    }
-                    Some(comps) => {
-                        let _ = writeln!(buf, "OpStore {target} {value} {}", swizzle(comps));
-                    }
+                let _ = write!(out, "OpStore {} ", self.output_ids[*output]);
+                self.operand(out, value);
+                if let Some(comps) = components {
+                    let _ = write!(out, " {}", Swizzle(comps));
                 }
+                out.push('\n');
             }
             Stmt::If {
                 cond,
@@ -325,25 +327,22 @@ impl<'a> SpirvEmitter<'a> {
             } => {
                 let n = self.label;
                 self.label += 1;
-                let cond = self.operand(cond);
-                let merge = format!("%merge{n}");
-                let then = format!("%then{n}");
-                let false_target = if else_body.is_empty() {
-                    merge.clone()
+                let _ = write!(out, "OpSelectionMerge %merge{n} None\nOpBranchConditional ");
+                self.operand(out, cond);
+                if else_body.is_empty() {
+                    let _ = writeln!(out, " %then{n} %merge{n}");
                 } else {
-                    format!("%else{n}")
-                };
-                let _ = writeln!(buf, "OpSelectionMerge {merge} None");
-                let _ = writeln!(buf, "OpBranchConditional {cond} {then} {false_target}");
-                let _ = writeln!(buf, "{then} = OpLabel");
-                self.emit_body(then_body, buf);
-                let _ = writeln!(buf, "OpBranch {merge}");
-                if !else_body.is_empty() {
-                    let _ = writeln!(buf, "{false_target} = OpLabel");
-                    self.emit_body(else_body, buf);
-                    let _ = writeln!(buf, "OpBranch {merge}");
+                    let _ = writeln!(out, " %then{n} %else{n}");
                 }
-                let _ = writeln!(buf, "{merge} = OpLabel");
+                let _ = writeln!(out, "%then{n} = OpLabel");
+                self.emit_body(out, then_body);
+                let _ = writeln!(out, "OpBranch %merge{n}");
+                if !else_body.is_empty() {
+                    let _ = writeln!(out, "%else{n} = OpLabel");
+                    self.emit_body(out, else_body);
+                    let _ = writeln!(out, "OpBranch %merge{n}");
+                }
+                let _ = writeln!(out, "%merge{n} = OpLabel");
             }
             Stmt::Loop {
                 var,
@@ -354,55 +353,52 @@ impl<'a> SpirvEmitter<'a> {
             } => {
                 let n = self.label;
                 self.label += 1;
-                let header = format!("%header{n}");
-                let merge = format!("%merge{n}");
-                let cont = format!("%continue{n}");
-                let var_id = self.namer.name(*var).to_string();
-                let _ = writeln!(buf, "OpBranch {header}");
-                let _ = writeln!(buf, "{header} = OpLabel");
-                let _ = writeln!(buf, "OpLoopMerge {merge} {cont} None");
-                let _ = writeln!(buf, "{var_id} = OpLoopCounter int {start} {end} {step}");
-                self.emit_body(body, buf);
-                let _ = writeln!(buf, "{cont} = OpLabel");
-                let _ = writeln!(buf, "OpBranch {header}");
-                let _ = writeln!(buf, "{merge} = OpLabel");
+                let _ = writeln!(
+                    out,
+                    "OpBranch %header{n}\n%header{n} = OpLabel\n\
+                     OpLoopMerge %merge{n} %continue{n} None\n\
+                     {} = OpLoopCounter int {start} {end} {step}",
+                    self.namer.name(*var)
+                );
+                self.emit_body(out, body);
+                let _ = writeln!(
+                    out,
+                    "%continue{n} = OpLabel\nOpBranch %header{n}\n%merge{n} = OpLabel"
+                );
             }
             Stmt::Discard { cond } => match cond {
-                None => buf.push_str("OpKill\n"),
+                None => out.push_str("OpKill\n"),
                 Some(c) => {
                     let n = self.label;
                     self.label += 1;
-                    let cond = self.operand(c);
-                    let merge = format!("%merge{n}");
-                    let then = format!("%then{n}");
-                    let _ = writeln!(buf, "OpSelectionMerge {merge} None");
-                    let _ = writeln!(buf, "OpBranchConditional {cond} {then} {merge}");
-                    let _ = writeln!(buf, "{then} = OpLabel");
-                    buf.push_str("OpKill\nOpBranch ");
-                    buf.push_str(&merge);
-                    buf.push('\n');
-                    let _ = writeln!(buf, "{merge} = OpLabel");
+                    let _ = write!(out, "OpSelectionMerge %merge{n} None\nOpBranchConditional ");
+                    self.operand(out, c);
+                    let _ = writeln!(
+                        out,
+                        " %then{n} %merge{n}\n%then{n} = OpLabel\n\
+                         OpKill\nOpBranch %merge{n}\n%merge{n} = OpLabel"
+                    );
                 }
             },
         }
     }
 
-    fn emit_def(&mut self, dst: Reg, op: &Op, buf: &mut String) {
-        let id = self.namer.name(dst).to_string();
-        let ty = type_token(self.shader.reg_ty(dst));
+    fn emit_def(&mut self, out: &mut String, dst: Reg, op: &'a Op) {
+        let ty = TypeToken(self.shader.reg_ty(dst));
         // The operand's scalar kind picks the float/int/bool opcode form.
         let shader = self.shader;
         let scalar_of = |o: &Operand| operand_ty(shader, o).map_or(Scalar::F32, |ty| ty.scalar);
-        let line = match op {
-            Op::Mov(a) => format!("OpCopyObject {ty} {}", self.operand(a)),
+        let _ = write!(out, "{} = ", self.namer.name(dst));
+        match op {
+            Op::Mov(a) => {
+                let _ = write!(out, "OpCopyObject {ty} ");
+                self.operand(out, a);
+            }
             Op::Binary(b, x, y) => {
-                let kind = scalar_of(x);
-                format!(
-                    "{} {ty} {} {}",
-                    binary_opcode(*b, kind),
-                    self.operand(x),
-                    self.operand(y)
-                )
+                let _ = write!(out, "{} {ty} ", binary_opcode(*b, scalar_of(x)));
+                self.operand(out, x);
+                out.push(' ');
+                self.operand(out, y);
             }
             Op::Unary(UnaryOp::Neg, a) => {
                 let opcode = if scalar_of(a).is_float() {
@@ -410,19 +406,19 @@ impl<'a> SpirvEmitter<'a> {
                 } else {
                     "OpSNegate"
                 };
-                format!("{opcode} {ty} {}", self.operand(a))
+                let _ = write!(out, "{opcode} {ty} ");
+                self.operand(out, a);
             }
-            Op::Unary(UnaryOp::Not, a) => format!("OpLogicalNot {ty} {}", self.operand(a)),
+            Op::Unary(UnaryOp::Not, a) => {
+                let _ = write!(out, "OpLogicalNot {ty} ");
+                self.operand(out, a);
+            }
             Op::Intrinsic(i, args) => {
-                let parts: Vec<String> = args.iter().map(|a| self.operand(a)).collect();
-                match core_intrinsic_opcode(*i) {
-                    Some(core) => format!("{core} {ty} {}", parts.join(" ")),
-                    None => format!(
-                        "OpExtInst {ty} GLSL.std.450 {} {}",
-                        ext_inst_name(*i),
-                        parts.join(" ")
-                    ),
-                }
+                let _ = match core_intrinsic_opcode(*i) {
+                    Some(core) => write!(out, "{core} {ty} "),
+                    None => write!(out, "OpExtInst {ty} GLSL.std.450 {} ", ext_inst_name(*i)),
+                };
+                self.operands(out, args);
             }
             Op::TextureSample {
                 sampler,
@@ -430,84 +426,111 @@ impl<'a> SpirvEmitter<'a> {
                 lod,
                 dim: _,
             } => {
-                let s = self.sampler_ids[*sampler].clone();
-                match lod {
-                    None => format!("OpImageSampleImplicitLod {ty} {s} {}", self.operand(coords)),
-                    Some(l) => format!(
-                        "OpImageSampleExplicitLod {ty} {s} {} Lod {}",
-                        self.operand(coords),
-                        self.operand(l)
-                    ),
+                let s = &self.sampler_ids[*sampler];
+                let _ = match lod {
+                    None => write!(out, "OpImageSampleImplicitLod {ty} {s} "),
+                    Some(_) => write!(out, "OpImageSampleExplicitLod {ty} {s} "),
+                };
+                self.operand(out, coords);
+                if let Some(l) = lod {
+                    out.push_str(" Lod ");
+                    self.operand(out, l);
                 }
             }
             Op::Construct { ty: _, parts } => {
-                let p: Vec<String> = parts.iter().map(|a| self.operand(a)).collect();
-                format!("OpCompositeConstruct {ty} {}", p.join(" "))
+                let _ = write!(out, "OpCompositeConstruct {ty} ");
+                self.operands(out, parts);
             }
             Op::Splat {
                 ty: splat_ty,
                 value,
             } => {
-                let v = self.operand(value);
-                let parts = vec![v; splat_ty.width as usize];
-                format!("OpCompositeConstruct {ty} {}", parts.join(" "))
+                let _ = write!(out, "OpCompositeConstruct {ty} ");
+                for i in 0..splat_ty.width {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    self.operand(out, value);
+                }
             }
             Op::Extract { vector, index } => {
-                format!("OpCompositeExtract {ty} {} {index}", self.operand(vector))
+                let _ = write!(out, "OpCompositeExtract {ty} ");
+                self.operand(out, vector);
+                let _ = write!(out, " {index}");
             }
             Op::Insert {
                 vector,
                 index,
                 value,
-            } => format!(
-                "OpCompositeInsert {ty} {} {} {index}",
-                self.operand(value),
-                self.operand(vector)
-            ),
+            } => {
+                let _ = write!(out, "OpCompositeInsert {ty} ");
+                self.operand(out, value);
+                out.push(' ');
+                self.operand(out, vector);
+                let _ = write!(out, " {index}");
+            }
             Op::Swizzle { vector, lanes } => {
-                let v = self.operand(vector);
-                let lanes: Vec<String> = lanes.iter().map(|l| l.to_string()).collect();
-                format!("OpVectorShuffle {ty} {v} {v} {}", lanes.join(" "))
+                let _ = write!(out, "OpVectorShuffle {ty} ");
+                self.operand(out, vector);
+                out.push(' ');
+                self.operand(out, vector);
+                for lane in lanes {
+                    let _ = write!(out, " {lane}");
+                }
+                if lanes.is_empty() {
+                    out.push(' ');
+                }
             }
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => format!(
-                "OpSelect {ty} {} {} {}",
-                self.operand(cond),
-                self.operand(if_true),
-                self.operand(if_false)
-            ),
+            } => {
+                let _ = write!(out, "OpSelect {ty} ");
+                self.operand(out, cond);
+                out.push(' ');
+                self.operand(out, if_true);
+                out.push(' ');
+                self.operand(out, if_false);
+            }
             Op::ConstArrayLoad { array, index } => {
-                let index = self.operand(index);
-                format!("OpAccessChain {ty} {} {index}", self.array_ids[*array])
+                let _ = write!(out, "OpAccessChain {ty} {} ", self.array_ids[*array]);
+                self.operand(out, index);
             }
             Op::Convert { to, value } => {
-                let from = scalar_of(value);
-                format!(
-                    "{} {ty} {}",
-                    convert_opcode(from, to.scalar),
-                    self.operand(value)
-                )
+                let _ = write!(out, "{} {ty} ", convert_opcode(scalar_of(value), to.scalar));
+                self.operand(out, value);
             }
-        };
-        let _ = writeln!(buf, "{id} = {line}");
+        }
+        out.push('\n');
     }
 }
 
+/// Whether `id` is one of the numeric register ids `%<100 + index>` of a
+/// shader with `regs` registers (the ids [`RegNamer::spirv_ids`] writes).
+fn is_register_id(id: &str, regs: usize) -> bool {
+    id.strip_prefix('%')
+        .filter(|digits| !digits.starts_with('0') && digits.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|digits| digits.parse::<usize>().ok())
+        .is_some_and(|n| n >= 100 && n - 100 < regs)
+}
+
 /// The assembly spelling of an IR type (`v4float`, `float`, `int`, …).
-fn type_token(ty: IrType) -> String {
-    let scalar = match ty.scalar {
-        Scalar::F32 => "float",
-        Scalar::I32 => "int",
-        Scalar::U32 => "uint",
-        Scalar::Bool => "bool",
-    };
-    if ty.width == 1 {
-        scalar.to_string()
-    } else {
-        format!("v{}{scalar}", ty.width)
+struct TypeToken(IrType);
+
+impl fmt::Display for TypeToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let scalar = match self.0.scalar {
+            Scalar::F32 => "float",
+            Scalar::I32 => "int",
+            Scalar::U32 => "uint",
+            Scalar::Bool => "bool",
+        };
+        if self.0.width == 1 {
+            f.write_str(scalar)
+        } else {
+            write!(f, "v{}{scalar}", self.0.width)
+        }
     }
 }
 
@@ -696,13 +719,6 @@ fn convert_opcode(from: Scalar, to: Scalar) -> &'static str {
         (Scalar::U32, Scalar::F32) => "OpConvertUToF",
         _ => "OpBitcast",
     }
-}
-
-fn swizzle(comps: &[u8]) -> String {
-    comps
-        .iter()
-        .map(|c| "xyzw".chars().nth(*c as usize).unwrap_or('x'))
-        .collect()
 }
 
 fn parse_swizzle(text: &str) -> Result<Vec<u8>, String> {

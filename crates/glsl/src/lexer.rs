@@ -144,19 +144,21 @@ impl<'a> Lexer<'a> {
 
     fn lex_ident(&mut self, span: Span) {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'a'..=b'z') | Some(b'A'..=b'Z') | Some(b'0'..=b'9') | Some(b'_')
-        ) {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ASCII")
-            .to_string();
-        match TokenKind::keyword(&text) {
-            Some(kw) => self.push(kw, span),
-            None => self.push(TokenKind::Ident(text), span),
-        }
+        let len = self.src[start..]
+            .iter()
+            .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+            .count();
+        // An identifier never spans a line break.
+        self.pos += len;
+        self.col += len as u32;
+        let text =
+            std::str::from_utf8(&self.src[start..self.pos]).expect("identifier bytes are ASCII");
+        // Keywords match on the borrowed slice: only an identifier allocates.
+        let kind = match TokenKind::keyword(text) {
+            Some(keyword) => keyword,
+            None => TokenKind::Ident(text.to_string()),
+        };
+        self.push(kind, span);
     }
 
     fn lex_number(&mut self, span: Span) -> Result<()> {
@@ -201,8 +203,7 @@ impl<'a> Lexer<'a> {
         }
         let text = std::str::from_utf8(&self.src[start..self.pos])
             .expect("numeric literal bytes are ASCII")
-            .trim_end_matches(['f', 'F', 'u', 'U'])
-            .to_string();
+            .trim_end_matches(['f', 'F', 'u', 'U']);
         if is_float {
             let value: f64 = text.parse().map_err(|_| {
                 GlslError::at(Stage::Lex, span, format!("invalid float literal `{text}`"))

@@ -21,7 +21,7 @@
 //! "#;
 //! let shader = ShaderSource::parse(src).unwrap();
 //! assert_eq!(shader.interface.samplers.len(), 1);
-//! assert!(shader.lines_of_code > 0);
+//! assert!(shader.lines_of_code() > 0);
 //! ```
 
 pub mod ast;
@@ -43,9 +43,9 @@ pub use error::{GlslError, Stage};
 pub use interface::ShaderInterface;
 pub use types::Type;
 
-/// A fully front-ended shader: preprocessed text, AST, symbols, interface and
-/// static metrics. This is the unit the optimizer, harness and corpus all
-/// exchange.
+/// A fully front-ended shader: preprocessed text, AST, symbols and
+/// interface, plus the static metrics computed on demand from the text. This
+/// is the unit the optimizer, harness and corpus all exchange.
 #[derive(Debug, Clone)]
 pub struct ShaderSource {
     /// Post-preprocessing GLSL text.
@@ -56,8 +56,6 @@ pub struct ShaderSource {
     pub symbols: typecheck::Symbols,
     /// External interface (uniforms, samplers, ins, outs).
     pub interface: ShaderInterface,
-    /// The paper's lines-of-code metric over `text`.
-    pub lines_of_code: usize,
     /// The `#version` string the preprocessor saw (e.g. `"450"`, `"310 es"`),
     /// if the source carried one. Lets a driver model report which API's text
     /// actually reached it.
@@ -71,12 +69,17 @@ impl ShaderSource {
     ///
     /// Returns the first lexical, syntactic or semantic error.
     pub fn parse(source: &str) -> error::Result<ShaderSource> {
-        let ast = parser::parse(source)?;
+        ShaderSource::parse_text(source.to_string())
+    }
+
+    /// [`ShaderSource::parse`] of text the caller hands over, so the
+    /// preprocessor's output becomes [`ShaderSource::text`] without a copy.
+    fn parse_text(text: String) -> error::Result<ShaderSource> {
+        let ast = parser::parse(&text)?;
         let checked = typecheck::check(&ast)?;
         let interface = ShaderInterface::of(&ast);
         Ok(ShaderSource {
-            text: source.to_string(),
-            lines_of_code: loc::lines_of_code(source),
+            text,
             ast,
             symbols: checked.symbols,
             interface,
@@ -95,9 +98,28 @@ impl ShaderSource {
         defines: &HashMap<String, String>,
     ) -> error::Result<ShaderSource> {
         let pre = preprocessor::preprocess(source, defines)?;
-        let mut parsed = ShaderSource::parse(&pre.text)?;
+        let mut parsed = ShaderSource::parse_text(pre.text)?;
         parsed.version = pre.version;
         Ok(parsed)
+    }
+
+    /// The paper's lines-of-code metric (§V-A, Fig. 4a) over
+    /// [`ShaderSource::text`], computed on demand: the corpus
+    /// characterisation reads it, no driver or compile path does.
+    ///
+    /// ```
+    /// use prism_glsl::ShaderSource;
+    ///
+    /// let shader = ShaderSource::parse(
+    ///     "uniform float t;\nout vec4 c;\nvoid main() {\n    c = vec4(t);\n}\n",
+    /// )
+    /// .unwrap();
+    /// // `void main() {` and the assignment; declarations and the lone
+    /// // bracket do not count.
+    /// assert_eq!(shader.lines_of_code(), 2);
+    /// ```
+    pub fn lines_of_code(&self) -> usize {
+        loc::lines_of_code(&self.text)
     }
 }
 
@@ -111,7 +133,7 @@ mod tests {
         let s = ShaderSource::parse(src).unwrap();
         assert_eq!(s.interface.inputs.len(), 1);
         assert_eq!(s.interface.uniforms.len(), 1);
-        assert_eq!(s.lines_of_code, 2);
+        assert_eq!(s.lines_of_code(), 2);
         assert!(s.ast.main().is_some());
     }
 
@@ -135,7 +157,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        assert!(tinted.lines_of_code > plain.lines_of_code);
+        assert!(tinted.lines_of_code() > plain.lines_of_code());
         assert!(tinted.interface.same_io(&plain.interface));
     }
 

@@ -5,15 +5,18 @@
 //! comments, blank lines and lines containing only brackets. Unused function
 //! definitions still count, exactly as the paper notes.
 
-/// Counts the paper's "lines of code" metric for preprocessed GLSL text.
+/// Counts the paper's "lines of code" metric for preprocessed GLSL text
+/// ([`ShaderSource::lines_of_code`](crate::ShaderSource::lines_of_code) is
+/// this count over a front-ended shader's text).
 ///
 /// # Examples
 ///
 /// ```
 /// use prism_glsl::loc::lines_of_code;
 /// let src = "uniform float t;\n\nvoid main() {\n    float x = t * 2.0;\n}\n";
-/// // `uniform`, the blank line and the lone brackets are ignored:
-/// // counted lines are `void main() {`→ no (function signature counts), see below.
+/// // The `uniform` declaration, the blank line and the lone `}` are ignored;
+/// // the function signature `void main() {` and the statement
+/// // `float x = t * 2.0;` are the two counted lines.
 /// assert_eq!(lines_of_code(src), 2);
 /// ```
 ///

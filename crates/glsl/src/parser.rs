@@ -6,6 +6,12 @@
 //! `const` declarations (including constant arrays with initialisers),
 //! function definitions, counted `for` loops, `if`/`else`, assignments,
 //! swizzles, constructor and intrinsic calls, and the ternary operator.
+//!
+//! Nesting is bounded: statements, expressions, operator chains and
+//! `else if` chains nested deeper than [`MAX_NESTING`] are a
+//! [`Stage::Parse`] error, so neither this recursive descent nor the
+//! recursive walks over the AST and IR after it can run out of stack on
+//! deeply nested input.
 
 use crate::ast::*;
 use crate::error::{GlslError, Result, Stage};
@@ -31,14 +37,75 @@ pub fn parse(source: &str) -> Result<TranslationUnit> {
     Parser::new(tokens).parse_translation_unit()
 }
 
+/// The deepest nesting [`parse`] reaches on `source`, in the levels
+/// [`MAX_NESTING`] bounds.
+///
+/// # Errors
+///
+/// The error [`parse`] returns for `source`.
+///
+/// # Examples
+///
+/// ```
+/// use prism_glsl::parser::nesting_depth;
+/// // The statement, its value, the call argument, one parenthesis.
+/// assert_eq!(nesting_depth("out vec4 c; void main() { c = vec4((1.0)); }").unwrap(), 4);
+/// ```
+pub fn nesting_depth(source: &str) -> Result<usize> {
+    let mut parser = Parser::new(tokenize(source)?);
+    parser.parse_translation_unit()?;
+    Ok(parser.deepest)
+}
+
+/// The deepest nesting the parser accepts. Each nested statement, nested
+/// expression (a parenthesised, bracketed, call-argument or operand
+/// sub-expression), prefix operator, postfix `.field` / `[index]` and each
+/// further operand of a binary-operator chain counts one level; deeper input
+/// is a [`Stage::Parse`] error. Chains count because the AST nests them:
+/// `a + b + c` is `(a + b) + c`, and an `else if` is an `if` statement in
+/// the `else` branch. So a flat sum of more than about 125 operands, or an
+/// `if … else if …` chain of more than about 125 arms, is rejected too.
+/// The bound keeps the parser's recursion and the walks over the AST and IR
+/// after it within a 2 MB stack in a debug build: nested parentheses and
+/// calls, the costliest levels, overflow such a stack between 200 and 250
+/// levels. The corpus nests at most 9 deep.
+pub const MAX_NESTING: usize = 128;
+
+/// A single pass over the token stream: the parser never backtracks, so
+/// [`Parser::bump`] moves each token out instead of cloning it.
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
+    /// The deepest nesting reached so far.
+    deepest: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+        }
+    }
+
+    /// Enters one nesting level, failing past [`MAX_NESTING`]. The caller
+    /// leaves its levels with [`Parser::leave`] once its sub-tree is built;
+    /// an error aborts the whole parse, so error paths need not leave.
+    fn enter(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.deepest = self.deepest.max(self.depth);
+        Ok(())
+    }
+
+    fn leave(&mut self, levels: usize) {
+        self.depth -= levels;
     }
 
     fn peek(&self) -> &TokenKind {
@@ -54,14 +121,16 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
+    /// Consumes the current token and returns its kind, moved out of the
+    /// stream (a consumed token is never read again). At the end the `Eof`
+    /// token stays in place and is returned again.
     fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+        } else {
+            TokenKind::Eof
         }
-        kind
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -90,6 +159,17 @@ impl Parser {
             TokenKind::Ident(name) => Ok(name),
             other => Err(self.error(format!("expected identifier, found `{other}`"))),
         }
+    }
+
+    /// Consumes a `++` (`Some(false)`) or `--` (`Some(true)`).
+    fn eat_step(&mut self) -> Option<bool> {
+        let negative = match self.peek() {
+            TokenKind::PlusPlus => false,
+            TokenKind::MinusMinus => true,
+            _ => return None,
+        };
+        self.bump();
+        Some(negative)
     }
 
     // ----- top level -------------------------------------------------------
@@ -284,8 +364,15 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
+        self.enter()?;
+        let stmt = self.parse_stmt_at_depth()?;
+        self.leave(1);
+        Ok(stmt)
+    }
+
+    fn parse_stmt_at_depth(&mut self) -> Result<Stmt> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::LBrace => Ok(Stmt::Block(self.parse_block()?)),
             TokenKind::KwIf => self.parse_if(),
             TokenKind::KwFor => self.parse_for(),
@@ -326,7 +413,7 @@ impl Parser {
                 // A statement starting with a type name followed by an
                 // identifier is a local declaration; otherwise it is an
                 // assignment or expression statement.
-                if Type::from_name(&name).is_some()
+                if Type::from_name(name).is_some()
                     && matches!(self.peek_ahead(1), TokenKind::Ident(_))
                 {
                     self.parse_local_decl(false, span)
@@ -415,8 +502,7 @@ impl Parser {
     /// `i = i + 1`).
     fn parse_for_step(&mut self, span: Span) -> Result<Stmt> {
         // Prefix increment/decrement.
-        if self.eat(&TokenKind::PlusPlus) || self.eat(&TokenKind::MinusMinus) {
-            let negative = matches!(self.tokens[self.pos - 1].kind, TokenKind::MinusMinus);
+        if let Some(negative) = self.eat_step() {
             let name = self.expect_ident()?;
             return Ok(make_step(name, negative, span));
         }
@@ -467,7 +553,7 @@ impl Parser {
                 TokenKind::SlashAssign => AssignOp::Div,
                 _ => unreachable!("is_assign_op matched"),
             };
-            let target = expr_to_lvalue(&expr).ok_or_else(|| {
+            let target = expr_to_lvalue(expr).ok_or_else(|| {
                 GlslError::at(
                     Stage::Parse,
                     self.tokens[start].span,
@@ -484,8 +570,7 @@ impl Parser {
             });
         }
         // Postfix increment as a statement: `i++;`
-        if self.eat(&TokenKind::PlusPlus) || self.eat(&TokenKind::MinusMinus) {
-            let negative = matches!(self.tokens[self.pos - 1].kind, TokenKind::MinusMinus);
+        if let Some(negative) = self.eat_step() {
             self.expect(&TokenKind::Semi)?;
             if let Expr::Ident(name) = expr {
                 return Ok(make_step(name, negative, span));
@@ -499,7 +584,10 @@ impl Parser {
     // ----- expressions -----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_ternary()
+        self.enter()?;
+        let expr = self.parse_ternary()?;
+        self.leave(1);
+        Ok(expr)
     }
 
     fn parse_ternary(&mut self) -> Result<Expr> {
@@ -519,46 +607,59 @@ impl Parser {
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
+        // Each further operand nests the chain built so far one level deeper.
+        let mut folds = 0;
         while let Some((op, prec)) = binop_for(self.peek()) {
             if prec < min_prec {
                 break;
             }
+            self.enter()?;
+            folds += 1;
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.leave(folds);
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
-        if self.eat(&TokenKind::Minus) {
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(inner)));
-        }
-        if self.eat(&TokenKind::Bang) {
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
-        }
-        if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
-        }
-        self.parse_postfix()
+        let op = match self.peek() {
+            TokenKind::Minus => Some(UnOp::Neg),
+            TokenKind::Bang => Some(UnOp::Not),
+            TokenKind::Plus => None,
+            _ => return self.parse_postfix(),
+        };
+        self.bump();
+        self.enter()?;
+        let inner = self.parse_unary()?;
+        self.leave(1);
+        Ok(match op {
+            Some(op) => Expr::Unary(op, Box::new(inner)),
+            None => inner,
+        })
     }
 
     fn parse_postfix(&mut self) -> Result<Expr> {
         let mut expr = self.parse_primary()?;
+        // Each `.field` / `[index]` nests the expression one level deeper.
+        let mut folds = 0;
         loop {
             if self.eat(&TokenKind::Dot) {
+                self.enter()?;
                 let field = self.expect_ident()?;
                 expr = Expr::Field(Box::new(expr), field);
             } else if self.eat(&TokenKind::LBracket) {
+                self.enter()?;
                 let index = self.parse_expr()?;
                 self.expect(&TokenKind::RBracket)?;
                 expr = Expr::Index(Box::new(expr), Box::new(index));
             } else {
                 break;
             }
+            folds += 1;
         }
+        self.leave(folds);
         Ok(expr)
     }
 
@@ -621,7 +722,7 @@ impl Parser {
 /// Builds the canonical `i = i + 1` / `i = i - 1` step statement.
 fn make_step(name: String, negative: bool, span: Span) -> Stmt {
     Stmt::Assign {
-        target: LValue::Var(name.clone()),
+        target: LValue::Var(name),
         op: if negative {
             AssignOp::Sub
         } else {
@@ -653,17 +754,11 @@ fn binop_for(kind: &TokenKind) -> Option<(BinOp, u8)> {
 }
 
 /// Converts an expression that denotes a storage location into an [`LValue`].
-fn expr_to_lvalue(expr: &Expr) -> Option<LValue> {
+fn expr_to_lvalue(expr: Expr) -> Option<LValue> {
     match expr {
-        Expr::Ident(name) => Some(LValue::Var(name.clone())),
-        Expr::Index(base, idx) => Some(LValue::Index(
-            Box::new(expr_to_lvalue(base)?),
-            Box::new((**idx).clone()),
-        )),
-        Expr::Field(base, field) => Some(LValue::Field(
-            Box::new(expr_to_lvalue(base)?),
-            field.clone(),
-        )),
+        Expr::Ident(name) => Some(LValue::Var(name)),
+        Expr::Index(base, idx) => Some(LValue::Index(Box::new(expr_to_lvalue(*base)?), idx)),
+        Expr::Field(base, field) => Some(LValue::Field(Box::new(expr_to_lvalue(*base)?), field)),
         _ => None,
     }
 }

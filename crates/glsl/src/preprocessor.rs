@@ -12,6 +12,9 @@
 //! * `#ifdef NAME`, `#ifndef NAME`, `#else`, `#endif` (nested),
 //! * substitution of object-like macros in ordinary source lines.
 //!
+//! A line that starts inside a `/* … */` comment is never a directive, and
+//! the output may grow to at most [`MAX_EXPANSION`] times the input.
+//!
 //! The output is plain GLSL text, which is what the paper's lines-of-code
 //! metric (Fig. 4a) is measured over and what the rest of the front-end
 //! consumes.
@@ -32,6 +35,14 @@ pub struct PreprocessedSource {
     pub defines: HashMap<String, String>,
 }
 
+/// The largest the preprocessor's output may grow, as a multiple of its
+/// input: the source plus the external definitions' names and values.
+/// Substitution copies a macro's value at every use, so without a bound
+/// `#define A <n/2 bytes>` followed by n/4 uses of `A` would turn n bytes of
+/// source into about n²/8; past the bound the expansion is a
+/// [`Stage::Preprocess`] error. No corpus shader's text grows at all.
+pub const MAX_EXPANSION: usize = 4;
+
 /// Preprocesses `source` with an initial set of externally supplied macro
 /// definitions (the übershader specialisation switches).
 ///
@@ -41,7 +52,7 @@ pub struct PreprocessedSource {
 /// # Errors
 ///
 /// Returns a [`GlslError`] with [`Stage::Preprocess`] for malformed or
-/// unbalanced directives.
+/// unbalanced directives, and for an expansion past [`MAX_EXPANSION`].
 ///
 /// # Examples
 ///
@@ -57,16 +68,25 @@ pub fn preprocess(
     external_defines: &HashMap<String, String>,
 ) -> Result<PreprocessedSource> {
     let mut defines: HashMap<String, String> = external_defines.clone();
+    let external_len: usize = defines.iter().map(|(k, v)| k.len() + v.len()).sum();
+    let limit = MAX_EXPANSION.saturating_mul(source.len() + external_len);
     let mut out = PreprocessedSource::default();
     // Stack of (parent_active, this_branch_taken, currently_active).
     let mut cond_stack: Vec<CondFrame> = Vec::new();
+    // Only a source that opens a block comment needs its lines scanned.
+    let has_comments = source.contains("/*");
+    let mut in_comment = false;
 
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx as u32 + 1;
         let trimmed = raw_line.trim_start();
         let active = cond_stack.iter().all(|f| f.active);
+        let starts_in_comment = in_comment;
+        if has_comments {
+            in_comment = comment_open_after(raw_line, in_comment);
+        }
 
-        if let Some(directive) = trimmed.strip_prefix('#') {
+        if let Some(directive) = trimmed.strip_prefix('#').filter(|_| !starts_in_comment) {
             let directive = directive.trim();
             let (name, rest) = split_directive(directive);
             match name {
@@ -161,7 +181,16 @@ pub fn preprocess(
         }
 
         if active {
-            out.text.push_str(&substitute_macros(raw_line, &defines));
+            substitute_macros(&mut out.text, raw_line, &defines, limit);
+            if out.text.len() > limit {
+                return Err(GlslError::new(
+                    Stage::Preprocess,
+                    format!(
+                        "line {line_no}: macro expansion grows the source past \
+                         {MAX_EXPANSION} times its size"
+                    ),
+                ));
+            }
             out.text.push('\n');
         }
     }
@@ -221,13 +250,49 @@ fn eval_if_condition(cond: &str, defines: &HashMap<String, String>) -> bool {
     }
 }
 
-/// Replaces whole-identifier occurrences of object-like macros in a line.
-fn substitute_macros(line: &str, defines: &HashMap<String, String>) -> String {
+/// Whether a `/* … */` comment is open at the end of `line`, given whether
+/// one was open at its start. Outside a comment, `//` ends the scan.
+fn comment_open_after(line: &str, mut open: bool) -> bool {
+    let mut rest = line;
+    loop {
+        if open {
+            match rest.find("*/") {
+                Some(i) => {
+                    rest = &rest[i + 2..];
+                    open = false;
+                }
+                None => return true,
+            }
+        } else {
+            let Some(i) = rest.find('/') else {
+                return false;
+            };
+            match rest.as_bytes().get(i + 1) {
+                Some(b'*') => {
+                    rest = &rest[i + 2..];
+                    open = true;
+                }
+                Some(b'/') => return false,
+                _ => rest = &rest[i + 1..],
+            }
+        }
+    }
+}
+
+/// Appends `line` to `out`, replacing whole-identifier occurrences of
+/// object-like macros. Stops early once `out` is longer than `limit`; the
+/// caller reports the overrun.
+fn substitute_macros(
+    out: &mut String,
+    line: &str,
+    defines: &HashMap<String, String>,
+    limit: usize,
+) {
     if defines.is_empty() {
-        return line.to_string();
+        out.push_str(line);
+        return;
     }
     let bytes = line.as_bytes();
-    let mut out = String::with_capacity(line.len());
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
@@ -238,7 +303,12 @@ fn substitute_macros(line: &str, defines: &HashMap<String, String>) -> String {
             }
             let ident = &line[start..i];
             match defines.get(ident) {
-                Some(replacement) if !replacement.is_empty() => out.push_str(replacement),
+                Some(replacement) if !replacement.is_empty() => {
+                    out.push_str(replacement);
+                    if out.len() > limit {
+                        return;
+                    }
+                }
                 Some(_) | None => out.push_str(ident),
             }
         } else {
@@ -246,7 +316,6 @@ fn substitute_macros(line: &str, defines: &HashMap<String, String>) -> String {
             i += 1;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -340,6 +409,37 @@ mod tests {
         assert!(hi.text.contains("SAMPLES = 16"));
         let lo = pp(src);
         assert!(lo.text.contains("SAMPLES = 4"));
+    }
+
+    #[test]
+    fn a_line_inside_a_block_comment_is_no_directive() {
+        let out = pp("/*\n# Blur pass\n#define K 9\n*/ float x = K;\n#define J 2\nfloat y = J;");
+        assert!(out.text.contains("# Blur pass"));
+        assert!(out.text.contains("float x = K;"));
+        assert!(out.text.contains("float y = 2;"));
+        // Comments opened and closed on one line, or after `//`, leave the
+        // next line a directive.
+        let out = pp("float a; /* one */ // /* not open\n#define K 3\nfloat x = K;");
+        assert!(out.text.contains("float x = 3;"));
+        assert!(comment_open_after("a /* b */ c /* d", false));
+        assert!(!comment_open_after("*/ a // b /*", true));
+        assert!(!comment_open_after("a / b * c", false));
+    }
+
+    #[test]
+    fn expansion_is_bounded() {
+        let value = "x".repeat(2_000);
+        let uses = "A ".repeat(1_000);
+        let src = format!("#define A {value}\nfloat y = {uses};");
+        let err = preprocess(&src, &HashMap::new()).unwrap_err();
+        assert_eq!(err.stage, Stage::Preprocess);
+        assert!(err.message.contains("expansion"), "{}", err.message);
+        // The same uses of a short macro stay within the bound.
+        let src = format!("#define A 1.0\nfloat y = {uses};");
+        assert!(preprocess(&src, &HashMap::new()).is_ok());
+        // External definitions count towards the input.
+        let defs = [("A".to_string(), value)].into_iter().collect();
+        assert!(preprocess("float y = A A A;", &defs).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use prism_ir::verify::verify;
 
 /// Rounds of a driver's pass list: a second round runs only when the first
 /// changed the IR.
-pub(crate) const DRIVER_ROUNDS: usize = 2;
+pub const DRIVER_ROUNDS: usize = 2;
 
 /// One pass of a driver's internal pipeline, with its parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -119,30 +119,30 @@ impl IrType {
         IrType::vec(self.scalar, width)
     }
 
-    /// GLSL spelling of this type (used by the back-end).
+    /// GLSL spelling of this type (used by the back-end); the type's
+    /// [`Display`](fmt::Display) writes the same text without the `String`.
     pub fn glsl_name(self) -> String {
-        if self.width == 1 {
-            match self.scalar {
-                Scalar::F32 => "float".to_string(),
-                Scalar::I32 => "int".to_string(),
-                Scalar::U32 => "uint".to_string(),
-                Scalar::Bool => "bool".to_string(),
-            }
-        } else {
-            let prefix = match self.scalar {
-                Scalar::F32 => "vec",
-                Scalar::I32 => "ivec",
-                Scalar::U32 => "uvec",
-                Scalar::Bool => "bvec",
-            };
-            format!("{prefix}{}", self.width)
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for IrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.glsl_name())
+        if self.width == 1 {
+            return f.write_str(match self.scalar {
+                Scalar::F32 => "float",
+                Scalar::I32 => "int",
+                Scalar::U32 => "uint",
+                Scalar::Bool => "bool",
+            });
+        }
+        let prefix = match self.scalar {
+            Scalar::F32 => "vec",
+            Scalar::I32 => "ivec",
+            Scalar::U32 => "uvec",
+            Scalar::Bool => "bvec",
+        };
+        write!(f, "{prefix}{}", self.width)
     }
 }
 

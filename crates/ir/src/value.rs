@@ -122,36 +122,57 @@ pub fn canonical_f64(v: f64) -> String {
 impl fmt::Display for Constant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Constant::Float(v) => write!(f, "{}", format_glsl_float(*v)),
+            Constant::Float(v) => write!(f, "{}", GlslFloat(*v)),
             Constant::Int(v) => write!(f, "{v}"),
             Constant::Uint(v) => write!(f, "{v}u"),
             Constant::Bool(b) => write!(f, "{b}"),
-            Constant::FloatVec(v) => {
-                let parts: Vec<String> = v.iter().map(|x| format_glsl_float(*x)).collect();
-                write!(f, "vec{}({})", v.len(), parts.join(", "))
-            }
+            Constant::FloatVec(v) => write!(f, "vec{}({})", v.len(), Floats(v, ", ")),
         }
     }
 }
 
-/// Formats a float as a valid GLSL float literal (always contains `.` or `e`).
-pub fn format_glsl_float(v: f64) -> String {
-    if v.is_nan() {
-        return "(0.0 / 0.0)".to_string();
-    }
-    if v.is_infinite() {
-        return if v > 0.0 {
-            "(1.0 / 0.0)"
-        } else {
-            "(-1.0 / 0.0)"
+/// A float as a valid GLSL float literal (it always contains a `.`),
+/// written straight into a formatter. Non-finite values become constant
+/// expressions (`(1.0 / 0.0)`).
+#[derive(Debug, Clone, Copy)]
+pub struct GlslFloat(pub f64);
+
+impl fmt::Display for GlslFloat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v.is_nan() {
+            return f.write_str("(0.0 / 0.0)");
         }
-        .to_string();
+        if v.is_infinite() {
+            return f.write_str(if v > 0.0 {
+                "(1.0 / 0.0)"
+            } else {
+                "(-1.0 / 0.0)"
+            });
+        }
+        // `{}` prints a finite float without an exponent, and with a `.`
+        // exactly when the value has a fractional part.
+        if v.fract() == 0.0 {
+            write!(f, "{v}.0")
+        } else {
+            write!(f, "{v}")
+        }
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+}
+
+/// Float lanes as [`GlslFloat`] literals, with a separator between them.
+#[derive(Debug, Clone, Copy)]
+pub struct Floats<'f>(pub &'f [f64], pub &'static str);
+
+impl fmt::Display for Floats<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, v) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            write!(f, "{}", GlslFloat(*v))?;
+        }
+        Ok(())
     }
 }
 
@@ -264,12 +285,58 @@ mod tests {
 
     #[test]
     fn glsl_float_formatting() {
-        assert_eq!(format_glsl_float(1.0), "1.0");
-        assert_eq!(format_glsl_float(0.5), "0.5");
-        assert_eq!(format_glsl_float(-2.0), "-2.0");
+        assert_eq!(GlslFloat(1.0).to_string(), "1.0");
+        assert_eq!(GlslFloat(0.5).to_string(), "0.5");
+        assert_eq!(GlslFloat(-2.0).to_string(), "-2.0");
         // Whatever the exact rendering, the literal must parse as a GLSL float.
-        let tiny = format_glsl_float(1e-9);
+        let tiny = GlslFloat(1e-9).to_string();
         assert!(tiny.contains('.') || tiny.contains('e'));
+    }
+
+    #[test]
+    fn glsl_float_appends_a_point_exactly_when_display_prints_none() {
+        // The rule the adapter replaces: print `{}`, then append `.0` when
+        // the text carries no `.`, `e` or `E`.
+        let scanned = |v: f64| {
+            let s = format!("{v}");
+            if s.contains('.') || s.contains('e') || s.contains('E') {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        };
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-9,
+            1e16,
+            1e23,
+            1.5e300,
+            -2.5e-300,
+            4503599627370495.5,
+            9007199254740993.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.9999999999999999,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = f64::from_bits(x);
+            if v.is_finite() {
+                values.push(v);
+            }
+            values.push((x % 100_000) as f64 / 64.0 - 700.0);
+        }
+        for v in values {
+            assert_eq!(GlslFloat(v).to_string(), scanned(v), "{v:e}");
+        }
     }
 
     #[test]

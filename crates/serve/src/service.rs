@@ -4,7 +4,8 @@
 //! [`CompileRequest`] on its caller's thread, in this order:
 //!
 //! 1. **route** — the source text goes through a shared *lower-once front
-//!    stage* (parse + lower + verify, memoised per source text), and the
+//!    stage* (preprocess + parse + lower + verify, the GLSL drivers' front
+//!    end, memoised per source text), and the
 //!    base IR's [`fingerprint`] keys every later step; the cache splits its
 //!    locks 16 ways on it ([`prism_core::shard_of`]) — the same split the
 //!    warm-start snapshot files use, so a request's shard survives restarts
@@ -221,7 +222,7 @@ impl CompileRequestBuilder {
 /// Why a request failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The front stage rejected the source (parse/lower/verify).
+    /// The front stage rejected the source (preprocess/parse/lower/verify).
     Frontend(String),
     /// No backend in the chain serves the requested form.
     UnknownTarget(String),
@@ -795,9 +796,9 @@ impl CompileService {
         }
     }
 
-    /// The shared lower-once front stage: parse + lower + verify, memoised
-    /// per source text (errors included, so a hostile source costs one
-    /// front-stage failure, not one per request).
+    /// The shared lower-once front stage: preprocess + parse + lower +
+    /// verify, memoised per source text (errors included, so a hostile
+    /// source costs one front-stage failure, not one per request).
     fn front_entry(&self, source: &str) -> Result<Arc<FrontEntry>, ServeError> {
         if let Some(entry) = self.front.read().expect("front memo poisoned").get(source) {
             self.counters.front_hits.fetch_add(1, Ordering::Relaxed);
@@ -817,7 +818,9 @@ impl CompileService {
 
     fn lower_front(&self, source: &str) -> Result<Arc<FrontEntry>, ServeError> {
         self.counters.front_lowers.fetch_add(1, Ordering::Relaxed);
-        let parsed = prism_glsl::ShaderSource::parse(source)
+        // The GLSL drivers' front end: the preprocessor first (no defines),
+        // so the service accepts every text a GLSL driver accepts.
+        let parsed = prism_glsl::ShaderSource::preprocess_and_parse(source, &Default::default())
             .map_err(|e| ServeError::Frontend(e.to_string()))?;
         // Requests are anonymous; name the shader by its source hash so the
         // IR (and everything memoised from it) is deterministic per text.

@@ -12,7 +12,10 @@ use prism::gpu::{Platform, Vendor};
 fn main() {
     // The paper's motivating example (Listing 1): a 9-tap weighted blur.
     let source = ShaderSource::parse(prism::corpus::flagship::BLUR9).expect("front-end");
-    println!("original shader: {} lines of code\n", source.lines_of_code);
+    println!(
+        "original shader: {} lines of code\n",
+        source.lines_of_code()
+    );
 
     // Compile it with the flag set the paper's custom passes target. The
     // session serves every platform's source form from one optimized IR.
