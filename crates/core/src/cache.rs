@@ -70,7 +70,7 @@
 //! by this process's own sessions.
 
 use prism_emit::BackendKind;
-use prism_ir::fingerprint::Fingerprint;
+use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::Shader;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -87,6 +87,16 @@ pub struct Snapshot {
     pub ir: Arc<Shader>,
     /// Structural fingerprint of `ir`.
     pub fp: Fingerprint,
+}
+
+impl Snapshot {
+    /// Fingerprints `ir` and takes it into a shared handle.
+    pub fn new(ir: Shader) -> Snapshot {
+        Snapshot {
+            fp: fingerprint(&ir),
+            ir: Arc::new(ir),
+        }
+    }
 }
 
 /// Identifies one session against a store; used to distinguish same-session

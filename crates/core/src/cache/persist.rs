@@ -100,9 +100,10 @@ const CANARY: &str = r#"
 
 /// A stable fingerprint of the compiler that produced a snapshot: the pass
 /// schedule's *structure* (stage order, labels, gating flags, per-stage pass
-/// lists) combined with its observable *behaviour* — the `CANARY` shader is
-/// lowered and pushed through every stage (flagged or not), hashing the IR
-/// fingerprint after each stage and the emitted text of every backend.
+/// lists) combined with its observable *behaviour* — the `CANARY` shader goes
+/// through the [front door](fn@crate::front) and every stage (flagged or
+/// not), hashing the IR fingerprint after each stage and the emitted text of
+/// every backend.
 /// Cached transitions are only meaningful for the exact compiler that
 /// produced them, and renames are not the only way compilers change: a
 /// reworked pass or emitter with untouched names shifts the canary trace and
@@ -133,8 +134,9 @@ fn compute_schedule_hash() -> u64 {
         }
         description.push(';');
     }
-    let source = prism_glsl::ShaderSource::parse(CANARY).expect("canary shader parses");
-    let mut ir = crate::lower::lower(&source, "schedule-canary").expect("canary shader lowers");
+    let mut ir = crate::front(BackendKind::DesktopGlsl, CANARY, "schedule-canary")
+        .expect("the canary shader front-ends")
+        .ir;
     for stage in &schedule {
         stage.run(&mut ir);
         let _ = write!(description, "{}={};", stage.label, fingerprint(&ir));

@@ -8,6 +8,9 @@
 //! driver.
 //!
 //! * [`flags`] — the 8 optimization flags and their 256 combinations.
+//! * [`front`](mod@front) — the one front door: text in any source form →
+//!   lowered, verified IR, for the drivers, the compile service and the
+//!   schedule canary.
 //! * [`lower`](mod@lower) — GLSL AST → IR lowering (matrix scalarisation, inlining).
 //! * [`passes`] — the optimization passes themselves.
 //! * [`pipeline`] — the staged pass schedule and single-shot compilation.
@@ -23,6 +26,7 @@
 
 pub mod cache;
 pub mod flags;
+pub mod front;
 pub mod lower;
 pub mod passes;
 pub mod pipeline;
@@ -34,6 +38,7 @@ pub mod walk;
 pub use cache::persist::{LoadReport, SaveReport};
 pub use cache::{shard_of, CacheStats, CacheStore, CorpusCache, Snapshot, FINGERPRINT_SHARDS};
 pub use flags::{Flag, OptFlags};
+pub use front::{front, Front};
 pub use lower::{lower, LowerError};
 pub use pipeline::{
     build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,

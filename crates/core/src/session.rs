@@ -46,7 +46,6 @@ use crate::variant::{Variant, VariantSet};
 use crate::walk::{emit_memoised, walk_stages, SessionStats};
 use prism_emit::BackendKind;
 use prism_glsl::ShaderSource;
-use prism_ir::fingerprint::fingerprint;
 use prism_ir::verify::verify;
 use prism_ir::Shader;
 use std::cell::RefCell;
@@ -124,15 +123,11 @@ impl CompileSession {
     ) -> Result<CompileSession, CompileError> {
         let ir = lower(source, name)?;
         verify(&ir).map_err(CompileError::Verify)?;
-        let fp = fingerprint(&ir);
         let id = cache.register_session();
         // Intern the base into the store's exemplar plane: family members
         // with identical lowerings then share one allocation, and every
         // later lookup resolves this session's states by pointer identity.
-        let base = cache.intern(Snapshot {
-            ir: Arc::new(ir),
-            fp,
-        });
+        let base = cache.intern(Snapshot::new(ir));
         Ok(CompileSession {
             name: name.to_string(),
             schedule: build_schedule(),
@@ -326,10 +321,7 @@ impl CompileSession {
         }
         let ir = specialize_shader(&self.base.ir, spec).map_err(CompileError::Specialize)?;
         verify(&ir).map_err(CompileError::Verify)?;
-        let snap = self.cache.intern(Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        });
+        let snap = self.cache.intern(Snapshot::new(ir));
         self.spec_bases
             .borrow_mut()
             .insert(spec.clone(), snap.clone());

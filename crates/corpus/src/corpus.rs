@@ -49,8 +49,7 @@ impl Corpus {
     pub fn try_build() -> Result<Corpus, (String, GlslError)> {
         let mut cases = Vec::new();
         for (name, src) in flagship::all() {
-            let source = ShaderSource::preprocess_and_parse(src, &HashMap::new())
-                .map_err(|e| (name.to_string(), e))?;
+            let source = ShaderSource::parse(src).map_err(|e| (name.to_string(), e))?;
             cases.push(ShaderCase {
                 name: name.to_string(),
                 family: "flagship".to_string(),

@@ -16,12 +16,14 @@
 //! [`parse_spirv_asm`] is the consuming front-end (what the simulated Vulkan
 //! driver runs): it rebuilds a full [`Shader`] — interface, constants and
 //! structured body — from the text, so driver models cost the code the
-//! driver actually parsed, exactly as the GLSL platforms do.
+//! driver actually parsed, exactly as the GLSL platforms do. Like the GLSL
+//! parser, it rejects nesting deeper than [`MAX_NESTING`] levels.
 //!
 //! [`TempNameStyle::SpirvId`]: crate::glsl_backend::TempNameStyle
 
 use crate::glsl_backend::Swizzle;
 use crate::names::RegNamer;
+use prism_glsl::parser::MAX_NESTING;
 use prism_ir::prelude::*;
 use prism_ir::types::Scalar;
 use prism_ir::value::{Floats, GlslFloat};
@@ -752,7 +754,8 @@ pub struct ParsedSpirv {
 /// # Errors
 ///
 /// Returns a message naming the offending line when the text is not valid
-/// prism SPIR-V-like assembly.
+/// prism SPIR-V-like assembly, and a nesting error when selections and
+/// loops nest deeper than [`MAX_NESTING`] levels.
 pub fn parse_spirv_asm(text: &str) -> Result<ParsedSpirv, String> {
     Parser::new(text).run()
 }
@@ -761,6 +764,8 @@ pub fn parse_spirv_asm(text: &str) -> Result<ParsedSpirv, String> {
 struct Parser<'a> {
     lines: Vec<&'a str>,
     pos: usize,
+    /// Selections and loops open around the current line.
+    depth: usize,
     shader: Shader,
     version: String,
     /// id → operand (constants, loads, instruction results).
@@ -1088,11 +1093,15 @@ impl<'a> Parser<'a> {
                     .split_whitespace()
                     .next()
                     .ok_or_else(|| format!("missing merge label: {line}"))?;
+                self.enter(line)?;
                 body.push(self.parse_selection(merge)?);
+                self.depth -= 1;
                 continue;
             }
             if line.starts_with("OpLoopMerge ") {
+                self.enter(line)?;
                 body.push(self.parse_loop(line)?);
+                self.depth -= 1;
                 continue;
             }
             if line.contains(" = ") {
@@ -1107,6 +1116,16 @@ impl<'a> Parser<'a> {
             }
             return Err(format!("unexpected instruction `{line}`"));
         }
+    }
+
+    /// Opens the selection or loop `line` starts (one parser recursion),
+    /// failing past [`MAX_NESTING`] levels.
+    fn enter(&mut self, line: &str) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(format!("nesting deeper than {MAX_NESTING} levels: {line}"));
+        }
+        Ok(())
     }
 
     fn parse_selection(&mut self, merge: &str) -> Result<Stmt, String> {

@@ -63,32 +63,19 @@ pub struct ShaderSource {
 }
 
 impl ShaderSource {
-    /// Runs the full front-end (no preprocessing) on already-expanded GLSL.
+    /// Runs the full front-end, the preprocessor included, with no external
+    /// defines: [`ShaderSource::preprocess_and_parse`] of `source` alone.
     ///
     /// # Errors
     ///
-    /// Returns the first lexical, syntactic or semantic error.
+    /// Returns the first preprocessing, lexical, syntactic or semantic error.
     pub fn parse(source: &str) -> error::Result<ShaderSource> {
-        ShaderSource::parse_text(source.to_string())
-    }
-
-    /// [`ShaderSource::parse`] of text the caller hands over, so the
-    /// preprocessor's output becomes [`ShaderSource::text`] without a copy.
-    fn parse_text(text: String) -> error::Result<ShaderSource> {
-        let ast = parser::parse(&text)?;
-        let checked = typecheck::check(&ast)?;
-        let interface = ShaderInterface::of(&ast);
-        Ok(ShaderSource {
-            text,
-            ast,
-            symbols: checked.symbols,
-            interface,
-            version: None,
-        })
+        ShaderSource::preprocess_and_parse(source, &HashMap::new())
     }
 
     /// Preprocesses `source` with the given übershader `#define` switches and
-    /// then runs the full front-end.
+    /// then runs the full front-end. The preprocessor's output becomes
+    /// [`ShaderSource::text`] without a copy.
     ///
     /// # Errors
     ///
@@ -98,9 +85,16 @@ impl ShaderSource {
         defines: &HashMap<String, String>,
     ) -> error::Result<ShaderSource> {
         let pre = preprocessor::preprocess(source, defines)?;
-        let mut parsed = ShaderSource::parse_text(pre.text)?;
-        parsed.version = pre.version;
-        Ok(parsed)
+        let ast = parser::parse(&pre.text)?;
+        let checked = typecheck::check(&ast)?;
+        let interface = ShaderInterface::of(&ast);
+        Ok(ShaderSource {
+            text: pre.text,
+            ast,
+            symbols: checked.symbols,
+            interface,
+            version: pre.version,
+        })
     }
 
     /// The paper's lines-of-code metric (§V-A, Fig. 4a) over

@@ -8,12 +8,14 @@
 //! because its 2017 Mesa driver does little loop optimization, while Intel's
 //! driver already folds constant division so Div-to-Mul measures ≈0 there).
 //!
-//! Each [`DriverModel`] therefore re-parses the incoming GLSL with the same
-//! front-end, lowers it, and applies the *conformant* subset of passes that
-//! the corresponding vendor driver performs. The unsafe floating-point
-//! transformations are never applied by any driver model — a conformant
-//! compiler may not reassociate floating point — which is exactly why the
-//! paper adds them offline.
+//! Each platform therefore front-ends the incoming text through
+//! [`prism_core::front`](fn@prism_core::front) in its own source form
+//! (GLSL, SPIR-V assembly or MSL), and its [`DriverModel`] applies to the
+//! verified IR the *conformant* subset of passes that the corresponding
+//! vendor driver performs. The unsafe floating-point transformations are
+//! never applied by any driver model — a conformant compiler may not
+//! reassociate floating point — which is exactly why the paper adds them
+//! offline.
 //!
 //! A model builds its pass list once ([`DriverModel::stages`]). Each entry
 //! carries a stable stage id, one per (pass, parameter) pair and the same
@@ -25,8 +27,7 @@ use prism_core::passes::{
     coalesce::Coalesce, constfold::ConstFold, cse::Cse, dce::Dce, div_to_mul::DivToMul, gvn::Gvn,
     hoist::Hoist, rename::Rename, unroll::Unroll, Pass,
 };
-use prism_core::{lower, CompileError};
-use prism_glsl::ShaderSource;
+use prism_core::CompileError;
 use prism_ir::prelude::*;
 use prism_ir::verify::verify;
 
@@ -252,24 +253,10 @@ impl DriverModel {
         DriverModel { vendor, stages }
     }
 
-    /// Compiles incoming GLSL exactly as the vendor driver would: front-end,
-    /// lowering, then the driver's internal passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CompileError`] if the GLSL does not parse/lower — in the
-    /// study this never happens for shaders the offline tool emitted.
-    pub fn compile(&self, glsl: &str, name: &str) -> Result<Shader, CompileError> {
-        let source = ShaderSource::preprocess_and_parse(glsl, &Default::default())
-            .map_err(CompileError::Front)?;
-        self.compile_ir(lower(&source, name)?, name)
-    }
-
     /// The back half of driver compilation: the vendor's internal passes
-    /// over IR that has already been produced by a front-end. The GLSL
-    /// platforms arrive here through [`lower`](fn@lower); the SPIR-V platform's
-    /// front-end ([`prism_emit::parse_spirv_asm`]) produces IR directly and
-    /// enters here.
+    /// over IR that a front end has already produced. Every platform arrives
+    /// here with the verified IR of
+    /// [`prism_core::front`](fn@prism_core::front).
     ///
     /// # Errors
     ///
@@ -327,14 +314,17 @@ mod tests {
         assert!(runs(Vendor::Intel, |p| *p == DriverPass::DivToMul));
     }
 
+    /// What a desktop GLSL driver makes of `glsl`: the front door, then the
+    /// driver's passes.
+    fn compile(driver: &DriverModel, glsl: &str, name: &str) -> Result<Shader, CompileError> {
+        let front = prism_core::front(prism_emit::BackendKind::DesktopGlsl, glsl, name)?;
+        driver.compile_ir(front.ir, name)
+    }
+
     #[test]
     fn nvidia_driver_unrolls_internally_but_amd_does_not() {
-        let nv = DriverModel::preset(Vendor::Nvidia)
-            .compile(LOOPY, "loopy")
-            .unwrap();
-        let amd = DriverModel::preset(Vendor::Amd)
-            .compile(LOOPY, "loopy")
-            .unwrap();
+        let nv = compile(&DriverModel::preset(Vendor::Nvidia), LOOPY, "loopy").unwrap();
+        let amd = compile(&DriverModel::preset(Vendor::Amd), LOOPY, "loopy").unwrap();
         assert_eq!(nv.loop_count(), 0, "NVIDIA's JIT unrolls the constant loop");
         assert_eq!(
             amd.loop_count(),
@@ -350,8 +340,8 @@ mod tests {
     #[test]
     fn driver_compilation_is_deterministic() {
         let d = DriverModel::preset(Vendor::Qualcomm);
-        let a = d.compile(LOOPY, "loopy").unwrap();
-        let b = d.compile(LOOPY, "loopy").unwrap();
+        let a = compile(&d, LOOPY, "loopy").unwrap();
+        let b = compile(&d, LOOPY, "loopy").unwrap();
         assert_eq!(
             prism_ir::printer::print_shader(&a),
             prism_ir::printer::print_shader(&b)
@@ -361,6 +351,6 @@ mod tests {
     #[test]
     fn invalid_glsl_is_rejected() {
         let d = DriverModel::preset(Vendor::Intel);
-        assert!(d.compile("void main() { oops }", "bad").is_err());
+        assert!(compile(&d, "void main() { oops }", "bad").is_err());
     }
 }

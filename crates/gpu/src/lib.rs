@@ -7,12 +7,13 @@
 //! consuming SPIR-V assembly) and an Apple A9 behind Metal (consuming MSL) —
 //! a [`Platform`] bundles
 //!
-//! * a [`DriverModel`]: the vendor JIT compiler, which
-//!   re-parses incoming source text with the front-end matching the
-//!   platform's declared emission backend (GLSL, SPIR-V assembly or MSL) and
-//!   applies the conformant optimizations that driver is known to perform
-//!   (this is what decides whether an *offline* optimization still has an
-//!   effect on that platform),
+//! * a [`DriverModel`]: the vendor JIT compiler, which applies the
+//!   conformant optimizations that driver is known to perform (this is what
+//!   decides whether an *offline* optimization still has an effect on that
+//!   platform) to the verified IR that
+//!   [`prism_core::front`](fn@prism_core::front) makes of the submitted
+//!   text in the platform's declared source form (GLSL, SPIR-V assembly or
+//!   MSL),
 //! * a [`DeviceSpec`]: the architecture model (scalar vs.
 //!   vec4 ALUs, texture throughput, register budget, occupancy behaviour,
 //!   timer-query noise),

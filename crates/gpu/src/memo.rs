@@ -9,9 +9,10 @@
 //! runs over the same IR once per vendor. A [`DriverMemo`] shared by a
 //! column's submissions removes that repetition in two layers:
 //!
-//! * **Front memo** — keyed by (source form, exact text): each input is
-//!   parsed and lowered once and its IR interned; front-end errors are
-//!   memoised as values.
+//! * **Front memo** — keyed by (source form, exact text): each input goes
+//!   through the [front door](fn@prism_core::front) once (parse, lower,
+//!   verify) and its IR is interned; front-end errors are memoised as
+//!   values.
 //! * **Pass replay** — the vendor's [stages](crate::DriverModel::stages)
 //!   replay through a private [`CorpusCache`] transition graph, keyed by
 //!   (driver stage id, fingerprint). A state seen before — by another
@@ -25,11 +26,12 @@
 //! the optimizer starts from.
 
 use crate::driver::{DriverPass, DRIVER_ROUNDS};
-use crate::platform::{front_end, Platform, ShaderCost};
+use crate::platform::{Platform, ShaderCost};
 use prism_core::cache::SessionId;
-use prism_core::{walk_stages, CacheStore, CompileError, CorpusCache, SessionStats, Snapshot};
+use prism_core::{
+    front, walk_stages, CacheStore, CompileError, CorpusCache, SessionStats, Snapshot,
+};
 use prism_emit::BackendKind;
-use prism_ir::fingerprint::fingerprint;
 use prism_ir::verify::verify;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -39,7 +41,7 @@ use std::sync::Arc;
 /// pass applications run and answered by the transition graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverStats {
-    /// Texts parsed and lowered by a driver front-end (front memo misses).
+    /// Texts front-ended (front memo misses).
     pub front_parses: usize,
     /// Submissions whose text the front memo already held.
     pub front_hits: usize,
@@ -58,13 +60,9 @@ impl std::ops::AddAssign for DriverStats {
     }
 }
 
-/// What the front-end made of one input: the interned lowered IR and the
-/// source-form version token it saw.
-#[derive(Clone)]
-struct Front {
-    base: Snapshot,
-    version: String,
-}
+/// What the front door made of one text: the interned verified IR and the
+/// source-form version token it saw, or its error.
+type Fronted = Result<(Snapshot, String), CompileError>;
 
 /// Driver work memoised across the submissions of one sweep column (see the
 /// [module docs](self)). Drop it when the column ends: it holds every IR
@@ -89,7 +87,7 @@ struct Front {
 /// ```
 pub struct DriverMemo {
     /// Front memo per source form, indexed by [`BackendKind::index`].
-    fronts: [HashMap<String, Result<Front, CompileError>>; BackendKind::COUNT],
+    fronts: [HashMap<String, Fronted>; BackendKind::COUNT],
     graph: CorpusCache,
     session: SessionId,
     /// Driver pass applications run and answered by the graph.
@@ -133,13 +131,13 @@ impl DriverMemo {
         text: &str,
         name: &str,
     ) -> Result<ShaderCost, CompileError> {
-        let front = self.front(platform.backend(), text, name)?;
-        let state = self.drive(platform.driver.stages(), front.base);
+        let (base, version) = self.front(platform.backend(), text, name)?;
+        let state = self.drive(platform.driver.stages(), base);
         let mut driver_ir = (*state.ir).clone();
         driver_ir.name = name.to_string();
         verify(&driver_ir).map_err(CompileError::Verify)?;
         let mut cost = platform.cost_of_ir(driver_ir);
-        cost.source_version = front.version;
+        cost.source_version = version;
         Ok(cost)
     }
 
@@ -153,28 +151,18 @@ impl DriverMemo {
         }
     }
 
-    /// The front-end's result for `text` in `backend`'s source form, parsed
-    /// and lowered on first sight only.
-    fn front(
-        &mut self,
-        backend: BackendKind,
-        text: &str,
-        name: &str,
-    ) -> Result<Front, CompileError> {
-        if let Some(front) = self.fronts[backend.index()].get(text) {
+    /// The front door's result for `text` in `backend`'s source form,
+    /// front-ended on first sight only.
+    fn front(&mut self, backend: BackendKind, text: &str, name: &str) -> Fronted {
+        if let Some(entry) = self.fronts[backend.index()].get(text) {
             self.front_hits += 1;
-            return front.clone();
+            return entry.clone();
         }
         self.front_parses += 1;
-        let front = front_end(backend, text, name).map(|(ir, version)| Front {
-            base: self.graph.intern(Snapshot {
-                fp: fingerprint(&ir),
-                ir: Arc::new(ir),
-            }),
-            version,
-        });
-        self.fronts[backend.index()].insert(text.to_string(), front.clone());
-        front
+        let entry = front(backend, text, name)
+            .map(|front| (self.graph.intern(Snapshot::new(front.ir)), front.version));
+        self.fronts[backend.index()].insert(text.to_string(), entry.clone());
+        entry
     }
 
     /// Runs `stages` from `start` for up to [`DRIVER_ROUNDS`] rounds, as

@@ -8,9 +8,8 @@ use crate::timing::{
     TimeSample,
 };
 use crate::vendor::{DeviceSpec, Vendor};
-use prism_core::{lower, CompileError};
+use prism_core::{front, CompileError};
 use prism_emit::BackendKind;
-use prism_glsl::ShaderSource;
 use prism_ir::Shader;
 use rand::Rng;
 
@@ -37,11 +36,8 @@ pub struct ShaderCost {
     pub cost: FragmentCost,
     /// Noise-free time for one frame, in nanoseconds.
     pub ideal_frame_ns: f64,
-    /// The source-form version token the driver front-end actually saw in
-    /// the submitted text (empty when the source carried none): the
-    /// `#version` payload for GLSL drivers (`"450"`, `"310 es"`), the
-    /// `; Version:` header for the SPIR-V driver (`"spirv-1.0"`), the
-    /// `metal_stdlib` signature for the Metal driver (`"metal"`) —
+    /// The source-form version token the driver's front door saw in the
+    /// submitted text ([`Front::version`](prism_core::Front::version)) —
     /// end-to-end evidence of which emission backend's output reached this
     /// platform.
     pub source_version: String,
@@ -77,21 +73,22 @@ impl Platform {
     }
 
     /// Submits shader text to the driver and evaluates the hardware cost
-    /// model. The text is parsed by the front-end matching this platform's
-    /// declared [backend](Platform::backend) — a GLSL parse, the SPIR-V
-    /// assembly parser, or the MSL desugaring + GLSL parse — and the
-    /// returned cost records the source-form version the driver saw, so
-    /// callers can verify the right backend's text reached this platform.
+    /// model. The text enters through [`front`](fn@front) in this platform's
+    /// declared [backend](Platform::backend)'s source form — a GLSL parse,
+    /// the SPIR-V assembly parser, or the MSL desugaring + GLSL parse — so
+    /// the driver's passes start from verified IR, and the returned cost
+    /// records the source-form version the driver saw, so callers can verify
+    /// the right backend's text reached this platform.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError`] if the driver front-end rejects the
-    /// source — including text in the wrong source form for this platform
-    /// (a Vulkan driver does not guess at GLSL).
+    /// Returns a [`CompileError`] if the front door rejects the source —
+    /// including text in the wrong source form for this platform (a Vulkan
+    /// driver does not guess at GLSL) and IR that fails verification.
     pub fn submit(&self, text: &str, name: &str) -> Result<ShaderCost, CompileError> {
-        let (ir, version) = front_end(self.backend(), text, name)?;
-        let mut cost = self.cost_of_ir(self.driver.compile_ir(ir, name)?);
-        cost.source_version = version;
+        let front = front(self.backend(), text, name)?;
+        let mut cost = self.cost_of_ir(self.driver.compile_ir(front.ir, name)?);
+        cost.source_version = front.version;
         Ok(cost)
     }
 
@@ -133,45 +130,6 @@ impl Platform {
     /// figure the paper's Fig. 4b characterises shaders with.
     pub fn static_cycles(&self, driver_ir: &Shader) -> PipeCycles {
         pipe_paths(&self.spec, driver_ir).1
-    }
-}
-
-/// The driver front-end for `backend`'s source form — a GLSL parse, the
-/// SPIR-V assembly parser, or the MSL desugaring plus a GLSL parse — then
-/// lowering. Returns the IR the driver's passes start from and the
-/// source-form version token the front-end saw (see
-/// [`ShaderCost::source_version`]).
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] if the front-end rejects the text, including
-/// text in another source form, or the lowering rejects the parsed shader.
-pub(crate) fn front_end(
-    backend: BackendKind,
-    text: &str,
-    name: &str,
-) -> Result<(Shader, String), CompileError> {
-    let foreign =
-        |e: String| CompileError::Front(prism_glsl::GlslError::new(prism_glsl::Stage::Parse, e));
-    let parse_glsl = |glsl: &str| {
-        ShaderSource::preprocess_and_parse(glsl, &Default::default()).map_err(CompileError::Front)
-    };
-    match backend {
-        BackendKind::DesktopGlsl | BackendKind::Gles => {
-            let source = parse_glsl(text)?;
-            Ok((lower(&source, name)?, source.version.unwrap_or_default()))
-        }
-        BackendKind::SpirvAsm => {
-            let parsed = prism_emit::parse_spirv_asm(text).map_err(foreign)?;
-            Ok((parsed.shader, parsed.version))
-        }
-        BackendKind::Msl => {
-            let source = parse_glsl(&prism_emit::msl_to_glsl(text).map_err(foreign)?)?;
-            Ok((
-                lower(&source, name)?,
-                BackendKind::Msl.version().to_string(),
-            ))
-        }
     }
 }
 

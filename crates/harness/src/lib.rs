@@ -9,12 +9,13 @@
 //!
 //! ```
 //! use prism_gpu::{Platform, Vendor};
-//! use prism_harness::{measure_glsl, MeasureConfig};
+//! use prism_harness::{measure_cost, MeasureConfig};
 //!
 //! let platform = Platform::new(Vendor::Intel);
 //! let glsl = "uniform vec4 tint; in vec2 uv; out vec4 c;\n\
 //!             void main() { c = vec4(uv, 0.0, 1.0) * tint; }";
-//! let m = measure_glsl(&platform, glsl, "doc", &MeasureConfig::quick(), 0).unwrap();
+//! let cost = platform.submit(glsl, "doc").unwrap();
+//! let m = measure_cost(&platform, &cost, &MeasureConfig::quick(), 0);
 //! assert!(m.mean_ns > 0.0);
 //! ```
 
@@ -22,6 +23,6 @@ pub mod measurement;
 pub mod uniforms;
 pub mod vertex_gen;
 
-pub use measurement::{measure_cost, measure_glsl, MeasureConfig, Measurement};
+pub use measurement::{measure_cost, MeasureConfig, Measurement};
 pub use uniforms::{default_bindings, DefaultBindings, TextureBinding, UniformBinding};
 pub use vertex_gen::generate_vertex_shader;

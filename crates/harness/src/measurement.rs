@@ -104,22 +104,6 @@ pub fn measure_cost(
     summarise(&samples, cost.ideal_frame_ns)
 }
 
-/// Submits GLSL to the platform's driver and times it.
-///
-/// # Errors
-///
-/// Returns the driver's compile error when the source is rejected.
-pub fn measure_glsl(
-    platform: &Platform,
-    glsl: &str,
-    name: &str,
-    config: &MeasureConfig,
-    stream: u64,
-) -> Result<Measurement, prism_core::CompileError> {
-    let cost = platform.submit(glsl, name)?;
-    Ok(measure_cost(platform, &cost, config, stream))
-}
-
 fn summarise(samples: &[f64], ideal_ns: f64) -> Measurement {
     let n = samples.len().max(1) as f64;
     let mean = samples.iter().sum::<f64>() / n;
@@ -142,6 +126,12 @@ mod tests {
     const SHADER: &str = "uniform sampler2D tex; uniform vec4 tint; in vec2 uv; out vec4 c;\n\
         void main() { c = texture(tex, uv) * tint; }";
 
+    /// `SHADER` submitted to `platform`'s driver and timed.
+    fn measure(platform: &Platform, config: &MeasureConfig, stream: u64) -> Measurement {
+        let cost = platform.submit(SHADER, "simple").unwrap();
+        measure_cost(platform, &cost, config, stream)
+    }
+
     #[test]
     fn measurement_aggregates_the_right_number_of_frames() {
         let platform = Platform::new(Vendor::Intel);
@@ -150,7 +140,7 @@ mod tests {
             repeats: 3,
             seed: 1,
         };
-        let m = measure_glsl(&platform, SHADER, "simple", &config, 0).unwrap();
+        let m = measure(&platform, &config, 0);
         assert_eq!(m.samples, 60);
         assert!(m.mean_ns > 0.0);
         assert!(m.min_ns <= m.mean_ns && m.mean_ns <= m.max_ns);
@@ -164,7 +154,7 @@ mod tests {
             repeats: 5,
             seed: 7,
         };
-        let m = measure_glsl(&platform, SHADER, "simple", &long, 3).unwrap();
+        let m = measure(&platform, &long, 3);
         // With 1000 samples the mean should sit within a fraction of the
         // per-sample noise of the ideal value.
         assert!(
@@ -179,11 +169,11 @@ mod tests {
     fn measurements_are_reproducible() {
         let platform = Platform::new(Vendor::Arm);
         let config = MeasureConfig::quick();
-        let a = measure_glsl(&platform, SHADER, "simple", &config, 5).unwrap();
-        let b = measure_glsl(&platform, SHADER, "simple", &config, 5).unwrap();
+        let a = measure(&platform, &config, 5);
+        let b = measure(&platform, &config, 5);
         assert_eq!(a, b);
         // A different stream gives different noise but a similar mean.
-        let c = measure_glsl(&platform, SHADER, "simple", &config, 6).unwrap();
+        let c = measure(&platform, &config, 6);
         assert_ne!(a.mean_ns, c.mean_ns);
         assert!((a.mean_ns - c.mean_ns).abs() / a.mean_ns < 0.05);
     }
@@ -278,13 +268,6 @@ mod tests {
     #[test]
     fn bad_shader_source_is_rejected() {
         let platform = Platform::new(Vendor::Amd);
-        assert!(measure_glsl(
-            &platform,
-            "void main() { broken",
-            "bad",
-            &MeasureConfig::quick(),
-            0
-        )
-        .is_err());
+        assert!(platform.submit("void main() { broken", "bad").is_err());
     }
 }

@@ -36,10 +36,19 @@ impl std::error::Error for VerifyError {}
 ///   or defined in *both* branches of an earlier `if`),
 /// * operand indices (inputs, uniforms, samplers, outputs, const arrays) are
 ///   in range,
+/// * every const array element has its element type's lane count,
 /// * operation result widths match the destination register type,
 /// * vector component indices are within the operand width,
 /// * loop bounds describe a finite, forward-progressing loop.
 pub fn verify(shader: &Shader) -> Result<(), VerifyError> {
+    for array in &shader.const_arrays {
+        let (name, width) = (&array.name, usize::from(array.elem_ty.width));
+        if let Some(lanes) = array.elements.iter().map(Vec::len).find(|&n| n != width) {
+            return Err(err(format!(
+                "const array `{name}` has a {lanes}-lane element"
+            )));
+        }
+    }
     let mut defined: FxHashSet<Reg> = FxHashSet::default();
     verify_body(shader, &shader.body, &mut defined)
 }
@@ -700,5 +709,21 @@ mod tests {
             },
         ];
         assert!(verify(&s).unwrap_err().message.contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_a_const_array_element_of_the_wrong_width() {
+        let mut s = base_shader();
+        s.const_arrays.push(crate::shader::ConstArray {
+            name: "w".into(),
+            elem_ty: IrType::fvec(2),
+            elements: vec![vec![0.1, 0.2], vec![0.3, 0.4]],
+        });
+        assert!(verify(&s).is_ok());
+        for bad in [vec![], vec![0.3], vec![0.3, 0.4, 0.5]] {
+            s.const_arrays[0].elements[1] = bad;
+            let message = verify(&s).unwrap_err().message;
+            assert!(message.contains("const array `w`"), "{message}");
+        }
     }
 }

@@ -3,18 +3,19 @@
 //! Wraps the prism optimizer in a compile-request API of the kind a driver
 //! vendor's shader-cache daemon or a cloud shader-build farm would expose:
 //! clients submit `(source, flags, backend)` and get back emitted text plus
-//! interface and work counters. The service exists to make the corpus-wide
-//! sharing the paper's übershader study measures (ISPASS'18 §IV) pay off
-//! *across* clients, not just within one study process.
+//! its fingerprint and work counters. The service exists to make the
+//! corpus-wide sharing the paper's übershader study measures (ISPASS'18 §IV)
+//! pay off *across* clients, not just within one study process.
 //!
 //! ## Request order: route → memo → coalesce → run
 //!
 //! Every request is served on its caller's thread.
 //!
-//! 1. **route** — a shared *lower-once front stage* parses, lowers and
-//!    verifies the source (memoised per source text), and the base IR's
-//!    structural fingerprint keys every later step; the cache splits its
-//!    locks 16 ways on it ([`prism_core::FINGERPRINT_SHARDS`] /
+//! 1. **route** — a shared *lower-once front stage*, the GLSL drivers' own
+//!    front door [`prism_core::front`](fn@prism_core::front) memoised per
+//!    source text, preprocesses, parses, lowers and verifies the source, and
+//!    the base IR's structural fingerprint keys every later step; the cache
+//!    splits its locks 16 ways on it ([`prism_core::FINGERPRINT_SHARDS`] /
 //!    [`prism_core::shard_of`]). Warm-start snapshot files use the same
 //!    split, so shard ownership is stable across restarts.
 //! 2. **memo** — the calling thread walks the pass schedule lookup-only
@@ -430,9 +431,9 @@ mod tests {
         use std::sync::{mpsc, Mutex};
         let corpus = prism_corpus::Corpus::gfxbench_like();
         let base = |source: &str| {
-            let parsed = prism_glsl::ShaderSource::parse(source).unwrap();
-            let ir = prism_core::lower(&parsed, &service::source_name(source)).unwrap();
-            prism_ir::fingerprint::fingerprint(&ir)
+            let name = service::source_name(source);
+            let front = prism_core::front(BackendKind::DesktopGlsl, source, &name).unwrap();
+            prism_ir::fingerprint::fingerprint(&front.ir)
         };
         let held = corpus.cases[0].source.text.as_str();
         let held_fp = base(held);

@@ -4,12 +4,12 @@
 //! [`CompileRequest`] on its caller's thread, in this order:
 //!
 //! 1. **route** — the source text goes through a shared *lower-once front
-//!    stage* (preprocess + parse + lower + verify, the GLSL drivers' front
-//!    end, memoised per source text), and the
-//!    base IR's [`fingerprint`] keys every later step; the cache splits its
-//!    locks 16 ways on it ([`prism_core::shard_of`]) — the same split the
-//!    warm-start snapshot files use, so a request's shard survives restarts
-//!    without re-keying;
+//!    stage*: [`prism_core::front`](fn@prism_core::front) in the desktop GLSL
+//!    form (preprocess + parse + lower + verify, the GLSL drivers' own front
+//!    door), memoised per source text. The base IR's [`Fingerprint`] keys
+//!    every later step; the cache splits its locks 16 ways on it
+//!    ([`prism_core::shard_of`]) — the same split the warm-start snapshot
+//!    files use, so a request's shard survives restarts without re-keying;
 //! 2. **memo** — the calling thread walks the pass schedule over the shared
 //!    [`CorpusCache`] lookup-only: the specialized-base memo, the stage
 //!    transitions, the emitted text and (when asked for) the static analysis
@@ -37,9 +37,8 @@ use prism_core::{
     OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk,
 };
 use prism_emit::{BackendChain, BackendKind};
-use prism_glsl::ShaderInterface;
 use prism_gpu::Vendor;
-use prism_ir::fingerprint::{fingerprint, Fingerprint};
+use prism_ir::fingerprint::Fingerprint;
 use prism_ir::hash::fnv64;
 use prism_ir::interp::{results_exactly_equal, run_fragment};
 use prism_ir::verify::verify;
@@ -263,8 +262,6 @@ pub struct CompileResponse {
     pub chain_fallback: bool,
     /// Structural fingerprint of the optimized IR behind `text`.
     pub fingerprint: Fingerprint,
-    /// The shader's external interface (from the shared front stage).
-    pub interface: Arc<ShaderInterface>,
     /// The work this request cost the service — its work-counter latency
     /// breakdown. A coalesced waiter reports the leader's work, because that
     /// is the work its response cost.
@@ -358,12 +355,6 @@ impl FlightProbe<'_> {
 
 #[doc(hidden)]
 pub type ComputeHook = Box<dyn Fn(&FlightProbe<'_>) + Send + Sync>;
-
-/// The cached outcome of the shared front stage for one source text.
-struct FrontEntry {
-    base: Snapshot,
-    interface: Arc<ShaderInterface>,
-}
 
 /// Where the calling thread's memo walk stopped: the leader's job picks up
 /// there, so none of the stages the caller answered is looked up again.
@@ -470,7 +461,9 @@ pub struct CompileService {
     cache: Arc<CorpusCache>,
     session: SessionId,
     chain: BackendChain,
-    front: RwLock<HashMap<String, Result<Arc<FrontEntry>, ServeError>>>,
+    /// Front-stage memo: the interned base IR of every source text seen,
+    /// or its rejection.
+    front: RwLock<HashMap<String, Result<Snapshot, ServeError>>>,
     /// Specialized-base memo: the substituted-folded-verified snapshot each
     /// `(base fingerprint, spec key)` pair starts its flag walk from —
     /// derived (and interp-verified against the general base) once, then a
@@ -555,36 +548,34 @@ impl CompileService {
     /// compile is retried once and then reported to every merged request.
     pub fn compile(&self, request: &CompileRequest) -> Result<CompileResponse, ServeError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (backend, chain_fallback, front) = self.route(request).inspect_err(|_| {
+        let (backend, chain_fallback, base) = self.route(request).inspect_err(|_| {
             self.counters.front_errors.fetch_add(1, Ordering::Relaxed);
         })?;
         // Routed: the target resolved and the front stage lowered the source.
         self.cache.note_routed_request();
         let mut work = SessionStats::default();
-        let (served, coalesced) =
-            match self.answer_from_memo(request, backend, &front.base, &mut work) {
-                Ok(served) => {
-                    self.counters.memo_answered.fetch_add(1, Ordering::Relaxed);
-                    self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
-                    (served, false)
-                }
-                Err(resume) => {
-                    let key = FlightKey {
-                        fp: front.base.fp,
-                        flags: request.flags,
-                        backend,
-                        analyze: request.analyze,
-                        spec: request.specialize.clone(),
-                    };
-                    self.fly(key, resume, work)?
-                }
-            };
+        let (served, coalesced) = match self.answer_from_memo(request, backend, &base, &mut work) {
+            Ok(served) => {
+                self.counters.memo_answered.fetch_add(1, Ordering::Relaxed);
+                self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
+                (served, false)
+            }
+            Err(resume) => {
+                let key = FlightKey {
+                    fp: base.fp,
+                    flags: request.flags,
+                    backend,
+                    analyze: request.analyze,
+                    spec: request.specialize.clone(),
+                };
+                self.fly(key, resume, work)?
+            }
+        };
         Ok(CompileResponse {
             text: served.text,
             backend,
             chain_fallback,
             fingerprint: served.fp,
-            interface: Arc::clone(&front.interface),
             work: served.work,
             coalesced,
             zero_copy: served.zero_copy,
@@ -683,18 +674,15 @@ impl Drop for FlightGuard<'_> {
 
 impl CompileService {
     /// The steps a request passes before it routes: target resolution and
-    /// the front stage.
-    fn route(
-        &self,
-        request: &CompileRequest,
-    ) -> Result<(BackendKind, bool, Arc<FrontEntry>), ServeError> {
+    /// the front stage, which yields the base IR.
+    fn route(&self, request: &CompileRequest) -> Result<(BackendKind, bool, Snapshot), ServeError> {
         let (backend, chain_fallback) = self.resolve_target(&request.target)?;
         if chain_fallback {
             self.counters
                 .chain_fallbacks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        Ok((backend, chain_fallback, self.front_entry(&request.source)?))
+        Ok((backend, chain_fallback, self.front(&request.source)?))
     }
 
     /// Coalesce → run, for a request the memo missed: the first request of
@@ -796,50 +784,37 @@ impl CompileService {
         }
     }
 
-    /// The shared lower-once front stage: preprocess + parse + lower +
-    /// verify, memoised per source text (errors included, so a hostile
-    /// source costs one front-stage failure, not one per request).
-    fn front_entry(&self, source: &str) -> Result<Arc<FrontEntry>, ServeError> {
-        if let Some(entry) = self.front.read().expect("front memo poisoned").get(source) {
+    /// The shared lower-once front stage: the desktop GLSL form of
+    /// [`prism_core::front`](fn@prism_core::front), memoised per source text
+    /// (errors included, so a hostile source costs one front-stage failure,
+    /// not one per request).
+    fn front(&self, source: &str) -> Result<Snapshot, ServeError> {
+        if let Some(base) = self.front.read().expect("front memo poisoned").get(source) {
             self.counters.front_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
+            return base.clone();
         }
         // Lower outside the lock (slow); a racing duplicate lower of the
         // same text is wasted work but deterministic — the base IR and its
         // fingerprint are pure functions of the source.
-        let entry = self.lower_front(source);
+        let base = self.lower_front(source);
         self.front
             .write()
             .expect("front memo poisoned")
             .entry(source.to_string())
-            .or_insert_with(|| entry.clone());
-        entry
+            .or_insert_with(|| base.clone());
+        base
     }
 
-    fn lower_front(&self, source: &str) -> Result<Arc<FrontEntry>, ServeError> {
+    fn lower_front(&self, source: &str) -> Result<Snapshot, ServeError> {
         self.counters.front_lowers.fetch_add(1, Ordering::Relaxed);
-        // The GLSL drivers' front end: the preprocessor first (no defines),
-        // so the service accepts every text a GLSL driver accepts.
-        let parsed = prism_glsl::ShaderSource::preprocess_and_parse(source, &Default::default())
-            .map_err(|e| ServeError::Frontend(e.to_string()))?;
         // Requests are anonymous; name the shader by its source hash so the
         // IR (and everything memoised from it) is deterministic per text.
-        let name = source_name(source);
-        let ir =
-            prism_core::lower(&parsed, &name).map_err(|e| ServeError::Frontend(e.to_string()))?;
-        verify(&ir).map_err(|e| ServeError::Frontend(e.to_string()))?;
-        let fp = fingerprint(&ir);
+        let front = prism_core::front(BackendKind::DesktopGlsl, source, &source_name(source))
+            .map_err(|e| ServeError::Frontend(e.to_string()))?;
         // Intern the base into the cache's exemplar plane: repeat requests
         // (and racing duplicate lowers) of the same source then share one
         // allocation, and the compute walk resolves it by pointer identity.
-        let base = self.cache.intern(Snapshot {
-            ir: Arc::new(ir),
-            fp,
-        });
-        Ok(Arc::new(FrontEntry {
-            base,
-            interface: Arc::new(parsed.interface),
-        }))
+        Ok(self.cache.intern(Snapshot::new(front.ir)))
     }
 
     /// Runs the leader's compile to flight completion. A panicking compile
@@ -1029,10 +1004,7 @@ impl CompileService {
                 )));
             }
         }
-        let snap = self.cache.intern(Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        });
+        let snap = self.cache.intern(Snapshot::new(ir));
         // A racing duplicate derivation of the same pair is wasted but
         // deterministic work; last write wins with an identical snapshot.
         self.spec_bases

@@ -1,15 +1,21 @@
 //! Hostile input at the text entry points. Every probe must come back from
-//! [`CompileService::compile`] and [`Platform::submit`] as a typed error or
-//! an output, in-process: never a panic, a stack overflow or a hang.
+//! [`CompileService::compile`], [`Platform::submit`] and
+//! [`DriverMemo::submit`] as a typed error or an output, in-process: never
+//! a panic, a stack overflow or a hang. All three enter through
+//! `prism_core::front`, which verifies the IR before any pass runs.
 //!
-//! The parser bounds nesting at [`MAX_NESTING`] levels. The probes here
+//! The GLSL parser bounds nesting at [`MAX_NESTING`] levels. The probes here
 //! check that a source far past the bound is a parse error at both entry
 //! points, that a source exactly at it runs through both on a 2 MB stack
 //! even in a debug build, and that the corpus stays far below it. The
-//! compile service also shares the GLSL drivers' front end, preprocessor
+//! SPIR-V assembly parser bounds nested selections and loops at the same
+//! [`MAX_NESTING`], checked the same way at both driver entry points. The
+//! compile service shares the GLSL drivers' front end, preprocessor
 //! included, so a `#version` line or a `#` line inside a block comment does
 //! not change what it serves, and the preprocessor's output is bounded at
-//! [`MAX_EXPANSION`] times its input at both entry points.
+//! [`MAX_EXPANSION`] times its input at both entry points. A SPIR-V constant
+//! array with an element of the wrong width is a verify error at both
+//! driver entry points, not a panic inside a driver pass.
 
 use prism::core::{CompileError, OptFlags};
 use prism::corpus::Corpus;
@@ -17,7 +23,7 @@ use prism::emit::BackendKind;
 use prism::glsl::parser::{nesting_depth, MAX_NESTING};
 use prism::glsl::preprocessor::MAX_EXPANSION;
 use prism::glsl::Stage;
-use prism::gpu::{Platform, Vendor};
+use prism::gpu::{DriverMemo, Platform, Vendor};
 use prism::ir::Fingerprint;
 use prism::serve::{CompileRequest, CompileService, ServeConfig, ServeError, ServiceStats};
 
@@ -254,5 +260,128 @@ fn a_quadratic_macro_expansion_is_a_preprocess_error_at_both_entry_points() {
             assert!(e.message.contains("expansion"), "{e}");
         }
         other => panic!("expected a preprocess error, got {other:?}"),
+    }
+}
+
+/// SPIR-V assembly whose `main` nests `n` selections around one store.
+fn spirv_selections(n: usize) -> String {
+    let mut text = String::from(
+        "; SPIR-V\n; Version: 1.0\n\
+         %c = OpVariable Output v4float\n\
+         %u = OpVariable Uniform float x1 ; float\n\
+         %half = OpConstant float 0.5\n\
+         %main = OpFunction void None\n\
+         %entry = OpLabel\n\
+         %u0 = OpLoad float %u 0\n\
+         %value = OpCompositeConstruct v4float %u0 %u0 %u0 %u0\n\
+         %cond = OpFOrdGreaterThan bool %u0 %half\n",
+    );
+    for k in 0..n {
+        text += &format!(
+            "OpSelectionMerge %merge{k} None\n\
+             OpBranchConditional %cond %then{k} %merge{k}\n\
+             %then{k} = OpLabel\n"
+        );
+    }
+    text += "OpStore %c %value\n";
+    for k in (0..n).rev() {
+        text += &format!("OpBranch %merge{k}\n%merge{k} = OpLabel\n");
+    }
+    text + "OpReturn\nOpFunctionEnd\n"
+}
+
+/// What RADV's driver makes of `text` through both driver entry points:
+/// the one-shot reference and a fresh memo.
+fn radv_submits(text: &str) -> [Result<f64, CompileError>; 2] {
+    let radv = Platform::new(Vendor::Radv);
+    [
+        radv.submit(text, "spirv"),
+        DriverMemo::new().submit(&radv, text, "spirv"),
+    ]
+    .map(|submitted| submitted.map(|cost| cost.ideal_frame_ns))
+}
+
+fn assert_spirv_nesting_error(text: &str) {
+    for (entry, submitted) in ["Platform::submit", "DriverMemo::submit"]
+        .into_iter()
+        .zip(radv_submits(text))
+    {
+        match submitted {
+            Err(CompileError::Front(e)) => {
+                assert_eq!(e.stage, Stage::Parse, "{entry}: {e}");
+                assert!(e.message.contains("nesting"), "{entry}: {e}");
+            }
+            other => panic!("{entry}: expected a nesting error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn ten_thousand_nested_spirv_selections_are_a_nesting_error_at_both_driver_entry_points() {
+    let text = spirv_selections(10_000);
+    assert!(text.len() > 1_000_000);
+    assert_spirv_nesting_error(&text);
+}
+
+#[test]
+fn spirv_nesting_at_the_limit_runs_on_a_two_megabyte_stack() {
+    let run = || {
+        let [reference, memoised] = radv_submits(&spirv_selections(MAX_NESTING));
+        let reference = reference.expect("Platform::submit at the limit");
+        assert_eq!(
+            memoised.expect("DriverMemo::submit at the limit"),
+            reference
+        );
+        assert_spirv_nesting_error(&spirv_selections(MAX_NESTING + 1));
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .expect("spawn the probe thread")
+        .join()
+        .expect("SPIR-V nested to the limit stays within 2 MB of stack");
+}
+
+#[test]
+fn a_constant_array_element_of_the_wrong_width_is_a_verify_error_at_both_driver_entry_points() {
+    let source = "uniform float u; out vec4 c; void main() {\n\
+        const float[] w = float[](0.1, 0.2, 0.3);\n\
+        float t = 0.0;\n\
+        for (int i = 0; i < 3; i++) { t += w[i] * u; }\n\
+        c = vec4(t);\n\
+        }";
+    let base = prism::core::front(BackendKind::DesktopGlsl, source, "w").expect("the GLSL lowers");
+    let spirv = BackendKind::SpirvAsm.emit(&base.ir);
+    // `%w`'s first element gets no lanes, and the loop's load reads it
+    // through a constant index, which a driver's constant folding folds.
+    let index = spirv
+        .lines()
+        .find_map(|line| line.split_once(" = OpAccessChain float %w "))
+        .map(|(_, index)| index.trim())
+        .expect("the loop loads from %w");
+    let text = spirv
+        .replace("(0.1)", "()")
+        .replace(
+            "%main = OpFunction",
+            "%int_0 = OpConstant int 0\n%main = OpFunction",
+        )
+        .replace(
+            &format!("OpAccessChain float %w {index}"),
+            "OpAccessChain float %w %int_0",
+        );
+    assert!(
+        text.contains("%w = OpConstantComposite float[3] () (0.2) (0.3)"),
+        "{text}"
+    );
+    for (entry, submitted) in ["Platform::submit", "DriverMemo::submit"]
+        .into_iter()
+        .zip(radv_submits(&text))
+    {
+        match submitted {
+            Err(CompileError::Verify(e)) => {
+                assert!(e.message.contains("const array `w`"), "{entry}: {e}");
+            }
+            other => panic!("{entry}: expected a verify error, got {other:?}"),
+        }
     }
 }
