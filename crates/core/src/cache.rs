@@ -26,11 +26,19 @@
 //!   is a second exemplar reference, its output node.
 //! * **Identity bits** — a stage whose passes report the IR unchanged sets a
 //!   bit in the input exemplar's `clean_stages` mask instead of storing an
-//!   edge. The walk ([`walk_stages`](crate::walk::walk_stages)) reads the
-//!   mask once per distinct state ([`CacheStore::identity_stages`]) and
-//!   skips every clean stage in O(1): no re-fingerprint, no snapshot insert,
-//!   no equality confirmation. Consecutive identity edges collapse into a
-//!   single mask read.
+//!   edge. The walk ([`Walk`](crate::walk::Walk)) stands on a graph [`Node`],
+//!   which carries the mask read with it, and skips every clean stage in
+//!   O(1): no lookup, no re-fingerprint, no snapshot insert, no equality
+//!   confirmation. Consecutive identity edges collapse into a single mask
+//!   read.
+//!
+//! Lookups are keyed by [`Node`], not by IR: a node is resolved from a
+//! [`Snapshot`] once ([`CacheStore::node`]), and an answered stage
+//! ([`CacheStore::transition`]) costs one edge-plane read plus one exemplar
+//! read for the output's mask, with no `Arc<Shader>` clone; IR is fetched
+//! ([`CacheStore::fetch`]) only when a stage must run or a caller asks for a
+//! final state. The hit counters are [`Striped`] per thread, so concurrent
+//! hits write no shared counter line.
 //!
 //! A standalone [`CompileSession`](crate::CompileSession) owns a private
 //! `CorpusCache`; the study sweep and the compile service share one across
@@ -70,6 +78,7 @@
 //! by this process's own sessions.
 
 use prism_emit::BackendKind;
+use prism_ir::counters::Striped;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::Shader;
 use std::collections::HashMap;
@@ -116,9 +125,44 @@ pub(crate) const MASK_STAGES: usize = 64;
 /// go stale — a failed fetch, a cache miss — but can never silently alias a
 /// different structure that later landed in the same chain slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NodeId {
+pub(crate) struct NodeId {
     fp: Fingerprint,
     gen: u64,
+}
+
+/// The generation of a node the store does not hold; stamps count up from 0
+/// and never reach it.
+const NO_GEN: u64 = u64::MAX;
+
+/// A graph node as a walk sees it: one interned IR structure's fingerprint
+/// and never-reused generation, plus its clean-stage mask as read with it.
+///
+/// A node names a structure without holding its IR: a lookup keyed by a node
+/// takes no `Arc<Shader>` refcount, and the IR is
+/// [fetched](CacheStore::fetch) only when needed. A node the store does not
+/// hold — never interned, or reclaimed by a bounded budget since it was read
+/// — answers no lookup and fetches nothing; generations are never reused, so
+/// it cannot alias a later structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node {
+    pub(crate) id: NodeId,
+    pub(crate) clean: u64,
+}
+
+impl Node {
+    /// A node the store does not hold, for a structure with fingerprint
+    /// `fp`.
+    fn unknown(fp: Fingerprint) -> Node {
+        Node {
+            id: NodeId { fp, gen: NO_GEN },
+            clean: 0,
+        }
+    }
+
+    /// The structural fingerprint of the node's IR.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.id.fp
+    }
 }
 
 /// One interned IR exemplar: the single shared `Arc<Shader>` stored for its
@@ -314,43 +358,49 @@ pub trait CacheStore {
     /// lookup resolves by pointer identity.
     fn intern(&self, snapshot: Snapshot) -> Snapshot;
 
-    /// Bitmask over stage indices known to map `snapshot`'s structure to
-    /// itself. The walk reads this once per distinct state and skips every
-    /// clean stage without any per-stage lookup; 0 when nothing is known.
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64;
+    /// The node of `snapshot`'s structure with its clean-stage mask (one
+    /// exemplar read), or a node that answers nothing when the store does
+    /// not hold the structure. A walk resolves its start once; every later
+    /// lookup is keyed by node.
+    fn node(&self, snapshot: &Snapshot) -> Node;
 
-    /// Books `skips` stage hits a walk took straight off an
-    /// [`identity_stages`](CacheStore::identity_stages) mask, in one note:
-    /// no per-transition lookup happened for them, so they are counted here
-    /// as store-wide stage hits and identity transitions.
+    /// The IR of `node`: its exemplar's shared allocation, or `None` when
+    /// the store does not hold the node (a bounded budget may reclaim it
+    /// between the lookup that named it and this fetch).
+    fn fetch(&self, node: &Node) -> Option<Arc<Shader>>;
+
+    /// Books `skips` stage hits a walk took straight off a node's clean
+    /// mask, in one note: no per-transition lookup happened for them, so
+    /// they are counted here as store-wide stage hits and identity
+    /// transitions.
     fn note_identity_skips(&self, skips: usize);
 
-    /// Looks up the output of running stage `stage` over `input`. A hit is
+    /// Looks up the output node of running stage `stage` over `input`: one
+    /// edge-plane read plus one exemplar read for the output's mask, and no
+    /// IR handle. An edge whose output was reclaimed misses. A hit is
     /// counted store-wide here, with its cross-shader or warm attribution.
-    fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot>;
+    /// The input's clean mask is the caller's to check: an identity stage
+    /// has no edge.
+    fn transition(&self, session: SessionId, stage: usize, input: &Node) -> Option<Node>;
 
     /// Records that stage `stage` maps `input` to `output` and returns the
-    /// store's canonical snapshot of the output. An identity transition
-    /// (`output` structurally equals `input`) is stored as a bit in the
-    /// input exemplar's clean-stage mask, not as an edge, and returns
-    /// `input` itself; any other returns the interned exemplar of the
-    /// output's structure, so the caller walks on without a second intern.
+    /// output's node (with its mask) and canonical IR. An identity
+    /// transition (`output` structurally equals `input`) is stored as a bit
+    /// in the input exemplar's clean-stage mask, not as an edge, and returns
+    /// the input's node with that bit set; any other returns the interned
+    /// exemplar of the output's structure, so the caller walks on without a
+    /// second intern.
     fn record_transition(
         &self,
         session: SessionId,
         stage: usize,
         input: Snapshot,
         output: Snapshot,
-    ) -> Snapshot;
+    ) -> (Node, Arc<Shader>);
 
     /// Looks up the emitted text of `state` for `backend`. The returned
     /// handle shares the cached allocation — callers never pay a body copy.
-    fn emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-    ) -> Option<Arc<str>>;
+    fn emission(&self, session: SessionId, backend: BackendKind, state: &Node) -> Option<Arc<str>>;
 
     /// Records the emitted text of `state` for `backend`.
     fn record_emission(
@@ -474,13 +524,33 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     }
 }
 
+/// The counters a memo hit bumps, by index into [`CorpusCache`]'s striped
+/// set: a hit writes only its own thread's stripe.
+#[derive(Clone, Copy)]
+enum Hit {
+    Stage,
+    Identity,
+    CrossShaderStage,
+    WarmStage,
+    Emission,
+    CrossShaderEmission,
+    WarmEmission,
+    Analysis,
+    WarmAnalysis,
+    Routed,
+}
+
+/// Counters in [`Hit`].
+const HITS: usize = Hit::Routed as usize + 1;
+
 /// A thread-safe, corpus-wide cache store shared by many sessions.
 ///
 /// The study sweep builds every shader's session against one `CorpusCache`,
 /// so übershader family members reuse each other's stage transitions and
 /// emitted text across worker threads. The exemplar store and the three
 /// memo planes (edges, emissions, analyses) are all sharded by fingerprint
-/// to keep lock contention off the hot path; counters are atomics.
+/// to keep lock contention off the hot path; the hit counters are striped
+/// per thread and the rest are atomics.
 ///
 /// A cache built with [`CorpusCache::bounded`] additionally enforces an
 /// entry budget with per-shard LRU eviction (entries are generation-stamped
@@ -536,26 +606,18 @@ pub struct CorpusCache {
     /// an unregistered name is skipped at load time — forward compatibility,
     /// like an unknown backend.
     personalities: RwLock<Vec<String>>,
+    /// The counters every memo hit bumps, indexed by [`Hit`].
+    hits: Striped<HITS>,
     stage_runs: AtomicUsize,
-    stage_hits: AtomicUsize,
-    identity_transitions: AtomicUsize,
-    cross_shader_stage_hits: AtomicUsize,
     emissions_done: AtomicUsize,
     emissions_by_backend: [AtomicUsize; BackendKind::COUNT],
-    emission_hits: AtomicUsize,
-    cross_shader_emission_hits: AtomicUsize,
     evictions: AtomicUsize,
-    warm_stage_hits: AtomicUsize,
-    warm_emission_hits: AtomicUsize,
     warm_entries_loaded: AtomicUsize,
     warm_shards_loaded: AtomicUsize,
     warm_shards_skipped: AtomicUsize,
     pub(crate) warm_entries_skipped: AtomicUsize,
     static_analyses: AtomicUsize,
-    analysis_memo_hits: AtomicUsize,
-    warm_analysis_hits: AtomicUsize,
     pub(crate) warm_verify_rejects: AtomicUsize,
-    routed_requests: AtomicUsize,
     coalesced_requests: AtomicUsize,
 }
 
@@ -600,27 +662,37 @@ impl CorpusCache {
             emissions: plane(),
             analyses: plane(),
             personalities: RwLock::new(Vec::new()),
+            hits: Striped::new(),
             stage_runs: AtomicUsize::new(0),
-            stage_hits: AtomicUsize::new(0),
-            identity_transitions: AtomicUsize::new(0),
-            cross_shader_stage_hits: AtomicUsize::new(0),
             emissions_done: AtomicUsize::new(0),
             emissions_by_backend: std::array::from_fn(|_| AtomicUsize::new(0)),
-            emission_hits: AtomicUsize::new(0),
-            cross_shader_emission_hits: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
-            warm_stage_hits: AtomicUsize::new(0),
-            warm_emission_hits: AtomicUsize::new(0),
             warm_entries_loaded: AtomicUsize::new(0),
             warm_shards_loaded: AtomicUsize::new(0),
             warm_shards_skipped: AtomicUsize::new(0),
             warm_entries_skipped: AtomicUsize::new(0),
             static_analyses: AtomicUsize::new(0),
-            analysis_memo_hits: AtomicUsize::new(0),
-            warm_analysis_hits: AtomicUsize::new(0),
             warm_verify_rejects: AtomicUsize::new(0),
-            routed_requests: AtomicUsize::new(0),
             coalesced_requests: AtomicUsize::new(0),
+        }
+    }
+
+    fn hit(&self, counter: Hit) {
+        self.hits.add(counter as usize, 1);
+    }
+
+    fn hits(&self, counter: Hit) -> usize {
+        self.hits.get(counter as usize)
+    }
+
+    /// Books a memo hit answered by `owner`'s entry: `hit`, plus `warm` for
+    /// a warm-start entry or `cross` for another session's.
+    fn hit_by(&self, owner: SessionId, session: SessionId, hit: Hit, warm: Hit, cross: Hit) {
+        self.hit(hit);
+        if owner == WARM_OWNER {
+            self.hit(warm);
+        } else if owner != session {
+            self.hit(cross);
         }
     }
 
@@ -628,7 +700,7 @@ impl CorpusCache {
     /// cache owns the counter so serving telemetry travels with the rest of
     /// [`CacheStats`] through reports and the perf gate.
     pub fn note_routed_request(&self) {
-        self.routed_requests.fetch_add(1, Ordering::Relaxed);
+        self.hit(Hit::Routed);
     }
 
     /// Counts a request that coalesced onto an identical in-flight compile.
@@ -683,32 +755,37 @@ impl CorpusCache {
     /// out of this store, so the `Arc` is usually the interned one);
     /// structural confirmation of collision candidates outside it. `None` =
     /// structure never seen.
-    fn resolve_node(&self, snap: &Snapshot) -> Option<(u64, u64)> {
-        let candidates: Vec<(u64, u64, Arc<Shader>)> = {
+    fn resolve_node(&self, snap: &Snapshot) -> Option<Node> {
+        let node = |e: &Exemplar| Node {
+            id: NodeId {
+                fp: snap.fp,
+                gen: e.gen,
+            },
+            clean: e.clean_stages,
+        };
+        let candidates: Vec<(Node, Arc<Shader>)> = {
             let map = self.exemplars[Self::shard(snap.fp)]
                 .read()
                 .expect("corpus cache poisoned");
             let chain = map.get(&snap.fp)?;
             if let Some(e) = chain.iter().find(|e| Arc::ptr_eq(&e.ir, &snap.ir)) {
-                return Some((e.gen, e.clean_stages));
+                return Some(node(e));
             }
-            chain
-                .iter()
-                .map(|e| (e.gen, e.clean_stages, Arc::clone(&e.ir)))
-                .collect()
+            chain.iter().map(|e| (node(e), Arc::clone(&e.ir))).collect()
         };
         candidates
             .into_iter()
-            .find(|(_, _, ir)| ir.same_structure(&snap.ir))
-            .map(|(gen, clean, _)| (gen, clean))
+            .find(|(_, ir)| ir.same_structure(&snap.ir))
+            .map(|(node, _)| node)
     }
 
     /// Resolve-or-insert in one lock acquisition: the node of `snap`'s
     /// structure (interned on first sight) gains `refs` references and the
-    /// `clean` stage bits, and its canonical allocation is returned. Taking
-    /// the reference under the same lock keeps the exemplar from being
-    /// reclaimed before the entry that references it lands.
-    fn intern_node(&self, snap: &Snapshot, refs: usize, clean: u64) -> (NodeId, Arc<Shader>) {
+    /// `clean` stage bits, and it is returned with its mask and canonical
+    /// allocation. Taking the reference under the same lock keeps the
+    /// exemplar from being reclaimed before the entry that references it
+    /// lands.
+    fn intern_node(&self, snap: &Snapshot, refs: usize, clean: u64) -> (Node, Arc<Shader>) {
         let mut map = self.exemplars[Self::shard(snap.fp)]
             .write()
             .expect("corpus cache poisoned");
@@ -725,21 +802,23 @@ impl CorpusCache {
         let exemplar = &mut chain[i];
         exemplar.refs += refs;
         exemplar.clean_stages |= clean;
-        let node = NodeId {
-            fp: snap.fp,
-            gen: exemplar.gen,
+        let node = Node {
+            id: NodeId {
+                fp: snap.fp,
+                gen: exemplar.gen,
+            },
+            clean: exemplar.clean_stages,
         };
         (node, Arc::clone(&exemplar.ir))
     }
 
-    fn fetch_node(&self, node: NodeId) -> Option<Arc<Shader>> {
-        let map = self.exemplars[Self::shard(node.fp)]
+    /// Reads the exemplar `id` names, if the store still holds it, under its
+    /// shard's read lock.
+    fn with_exemplar<R>(&self, id: NodeId, read: impl FnOnce(&Exemplar) -> R) -> Option<R> {
+        let map = self.exemplars[Self::shard(id.fp)]
             .read()
             .expect("corpus cache poisoned");
-        map.get(&node.fp)?
-            .iter()
-            .find(|e| e.gen == node.gen)
-            .map(|e| Arc::clone(&e.ir))
+        map.get(&id.fp)?.iter().find(|e| e.gen == id.gen).map(read)
     }
 
     /// Takes one reference to `node` (a no-op if the node was concurrently
@@ -921,22 +1000,21 @@ impl CorpusCache {
     }
 
     /// Looks up the memoised static-analysis report of `state` for
-    /// `personality`. Mirrors [`CacheStore::emission`]: structural
-    /// confirmation through the exemplar plane, shared-allocation handout,
-    /// warm attribution, LRU touch on bounded stores.
+    /// `personality`. Mirrors [`CacheStore::emission`]: keyed by node,
+    /// shared-allocation handout, warm attribution, LRU touch on bounded
+    /// stores.
     pub fn analysis(
         &self,
         session: SessionId,
         personality: &str,
-        state: &Snapshot,
+        state: &Node,
     ) -> Option<Arc<str>> {
         let _ = session;
-        let (gen, _) = self.resolve_node(state)?;
-        let key = (state.fp, personality.to_string());
-        let (owner, text) = self.lookup(&self.analyses, gen, key, Some)?;
-        self.analysis_memo_hits.fetch_add(1, Ordering::Relaxed);
+        let key = (state.id.fp, personality.to_string());
+        let (owner, text) = self.lookup(&self.analyses, state.id.gen, key, Some)?;
+        self.hit(Hit::Analysis);
         if owner == WARM_OWNER {
-            self.warm_analysis_hits.fetch_add(1, Ordering::Relaxed);
+            self.hit(Hit::WarmAnalysis);
         }
         Some(text)
     }
@@ -952,7 +1030,13 @@ impl CorpusCache {
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
         let (node, _) = self.intern_node(state, 1, 0);
-        self.insert(&self.analyses, session, node, personality.to_string(), text);
+        self.insert(
+            &self.analyses,
+            session,
+            node.id,
+            personality.to_string(),
+            text,
+        );
     }
 }
 
@@ -969,42 +1053,38 @@ impl CacheStore for CorpusCache {
         }
     }
 
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
+    fn node(&self, snapshot: &Snapshot) -> Node {
         self.resolve_node(snapshot)
-            .map(|(_, clean)| clean)
-            .unwrap_or(0)
+            .unwrap_or_else(|| Node::unknown(snapshot.fp))
+    }
+
+    fn fetch(&self, node: &Node) -> Option<Arc<Shader>> {
+        self.with_exemplar(node.id, |e| Arc::clone(&e.ir))
     }
 
     fn note_identity_skips(&self, skips: usize) {
-        self.stage_hits.fetch_add(skips, Ordering::Relaxed);
-        self.identity_transitions
-            .fetch_add(skips, Ordering::Relaxed);
+        self.hits.add(Hit::Stage as usize, skips);
+        self.hits.add(Hit::Identity as usize, skips);
         prism_ir::counters::count_identity_transitions(skips);
     }
 
-    fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot> {
-        let (gen, clean) = self.resolve_node(input)?;
-        if stage < MASK_STAGES && clean & (1 << stage) != 0 {
-            // O(1) identity fast path: the structure is known to pass
-            // through this stage unchanged. No owner, so no cross-shader or
-            // warm attribution.
-            self.note_identity_skips(1);
-            return Some(input.clone());
-        }
-        // The output exemplar is fetched before the LRU touch: an edge whose
+    fn transition(&self, session: SessionId, stage: usize, input: &Node) -> Option<Node> {
+        // The output's mask is read before the LRU touch: an edge whose
         // output was reclaimed misses (and recomputes — pure-cache rules).
-        let (owner, output) = self.lookup(&self.transitions, gen, (input.fp, stage), |out| {
-            Some(Snapshot {
-                ir: self.fetch_node(out)?,
-                fp: out.fp,
+        let key = (input.id.fp, stage);
+        let (owner, output) = self.lookup(&self.transitions, input.id.gen, key, |out| {
+            self.with_exemplar(out, |e| Node {
+                id: out,
+                clean: e.clean_stages,
             })
         })?;
-        self.stage_hits.fetch_add(1, Ordering::Relaxed);
-        if owner == WARM_OWNER {
-            self.warm_stage_hits.fetch_add(1, Ordering::Relaxed);
-        } else if owner != session {
-            self.cross_shader_stage_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.hit_by(
+            owner,
+            session,
+            Hit::Stage,
+            Hit::WarmStage,
+            Hit::CrossShaderStage,
+        );
         Some(output)
     }
 
@@ -1014,38 +1094,29 @@ impl CacheStore for CorpusCache {
         stage: usize,
         input: Snapshot,
         output: Snapshot,
-    ) -> Snapshot {
+    ) -> (Node, Arc<Shader>) {
         self.stage_runs.fetch_add(1, Ordering::Relaxed);
         if stage < MASK_STAGES && is_identity(&input, &output) {
             // One bit instead of an edge: every future replay of this stage
             // over this structure is a mask read.
-            self.intern_node(&input, 0, 1 << stage);
-            return input;
+            return self.intern_node(&input, 0, 1 << stage);
         }
         let (in_node, _) = self.intern_node(&input, 1, 0);
         let (out_node, out_ir) = self.intern_node(&output, 1, 0);
-        self.insert(&self.transitions, session, in_node, stage, out_node);
-        Snapshot {
-            ir: out_ir,
-            fp: output.fp,
-        }
+        self.insert(&self.transitions, session, in_node.id, stage, out_node.id);
+        (out_node, out_ir)
     }
 
-    fn emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-    ) -> Option<Arc<str>> {
-        let (gen, _) = self.resolve_node(state)?;
-        let (owner, text) = self.lookup(&self.emissions, gen, (state.fp, backend), Some)?;
-        self.emission_hits.fetch_add(1, Ordering::Relaxed);
-        if owner == WARM_OWNER {
-            self.warm_emission_hits.fetch_add(1, Ordering::Relaxed);
-        } else if owner != session {
-            self.cross_shader_emission_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    fn emission(&self, session: SessionId, backend: BackendKind, state: &Node) -> Option<Arc<str>> {
+        let key = (state.id.fp, backend);
+        let (owner, text) = self.lookup(&self.emissions, state.id.gen, key, Some)?;
+        self.hit_by(
+            owner,
+            session,
+            Hit::Emission,
+            Hit::WarmEmission,
+            Hit::CrossShaderEmission,
+        );
         Some(text)
     }
 
@@ -1059,34 +1130,34 @@ impl CacheStore for CorpusCache {
         self.emissions_done.fetch_add(1, Ordering::Relaxed);
         self.emissions_by_backend[backend.index()].fetch_add(1, Ordering::Relaxed);
         let (node, _) = self.intern_node(state, 1, 0);
-        self.insert(&self.emissions, session, node, backend, text);
+        self.insert(&self.emissions, session, node.id, backend, text);
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
             sessions: self.sessions.load(Ordering::Relaxed) as usize,
             stage_runs: self.stage_runs.load(Ordering::Relaxed),
-            stage_hits: self.stage_hits.load(Ordering::Relaxed),
-            identity_transitions: self.identity_transitions.load(Ordering::Relaxed),
-            cross_shader_stage_hits: self.cross_shader_stage_hits.load(Ordering::Relaxed),
+            stage_hits: self.hits(Hit::Stage),
+            identity_transitions: self.hits(Hit::Identity),
+            cross_shader_stage_hits: self.hits(Hit::CrossShaderStage),
             emissions: self.emissions_done.load(Ordering::Relaxed),
             emissions_by_backend: std::array::from_fn(|i| {
                 self.emissions_by_backend[i].load(Ordering::Relaxed)
             }),
-            emission_hits: self.emission_hits.load(Ordering::Relaxed),
-            cross_shader_emission_hits: self.cross_shader_emission_hits.load(Ordering::Relaxed),
+            emission_hits: self.hits(Hit::Emission),
+            cross_shader_emission_hits: self.hits(Hit::CrossShaderEmission),
             evictions: self.evictions.load(Ordering::Relaxed),
-            warm_stage_hits: self.warm_stage_hits.load(Ordering::Relaxed),
-            warm_emission_hits: self.warm_emission_hits.load(Ordering::Relaxed),
+            warm_stage_hits: self.hits(Hit::WarmStage),
+            warm_emission_hits: self.hits(Hit::WarmEmission),
             warm_entries_loaded: self.warm_entries_loaded.load(Ordering::Relaxed),
             warm_shards_loaded: self.warm_shards_loaded.load(Ordering::Relaxed),
             warm_shards_skipped: self.warm_shards_skipped.load(Ordering::Relaxed),
             warm_entries_skipped: self.warm_entries_skipped.load(Ordering::Relaxed),
             static_analyses: self.static_analyses.load(Ordering::Relaxed),
-            analysis_memo_hits: self.analysis_memo_hits.load(Ordering::Relaxed),
-            warm_analysis_hits: self.warm_analysis_hits.load(Ordering::Relaxed),
+            analysis_memo_hits: self.hits(Hit::Analysis),
+            warm_analysis_hits: self.hits(Hit::WarmAnalysis),
             warm_verify_rejects: self.warm_verify_rejects.load(Ordering::Relaxed),
-            routed_requests: self.routed_requests.load(Ordering::Relaxed),
+            routed_requests: self.hits(Hit::Routed),
             coalesced_requests: self.coalesced_requests.load(Ordering::Relaxed),
         }
     }
@@ -1095,8 +1166,35 @@ impl CacheStore for CorpusCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::{SessionStats, Walk};
     use prism_ir::fingerprint::{fingerprint, Fingerprint};
     use prism_ir::prelude::*;
+
+    /// What a one-stage walk from `input` answers for `stage`: the output
+    /// state — `input` itself for a clean stage, booked as one identity
+    /// skip — or `None` when the graph cannot answer it.
+    pub(super) fn transition<S: CacheStore + ?Sized>(
+        store: &S,
+        session: SessionId,
+        stage: usize,
+        input: &Snapshot,
+    ) -> Option<Snapshot> {
+        let mut walk = Walk::new(store, input);
+        let start = walk.node();
+        let answered = walk.answer(store, session, stage, &mut SessionStats::default());
+        walk.settle(store);
+        if !answered {
+            return None;
+        }
+        let output = walk.node();
+        if output == start {
+            return Some(input.clone());
+        }
+        Some(Snapshot {
+            ir: store.fetch(&output)?,
+            fp: output.fingerprint(),
+        })
+    }
 
     fn snapshot(seed: u32) -> Snapshot {
         let mut s = Shader::new("cache-test");
@@ -1133,10 +1231,10 @@ mod tests {
 
         let input = snapshot(1);
         let output = snapshot(2);
-        assert!(store.transition(s1, 0, &input).is_none());
+        assert!(transition(store, s1, 0, &input).is_none());
         store.record_transition(s1, 0, input.clone(), output.clone());
         // Same-session hit.
-        let hit = store.transition(s1, 0, &input).expect("hit");
+        let hit = transition(store, s1, 0, &input).expect("hit");
         assert!(Arc::ptr_eq(&hit.ir, &output.ir));
         // Cross-session hit — and a structurally-equal but distinct Arc still
         // confirms.
@@ -1144,20 +1242,24 @@ mod tests {
             ir: Arc::new((*input.ir).clone()),
             fp: input.fp,
         };
-        assert!(store.transition(s2, 0, &equal_input).is_some());
+        assert!(transition(store, s2, 0, &equal_input).is_some());
         // A different stage index misses.
-        assert!(store.transition(s2, 1, &input).is_none());
+        assert!(transition(store, s2, 1, &input).is_none());
 
         let text: Arc<str> = Arc::from("void main() {}");
-        assert!(store.emission(s1, BackendKind::Gles, &input).is_none());
+        assert!(store
+            .emission(s1, BackendKind::Gles, &store.node(&input))
+            .is_none());
         store.record_emission(s1, BackendKind::Gles, &input, Arc::clone(&text));
-        let hit = store.emission(s2, BackendKind::Gles, &input).expect("hit");
+        let hit = store
+            .emission(s2, BackendKind::Gles, &store.node(&input))
+            .expect("hit");
         assert_eq!(&*hit, &*text);
         // The hit is the shared allocation, not a copy of the body.
         assert!(Arc::ptr_eq(&hit, &text));
         // Backends do not alias each other's entries.
         assert!(store
-            .emission(s1, BackendKind::DesktopGlsl, &input)
+            .emission(s1, BackendKind::DesktopGlsl, &store.node(&input))
             .is_none());
 
         let stats = store.stats();
@@ -1190,19 +1292,19 @@ mod tests {
         let input = store.intern(snapshot(7));
 
         // Unknown structure: no identity knowledge, no transition.
-        assert_eq!(store.identity_stages(&snapshot(8)), 0);
-        assert!(store.transition(s1, 3, &input).is_none());
+        assert_eq!(store.node(&snapshot(8)).clean, 0);
+        assert!(transition(store, s1, 3, &input).is_none());
 
         // Recording input → input (same Arc) stores a mask bit, not an edge.
         store.record_transition(s1, 3, input.clone(), input.clone());
-        assert_eq!(store.identity_stages(&input), 1 << 3);
+        assert_eq!(store.node(&input).clean, 1 << 3);
 
         // The mask answers the lookup with the queried snapshot itself —
         // same allocation, so zero IR clones by construction. (The global
         // `prism_ir::counters` are process-wide and other tests run
         // concurrently, so per-store zero-delta asserts live in the perf
         // gate, not here.)
-        let hit = store.transition(s1, 3, &input).expect("identity hit");
+        let hit = transition(store, s1, 3, &input).expect("identity hit");
         assert!(Arc::ptr_eq(&hit.ir, &input.ir));
 
         // A structurally-equal but distinct Arc still resolves to the mask.
@@ -1210,11 +1312,11 @@ mod tests {
             ir: Arc::new((*input.ir).clone()),
             fp: input.fp,
         };
-        assert_eq!(store.identity_stages(&equal), 1 << 3);
-        assert!(store.transition(s1, 3, &equal).is_some());
+        assert_eq!(store.node(&equal).clean, 1 << 3);
+        assert!(transition(store, s1, 3, &equal).is_some());
 
         // Other stages are unaffected; mask-skip notes land in the stats.
-        assert!(store.transition(s1, 4, &input).is_none());
+        assert!(transition(store, s1, 4, &input).is_none());
         store.note_identity_skips(2);
         let stats = store.stats();
         assert_eq!(stats.identity_transitions, 4);
@@ -1260,7 +1362,7 @@ mod tests {
         for seed in 0..200u32 {
             let input = snapshot(seed);
             let output = snapshot(seed + 1000);
-            if cache.transition(id, 0, &input).is_none() {
+            if transition(&cache, id, 0, &input).is_none() {
                 cache.record_transition(id, 0, input, output);
             }
             let text = Arc::from(format!("// {seed}"));
@@ -1293,11 +1395,13 @@ mod tests {
         // recomputed; a key just recorded (most recently used) still hits.
         let fresh = snapshot(5000);
         cache.record_transition(id, 0, fresh.clone(), snapshot(5001));
-        assert!(cache.transition(id, 0, &fresh).is_some());
+        assert!(transition(&cache, id, 0, &fresh).is_some());
         cache.record_emission(id, BackendKind::Gles, &fresh, Arc::from("// fresh"));
-        assert!(cache.emission(id, BackendKind::Gles, &fresh).is_some());
+        assert!(cache
+            .emission(id, BackendKind::Gles, &cache.node(&fresh))
+            .is_some());
         cache.record_analysis(id, "Arm", &fresh, Arc::from("{}"));
-        assert!(cache.analysis(id, "Arm", &fresh).is_some());
+        assert!(cache.analysis(id, "Arm", &cache.node(&fresh)).is_some());
     }
 
     #[test]
@@ -1321,7 +1425,7 @@ mod tests {
 
         // Repeated hits on `a` must not refresh the unconfirmed neighbour.
         for _ in 0..4 {
-            assert!(cache.transition(id, 0, &a).is_some());
+            assert!(transition(&cache, id, 0, &a).is_some());
         }
 
         // A third entry in the same shard map exceeds the two-entry budget:
@@ -1334,14 +1438,14 @@ mod tests {
         cache.record_transition(id, 0, crowd.clone(), snapshot(102));
         assert_eq!(cache.stats().evictions, 1);
         assert!(
-            cache.transition(id, 0, &a).is_some(),
+            transition(&cache, id, 0, &a).is_some(),
             "the repeatedly-confirmed entry must survive eviction"
         );
         assert!(
-            cache.transition(id, 0, &neighbour).is_none(),
+            transition(&cache, id, 0, &neighbour).is_none(),
             "the never-confirmed colliding neighbour must have been evicted"
         );
-        assert!(cache.transition(id, 0, &crowd).is_some());
+        assert!(transition(&cache, id, 0, &crowd).is_some());
     }
 
     #[test]
@@ -1394,7 +1498,7 @@ mod tests {
                         let id = cache.register_session();
                         for round in 0..200 {
                             let i = (t + round) % states.len();
-                            match cache.emission(id, BackendKind::Msl, &states[i]) {
+                            match cache.emission(id, BackendKind::Msl, &cache.node(&states[i])) {
                                 Some(hit) => {
                                     assert_eq!(&*hit, &*texts[i], "torn read on entry {i}");
                                 }
@@ -1421,7 +1525,7 @@ mod tests {
             if budget.is_none() {
                 for (state, text) in states.iter().zip(&texts) {
                     let hit = cache
-                        .emission(writer, BackendKind::Msl, state)
+                        .emission(writer, BackendKind::Msl, &cache.node(state))
                         .expect("unbounded entries never evict");
                     assert!(Arc::ptr_eq(&hit, text));
                 }
@@ -1440,7 +1544,7 @@ mod tests {
                     for stage in 0..8 {
                         let input = snapshot(stage);
                         let output = snapshot(stage + 1);
-                        if cache.transition(id, stage as usize, &input).is_none() {
+                        if transition(&*cache, id, stage as usize, &input).is_none() {
                             cache.record_transition(id, stage as usize, input, output);
                         }
                     }

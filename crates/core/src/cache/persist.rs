@@ -430,7 +430,7 @@ impl CorpusCache {
                     .iter()
                     .map(|slot| {
                         slot.as_ref()
-                            .map(|(snap, clean)| self.intern_node(snap, 0, *clean).0)
+                            .map(|(snap, clean)| self.intern_node(snap, 0, *clean).0.id)
                     })
                     .collect(),
                 None => Vec::new(),
@@ -717,6 +717,7 @@ fn parse_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::transition;
     use crate::cache::CacheStore;
     use prism_ir::prelude::*;
     use std::sync::atomic::AtomicUsize;
@@ -831,8 +832,7 @@ mod tests {
         // session.
         let id = warm.register_session();
         for seed in 0..20u32 {
-            let hit = warm
-                .transition(id, seed as usize % 3, &snapshot(seed))
+            let hit = transition(&warm, id, seed as usize % 3, &snapshot(seed))
                 .unwrap_or_else(|| panic!("transition {seed} must warm-hit"));
             assert!(hit.ir.same_structure(&snapshot(seed + 500).ir));
         }
@@ -843,13 +843,13 @@ mod tests {
                 BackendKind::Gles
             };
             let text = warm
-                .emission(id, backend, &snapshot(seed))
+                .emission(id, backend, &warm.node(&snapshot(seed)))
                 .unwrap_or_else(|| panic!("emission {seed} must warm-hit"));
             assert_eq!(*text, format!("void main() {{ /* {seed} */ }}"));
         }
         for seed in 10..15u32 {
             let report = warm
-                .analysis(id, PERSONALITY, &snapshot(seed))
+                .analysis(id, PERSONALITY, &warm.node(&snapshot(seed)))
                 .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
             assert_eq!(*report, format!("{{\"seed\":{seed}}}"));
         }
@@ -871,7 +871,7 @@ mod tests {
         let id = cache.register_session();
         let state = cache.intern(snapshot(1));
         cache.record_transition(id, 2, state.clone(), state.clone());
-        assert_eq!(cache.identity_stages(&state), 1 << 2);
+        assert_eq!(cache.node(&state).clean, 1 << 2);
         let saved = cache.save(&dir.0).unwrap();
         // The mask is storage, not an entry.
         assert_eq!(saved.entries_written, 0);
@@ -880,9 +880,9 @@ mod tests {
         let report = warm.load(&dir.0);
         assert_eq!(report.shards_skipped, 0);
         let probe = snapshot(1);
-        assert_eq!(warm.identity_stages(&probe), 1 << 2);
+        assert_eq!(warm.node(&probe).clean, 1 << 2);
         let wid = warm.register_session();
-        let hit = warm.transition(wid, 2, &probe).expect("warm identity hit");
+        let hit = transition(&warm, wid, 2, &probe).expect("warm identity hit");
         assert!(Arc::ptr_eq(&hit.ir, &probe.ir));
         let stats = warm.stats();
         assert_eq!(stats.identity_transitions, 1);
@@ -1072,7 +1072,10 @@ mod tests {
             } else {
                 BackendKind::Gles
             };
-            if warm.emission(id, backend, &snapshot(seed)).is_some() {
+            if warm
+                .emission(id, backend, &warm.node(&snapshot(seed)))
+                .is_some()
+            {
                 gles_hits += 1;
             }
         }
@@ -1145,10 +1148,10 @@ mod tests {
         for seed in 0..4u32 {
             let state = warm.intern(snapshot(seed));
             let text = warm
-                .analysis(wid, "Arm", &state)
+                .analysis(wid, "Arm", &warm.node(&state))
                 .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
             assert_eq!(*text, format!("{{\"arm\":{seed}}}"));
-            assert!(warm.analysis(wid, "NVIDIA", &state).is_none());
+            assert!(warm.analysis(wid, "NVIDIA", &warm.node(&state)).is_none());
         }
         let stats = warm.stats();
         assert_eq!(stats.analysis_memo_hits, 4);
@@ -1222,8 +1225,10 @@ mod tests {
         assert_eq!(stats.warm_verify_rejects, 1);
 
         let wid = warm.register_session();
-        assert!(warm.transition(wid, 0, &snapshot(1)).is_some());
-        assert!(warm.transition(wid, 1, &snapshot(3)).is_none());
-        assert!(warm.emission(wid, BackendKind::Gles, &bad).is_none());
+        assert!(transition(&warm, wid, 0, &snapshot(1)).is_some());
+        assert!(transition(&warm, wid, 1, &snapshot(3)).is_none());
+        assert!(warm
+            .emission(wid, BackendKind::Gles, &warm.node(&bad))
+            .is_none());
     }
 }

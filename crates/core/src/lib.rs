@@ -20,8 +20,9 @@
 //!   with one entry type across its edge, emission and analysis planes,
 //!   private to a standalone session or shared by a whole study sweep,
 //!   optionally bounded with LRU eviction and persisted for warm starts.
-//! * [`walk`] — the one walk over that graph and the one emission-memo
-//!   step, shared by sessions, the compile service and the driver memo.
+//! * [`walk`] — the one walk over that graph, standing on graph nodes and
+//!   fetching IR only to run a stage, and the one emission-memo step,
+//!   shared by sessions, the compile service and the driver memo.
 //! * [`variant`] — exhaustive variant generation and deduplication (§V-C).
 
 pub mod cache;
@@ -36,7 +37,9 @@ pub mod variant;
 pub mod walk;
 
 pub use cache::persist::{LoadReport, SaveReport};
-pub use cache::{shard_of, CacheStats, CacheStore, CorpusCache, Snapshot, FINGERPRINT_SHARDS};
+pub use cache::{
+    shard_of, CacheStats, CacheStore, CorpusCache, Node, Snapshot, FINGERPRINT_SHARDS,
+};
 pub use flags::{Flag, OptFlags};
 pub use front::{front, Front};
 pub use lower::{lower, LowerError};

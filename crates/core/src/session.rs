@@ -37,7 +37,7 @@
 //! collision can never silently merge different variants (a guarantee the
 //! property suite exercises).
 
-use crate::cache::{CacheStore, CorpusCache, SessionId, Snapshot};
+use crate::cache::{CacheStore, CorpusCache, Node, SessionId, Snapshot};
 use crate::flags::OptFlags;
 use crate::lower::lower;
 use crate::pipeline::{build_schedule, CompileError, CompiledShader, Stage};
@@ -199,12 +199,12 @@ impl CompileSession {
         flags: OptFlags,
         backend: BackendKind,
     ) -> Result<CompiledShader, CompileError> {
-        let state = self.optimize(flags)?;
-        let text = self.emit(&state, backend);
+        let reached = self.optimize(flags)?;
+        let text = self.emit(&reached, backend);
         Ok(CompiledShader {
             name: self.name.clone(),
             flags,
-            ir: self.restamped(&state),
+            ir: self.restamped(&reached.1),
             // The memo's shared handle, not a copy — response bodies are
             // refcount bumps all the way out.
             glsl: text,
@@ -224,8 +224,7 @@ impl CompileSession {
         flags: OptFlags,
         backend: BackendKind,
     ) -> Result<Arc<str>, CompileError> {
-        let state = self.optimize(flags)?;
-        Ok(self.emit(&state, backend))
+        Ok(self.emit(&self.optimize(flags)?, backend))
     }
 
     /// The `backend` emission of the *unoptimized* base lowering — the
@@ -233,7 +232,7 @@ impl CompileSession {
     /// run on a GLES platform at all (§III-C(d)); the SPIR-V and MSL
     /// platforms consume their originals through the same path.
     pub fn base_text_for(&self, backend: BackendKind) -> Arc<str> {
-        self.emit(&self.base, backend)
+        self.emit(&(self.cache.node(&self.base), self.base.clone()), backend)
     }
 
     /// The structural fingerprint of the optimized IR `flags` produces —
@@ -249,7 +248,7 @@ impl CompileSession {
         &self,
         flags: OptFlags,
     ) -> Result<prism_ir::fingerprint::Fingerprint, CompileError> {
-        Ok(self.optimize(flags)?.fp)
+        Ok(self.optimize(flags)?.1.fp)
     }
 
     /// Compiles all 256 flag combinations and deduplicates them by generated
@@ -273,8 +272,8 @@ impl CompileSession {
         // Walk combinations in mask order; OptFlags::NONE comes first, so the
         // baseline is always variant 0, matching the historical contract.
         for flags in OptFlags::all_combinations() {
-            let state = self.optimize(flags)?;
-            let glsl = self.emit(&state, BackendKind::DesktopGlsl);
+            let reached = self.optimize(flags)?;
+            let glsl = self.emit(&reached, BackendKind::DesktopGlsl);
             let index = match by_text.get(&glsl) {
                 Some(i) => {
                     variants[*i].flag_sets.push(flags);
@@ -286,7 +285,7 @@ impl CompileSession {
                     variants.push(Variant {
                         index,
                         glsl: Arc::clone(&glsl),
-                        ir: self.restamped(&state),
+                        ir: self.restamped(&reached.1),
                         flag_sets: vec![flags],
                     });
                     index
@@ -363,12 +362,12 @@ impl CompileSession {
         spec: &SpecKey,
         backend: BackendKind,
     ) -> Result<CompiledShader, CompileError> {
-        let state = self.optimize_from(self.specialized_base(spec)?, flags)?;
-        let text = self.emit(&state, backend);
+        let reached = self.optimize_from(&self.specialized_base(spec)?, flags)?;
+        let text = self.emit(&reached, backend);
         Ok(CompiledShader {
             name: self.name.clone(),
             flags,
-            ir: self.restamped(&state),
+            ir: self.restamped(&reached.1),
             glsl: text,
         })
     }
@@ -386,8 +385,8 @@ impl CompileSession {
         spec: &SpecKey,
         backend: BackendKind,
     ) -> Result<Arc<str>, CompileError> {
-        let state = self.optimize_from(self.specialized_base(spec)?, flags)?;
-        Ok(self.emit(&state, backend))
+        let reached = self.optimize_from(&self.specialized_base(spec)?, flags)?;
+        Ok(self.emit(&reached, backend))
     }
 
     /// The structural fingerprint of the optimized IR `(flags, spec)`
@@ -402,19 +401,26 @@ impl CompileSession {
         flags: OptFlags,
         spec: &SpecKey,
     ) -> Result<prism_ir::fingerprint::Fingerprint, CompileError> {
-        Ok(self.optimize_from(self.specialized_base(spec)?, flags)?.fp)
+        Ok(self
+            .optimize_from(&self.specialized_base(spec)?, flags)?
+            .1
+            .fp)
     }
 
     /// Runs the enabled stages for `flags` over the base IR (sharing cached
-    /// snapshots) and returns the final state.
-    fn optimize(&self, flags: OptFlags) -> Result<Snapshot, CompileError> {
-        self.optimize_from(self.base.clone(), flags)
+    /// snapshots) and returns the final node and state.
+    fn optimize(&self, flags: OptFlags) -> Result<(Node, Snapshot), CompileError> {
+        self.optimize_from(&self.base, flags)
     }
 
     /// Runs the enabled stages for `flags` from an arbitrary starting
     /// snapshot — the base IR, or a specialized base — through the shared
     /// [`walk_stages`], verifying every stage that changed the IR.
-    fn optimize_from(&self, start: Snapshot, flags: OptFlags) -> Result<Snapshot, CompileError> {
+    fn optimize_from(
+        &self,
+        start: &Snapshot,
+        flags: OptFlags,
+    ) -> Result<(Node, Snapshot), CompileError> {
         let stages = self
             .schedule
             .iter()
@@ -444,14 +450,14 @@ impl CompileSession {
         Arc::new(ir)
     }
 
-    /// Emits text for a final snapshot through `backend`, memoised on
-    /// (fingerprint, backend) with structural-equality confirmation.
-    fn emit(&self, state: &Snapshot, backend: BackendKind) -> Arc<str> {
+    /// Emits text for a final node and state through `backend`, memoised on
+    /// (node, backend).
+    fn emit(&self, (node, state): &(Node, Snapshot), backend: BackendKind) -> Arc<str> {
         emit_memoised(
             &*self.cache,
             self.id,
             backend,
-            state,
+            (node, state),
             &mut self.stats.borrow_mut(),
         )
     }

@@ -176,10 +176,10 @@ impl DriverMemo {
         for _ in 0..DRIVER_ROUNDS {
             let round_start = Arc::clone(&state.ir);
             let round = stages.iter().map(|&(pass, id)| (id, pass));
-            state = walk_stages(
+            (_, state) = walk_stages(
                 &self.graph,
                 self.session,
-                state,
+                &state,
                 round,
                 &mut self.walked,
                 |pass: DriverPass, ir| Ok::<_, Infallible>(pass.run(ir)),

@@ -15,9 +15,70 @@
 //! synchronisation, and the gate only reads them from single-threaded
 //! deterministic sweeps.
 //!
+//! Counters that a memo hit bumps live in a [`Striped`] set instead: each
+//! thread adds into its own cache-line-aligned stripe, so concurrent hits
+//! write no shared line, and a reading sums the stripes.
+//!
 //! [`Shader`]: crate::shader::Shader
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Stripes per [`Striped`] set. Threads take stripes round-robin in the
+/// order they first count, so up to this many threads never share one.
+const STRIPES: usize = 16;
+
+/// One thread's slice of a [`Striped`] set, alone on its cache lines: 128
+/// bytes, because x86 prefetchers fetch 64-byte lines in adjacent pairs.
+#[repr(align(128))]
+struct Stripe<const N: usize>([AtomicUsize; N]);
+
+/// `N` monotonic counters striped per thread: [`Striped::add`] writes only
+/// the calling thread's cache-line-aligned stripe, and [`Striped::get`] sums
+/// every stripe. A reading is exact once the counting threads are joined
+/// (or otherwise quiescent); while they run it is a statistic, like any set
+/// of relaxed atomics. Counters are named by index.
+pub struct Striped<const N: usize> {
+    stripes: [Stripe<N>; STRIPES],
+}
+
+impl<const N: usize> Default for Striped<N> {
+    fn default() -> Self {
+        Striped::new()
+    }
+}
+
+impl<const N: usize> Striped<N> {
+    /// `N` counters at 0.
+    pub const fn new() -> Striped<N> {
+        Striped {
+            stripes: [const { Stripe([const { AtomicUsize::new(0) }; N]) }; STRIPES],
+        }
+    }
+
+    /// Adds `n` to `counter` in the calling thread's stripe.
+    #[inline]
+    pub fn add(&self, counter: usize, n: usize) {
+        self.stripes[stripe()].0[counter].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `counter` summed over every stripe.
+    pub fn get(&self, counter: usize) -> usize {
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.0[counter].load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+/// The calling thread's stripe index, taken on its first count.
+#[inline]
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|stripe| *stripe)
+}
 
 /// Deep `Shader::clone` calls (the allocation the zero-copy plane avoids).
 pub static IR_CLONES: AtomicU64 = AtomicU64::new(0);
@@ -28,7 +89,8 @@ pub static FINGERPRINTS_COMPUTED: AtomicU64 = AtomicU64::new(0);
 pub static EQUALITY_CONFIRMS: AtomicU64 = AtomicU64::new(0);
 /// Stage applications whose passes all reported clean, satisfied by the O(1)
 /// identity fast path (no clone, no re-fingerprint, no snapshot insert).
-pub static IDENTITY_TRANSITIONS: AtomicU64 = AtomicU64::new(0);
+/// Striped: every memo-answered request can bump it.
+pub static IDENTITY_TRANSITIONS: Striped<1> = Striped::new();
 
 /// A point-in-time reading of all four counters. Subtract two snapshots to
 /// attribute work to a region of a deterministic single-threaded run.
@@ -50,7 +112,7 @@ pub fn snapshot() -> IrCounters {
         ir_clones: IR_CLONES.load(Ordering::Relaxed),
         fingerprints_computed: FINGERPRINTS_COMPUTED.load(Ordering::Relaxed),
         equality_confirms: EQUALITY_CONFIRMS.load(Ordering::Relaxed),
-        identity_transitions: IDENTITY_TRANSITIONS.load(Ordering::Relaxed),
+        identity_transitions: IDENTITY_TRANSITIONS.get(0) as u64,
     }
 }
 
@@ -92,7 +154,7 @@ pub(crate) fn count_equality_confirm() {
 /// session/cache layer (outside this crate), hence public.
 #[inline]
 pub fn count_identity_transitions(n: usize) {
-    IDENTITY_TRANSITIONS.fetch_add(n as u64, Ordering::Relaxed);
+    IDENTITY_TRANSITIONS.add(0, n);
 }
 
 #[cfg(test)]
@@ -113,6 +175,25 @@ mod tests {
         assert!(delta.ir_clones >= 1);
         assert!(delta.fingerprints_computed >= 2);
         assert!(delta.identity_transitions >= 1);
+    }
+
+    #[test]
+    fn striped_counts_from_many_threads_sum_exactly() {
+        // More threads than stripes, so some stripes are shared.
+        let counters: Striped<2> = Striped::new();
+        std::thread::scope(|scope| {
+            for t in 0..2 * STRIPES {
+                let counters = &counters;
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        counters.add(0, 1);
+                        counters.add(1, t);
+                    }
+                });
+            }
+        });
+        assert_eq!(counters.get(0), 2 * STRIPES * 100);
+        assert_eq!(counters.get(1), (0..2 * STRIPES).sum::<usize>() * 100);
     }
 
     #[test]

@@ -6,38 +6,50 @@
 //! 1. **route** — the source text goes through a shared *lower-once front
 //!    stage*: [`prism_core::front`](fn@prism_core::front) in the desktop GLSL
 //!    form (preprocess + parse + lower + verify, the GLSL drivers' own front
-//!    door), memoised per source text. The base IR's [`Fingerprint`] keys
-//!    every later step; the cache splits its locks 16 ways on it
-//!    ([`prism_core::shard_of`]) — the same split the warm-start snapshot
-//!    files use, so a request's shard survives restarts without re-keying;
+//!    door), memoised per source text. The route step reads the base IR's
+//!    graph [`Node`] under the front memo's read lock and takes no IR
+//!    handle; only a leader clones the base [`Snapshot`]. The node's
+//!    [`Fingerprint`] keys every later step; the cache splits its locks 16
+//!    ways on it ([`prism_core::shard_of`]) — the same split the warm-start
+//!    snapshot files use, so a request's shard survives restarts without
+//!    re-keying;
 //! 2. **memo** — the calling thread walks the pass schedule over the shared
-//!    [`CorpusCache`] lookup-only: the specialized-base memo, the stage
-//!    transitions, the emitted text and (when asked for) the static analysis
-//!    are answered whenever an equivalent request (or a warm-start snapshot)
-//!    already paid for them. A request the memo answers completely **ends
-//!    here** ([`ServiceStats::memo_answered`]): it never coalesces, and its
-//!    body is the memo's shared `Arc<str>` handle — a refcount bump, never a
-//!    copy;
+//!    [`CorpusCache`] lookup-only, node to node ([`Walk`]): the
+//!    specialized-base memo, the stage transitions, the emitted text and
+//!    (when asked for) the static analysis are answered whenever an
+//!    equivalent request (or a warm-start snapshot) already paid for them.
+//!    An answered stage is one edge-plane read plus one exemplar read for
+//!    the output's clean mask, and the emission and analysis lookups key by
+//!    the walk's final node; no `Arc<Shader>` is cloned. A request the memo
+//!    answers completely **ends here** ([`ServiceStats::memo_answered`]): it
+//!    never coalesces, and its body is the memo's shared `Arc<str>` handle —
+//!    a refcount bump, never a copy. The counters such a request bumps
+//!    (`requests`, `front_hits`, `memo_answered`, `zero_copy_hits`, and the
+//!    cache's hit and `routed_requests` counters) are striped per thread
+//!    ([`Striped`]) and summed by [`CompileService::stats`], so concurrent
+//!    hits write no shared counter line;
 //! 3. **coalesce** — only a request the memo missed enters the singleflight
 //!    table keyed `(fingerprint, flags, backend, analysis, spec)`: one leader
 //!    compiles, every waiter blocks on the same flight and receives the same
 //!    `Arc`'d result ([`CacheStats::coalesced_requests`] counts the merged
 //!    ones);
 //! 4. **run** — the leader resumes the caller's walk at the stage it missed
-//!    (no stage the caller answered is looked up again), runs the passes,
-//!    emitter and analysis the memo lacked, and records them for every later
-//!    request. Leaders of different keys run in parallel; two that miss the
+//!    (no stage the caller answered is looked up again) from the base
+//!    snapshot, fetching IR only for the stages it runs and the final state,
+//!    runs the passes, emitter and analysis the memo lacked, and records
+//!    them for every later request. Leaders of different keys run in parallel; two that miss the
 //!    same stage of one state may both run it, and the transition memo keeps
 //!    one result. The test compute hook runs here, so only for leaders.
 
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache,
+    build_schedule, emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node,
     OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk,
 };
 use prism_emit::{BackendChain, BackendKind};
 use prism_gpu::Vendor;
+use prism_ir::counters::Striped;
 use prism_ir::fingerprint::Fingerprint;
 use prism_ir::hash::fnv64;
 use prism_ir::interp::{results_exactly_equal, run_fragment};
@@ -56,6 +68,16 @@ fn with_schedule<R>(f: impl FnOnce(&[Stage]) -> R) -> R {
         static SCHEDULE: Vec<Stage> = build_schedule();
     }
     SCHEDULE.with(|s| f(s))
+}
+
+/// The stages `flags` enables, as `(stage id, stage)` pairs in schedule
+/// order: the one stage list a request's walk takes, on the calling thread
+/// and in its leader.
+fn enabled(schedule: &[Stage], flags: OptFlags) -> impl Iterator<Item = (usize, &Stage)> + Clone {
+    schedule
+        .iter()
+        .enumerate()
+        .filter(move |(_, stage)| stage.enabled_for(flags))
 }
 
 /// The deterministic name the service gives an anonymous source text — used
@@ -359,29 +381,40 @@ pub type ComputeHook = Box<dyn Fn(&FlightProbe<'_>) + Send + Sync>;
 /// Where the calling thread's memo walk stopped: the leader's job picks up
 /// there, so none of the stages the caller answered is looked up again.
 enum Resume {
-    /// The specialized base of `base` is not memoised: derive it, then walk
-    /// every stage.
-    Specialize { base: Snapshot },
-    /// The transition graph could not answer `stage`: walk on from it.
-    Stage { walk: Walk, stage: usize },
-    /// Every stage was answered and `state` is final; the emission memo
-    /// missed (`text` is `None`) or only the analysis memo did.
-    Done {
-        state: Snapshot,
-        text: Option<Arc<str>>,
-    },
+    /// The specialized base of the request's base is not memoised: derive
+    /// it, then walk every stage.
+    Specialize,
+    /// The transition graph could not answer the walk's next stage: walk on
+    /// from it.
+    Stage(Walk),
+    /// Every stage was answered and the walk stands at the final node; the
+    /// emission memo missed (`text` is `None`) or only the analysis memo
+    /// did.
+    Done { walk: Walk, text: Option<Arc<str>> },
 }
+
+/// The service counters every request can bump, by index into
+/// [`Counters::hits`].
+#[derive(Clone, Copy)]
+enum Hit {
+    Requests,
+    FrontHits,
+    MemoAnswered,
+    ZeroCopyHits,
+}
+
+/// Counters in [`Hit`].
+const HITS: usize = Hit::ZeroCopyHits as usize + 1;
 
 /// Monotonic service counters (everything not already owned by the cache).
 #[derive(Default)]
 struct Counters {
-    requests: AtomicUsize,
-    memo_answered: AtomicUsize,
-    front_hits: AtomicUsize,
+    /// Striped per thread: concurrent memo-answered requests write no
+    /// shared counter line.
+    hits: Striped<HITS>,
     front_lowers: AtomicUsize,
     front_errors: AtomicUsize,
     chain_fallbacks: AtomicUsize,
-    zero_copy_hits: AtomicUsize,
     compile_panics: AtomicUsize,
     retried_jobs: AtomicUsize,
     leader_requests: AtomicUsize,
@@ -393,6 +426,16 @@ struct Counters {
     // The last completed tune's regret, in milli-percentage-points (an
     // integer so `ServiceStats` stays `Eq`); not monotonic.
     tune_regret_x1000: AtomicUsize,
+}
+
+impl Counters {
+    fn hit(&self, counter: Hit) {
+        self.hits.add(counter as usize, 1);
+    }
+
+    fn hits(&self, counter: Hit) -> usize {
+        self.hits.get(counter as usize)
+    }
 }
 
 /// A point-in-time snapshot of service telemetry.
@@ -518,13 +561,13 @@ impl CompileService {
     pub fn stats(&self) -> ServiceStats {
         let c = &self.counters;
         ServiceStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            memo_answered: c.memo_answered.load(Ordering::Relaxed),
-            front_hits: c.front_hits.load(Ordering::Relaxed),
+            requests: c.hits(Hit::Requests),
+            memo_answered: c.hits(Hit::MemoAnswered),
+            front_hits: c.hits(Hit::FrontHits),
             front_lowers: c.front_lowers.load(Ordering::Relaxed),
             front_errors: c.front_errors.load(Ordering::Relaxed),
             chain_fallbacks: c.chain_fallbacks.load(Ordering::Relaxed),
-            zero_copy_hits: c.zero_copy_hits.load(Ordering::Relaxed),
+            zero_copy_hits: c.hits(Hit::ZeroCopyHits),
             compile_panics: c.compile_panics.load(Ordering::Relaxed),
             retried_jobs: c.retried_jobs.load(Ordering::Relaxed),
             leader_requests: c.leader_requests.load(Ordering::Relaxed),
@@ -547,28 +590,28 @@ impl CompileService {
     /// (twice-)failing compile. Errors are results, never hangs: a panicking
     /// compile is retried once and then reported to every merged request.
     pub fn compile(&self, request: &CompileRequest) -> Result<CompileResponse, ServeError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.hit(Hit::Requests);
         let (backend, chain_fallback, base) = self.route(request).inspect_err(|_| {
             self.counters.front_errors.fetch_add(1, Ordering::Relaxed);
         })?;
         // Routed: the target resolved and the front stage lowered the source.
         self.cache.note_routed_request();
         let mut work = SessionStats::default();
-        let (served, coalesced) = match self.answer_from_memo(request, backend, &base, &mut work) {
+        let (served, coalesced) = match self.answer_from_memo(request, backend, base, &mut work) {
             Ok(served) => {
-                self.counters.memo_answered.fetch_add(1, Ordering::Relaxed);
-                self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hit(Hit::MemoAnswered);
+                self.counters.hit(Hit::ZeroCopyHits);
                 (served, false)
             }
             Err(resume) => {
                 let key = FlightKey {
-                    fp: base.fp,
+                    fp: base.fingerprint(),
                     flags: request.flags,
                     backend,
                     analyze: request.analyze,
                     spec: request.specialize.clone(),
                 };
-                self.fly(key, resume, work)?
+                self.fly(&request.source, key, resume, work)?
             }
         };
         Ok(CompileResponse {
@@ -674,15 +717,20 @@ impl Drop for FlightGuard<'_> {
 
 impl CompileService {
     /// The steps a request passes before it routes: target resolution and
-    /// the front stage, which yields the base IR.
-    fn route(&self, request: &CompileRequest) -> Result<(BackendKind, bool, Snapshot), ServeError> {
+    /// the front stage, which yields the base IR's node. The node is read
+    /// under the front memo's read lock; no IR handle leaves it.
+    fn route(&self, request: &CompileRequest) -> Result<(BackendKind, bool, Node), ServeError> {
         let (backend, chain_fallback) = self.resolve_target(&request.target)?;
         if chain_fallback {
             self.counters
                 .chain_fallbacks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        Ok((backend, chain_fallback, self.front(&request.source)?))
+        let (base, memoised) = self.front(&request.source, |base| self.cache.node(base));
+        if memoised {
+            self.counters.hit(Hit::FrontHits);
+        }
+        Ok((backend, chain_fallback, base?))
     }
 
     /// Coalesce → run, for a request the memo missed: the first request of
@@ -692,6 +740,7 @@ impl CompileService {
     /// whether this request coalesced.
     fn fly(
         &self,
+        source: &str,
         key: FlightKey,
         resume: Resume,
         work: SessionStats,
@@ -717,49 +766,51 @@ impl CompileService {
         self.counters
             .leader_requests
             .fetch_add(1, Ordering::Relaxed);
-        Ok((self.lead(key, resume, work, flight)?, false))
+        Ok((self.lead(source, key, resume, work, flight)?, false))
     }
 
     /// The calling thread's walk: answers `request` from the memo planes
     /// alone — the specialized-base memo, the transition graph, the emission
     /// memo and (when asked for) the analysis memo — counting the hits into
-    /// `work`. Runs no pass, emitter or analysis and clones no IR; at the
-    /// first miss it returns where it stopped, for the leader to resume.
+    /// `work`. The walk stands on graph nodes, and the emission and analysis
+    /// lookups key by its final node: it runs no pass, emitter or analysis
+    /// and takes no IR handle. At the first miss it returns where it
+    /// stopped, for the leader to resume.
     fn answer_from_memo(
         &self,
         request: &CompileRequest,
         backend: BackendKind,
-        base: &Snapshot,
+        base: Node,
         work: &mut SessionStats,
     ) -> Result<Served, Resume> {
         let start = if request.specialize.is_general() {
-            base.clone()
+            base
         } else {
-            self.memoised_spec_base(base.fp, &request.specialize)
-                .ok_or_else(|| Resume::Specialize { base: base.clone() })?
+            let spec = &request.specialize;
+            self.memoised_spec_base(base.fingerprint(), spec, |start| self.cache.node(start))
+                .ok_or(Resume::Specialize)?
         };
-        let mut walk = Walk::new(&*self.cache, start);
+        let mut walk = Walk::at(start);
         let missed = with_schedule(|schedule| {
-            (0..schedule.len())
-                .filter(|&stage| schedule[stage].enabled_for(request.flags))
-                .find(|&stage| !walk.answer(&*self.cache, self.session, stage, work))
+            enabled(schedule, request.flags)
+                .any(|(stage, _)| !walk.answer(&*self.cache, self.session, stage, work))
         });
         walk.settle(&*self.cache);
-        if let Some(stage) = missed {
-            return Err(Resume::Stage { walk, stage });
+        if missed {
+            return Err(Resume::Stage(walk));
         }
-        let state = walk.into_state();
-        let Some(text) = self.cache.emission(self.session, backend, &state) else {
-            return Err(Resume::Done { state, text: None });
+        let node = walk.node();
+        let Some(text) = self.cache.emission(self.session, backend, &node) else {
+            return Err(Resume::Done { walk, text: None });
         };
         work.emission_hits += 1;
         let analysis = match request.analyze {
             None => None,
-            Some(vendor) => match self.cache.analysis(self.session, vendor.name(), &state) {
+            Some(vendor) => match self.cache.analysis(self.session, vendor.name(), &node) {
                 Some(json) => Some(json),
                 None => {
                     return Err(Resume::Done {
-                        state,
+                        walk,
                         text: Some(text),
                     })
                 }
@@ -767,7 +818,7 @@ impl CompileService {
         };
         Ok(Served {
             text,
-            fp: state.fp,
+            fp: node.fingerprint(),
             work: *work,
             zero_copy: true,
             analysis,
@@ -787,22 +838,29 @@ impl CompileService {
     /// The shared lower-once front stage: the desktop GLSL form of
     /// [`prism_core::front`](fn@prism_core::front), memoised per source text
     /// (errors included, so a hostile source costs one front-stage failure,
-    /// not one per request).
-    fn front(&self, source: &str) -> Result<Snapshot, ServeError> {
+    /// not one per request). `read` sees the base snapshot under the memo's
+    /// read lock: the route step reads its node there, and only a leader
+    /// clones the snapshot. Also returns whether the memo held the text.
+    fn front<R>(
+        &self,
+        source: &str,
+        read: impl FnOnce(&Snapshot) -> R,
+    ) -> (Result<R, ServeError>, bool) {
         if let Some(base) = self.front.read().expect("front memo poisoned").get(source) {
-            self.counters.front_hits.fetch_add(1, Ordering::Relaxed);
-            return base.clone();
+            return (base.as_ref().map(read).map_err(ServeError::clone), true);
         }
         // Lower outside the lock (slow); a racing duplicate lower of the
         // same text is wasted work but deterministic — the base IR and its
         // fingerprint are pure functions of the source.
         let base = self.lower_front(source);
-        self.front
+        let base = self
+            .front
             .write()
             .expect("front memo poisoned")
             .entry(source.to_string())
-            .or_insert_with(|| base.clone());
-        base
+            .or_insert(base)
+            .clone();
+        (base.as_ref().map(read).map_err(ServeError::clone), false)
     }
 
     fn lower_front(&self, source: &str) -> Result<Snapshot, ServeError> {
@@ -824,6 +882,7 @@ impl CompileService {
     /// waiters never hang.
     fn lead(
         &self,
+        source: &str,
         key: FlightKey,
         resume: Resume,
         work: SessionStats,
@@ -835,7 +894,7 @@ impl CompileService {
             flight,
             done: false,
         };
-        let attempt = || self.compute(&guard.key, &resume, work, &guard.flight);
+        let attempt = || self.compute(source, &guard.key, &resume, work, &guard.flight);
         let result = match catch_unwind(AssertUnwindSafe(attempt)) {
             Ok(result) => result,
             Err(_) => {
@@ -859,11 +918,13 @@ impl CompileService {
     }
 
     /// The leader's compile: resumes the caller's memo walk where it
-    /// stopped — deriving the specialized base, or walking on from the stage
-    /// the graph missed — then emits and analyses whatever the memo lacked,
-    /// recording it for every later request.
+    /// stopped — deriving the specialized base, walking on from the stage
+    /// the graph missed, or only fetching the final state — then emits and
+    /// analyses whatever the memo lacked, recording it for every later
+    /// request.
     fn compute(
         &self,
+        source: &str,
         key: &FlightKey,
         resume: &Resume,
         mut work: SessionStats,
@@ -872,30 +933,35 @@ impl CompileService {
         if let Some(hook) = self.hook.read().expect("hook poisoned").as_ref() {
             hook(&FlightProbe { flight });
         }
-        let flags = key.flags;
-        // A specialized request runs the ordinary flag schedule, just from a
-        // different starting snapshot: the substituted-and-folded base. That
-        // base is another IR structure, so everything downstream (transition
-        // memo, emission memo, analysis memo) dedups by fingerprint with no
-        // special cases.
-        let (state, text) = match resume {
-            Resume::Specialize { base } => {
-                let start = self.spec_base(base, &key.spec)?;
-                let walk = Walk::new(&*self.cache, start);
-                (self.walk_on(walk, 0, flags, &mut work)?, None)
-            }
-            Resume::Stage { walk, stage } => {
-                (self.walk_on(walk.clone(), *stage, flags, &mut work)?, None)
-            }
-            Resume::Done { state, text } => (state.clone(), text.clone()),
+        // Only a leader takes the base snapshot: the walk runs its stages
+        // from it, and re-derives from it any node a bounded cache reclaimed
+        // since the caller's lookups. A specialized request runs the
+        // ordinary flag schedule, just from a different starting snapshot:
+        // the substituted-and-folded base. That base is another IR
+        // structure, so everything downstream (transition memo, emission
+        // memo, analysis memo) dedups by fingerprint with no special cases.
+        let base = self.front(source, Snapshot::clone).0?;
+        let start = if key.spec.is_general() {
+            base
+        } else {
+            self.spec_base(&base, &key.spec)?
         };
+        let (walk, text) = match resume {
+            Resume::Specialize => (Walk::new(&*self.cache, &start), None),
+            Resume::Stage(walk) => (walk.clone(), None),
+            Resume::Done { walk, text } => (walk.clone(), text.clone()),
+        };
+        let (node, state) = self.walk_on(walk, &start, key.flags, &mut work)?;
         let text = match text {
             Some(text) => text,
-            None => emit_memoised(&*self.cache, self.session, key.backend, &state, &mut work),
+            None => {
+                let reached = (&node, &state);
+                emit_memoised(&*self.cache, self.session, key.backend, reached, &mut work)
+            }
         };
         let zero_copy = work.emission_hits > 0;
         if zero_copy {
-            self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hit(Hit::ZeroCopyHits);
         }
         // The analysis rides the same memo discipline as emitted text: one
         // walk of the optimized IR per distinct `(fingerprint, personality)`,
@@ -904,7 +970,7 @@ impl CompileService {
             None => None,
             Some(vendor) => {
                 let personality = vendor.name();
-                match self.cache.analysis(self.session, personality, &state) {
+                match self.cache.analysis(self.session, personality, &node) {
                     Some(json) => Some(json),
                     None => {
                         let report = prism_analyze::analyze(&state.ir, vendor);
@@ -933,28 +999,24 @@ impl CompileService {
         })
     }
 
-    /// Finishes `walk` over the stages `flags` enables from stage `from` on,
-    /// answering what the graph can and running the rest, as a
-    /// `CompileSession` walks. Stage `from` is the one the caller's walk
-    /// missed; it is looked up once more, because a leader of another key
+    /// Finishes `walk`, started at `start`, over the stages `flags`
+    /// enables from where it stopped, answering what the graph can and
+    /// running the rest, as a `CompileSession` walks. The stage the caller's
+    /// walk missed is looked up once more, because a leader of another key
     /// may have recorded it since.
     fn walk_on(
         &self,
         walk: Walk,
-        from: usize,
+        start: &Snapshot,
         flags: OptFlags,
         work: &mut SessionStats,
-    ) -> Result<Snapshot, ServeError> {
+    ) -> Result<(Node, Snapshot), ServeError> {
         with_schedule(|schedule| {
-            let stages = schedule
-                .iter()
-                .enumerate()
-                .skip(from)
-                .filter(|(_, stage)| stage.enabled_for(flags));
             walk.finish(
                 &*self.cache,
                 self.session,
-                stages,
+                start,
+                enabled(schedule, flags),
                 work,
                 |stage: &Stage, ir| {
                     stage
@@ -965,13 +1027,19 @@ impl CompileService {
         })
     }
 
-    /// The specialized base of `(base, spec)` if it is memoised.
-    fn memoised_spec_base(&self, base: Fingerprint, spec: &SpecKey) -> Option<Snapshot> {
+    /// `read` of the specialized base of `(base, spec)` under the memo's
+    /// read lock, if it is memoised.
+    fn memoised_spec_base<R>(
+        &self,
+        base: Fingerprint,
+        spec: &SpecKey,
+        read: impl FnOnce(&Snapshot) -> R,
+    ) -> Option<R> {
         self.spec_bases
             .read()
             .expect("spec-base memo poisoned")
             .get(&(base, spec.clone()))
-            .cloned()
+            .map(read)
     }
 
     /// The snapshot a specialized flag walk starts from: the memoised
@@ -986,7 +1054,7 @@ impl CompileService {
     /// miscompile. The verified snapshot is interned into the cache's
     /// exemplar plane so it dedups like any other structure.
     fn spec_base(&self, base: &Snapshot, spec: &SpecKey) -> Result<Snapshot, ServeError> {
-        if let Some(snap) = self.memoised_spec_base(base.fp, spec) {
+        if let Some(snap) = self.memoised_spec_base(base.fp, spec, Snapshot::clone) {
             return Ok(snap);
         }
         let ir =

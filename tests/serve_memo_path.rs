@@ -3,9 +3,13 @@
 //! compute hook. A request the memo misses part-way through the schedule is
 //! resumed by its leader where the caller's walk stopped, so no stage hit is
 //! counted twice and the request reports the work a `CompileSession` counts
-//! for the same call.
+//! for the same call. The hit counters are striped per thread and still add
+//! up exactly under concurrent clients, and a service on a small cache
+//! budget, whose walks see nodes reclaimed under them, serves the same texts.
 
-use prism::core::{candidate_keys, lower, CompileSession, Flag, OptFlags, SessionStats};
+use prism::core::{
+    candidate_keys, lower, CompileSession, Flag, OptFlags, SessionStats, FINGERPRINT_SHARDS,
+};
 use prism::corpus::Corpus;
 use prism::emit::BackendKind;
 use prism::gpu::Vendor;
@@ -243,4 +247,174 @@ fn concurrent_leaders_of_different_keys_on_one_base_match_private_sessions() {
         }
         assert_requests_add_up(&service.stats());
     }
+}
+
+/// Private sessions of `corpus`, keyed by source text.
+fn private_sessions(corpus: &Corpus) -> HashMap<&str, CompileSession> {
+    corpus
+        .cases
+        .iter()
+        .map(|case| {
+            let session = CompileSession::new(&case.source, &case.name).unwrap();
+            (case.source.text.as_str(), session)
+        })
+        .collect()
+}
+
+/// The text a private session compiles for `request`.
+fn session_text(
+    sessions: &HashMap<&str, CompileSession>,
+    request: &CompileRequest,
+    backend: BackendKind,
+) -> Arc<str> {
+    let session = &sessions[request.source.as_str()];
+    if request.specialize.is_general() {
+        session.text_for(request.flags, backend)
+    } else {
+        session.text_for_spec(request.flags, &request.specialize, backend)
+    }
+    .unwrap()
+}
+
+/// `clients` threads released together at a barrier, each serving the whole
+/// stream; their responses in stream order.
+fn serve_together(
+    service: &CompileService,
+    stream: &[CompileRequest],
+    clients: usize,
+) -> Vec<Vec<CompileResponse>> {
+    let barrier = Barrier::new(clients);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    stream
+                        .iter()
+                        .map(|r| service.compile(r).expect("the request serves"))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// Every counter a memo-answered request bumps, in one array.
+fn hit_counts(stats: &ServiceStats) -> [usize; 11] {
+    let cache = &stats.cache;
+    [
+        stats.requests,
+        stats.memo_answered,
+        stats.zero_copy_hits,
+        stats.front_hits,
+        cache.routed_requests,
+        cache.stage_hits,
+        cache.identity_transitions,
+        cache.cross_shader_stage_hits,
+        cache.emission_hits,
+        cache.cross_shader_emission_hits,
+        cache.analysis_memo_hits,
+    ]
+}
+
+fn delta(after: &ServiceStats, before: &ServiceStats) -> [usize; 11] {
+    let (after, before) = (hit_counts(after), hit_counts(before));
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+#[test]
+fn hit_counters_add_up_exactly_across_client_threads() {
+    const CLIENTS: usize = 4;
+    // Fresh client threads each round, so the counts land on many of the
+    // per-thread stripes, stripes that two threads share included.
+    const ROUNDS: usize = 8;
+    let corpus = corpus();
+    let stream = mixed_stream(&corpus, 13, 160);
+    let service = CompileService::new(ServeConfig::default());
+    for request in &stream {
+        service.compile(request).expect("the warm-up serves");
+    }
+    // One more single-threaded pass over the fully warmed stream: the
+    // counts one client's pass adds.
+    let before_one = service.stats();
+    for request in &stream {
+        service.compile(request).expect("the warm pass serves");
+    }
+    let before = service.stats();
+    let one = delta(&before, &before_one);
+
+    let mut responses = Vec::new();
+    for _ in 0..ROUNDS {
+        responses.extend(
+            serve_together(&service, &stream, CLIENTS)
+                .into_iter()
+                .flatten(),
+        );
+    }
+    let after = service.stats();
+    let passes = ROUNDS * CLIENTS;
+    let served = passes * stream.len();
+    assert_eq!(responses.len(), served);
+    assert!(responses.iter().all(|r| r.zero_copy && !r.coalesced));
+    assert!(responses.iter().all(|r| r.work.latency() == 0));
+
+    let [requests, memo_answered, zero_copy_hits, front_hits, routed, stage_hits, _, _, emission_hits, _, analysis_hits] =
+        delta(&after, &before);
+    assert_eq!(requests, served);
+    assert_eq!(memo_answered, served);
+    assert_eq!(zero_copy_hits, served);
+    assert_eq!(front_hits, served);
+    assert_eq!(routed, served);
+    let response_hits: usize = responses.iter().map(|r| r.work.stage_hits).sum();
+    assert_eq!(stage_hits, response_hits);
+    assert_eq!(emission_hits, responses.len());
+    let analyses = stream.iter().filter(|r| r.analyze.is_some()).count();
+    assert_eq!(analysis_hits, passes * analyses);
+    // Every counter, identity and cross-shader hits included, adds exactly
+    // what the same passes add from one thread.
+    assert_eq!(
+        delta(&after, &before),
+        one.map(|n| n * passes),
+        "concurrent passes against {passes} x one pass"
+    );
+    assert_eq!(after.cache.stage_runs, before.cache.stage_runs);
+    assert_eq!(after.cache.emissions, before.cache.emissions);
+    assert_eq!(after.cache.static_analyses, before.cache.static_analyses);
+    assert_eq!(after.leader_requests, before.leader_requests);
+    assert_requests_add_up(&after);
+}
+
+#[test]
+fn a_small_cache_budget_serves_private_session_texts_while_evicting() {
+    const CLIENTS: usize = 4;
+    // The smallest enforceable budget, and the ceiling
+    // `bounded_cache_evicts_lru_and_stays_within_budget` holds it to: edges
+    // and emissions within the budget, one analysis per shard on top.
+    const BUDGET: usize = 32;
+    let corpus = corpus();
+    let stream = mixed_stream(&corpus, 17, 240);
+    let sessions = private_sessions(&corpus);
+    let service = CompileService::new(ServeConfig::default().with_cache_budget(BUDGET));
+    assert_eq!(service.cache().budget(), Some(BUDGET));
+
+    let replies = serve_together(&service, &stream, CLIENTS);
+    for responses in &replies {
+        for (i, (request, response)) in stream.iter().zip(responses).enumerate() {
+            let expected = session_text(&sessions, request, response.backend);
+            assert_eq!(response.text, expected, "request {i}");
+            assert_eq!(response.analysis.is_some(), request.analyze.is_some());
+        }
+    }
+    let stats = service.stats();
+    assert!(stats.cache.evictions > 0, "{stats:?}");
+    let entries = service.cache().entry_count();
+    assert!(
+        entries <= BUDGET + FINGERPRINT_SHARDS,
+        "{entries} entries past the budget"
+    );
+    assert_eq!(stats.requests, CLIENTS * stream.len());
+    assert_eq!(stats.compile_panics, 0);
+    assert_requests_add_up(&stats);
 }
