@@ -115,11 +115,6 @@ impl CostModel {
         }
     }
 
-    /// A model over an explicit device spec (tests, hypothetical devices).
-    pub fn for_spec(spec: DeviceSpec) -> CostModel {
-        CostModel { spec }
-    }
-
     /// Evaluates the model for one shader.
     pub fn cost(&self, shader: &Shader) -> CostSummary {
         let (shortest, longest) = pipe_paths(&self.spec, shader);

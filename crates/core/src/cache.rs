@@ -599,13 +599,15 @@ pub struct CorpusCache {
     /// Serialised `StaticReport` JSON, keyed `(input fingerprint,
     /// personality name)`. The cache stores the report as opaque text —
     /// `prism-core` sits below the analyser in the crate graph, so the memo
-    /// plane cannot (and need not) name its types.
-    analyses: Plane<String, Arc<str>>,
+    /// plane cannot (and need not) name its types. The name is the
+    /// personality's `&'static str`, so a lookup builds its key without
+    /// allocating.
+    analyses: Plane<&'static str, Arc<str>>,
     /// Personality names this process can recompute analyses for
     /// ([`CorpusCache::register_personalities`]). A persisted analysis under
     /// an unregistered name is skipped at load time — forward compatibility,
     /// like an unknown backend.
-    personalities: RwLock<Vec<String>>,
+    personalities: RwLock<Vec<&'static str>>,
     /// The counters every memo hit bumps, indexed by [`Hit`].
     hits: Striped<HITS>,
     stage_runs: AtomicUsize,
@@ -650,7 +652,10 @@ impl CorpusCache {
         CorpusCache::with_budget(Some(max_entries))
     }
 
-    fn with_budget(budget: Option<usize>) -> CorpusCache {
+    /// [`CorpusCache::bounded`] by `budget` when it is set, otherwise
+    /// [`CorpusCache::new`]: the one constructor for callers whose budget
+    /// is a config option.
+    pub fn with_budget(budget: Option<usize>) -> CorpusCache {
         CorpusCache {
             sessions: AtomicU64::new(0),
             budget,
@@ -980,23 +985,25 @@ impl CorpusCache {
     /// skipped at load time (counted in `warm_entries_skipped`) — the
     /// forward-compatibility rule unknown backends already follow. Idempotent
     /// and additive; call before [`CorpusCache::load`].
-    pub fn register_personalities(&self, names: &[&str]) {
+    pub fn register_personalities(&self, names: &[&'static str]) {
         let mut known = self.personalities.write().expect("corpus cache poisoned");
         for name in names {
-            if !known.iter().any(|k| k == name) {
-                known.push((*name).to_string());
+            if !known.contains(name) {
+                known.push(name);
             }
         }
     }
 
-    /// Whether `name` was declared through
-    /// [`CorpusCache::register_personalities`].
-    pub(crate) fn known_personality(&self, name: &str) -> bool {
+    /// The registered name equal to `name`, if it was declared through
+    /// [`CorpusCache::register_personalities`]: how a persisted name becomes
+    /// an analysis-plane key.
+    pub(crate) fn registered_personality(&self, name: &str) -> Option<&'static str> {
         self.personalities
             .read()
             .expect("corpus cache poisoned")
             .iter()
-            .any(|k| k == name)
+            .find(|k| **k == name)
+            .copied()
     }
 
     /// Looks up the memoised static-analysis report of `state` for
@@ -1006,11 +1013,11 @@ impl CorpusCache {
     pub fn analysis(
         &self,
         session: SessionId,
-        personality: &str,
+        personality: &'static str,
         state: &Node,
     ) -> Option<Arc<str>> {
         let _ = session;
-        let key = (state.id.fp, personality.to_string());
+        let key = (state.id.fp, personality);
         let (owner, text) = self.lookup(&self.analyses, state.id.gen, key, Some)?;
         self.hit(Hit::Analysis);
         if owner == WARM_OWNER {
@@ -1024,19 +1031,13 @@ impl CorpusCache {
     pub fn record_analysis(
         &self,
         session: SessionId,
-        personality: &str,
+        personality: &'static str,
         state: &Snapshot,
         text: Arc<str>,
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
         let (node, _) = self.intern_node(state, 1, 0);
-        self.insert(
-            &self.analyses,
-            session,
-            node.id,
-            personality.to_string(),
-            text,
-        );
+        self.insert(&self.analyses, session, node.id, personality, text);
     }
 }
 
@@ -1476,10 +1477,7 @@ mod tests {
     #[test]
     fn emission_reads_are_byte_identical_under_a_multithreaded_hammer() {
         for budget in [None, Some(64)] {
-            let cache = Arc::new(match budget {
-                Some(b) => CorpusCache::bounded(b),
-                None => CorpusCache::new(),
-            });
+            let cache = Arc::new(CorpusCache::with_budget(budget));
             let writer = cache.register_session();
             let states: Vec<Snapshot> = (0..8).map(snapshot).collect();
             let texts: Vec<Arc<str>> = (0..8)

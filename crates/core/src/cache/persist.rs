@@ -462,10 +462,8 @@ impl CorpusCache {
                 .map(|(backend, index, text)| Some((input(*index)?, *backend, Arc::clone(text))));
             self.load_plane(&self.emissions, emissions, &mut loaded, &mut skipped);
             let analyses = p.analyses.iter().map(|(personality, index, text)| {
-                if !self.known_personality(personality) {
-                    return None;
-                }
-                Some((input(*index)?, personality.clone(), Arc::clone(text)))
+                let personality = self.registered_personality(personality)?;
+                Some((input(*index)?, personality, Arc::clone(text)))
             });
             self.load_plane(&self.analyses, analyses, &mut loaded, &mut skipped);
             report.shards_loaded += 1;
@@ -516,7 +514,7 @@ impl CorpusCache {
                 Some((input, backend.name(), text.to_string()))
             });
         let analyses = self.persisted_rows(&self.analyses, shard, index, |input, name, text| {
-            Some((input, name.clone(), text.to_string()))
+            Some((input, name.to_string(), text.to_string()))
         });
 
         ShardPayload {

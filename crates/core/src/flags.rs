@@ -65,12 +65,6 @@ impl Flag {
             .position(|f| *f == self)
             .expect("flag present in ALL") as u8
     }
-
-    /// `true` for the two custom unsafe floating-point passes the paper adds
-    /// on top of the stock LunarGlass flags.
-    pub fn is_custom_unsafe(self) -> bool {
-        matches!(self, Flag::FpReassociate | Flag::DivToMul)
-    }
 }
 
 impl fmt::Display for Flag {
@@ -226,13 +220,6 @@ mod tests {
         assert!(!d.contains(Flag::FpReassociate));
         assert!(!d.contains(Flag::DivToMul));
         assert_eq!(d.len(), 6);
-    }
-
-    #[test]
-    fn custom_unsafe_classification() {
-        assert!(Flag::FpReassociate.is_custom_unsafe());
-        assert!(Flag::DivToMul.is_custom_unsafe());
-        assert!(!Flag::Unroll.is_custom_unsafe());
     }
 
     #[test]

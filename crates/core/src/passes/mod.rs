@@ -343,11 +343,6 @@ fn pack(lanes: Vec<f64>) -> Constant {
     }
 }
 
-/// `true` when a constant is exactly `value` in every lane.
-pub fn const_is(c: &Constant, value: f64) -> bool {
-    c.is_all(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -519,47 +519,6 @@ impl GuardedDispatch {
     pub fn is_effective(&self) -> bool {
         self.specialized.glsl != self.general.glsl
     }
-
-    /// The guarded dispatch stub: a host-side artifact describing the guard
-    /// check over the shader's named uniforms and carrying both program
-    /// texts. This is what a driver integration would install — comparisons
-    /// first, specialized program when they all pass, general otherwise.
-    pub fn stub(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "// prism guarded dispatch for \"{}\" [spec {}]",
-            self.general.name, self.spec
-        );
-        let _ = writeln!(out, "// guard (host-side, checked before each draw):");
-        for a in self.spec.assumptions() {
-            let name = self
-                .general
-                .ir
-                .uniforms
-                .get(a.slot)
-                .map(|u| u.name.as_str())
-                .unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "//   all_lanes_equal({name}, {})  // slot {}",
-                a.value, a.slot
-            );
-        }
-        let _ = writeln!(out, "// if all checks pass -> bind SPECIALIZED:");
-        let _ = writeln!(out, "// ---- specialized ----");
-        out.push_str(&self.specialized.glsl);
-        if !out.ends_with('\n') {
-            out.push('\n');
-        }
-        let _ = writeln!(out, "// ---- general (guard failed) ----");
-        out.push_str(&self.general.glsl);
-        if !out.ends_with('\n') {
-            out.push('\n');
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -851,21 +810,6 @@ mod tests {
         assert!(delta.specializations_generated >= 1);
         assert!(delta.spec_guard_dispatches >= 2);
         assert_eq!(delta.spec_interp_confirms, report.confirms);
-    }
-
-    #[test]
-    fn dispatch_stub_carries_guard_and_both_texts() {
-        let s = session();
-        let tint = slot_of(s.base_ir(), "tint");
-        let spec = SpecKey::single(tint, SpecValue::Zero);
-        let dispatch = s
-            .dispatch_for(OptFlags::NONE, &spec, BackendKind::DesktopGlsl)
-            .unwrap();
-        let stub = dispatch.stub();
-        assert!(stub.contains("guarded dispatch for \"tinted\""));
-        assert!(stub.contains("all_lanes_equal(tint, 0)"));
-        assert!(stub.contains(&*dispatch.specialized.glsl));
-        assert!(stub.contains(&*dispatch.general.glsl));
     }
 
     #[test]

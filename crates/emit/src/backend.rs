@@ -108,8 +108,8 @@ impl BackendKind {
 
     /// Request forms this backend can serve *besides* its canonical
     /// [`BackendKind::name`]: the API/dialect labels a compile request may
-    /// name without there being a dedicated emitter for them. A
-    /// [`BackendChain`] falls through these to pick the emitter.
+    /// name without there being a dedicated emitter for them.
+    /// [`BackendKind::resolve`] falls through these to pick the emitter.
     pub fn serves(self) -> &'static [&'static str] {
         match self {
             BackendKind::DesktopGlsl => &["glsl", "glsl450", "opengl", "desktop-glsl"],
@@ -118,81 +118,37 @@ impl BackendKind {
             BackendKind::Msl => &["metal", "msl-macos", "msl-ios"],
         }
     }
+
+    /// Resolves a requested target *form* to the backend that serves it,
+    /// and whether the form was an alias (no emitter by that name). A
+    /// canonical [`BackendKind::name`] resolves directly; any other form
+    /// falls through each backend's [`BackendKind::serves`] list in
+    /// [`BackendKind::ALL`] order. Case and surrounding whitespace are
+    /// forgiven; `None` means no backend serves the form.
+    ///
+    /// ```
+    /// use prism_emit::BackendKind;
+    ///
+    /// assert_eq!(BackendKind::resolve("gles"), Some((BackendKind::Gles, false)));
+    /// // No dedicated "metal" emitter exists; the form falls through to MSL.
+    /// assert_eq!(BackendKind::resolve("metal"), Some((BackendKind::Msl, true)));
+    /// assert_eq!(BackendKind::resolve("dxil"), None);
+    /// ```
+    pub fn resolve(form: &str) -> Option<(BackendKind, bool)> {
+        let form = form.trim().to_ascii_lowercase();
+        if let Some(direct) = BackendKind::from_name(&form) {
+            return Some((direct, false));
+        }
+        BackendKind::ALL
+            .into_iter()
+            .find(|b| b.serves().contains(&form.as_str()))
+            .map(|b| (b, true))
+    }
 }
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
-    }
-}
-
-/// An ordered fallback chain over the emission backends, for requests that
-/// name a target *form* rather than a [`BackendKind`] — the
-/// find-compilers-chain idiom: try each link in order and take the first one
-/// that can serve the requested form. Canonical backend names always resolve
-/// directly; everything else falls through [`BackendKind::serves`].
-///
-/// # Examples
-///
-/// ```
-/// use prism_emit::{BackendChain, BackendKind};
-///
-/// let chain = BackendChain::standard();
-/// assert_eq!(chain.resolve("gles"), Some(BackendKind::Gles));
-/// // No dedicated "metal" emitter exists; the chain falls through to MSL.
-/// assert_eq!(chain.resolve("metal"), Some(BackendKind::Msl));
-/// assert_eq!(chain.resolve("dxil"), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BackendChain {
-    links: Vec<BackendKind>,
-}
-
-impl Default for BackendChain {
-    fn default() -> Self {
-        BackendChain::standard()
-    }
-}
-
-impl BackendChain {
-    /// The full chain, in [`BackendKind::ALL`] order.
-    pub fn standard() -> BackendChain {
-        BackendChain {
-            links: BackendKind::ALL.to_vec(),
-        }
-    }
-
-    /// A chain over an explicit subset/order of backends.
-    pub fn new(links: Vec<BackendKind>) -> BackendChain {
-        BackendChain { links }
-    }
-
-    /// The chain's links, in fall-through order.
-    pub fn links(&self) -> &[BackendKind] {
-        &self.links
-    }
-
-    /// Resolves a requested form to the backend that serves it: an exact
-    /// [`BackendKind::name`] match wins outright (a direct emitter exists),
-    /// otherwise the first link whose [`BackendKind::serves`] list contains
-    /// the form — case-insensitively — is the fallback. `None` means no link
-    /// in the chain can produce the form.
-    pub fn resolve(&self, form: &str) -> Option<BackendKind> {
-        let form = form.trim().to_ascii_lowercase();
-        if let Some(direct) = self.links.iter().find(|b| b.name() == form) {
-            return Some(*direct);
-        }
-        self.links
-            .iter()
-            .find(|b| b.serves().iter().any(|alias| *alias == form))
-            .copied()
-    }
-
-    /// Whether resolving `form` required falling through an alias (no
-    /// direct emitter by that name).
-    pub fn is_fallback(&self, form: &str) -> bool {
-        let form = form.trim().to_ascii_lowercase();
-        BackendKind::from_name(&form).is_none() && self.resolve(&form).is_some()
     }
 }
 
@@ -247,30 +203,35 @@ mod tests {
     }
 
     #[test]
-    fn chain_resolves_direct_names_and_falls_through_aliases() {
-        let chain = BackendChain::standard();
-        assert_eq!(chain.links().len(), BackendKind::COUNT);
+    fn resolve_takes_direct_names_and_falls_through_aliases() {
         // Canonical names resolve directly and are not fallbacks.
         for kind in BackendKind::ALL {
-            assert_eq!(chain.resolve(kind.name()), Some(kind));
-            assert!(!chain.is_fallback(kind.name()));
+            assert_eq!(BackendKind::resolve(kind.name()), Some((kind, false)));
         }
         // Every advertised alias falls through to exactly its backend.
         for kind in BackendKind::ALL {
             for alias in kind.serves() {
-                assert_eq!(chain.resolve(alias), Some(kind), "alias {alias}");
-                assert!(chain.is_fallback(alias), "alias {alias}");
+                assert_eq!(
+                    BackendKind::resolve(alias),
+                    Some((kind, true)),
+                    "alias {alias}"
+                );
             }
         }
         // Case and whitespace are forgiven; unknown forms are refused.
-        assert_eq!(chain.resolve(" Metal "), Some(BackendKind::Msl));
-        assert_eq!(chain.resolve("VULKAN"), Some(BackendKind::SpirvAsm));
-        assert_eq!(chain.resolve("dxil"), None);
-        assert!(!chain.is_fallback("dxil"));
-        // A restricted chain refuses forms its links cannot serve.
-        let gl_only = BackendChain::new(vec![BackendKind::DesktopGlsl, BackendKind::Gles]);
-        assert_eq!(gl_only.resolve("essl"), Some(BackendKind::Gles));
-        assert_eq!(gl_only.resolve("metal"), None);
+        assert_eq!(
+            BackendKind::resolve(" Metal "),
+            Some((BackendKind::Msl, true))
+        );
+        assert_eq!(
+            BackendKind::resolve("VULKAN"),
+            Some((BackendKind::SpirvAsm, true))
+        );
+        assert_eq!(
+            BackendKind::resolve(" GLES "),
+            Some((BackendKind::Gles, false))
+        );
+        assert_eq!(BackendKind::resolve("dxil"), None);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod msl;
 pub mod names;
 pub mod spirv;
 
-pub use backend::{BackendChain, BackendKind};
+pub use backend::BackendKind;
 pub use glsl_backend::{emit_glsl, emit_glsl_with, EmitOptions, Syntax, TempNameStyle};
 pub use interface::{source_interface, SourceInterface};
 pub use msl::{emit_msl, msl_to_glsl};

@@ -323,11 +323,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// `true` if the expression is a literal constant.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Expr::FloatLit(_) | Expr::IntLit(_) | Expr::BoolLit(_))
-    }
-
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Expr)) {
         visit(self);

@@ -1,13 +1,11 @@
 //! Shader interface introspection.
 //!
-//! The paper's measurement harness (§IV-B) needs to know every uniform,
-//! sampler, stage input and stage output of a fragment shader so it can
-//! (a) generate a matching vertex shader and (b) default-initialise all
-//! uniform values and texture bindings before timing draw calls. This module
-//! extracts that interface from a checked translation unit.
+//! Every uniform, sampler, stage input and stage output of a fragment
+//! shader, extracted from a checked translation unit: the interface the
+//! paper's harness (§IV-B) binds before timing draw calls.
 
 use crate::ast::{StorageQualifier, TranslationUnit};
-use crate::types::{SamplerKind, Type};
+use crate::types::Type;
 
 /// One variable of the shader's external interface.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,21 +57,8 @@ impl ShaderInterface {
         iface
     }
 
-    /// Total number of scalar uniform components that must be initialised.
-    ///
-    /// Arrays count as `size × element components`; unsized arrays count one
-    /// element (they cannot legally appear as uniforms in this subset).
-    pub fn uniform_component_count(&self) -> usize {
-        self.uniforms.iter().map(|u| type_scalar_count(&u.ty)).sum()
-    }
-
-    /// Number of texture bindings required.
-    pub fn sampler_count(&self) -> usize {
-        self.samplers.len()
-    }
-
-    /// Returns `true` when two interfaces describe the same set of inputs —
-    /// i.e. a vertex shader generated for `self` also matches `other`.
+    /// Returns `true` when two interfaces declare the same inputs, outputs,
+    /// uniforms and samplers (by name and type), in any order.
     ///
     /// The paper relies on this invariant: optimization must never change the
     /// shader's external interface.
@@ -90,25 +75,6 @@ impl ShaderInterface {
             && key(&self.outputs) == key(&other.outputs)
             && key(&self.uniforms) == key(&other.uniforms)
             && key(&self.samplers) == key(&other.samplers)
-    }
-}
-
-fn type_scalar_count(ty: &Type) -> usize {
-    match ty {
-        Type::Array(elem, Some(n)) => n * type_scalar_count(elem),
-        Type::Array(elem, None) => type_scalar_count(elem),
-        other => other.component_count().unwrap_or(0),
-    }
-}
-
-/// Default sampler kinds enumerated for harness texture setup.
-pub fn default_texture_size(kind: SamplerKind) -> (u32, u32) {
-    // The harness binds a "colourfully-patterned opaque power-of-two image"
-    // (paper §IV-B); cube and array textures get the same square faces.
-    match kind {
-        SamplerKind::Sampler2D | SamplerKind::Sampler2DShadow => (256, 256),
-        SamplerKind::Sampler3D => (64, 64),
-        SamplerKind::SamplerCube | SamplerKind::Sampler2DArray => (128, 128),
     }
 }
 
@@ -130,8 +96,6 @@ mod tests {
         assert_eq!(iface.outputs.len(), 1);
         assert_eq!(iface.uniforms.len(), 2);
         assert_eq!(iface.samplers.len(), 1);
-        assert_eq!(iface.uniform_component_count(), 5);
-        assert_eq!(iface.sampler_count(), 1);
     }
 
     #[test]
@@ -149,19 +113,5 @@ mod tests {
         let c =
             parse("uniform float x; in vec2 uv; out vec4 c; void main() { c = vec4(x); }").unwrap();
         assert!(!ShaderInterface::of(&a).same_io(&ShaderInterface::of(&c)));
-    }
-
-    #[test]
-    fn array_uniforms_count_components() {
-        let tu =
-            parse("uniform vec4 lights[4]; out vec4 c; void main() { c = lights[0]; }").unwrap();
-        let iface = ShaderInterface::of(&tu);
-        assert_eq!(iface.uniform_component_count(), 16);
-    }
-
-    #[test]
-    fn texture_defaults_are_power_of_two() {
-        let (w, h) = default_texture_size(SamplerKind::Sampler2D);
-        assert!(w.is_power_of_two() && h.is_power_of_two());
     }
 }

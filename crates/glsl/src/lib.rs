@@ -5,9 +5,9 @@
 //! (Crawford & O'Boyle, ISPASS 2018): a preprocessor that resolves the
 //! übershader `#define` specialisation pattern, a lexer and recursive-descent
 //! parser for the fragment-shader subset of GLSL used by the GFXBench-style
-//! corpus, a type checker, shader interface introspection (used by the timing
-//! harness to synthesise vertex shaders and default uniform values), and the
-//! paper's lines-of-code complexity metric.
+//! corpus, a type checker, shader interface introspection (the uniforms,
+//! samplers, inputs and outputs that optimization must keep), and the paper's
+//! lines-of-code complexity metric.
 //!
 //! ## Quick start
 //!
@@ -43,17 +43,15 @@ pub use error::{GlslError, Stage};
 pub use interface::ShaderInterface;
 pub use types::Type;
 
-/// A fully front-ended shader: preprocessed text, AST, symbols and
+/// A fully front-ended shader: preprocessed text, type-checked AST and
 /// interface, plus the static metrics computed on demand from the text. This
-/// is the unit the optimizer, harness and corpus all exchange.
+/// is the unit the optimizer, drivers and corpus all exchange.
 #[derive(Debug, Clone)]
 pub struct ShaderSource {
     /// Post-preprocessing GLSL text.
     pub text: String,
     /// Parsed AST.
     pub ast: TranslationUnit,
-    /// Symbols gathered by the type checker.
-    pub symbols: typecheck::Symbols,
     /// External interface (uniforms, samplers, ins, outs).
     pub interface: ShaderInterface,
     /// The `#version` string the preprocessor saw (e.g. `"450"`, `"310 es"`),
@@ -86,12 +84,11 @@ impl ShaderSource {
     ) -> error::Result<ShaderSource> {
         let pre = preprocessor::preprocess(source, defines)?;
         let ast = parser::parse(&pre.text)?;
-        let checked = typecheck::check(&ast)?;
+        typecheck::check(&ast)?;
         let interface = ShaderInterface::of(&ast);
         Ok(ShaderSource {
             text: pre.text,
             ast,
-            symbols: checked.symbols,
             interface,
             version: pre.version,
         })

@@ -13,28 +13,20 @@ use crate::types::{ScalarKind, Type};
 use std::collections::HashMap;
 
 /// Signature of a user-defined function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FnSig {
+struct FnSig {
     /// Parameter types in order.
-    pub params: Vec<Type>,
+    params: Vec<Type>,
     /// Return type.
-    pub ret: Type,
+    ret: Type,
 }
 
 /// Symbol information gathered during checking.
-#[derive(Debug, Clone, Default)]
-pub struct Symbols {
+#[derive(Default)]
+struct Symbols {
     /// Global variables: name → (type, storage qualifier).
-    pub globals: HashMap<String, (Type, StorageQualifier)>,
+    globals: HashMap<String, (Type, StorageQualifier)>,
     /// User function signatures.
-    pub functions: HashMap<String, FnSig>,
-}
-
-/// Result of a successful semantic check.
-#[derive(Debug, Clone)]
-pub struct CheckedShader {
-    /// Global and function symbols.
-    pub symbols: Symbols,
+    functions: HashMap<String, FnSig>,
 }
 
 /// Type checks a shader translation unit.
@@ -52,7 +44,7 @@ pub struct CheckedShader {
 /// let bad = parse("out vec4 c; void main() { c = missing; }").unwrap();
 /// assert!(check(&bad).is_err());
 /// ```
-pub fn check(tu: &TranslationUnit) -> Result<CheckedShader> {
+pub fn check(tu: &TranslationUnit) -> Result<()> {
     let mut symbols = Symbols::default();
 
     // Pass 1: collect globals and function signatures.
@@ -124,7 +116,7 @@ pub fn check(tu: &TranslationUnit) -> Result<CheckedShader> {
         None => return Err(err("shader has no main function")),
     }
 
-    Ok(CheckedShader { symbols })
+    Ok(())
 }
 
 fn err(message: impl Into<String>) -> GlslError {
@@ -568,7 +560,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn ok(src: &str) -> CheckedShader {
+    fn ok(src: &str) {
         check(&parse(src).unwrap()).unwrap()
     }
 
@@ -578,8 +570,7 @@ mod tests {
 
     #[test]
     fn accepts_minimal_fragment_shader() {
-        let c = ok("out vec4 c; void main() { c = vec4(1.0); }");
-        assert_eq!(c.symbols.globals.len(), 1);
+        ok("out vec4 c; void main() { c = vec4(1.0); }");
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl SamplerKind {
             SamplerKind::Sampler2DArray => "sampler2DArray",
         }
     }
-
-    /// Dimensionality of the texture-coordinate vector used to sample it.
-    pub fn coord_size(self) -> u8 {
-        match self {
-            SamplerKind::Sampler2D => 2,
-            SamplerKind::Sampler3D | SamplerKind::SamplerCube | SamplerKind::Sampler2DShadow => 3,
-            SamplerKind::Sampler2DArray => 3,
-        }
-    }
 }
 
 /// A GLSL type.
@@ -208,19 +199,6 @@ impl Type {
         matches!(self, Type::Vector(_, _))
     }
 
-    /// `true` for matrix types.
-    pub fn is_matrix(&self) -> bool {
-        matches!(self, Type::Matrix(_))
-    }
-
-    /// Element type of an array type.
-    pub fn array_element(&self) -> Option<&Type> {
-        match self {
-            Type::Array(elem, _) => Some(elem),
-            _ => None,
-        }
-    }
-
     /// Returns the result of indexing this type with `[]`.
     ///
     /// Arrays yield their element type, vectors their scalar, matrices their
@@ -303,11 +281,5 @@ mod tests {
         assert_eq!(arr.to_string(), "vec4[9]");
         let unsized_arr = Type::Array(Box::new(Type::vec(2)), None);
         assert_eq!(unsized_arr.to_string(), "vec2[]");
-    }
-
-    #[test]
-    fn sampler_coord_sizes() {
-        assert_eq!(SamplerKind::Sampler2D.coord_size(), 2);
-        assert_eq!(SamplerKind::SamplerCube.coord_size(), 3);
     }
 }

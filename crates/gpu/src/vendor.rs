@@ -53,15 +53,6 @@ impl Vendor {
         Vendor::Apple,
     ];
 
-    /// The five platforms the paper itself measures.
-    pub const PAPER: [Vendor; 5] = [
-        Vendor::Intel,
-        Vendor::Amd,
-        Vendor::Nvidia,
-        Vendor::Arm,
-        Vendor::Qualcomm,
-    ];
-
     /// The desktop platforms.
     pub const DESKTOP: [Vendor; 4] = [Vendor::Intel, Vendor::Amd, Vendor::Nvidia, Vendor::Radv];
 
@@ -85,19 +76,6 @@ impl Vendor {
     /// record rows and memoised analysis personalities resolve through.
     pub fn from_name(name: &str) -> Option<Vendor> {
         Vendor::ALL.into_iter().find(|v| v.name() == name)
-    }
-
-    /// The GPU behind this platform.
-    pub fn gpu_name(self) -> &'static str {
-        match self {
-            Vendor::Intel => "HD Graphics 530",
-            Vendor::Amd => "RX 480",
-            Vendor::Nvidia => "GeForce GTX 1080",
-            Vendor::Arm => "Mali-T880 MP12",
-            Vendor::Qualcomm => "Adreno 530",
-            Vendor::Radv => "RX 480 (Vulkan)",
-            Vendor::Apple => "A9 (PowerVR GT7600)",
-        }
     }
 
     /// `true` for the phone platforms.
@@ -360,11 +338,6 @@ impl DeviceSpec {
             },
         }
     }
-
-    /// Presets for every platform.
-    pub fn all_presets() -> Vec<DeviceSpec> {
-        Vendor::ALL.iter().map(|v| DeviceSpec::preset(*v)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -374,18 +347,24 @@ mod tests {
     #[test]
     fn seven_platforms_four_desktop_three_mobile() {
         assert_eq!(Vendor::ALL.len(), 7);
-        assert_eq!(Vendor::PAPER.len(), 5);
         assert_eq!(Vendor::DESKTOP.len(), 4);
         assert_eq!(Vendor::MOBILE.len(), 3);
         // The paper's five keep their historic positions (noise streams are
         // keyed by platform index).
-        assert_eq!(&Vendor::ALL[..5], &Vendor::PAPER);
+        assert_eq!(
+            Vendor::ALL[..5],
+            [
+                Vendor::Intel,
+                Vendor::Amd,
+                Vendor::Nvidia,
+                Vendor::Arm,
+                Vendor::Qualcomm
+            ]
+        );
         assert!(Vendor::Arm.is_mobile());
         assert!(Vendor::Apple.is_mobile());
         assert!(!Vendor::Nvidia.is_mobile());
         assert!(!Vendor::Radv.is_mobile());
-        assert_eq!(Vendor::Amd.gpu_name(), "RX 480");
-        assert_eq!(Vendor::Radv.gpu_name(), "RX 480 (Vulkan)");
     }
 
     #[test]
@@ -434,10 +413,8 @@ mod tests {
 
     #[test]
     fn all_presets_cover_all_vendors() {
-        let presets = DeviceSpec::all_presets();
-        assert_eq!(presets.len(), 7);
-        for (v, p) in Vendor::ALL.iter().zip(&presets) {
-            assert_eq!(*v, p.vendor);
+        for v in Vendor::ALL {
+            assert_eq!(DeviceSpec::preset(v).vendor, v);
         }
     }
 }

@@ -1,11 +1,12 @@
 //! # prism-harness — the isolated shader execution environment
 //!
 //! Reproduces the paper's custom measurement framework (§IV-B): fragment
-//! shaders are timed in isolation rather than inside the full benchmark, by
-//! rendering full-screen quads with a generated vertex shader, introspected
-//! default uniform/texture bindings, and `GL_TIME_ELAPSED`-style timing of
-//! every draw call (100 frames × 5 repeats). Here the "GPU" is the simulated
-//! platform from `prism-gpu`, so measurements are deterministic per seed.
+//! shaders are timed in isolation rather than inside the full benchmark, with
+//! `GL_TIME_ELAPSED`-style timing of every draw call (100 frames × 5
+//! repeats). Here the "GPU" is the simulated platform from `prism-gpu`, so
+//! measurements are deterministic per seed. The paper's default uniform and
+//! texture bindings (every uniform scalar `0.5`, procedural textures) are
+//! modelled where a shader is executed: `prism_ir::interp::FragmentContext::with_defaults`.
 //!
 //! ```
 //! use prism_gpu::{Platform, Vendor};
@@ -20,9 +21,5 @@
 //! ```
 
 pub mod measurement;
-pub mod uniforms;
-pub mod vertex_gen;
 
 pub use measurement::{measure_cost, MeasureConfig, Measurement};
-pub use uniforms::{default_bindings, DefaultBindings, TextureBinding, UniformBinding};
-pub use vertex_gen::generate_vertex_shader;

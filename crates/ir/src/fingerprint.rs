@@ -371,7 +371,7 @@ impl Fnv128 {
     }
 
     fn write_f64(&mut self, v: f64) {
-        // Collapse -0.0 and 0.0 like the printer's canonical float form.
+        // -0.0 == 0.0, so the two must hash alike.
         let bits = if v == 0.0 { 0u64 } else { v.to_bits() };
         self.write_u64(bits);
     }

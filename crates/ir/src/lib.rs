@@ -10,8 +10,6 @@
 //! * a [`verify`](crate::verify::verify) pass run after every transformation,
 //! * a reference [interpreter](crate::interp) used as the semantic oracle in
 //!   the test suite,
-//! * a textual [printer] used for debugging and variant
-//!   deduplication,
 //! * a structural, commutative-aware [fingerprint](mod@crate::fingerprint) used
 //!   by the compile session for early variant deduplication,
 //! * bit-exact [serialisation](crate::serde_impls) through the vendored
@@ -44,7 +42,6 @@ pub mod fingerprint;
 pub mod hash;
 pub mod interp;
 pub mod op;
-pub mod printer;
 pub mod serde_impls;
 pub mod shader;
 pub mod stmt;

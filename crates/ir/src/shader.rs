@@ -203,12 +203,6 @@ impl Shader {
         self.regs[reg.0 as usize].ty
     }
 
-    /// Updates the recorded type of a register (used by passes that change a
-    /// definition's result type, e.g. scalar grouping).
-    pub fn set_reg_ty(&mut self, reg: Reg, ty: IrType) {
-        self.regs[reg.0 as usize].ty = ty;
-    }
-
     /// Total number of statements in the body, including nested statements.
     pub fn size(&self) -> usize {
         body_size(&self.body)
@@ -265,8 +259,6 @@ mod tests {
         assert_eq!(b, Reg(1));
         assert_eq!(s.reg_ty(a), IrType::F32);
         assert_eq!(s.reg_ty(b), IrType::fvec(4));
-        s.set_reg_ty(a, IrType::fvec(2));
-        assert_eq!(s.reg_ty(a), IrType::fvec(2));
         assert_eq!(s.regs[1].name_hint.as_deref(), Some("color"));
     }
 

@@ -121,14 +121,6 @@ impl Stmt {
             Stmt::Discard { cond } => OperandList::Fixed([cond.as_mut(), None, None]),
         }
     }
-
-    /// The register defined by this statement, if it is a `Def`.
-    pub fn defined_reg(&self) -> Option<Reg> {
-        match self {
-            Stmt::Def { dst, .. } => Some(*dst),
-            _ => None,
-        }
-    }
 }
 
 /// Total number of statements in a body, including nested ones.
@@ -258,14 +250,5 @@ mod tests {
         assert_eq!(trip_count(i64::MIN, i64::MAX, i64::MIN), 0);
         assert_eq!(trip_count(i64::MAX, i64::MIN, 1), 0);
         assert_eq!(trip_count(i64::MIN, i64::MAX, 0), 0);
-    }
-
-    #[test]
-    fn defined_reg_only_for_defs() {
-        assert_eq!(
-            def(4, Op::Mov(Operand::float(1.0))).defined_reg(),
-            Some(Reg(4))
-        );
-        assert_eq!(Stmt::Discard { cond: None }.defined_reg(), None);
     }
 }

@@ -162,14 +162,6 @@ pub enum TextureDim {
 }
 
 impl TextureDim {
-    /// Number of coordinate components required to sample.
-    pub fn coord_width(self) -> u8 {
-        match self {
-            TextureDim::Dim2D => 2,
-            TextureDim::Dim3D | TextureDim::Cube | TextureDim::Shadow2D | TextureDim::Array2D => 3,
-        }
-    }
-
     /// Result type of a sample from this texture.
     pub fn sample_type(self) -> IrType {
         match self {
@@ -212,8 +204,6 @@ mod tests {
 
     #[test]
     fn texture_dims() {
-        assert_eq!(TextureDim::Dim2D.coord_width(), 2);
-        assert_eq!(TextureDim::Cube.coord_width(), 3);
         assert_eq!(TextureDim::Shadow2D.sample_type(), IrType::F32);
         assert_eq!(TextureDim::Dim2D.sample_type(), IrType::fvec(4));
     }

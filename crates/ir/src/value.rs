@@ -211,14 +211,6 @@ impl Operand {
         Operand::Const(Constant::FloatVec(lanes))
     }
 
-    /// Returns the register if this operand is a register.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     /// Returns the constant if this operand is a constant.
     pub fn as_const(&self) -> Option<&Constant> {
         match self {
@@ -358,12 +350,11 @@ mod tests {
     #[test]
     fn operand_helpers() {
         let r = Operand::Reg(Reg(4));
-        assert_eq!(r.as_reg(), Some(Reg(4)));
         assert!(Operand::float(1.0).is_const());
         assert!(!r.is_const());
         assert_eq!(Operand::Input(2).key(), "in2");
         assert_eq!(Operand::Uniform(1).key(), "un1");
         let from_reg: Operand = Reg(9).into();
-        assert_eq!(from_reg.as_reg(), Some(Reg(9)));
+        assert_eq!(from_reg, Operand::Reg(Reg(9)));
     }
 }

@@ -51,7 +51,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Configuration of an incremental search run.
+/// Configuration of an incremental search run: the compile budget, the
+/// strategies' seed and the hill-climb restart count. (The live tuner's
+/// static prefilter is `prism_serve::TuneSpec::static_prefilter`; this
+/// search replays the study's timings and takes no measurement to skip.)
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SearchConfig::default`] and
 /// the `with_*` setters, so future knobs are not breaking changes.
@@ -67,13 +70,6 @@ pub struct SearchConfig {
     pub seed: u64,
     /// Restart count for [`RandomRestartHillClimb`].
     pub restarts: usize,
-    /// Static-prefilter mode (default off): live evaluators skip the timing
-    /// measurement of candidates whose static cost model estimate is
-    /// strictly dominated by an already-measured arm's. Counter-gated —
-    /// pruned arms are logged in
-    /// [`EvalCost::candidates_pruned`](crate::evaluator::EvalCost) and
-    /// [`SearchRecord::candidates_pruned`] — never silently lossy.
-    pub static_prefilter: bool,
 }
 
 impl Default for SearchConfig {
@@ -82,7 +78,6 @@ impl Default for SearchConfig {
             budget: 63,
             seed: 0x5EED_CAFE,
             restarts: 3,
-            static_prefilter: false,
         }
     }
 }
@@ -97,18 +92,6 @@ impl SearchConfig {
     /// This config with a different strategy seed.
     pub fn with_seed(mut self, seed: u64) -> SearchConfig {
         self.seed = seed;
-        self
-    }
-
-    /// This config with a different hill-climb restart count.
-    pub fn with_restarts(mut self, restarts: usize) -> SearchConfig {
-        self.restarts = restarts;
-        self
-    }
-
-    /// This config with the static prefilter switched on or off.
-    pub fn with_static_prefilter(mut self, on: bool) -> SearchConfig {
-        self.static_prefilter = on;
         self
     }
 }
@@ -465,7 +448,7 @@ pub fn incremental_search_records(
     config: &StudyConfig,
     search: &SearchConfig,
 ) -> Vec<SearchRecord> {
-    let cache: Arc<CorpusCache> = Arc::new(config.new_corpus_cache());
+    let cache = Arc::new(CorpusCache::with_budget(config.cache_budget));
     let strategies = standard_strategies(search);
     let checkpoints = RegretTracker::checkpoints_for(search.budget);
 

@@ -14,9 +14,10 @@
 //! as the platform's driver + timer do; 0.0 means it orders them backwards.
 //!
 //! These rows are what `prism_report::fig_static` renders, and what
-//! justifies the search tenant's static prefilter
-//! ([`SearchConfig::static_prefilter`](crate::driver::SearchConfig)): the
-//! prefilter is only as safe as the static ranking is faithful.
+//! justifies the search tenant's static prefilter (the live evaluator's
+//! [`with_static_prefilter`](crate::evaluator::LiveEvaluator::with_static_prefilter),
+//! switched on by `prism_serve::TuneSpec::static_prefilter`): the prefilter
+//! is only as safe as the static ranking is faithful.
 
 use crate::results::StudyResults;
 use prism_analyze::CostModel;

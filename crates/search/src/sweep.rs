@@ -105,15 +105,13 @@ impl StudyConfig {
         }
     }
 
-    /// A fresh corpus cache honouring this config's `cache_budget` — the one
-    /// constructor behind both the exhaustive sweep's shared cache and the
-    /// incremental search phase's, so the two can never be bounded
-    /// differently.
+    /// A fresh corpus cache honouring this config's `cache_budget`:
+    /// [`CorpusCache::with_budget`] of it, which the sweep and the
+    /// incremental search call directly. The wall-clock benchmark's
+    /// single-thread study replica (`perfbench/src/study.rs`) still builds
+    /// its cache through this.
     pub fn new_corpus_cache(&self) -> CorpusCache {
-        match self.cache_budget {
-            Some(budget) => CorpusCache::bounded(budget),
-            None => CorpusCache::new(),
-        }
+        CorpusCache::with_budget(self.cache_budget)
     }
 }
 
@@ -126,7 +124,7 @@ impl StudyConfig {
 /// results *and* stays diagnosable.
 pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
     let platforms: Vec<Platform> = config.vendors.iter().map(|v| Platform::new(*v)).collect();
-    let corpus_cache = Arc::new(config.new_corpus_cache());
+    let corpus_cache = Arc::new(CorpusCache::with_budget(config.cache_budget));
     // Warm-start the cache before any session opens. Loading is
     // corruption-tolerant (a bad shard is skipped and counted, never
     // trusted), so nothing can fail here; the skip counts surface in

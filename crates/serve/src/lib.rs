@@ -168,15 +168,25 @@ mod tests {
     #[test]
     fn named_targets_fall_through_the_backend_chain() {
         let service = CompileService::new(ServeConfig::default());
-        let named = CompileRequest::named(SOURCE, OptFlags::NONE, "metal");
-        let response = service.compile(&named).unwrap();
-        assert_eq!(response.backend, BackendKind::Msl);
-        assert!(response.chain_fallback);
-        assert_eq!(service.stats().chain_fallbacks, 1);
-
-        let direct = CompileRequest::named(SOURCE, OptFlags::NONE, "msl");
-        let response = service.compile(&direct).unwrap();
-        assert!(!response.chain_fallback);
+        let mut alias_requests = 0;
+        for kind in BackendKind::ALL {
+            let direct = service
+                .compile(&CompileRequest::named(SOURCE, OptFlags::NONE, kind.name()))
+                .unwrap();
+            assert_eq!(direct.backend, kind);
+            assert!(!direct.chain_fallback, "{kind}");
+            assert_eq!(service.stats().chain_fallbacks, alias_requests, "{kind}");
+            for alias in kind.serves() {
+                let response = service
+                    .compile(&CompileRequest::named(SOURCE, OptFlags::NONE, alias))
+                    .unwrap();
+                alias_requests += 1;
+                assert_eq!(response.backend, kind, "{alias}");
+                assert_eq!(response.text, direct.text, "{alias}");
+                assert!(response.chain_fallback, "{alias}");
+                assert_eq!(service.stats().chain_fallbacks, alias_requests, "{alias}");
+            }
+        }
 
         let err = service
             .compile(&CompileRequest::named(SOURCE, OptFlags::NONE, "dxbc"))
@@ -184,6 +194,7 @@ mod tests {
         assert_eq!(err, ServeError::UnknownTarget("dxbc".to_string()));
         let stats = service.stats();
         assert_eq!(stats.front_errors, 1, "an unknown target is a front error");
+        assert_eq!(stats.chain_fallbacks, alias_requests);
         assert_requests_add_up(&stats);
     }
 

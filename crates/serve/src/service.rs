@@ -47,7 +47,7 @@ use prism_core::{
     build_schedule, emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node,
     OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk,
 };
-use prism_emit::{BackendChain, BackendKind};
+use prism_emit::BackendKind;
 use prism_gpu::Vendor;
 use prism_ir::counters::Striped;
 use prism_ir::fingerprint::Fingerprint;
@@ -115,13 +115,13 @@ impl ServeConfig {
 }
 
 /// What a request asks to be compiled to: a backend identity, or a named
-/// target *form* resolved through the [`BackendChain`] (so a request may say
+/// target *form* resolved by [`BackendKind::resolve`] (so a request may say
 /// `"metal"` or `"essl"` without knowing which emitter serves it).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RequestTarget {
     /// A direct backend identity.
     Kind(BackendKind),
-    /// A named form, resolved by chain fall-through.
+    /// A named form, resolved by alias fall-through.
     Named(String),
 }
 
@@ -161,7 +161,7 @@ impl CompileRequest {
         }
     }
 
-    /// A request for a named target form (chain-resolved).
+    /// A request for a named target form (see [`BackendKind::resolve`]).
     pub fn named(source: impl Into<String>, flags: OptFlags, form: &str) -> CompileRequest {
         CompileRequest {
             source: source.into(),
@@ -215,12 +215,6 @@ impl CompileRequestBuilder {
         self
     }
 
-    /// Targets a named form, resolved through the backend chain.
-    pub fn named_target(mut self, form: &str) -> CompileRequestBuilder {
-        self.target = RequestTarget::Named(form.to_string());
-        self
-    }
-
     /// Also requests the platform personality's static-analysis report
     /// (default: none).
     pub fn analyze(mut self, vendor: Vendor) -> CompileRequestBuilder {
@@ -245,7 +239,7 @@ impl CompileRequestBuilder {
 pub enum ServeError {
     /// The front stage rejected the source (preprocess/parse/lower/verify).
     Frontend(String),
-    /// No backend in the chain serves the requested form.
+    /// No backend serves the requested form.
     UnknownTarget(String),
     /// A pass broke IR invariants mid-compile (internal bug).
     Compile(String),
@@ -277,10 +271,10 @@ impl std::error::Error for ServeError {}
 pub struct CompileResponse {
     /// The emitted text — the emission memo's shared handle (zero-copy).
     pub text: Arc<str>,
-    /// The backend that produced `text` (after chain resolution).
+    /// The backend that produced `text` (after target resolution).
     pub backend: BackendKind,
     /// `true` when the request named a form without a direct emitter and
-    /// fell through the backend chain.
+    /// fell through to a backend's alias ([`BackendKind::serves`]).
     pub chain_fallback: bool,
     /// Structural fingerprint of the optimized IR behind `text`.
     pub fingerprint: Fingerprint,
@@ -459,7 +453,7 @@ pub struct ServiceStats {
     /// source the front stage rejects, whether lowered now or answered from
     /// the memo.
     pub front_errors: usize,
-    /// Requests that named a form and fell through the backend chain.
+    /// Requests that named a form and fell through to a backend's alias.
     pub chain_fallbacks: usize,
     /// Response bodies answered by the emission memo's shared handle.
     pub zero_copy_hits: usize,
@@ -503,7 +497,6 @@ pub struct CompileService {
     warm_start_dir: Option<PathBuf>,
     cache: Arc<CorpusCache>,
     session: SessionId,
-    chain: BackendChain,
     /// Front-stage memo: the interned base IR of every source text seen,
     /// or its rejection.
     front: RwLock<HashMap<String, Result<Snapshot, ServeError>>>,
@@ -525,15 +518,11 @@ impl CompileService {
     /// Boots a service: builds the cache (bounded if configured) and
     /// warm-starts it from `warm_start_dir` when set.
     pub fn new(config: ServeConfig) -> CompileService {
-        let cache = Arc::new(match config.cache_budget {
-            Some(budget) => CorpusCache::bounded(budget),
-            None => CorpusCache::new(),
-        });
+        let cache = Arc::new(CorpusCache::with_budget(config.cache_budget));
         // Register the analysis personalities this service can answer for
         // BEFORE warm-starting: persisted analysis entries keyed by an
         // unknown personality are skipped (and counted) at load time.
-        let personalities: Vec<&str> = Vendor::ALL.iter().map(|v| v.name()).collect();
-        cache.register_personalities(&personalities);
+        cache.register_personalities(&Vendor::ALL.map(Vendor::name));
         if let Some(dir) = &config.warm_start_dir {
             cache.load(dir);
         }
@@ -542,7 +531,6 @@ impl CompileService {
             warm_start_dir: config.warm_start_dir,
             cache,
             session,
-            chain: BackendChain::standard(),
             front: RwLock::new(HashMap::new()),
             spec_bases: RwLock::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
@@ -720,7 +708,12 @@ impl CompileService {
     /// the front stage, which yields the base IR's node. The node is read
     /// under the front memo's read lock; no IR handle leaves it.
     fn route(&self, request: &CompileRequest) -> Result<(BackendKind, bool, Node), ServeError> {
-        let (backend, chain_fallback) = self.resolve_target(&request.target)?;
+        let (backend, chain_fallback) = match &request.target {
+            RequestTarget::Kind(kind) => (*kind, false),
+            RequestTarget::Named(form) => {
+                BackendKind::resolve(form).ok_or_else(|| ServeError::UnknownTarget(form.clone()))?
+            }
+        };
         if chain_fallback {
             self.counters
                 .chain_fallbacks
@@ -823,16 +816,6 @@ impl CompileService {
             zero_copy: true,
             analysis,
         })
-    }
-
-    fn resolve_target(&self, target: &RequestTarget) -> Result<(BackendKind, bool), ServeError> {
-        match target {
-            RequestTarget::Kind(kind) => Ok((*kind, false)),
-            RequestTarget::Named(form) => match self.chain.resolve(form) {
-                Some(kind) => Ok((kind, self.chain.is_fallback(form))),
-                None => Err(ServeError::UnknownTarget(form.clone())),
-            },
-        }
     }
 
     /// The shared lower-once front stage: the desktop GLSL form of
