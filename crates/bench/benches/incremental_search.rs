@@ -12,9 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prism_core::CompileSession;
 use prism_corpus::Corpus;
-use prism_search::{
-    incremental_search_records, run_study, SearchConfig, StudyConfig, StudyResults,
-};
+use prism_search::{incremental_search_records, run_study, StudyConfig, StudyResults};
 
 /// Whether the reduced CI smoke configuration is requested.
 fn smoke() -> bool {
@@ -34,17 +32,12 @@ fn search_corpus() -> Corpus {
 fn incremental_search_benchmarks(c: &mut Criterion) {
     let corpus = search_corpus();
     let config = StudyConfig::quick();
-    let search = SearchConfig::default();
     // The exhaustive study measured once up front: it is both the timing
     // oracle the strategies score against and the baseline being compared.
     let study = run_study(&corpus, &config);
 
     c.bench_function("incremental_search_all_strategies", |b| {
-        b.iter(|| {
-            black_box(incremental_search_records(
-                &corpus, &study, &config, &search,
-            ))
-        })
+        b.iter(|| black_box(incremental_search_records(&corpus, &study, &config)))
     });
     c.bench_function("exhaustive_256_variant_generation", |b| {
         b.iter(|| {
@@ -55,19 +48,14 @@ fn incremental_search_benchmarks(c: &mut Criterion) {
         })
     });
 
-    smoke_contract(&corpus, &study, &config, &search);
+    smoke_contract(&corpus, &study, &config);
 }
 
 /// The checked contract run: budgets are hard, compile counts stay strictly
 /// under the exhaustive 256 (indeed under a quarter of it), and greedy and
 /// ablation strategies clear the default-policy bar on every platform.
-fn smoke_contract(
-    corpus: &Corpus,
-    study: &StudyResults,
-    config: &StudyConfig,
-    search: &SearchConfig,
-) {
-    let records = incremental_search_records(corpus, study, config, search);
+fn smoke_contract(corpus: &Corpus, study: &StudyResults, config: &StudyConfig) {
+    let records = incremental_search_records(corpus, study, config);
     assert!(!records.is_empty(), "search must produce records");
 
     println!("\nincremental search ({} shaders):", corpus.len());

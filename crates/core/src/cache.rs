@@ -1007,16 +1007,11 @@ impl CorpusCache {
     }
 
     /// Looks up the memoised static-analysis report of `state` for
-    /// `personality`. Mirrors [`CacheStore::emission`]: keyed by node,
-    /// shared-allocation handout, warm attribution, LRU touch on bounded
-    /// stores.
-    pub fn analysis(
-        &self,
-        session: SessionId,
-        personality: &'static str,
-        state: &Node,
-    ) -> Option<Arc<str>> {
-        let _ = session;
+    /// `personality`. Mirrors [`CacheStore::emission`] — keyed by node,
+    /// shared-allocation handout, warm attribution from the entry's owner,
+    /// LRU touch on bounded stores — except that it books no cross-session
+    /// hits, so it takes no session.
+    pub fn analysis(&self, personality: &'static str, state: &Node) -> Option<Arc<str>> {
         let key = (state.id.fp, personality);
         let (owner, text) = self.lookup(&self.analyses, state.id.gen, key, Some)?;
         self.hit(Hit::Analysis);
@@ -1027,7 +1022,8 @@ impl CorpusCache {
     }
 
     /// Records a freshly computed static-analysis report (serialised JSON)
-    /// for `(state, personality)` and counts the walk in `static_analyses`.
+    /// for `(state, personality)`, owned by `session`, and counts the walk
+    /// in `static_analyses`.
     pub fn record_analysis(
         &self,
         session: SessionId,
@@ -1402,7 +1398,7 @@ mod tests {
             .emission(id, BackendKind::Gles, &cache.node(&fresh))
             .is_some());
         cache.record_analysis(id, "Arm", &fresh, Arc::from("{}"));
-        assert!(cache.analysis(id, "Arm", &cache.node(&fresh)).is_some());
+        assert!(cache.analysis("Arm", &cache.node(&fresh)).is_some());
     }
 
     #[test]

@@ -847,7 +847,7 @@ mod tests {
         }
         for seed in 10..15u32 {
             let report = warm
-                .analysis(id, PERSONALITY, &warm.node(&snapshot(seed)))
+                .analysis(PERSONALITY, &warm.node(&snapshot(seed)))
                 .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
             assert_eq!(*report, format!("{{\"seed\":{seed}}}"));
         }
@@ -1142,14 +1142,13 @@ mod tests {
         assert_eq!(report.entries_skipped, 4, "the four NVIDIA analyses");
 
         // Warm analysis hits serve from the memo: zero fresh walks.
-        let wid = warm.register_session();
         for seed in 0..4u32 {
             let state = warm.intern(snapshot(seed));
             let text = warm
-                .analysis(wid, "Arm", &warm.node(&state))
+                .analysis("Arm", &warm.node(&state))
                 .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
             assert_eq!(*text, format!("{{\"arm\":{seed}}}"));
-            assert!(warm.analysis(wid, "NVIDIA", &warm.node(&state)).is_none());
+            assert!(warm.analysis("NVIDIA", &warm.node(&state)).is_none());
         }
         let stats = warm.stats();
         assert_eq!(stats.analysis_memo_hits, 4);

@@ -51,8 +51,8 @@ pub use pipeline::{
 pub use prism_ir::hash::fnv64;
 pub use session::CompileSession;
 pub use specialize::{
-    candidate_keys, spec_counters, specialize_shader, verify_specialization, GuardedDispatch,
-    SpecAssumption, SpecCounters, SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,
+    candidate_keys, specialize_shader, verify_specialization, GuardedDispatch, SpecAssumption,
+    SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,
 };
 pub use variant::{unique_variants, Variant, VariantSet};
 pub use walk::{emit_memoised, walk_stages, SessionStats, Walk};

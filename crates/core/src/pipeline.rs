@@ -457,7 +457,7 @@ mod tests {
         let reparsed =
             prism_glsl::ShaderSource::preprocess_and_parse(&optimized.glsl, &Default::default())
                 .expect("optimized GLSL must re-parse");
-        assert!(src.interface.same_io(&reparsed.interface));
+        assert!(src.interface().same_io(&reparsed.interface()));
     }
 
     #[test]

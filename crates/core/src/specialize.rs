@@ -36,57 +36,7 @@ use prism_ir::prelude::*;
 use prism_ir::stmt::rewrite_operands;
 use prism_ir::verify::operand_ty;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Process-global counters (mirroring `prism_ir::counters`): cheap relaxed
-// atomics the perf gate snapshots to pin how much specialization work a run
-// performed and how much the guard/verification machinery actually executed.
-
-static SPECIALIZATIONS_GENERATED: AtomicUsize = AtomicUsize::new(0);
-static SPEC_GUARD_DISPATCHES: AtomicUsize = AtomicUsize::new(0);
-static SPEC_INTERP_CONFIRMS: AtomicUsize = AtomicUsize::new(0);
-
-/// A point-in-time snapshot of the specialization counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpecCounters {
-    /// Specialization folds actually performed (memo misses — a cache-served
-    /// specialized base does not re-count).
-    pub specializations_generated: usize,
-    /// Runtime guard evaluations performed by [`GuardedDispatch::select`].
-    pub spec_guard_dispatches: usize,
-    /// Differential interpreter comparisons that confirmed bit-identical
-    /// outputs between the dispatch and the general program.
-    pub spec_interp_confirms: usize,
-}
-
-impl SpecCounters {
-    /// The counter deltas accumulated since an `earlier` snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &SpecCounters) -> SpecCounters {
-        SpecCounters {
-            specializations_generated: self
-                .specializations_generated
-                .saturating_sub(earlier.specializations_generated),
-            spec_guard_dispatches: self
-                .spec_guard_dispatches
-                .saturating_sub(earlier.spec_guard_dispatches),
-            spec_interp_confirms: self
-                .spec_interp_confirms
-                .saturating_sub(earlier.spec_interp_confirms),
-        }
-    }
-}
-
-/// Snapshots the process-global specialization counters.
-pub fn spec_counters() -> SpecCounters {
-    SpecCounters {
-        specializations_generated: SPECIALIZATIONS_GENERATED.load(Ordering::Relaxed),
-        spec_guard_dispatches: SPEC_GUARD_DISPATCHES.load(Ordering::Relaxed),
-        spec_interp_confirms: SPEC_INTERP_CONFIRMS.load(Ordering::Relaxed),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Assumption vocabulary.
@@ -348,7 +298,6 @@ pub fn specialize_shader(base: &Shader, key: &SpecKey) -> Result<Shader, SpecErr
             break;
         }
     }
-    SPECIALIZATIONS_GENERATED.fetch_add(1, Ordering::Relaxed);
     Ok(ir)
 }
 
@@ -505,7 +454,6 @@ pub struct GuardedDispatch {
 impl GuardedDispatch {
     /// Evaluates the guard and picks the program for these uniform values.
     pub fn select(&self, uniforms: &[Vec<f64>]) -> &CompiledShader {
-        SPEC_GUARD_DISPATCHES.fetch_add(1, Ordering::Relaxed);
         if self.spec.holds_on(uniforms) {
             &self.specialized
         } else {
@@ -618,7 +566,6 @@ pub fn verify_specialization(
             });
         }
         confirms += 1;
-        SPEC_INTERP_CONFIRMS.fetch_add(1, Ordering::Relaxed);
 
         // Direction 2: assumption holds — the specialized fold must be exact.
         let holding = spec.holding_context(general, *fx, *fy);
@@ -640,7 +587,6 @@ pub fn verify_specialization(
             });
         }
         confirms += 1;
-        SPEC_INTERP_CONFIRMS.fetch_add(1, Ordering::Relaxed);
     }
     Ok(SpecVerification { confirms })
 }
@@ -783,7 +729,6 @@ mod tests {
         let s = session();
         let tint = slot_of(s.base_ir(), "tint");
         let spec = SpecKey::single(tint, SpecValue::Zero);
-        let before = spec_counters();
         let dispatch = s
             .dispatch_for(OptFlags::all(), &spec, BackendKind::DesktopGlsl)
             .unwrap();
@@ -805,11 +750,6 @@ mod tests {
         let probes = default_probe_points();
         let report = verify_specialization(&dispatch, &probes).unwrap();
         assert_eq!(report.confirms, probes.len() * 2);
-
-        let delta = spec_counters().since(&before);
-        assert!(delta.specializations_generated >= 1);
-        assert!(delta.spec_guard_dispatches >= 2);
-        assert_eq!(delta.spec_interp_confirms, report.confirms);
     }
 
     #[test]

@@ -117,9 +117,9 @@ mod tests {
     #[test]
     fn blur9_matches_the_paper_listing_shape() {
         let s = ShaderSource::preprocess_and_parse(BLUR9, &HashMap::new()).unwrap();
-        assert_eq!(s.interface.samplers.len(), 1);
-        assert_eq!(s.interface.uniforms.len(), 1);
-        assert_eq!(s.interface.inputs.len(), 1);
+        assert_eq!(s.interface().samplers.len(), 1);
+        assert_eq!(s.interface().uniforms.len(), 1);
+        assert_eq!(s.interface().inputs.len(), 1);
         // 9 weights, 9 offsets, one loop.
         assert!(s.text.contains("for (int i = 0; i < 9; i++)"));
     }

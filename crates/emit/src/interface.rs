@@ -105,13 +105,13 @@ pub fn source_interface(kind: BackendKind, text: &str) -> Result<SourceInterface
         BackendKind::DesktopGlsl | BackendKind::Gles => {
             let parsed = prism_glsl::ShaderSource::preprocess_and_parse(text, &Default::default())
                 .map_err(|e| e.to_string())?;
-            Ok(SourceInterface::of_glsl(&parsed.interface))
+            Ok(SourceInterface::of_glsl(&parsed.interface()))
         }
         BackendKind::Msl => {
             let glsl = crate::msl::msl_to_glsl(text)?;
             let parsed = prism_glsl::ShaderSource::preprocess_and_parse(&glsl, &Default::default())
                 .map_err(|e| e.to_string())?;
-            Ok(SourceInterface::of_glsl(&parsed.interface))
+            Ok(SourceInterface::of_glsl(&parsed.interface()))
         }
         BackendKind::SpirvAsm => {
             let parsed = crate::spirv::parse_spirv_asm(text)?;

@@ -20,7 +20,7 @@
 //!     void main() { fragColor = texture(tex, uv) * tint; }
 //! "#;
 //! let shader = ShaderSource::parse(src).unwrap();
-//! assert_eq!(shader.interface.samplers.len(), 1);
+//! assert_eq!(shader.interface().samplers.len(), 1);
 //! assert!(shader.lines_of_code() > 0);
 //! ```
 
@@ -43,17 +43,15 @@ pub use error::{GlslError, Stage};
 pub use interface::ShaderInterface;
 pub use types::Type;
 
-/// A fully front-ended shader: preprocessed text, type-checked AST and
-/// interface, plus the static metrics computed on demand from the text. This
-/// is the unit the optimizer, drivers and corpus all exchange.
+/// A fully front-ended shader: preprocessed text and type-checked AST, plus
+/// the interface and static metrics computed on demand from them. This is
+/// the unit the optimizer, drivers and corpus all exchange.
 #[derive(Debug, Clone)]
 pub struct ShaderSource {
     /// Post-preprocessing GLSL text.
     pub text: String,
     /// Parsed AST.
     pub ast: TranslationUnit,
-    /// External interface (uniforms, samplers, ins, outs).
-    pub interface: ShaderInterface,
     /// The `#version` string the preprocessor saw (e.g. `"450"`, `"310 es"`),
     /// if the source carried one. Lets a driver model report which API's text
     /// actually reached it.
@@ -85,13 +83,18 @@ impl ShaderSource {
         let pre = preprocessor::preprocess(source, defines)?;
         let ast = parser::parse(&pre.text)?;
         typecheck::check(&ast)?;
-        let interface = ShaderInterface::of(&ast);
         Ok(ShaderSource {
             text: pre.text,
             ast,
-            interface,
             version: pre.version,
         })
+    }
+
+    /// The external interface (uniforms, samplers, ins, outs) of
+    /// [`ShaderSource::ast`], computed on demand: the differential suite's
+    /// interface oracle reads it, no driver or compile path does.
+    pub fn interface(&self) -> ShaderInterface {
+        ShaderInterface::of(&self.ast)
     }
 
     /// The paper's lines-of-code metric (§V-A, Fig. 4a) over
@@ -122,8 +125,8 @@ mod tests {
     fn shader_source_end_to_end() {
         let src = "uniform float exposure;\nin vec2 uv;\nout vec4 c;\nvoid main() {\n  c = vec4(uv, 0.0, 1.0) * exposure;\n}";
         let s = ShaderSource::parse(src).unwrap();
-        assert_eq!(s.interface.inputs.len(), 1);
-        assert_eq!(s.interface.uniforms.len(), 1);
+        assert_eq!(s.interface().inputs.len(), 1);
+        assert_eq!(s.interface().uniforms.len(), 1);
         assert_eq!(s.lines_of_code(), 2);
         assert!(s.ast.main().is_some());
     }
@@ -149,7 +152,7 @@ mod tests {
         )
         .unwrap();
         assert!(tinted.lines_of_code() > plain.lines_of_code());
-        assert!(tinted.interface.same_io(&plain.interface));
+        assert!(tinted.interface().same_io(&plain.interface()));
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //! distinct (source form, text) is parsed once, and each driver pass runs
 //! once per distinct IR, replayed through a transition graph by stable stage
 //! id ([`DriverModel::stages`]). The study sweep gives each of its columns
-//! (the original shader, one variant, or one specialization key) one memo
-//! shared by all platforms; [`Platform::submit`] stays the one-shot
-//! reference path.
+//! (the original shader or one variant) one memo shared by all platforms;
+//! [`Platform::submit`] stays the one-shot reference path.
 
 pub mod cost;
 pub mod driver;

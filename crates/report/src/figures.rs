@@ -573,72 +573,6 @@ pub fn best_static_contains(study: &StudyResults, vendor: &str, flag: Flag) -> b
 }
 
 /// The full set of renderers in figure order, handy for "render everything".
-/// Uniform-value specialization report (beyond the paper): per platform,
-/// every interp-verified `(shader, assumption)` arm with the win the guarded
-/// dispatch delivers while the assumption holds against the guard overhead
-/// every draw pays when it does not — both sides of deploying the AZP axis.
-/// Arms are listed best-win first within each platform.
-pub fn fig_specialize(study: &StudyResults) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure S — uniform-value specialization (win when the assumption holds vs guard overhead)"
-    );
-    if study.specializations.is_empty() {
-        let _ = writeln!(out, "  (study ran without the specialization axis)");
-        return out;
-    }
-    let mut vendors: Vec<&str> = study
-        .specializations
-        .iter()
-        .map(|r| r.vendor.as_str())
-        .collect();
-    vendors.sort_unstable();
-    vendors.dedup();
-    for vendor in vendors {
-        let mut rows: Vec<_> = study
-            .specializations
-            .iter()
-            .filter(|r| r.vendor == vendor)
-            .collect();
-        rows.sort_by(|a, b| {
-            b.win_when_holds()
-                .partial_cmp(&a.win_when_holds())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (&a.shader, &a.spec).cmp(&(&b.shader, &b.spec)))
-        });
-        let _ = writeln!(out, "  {vendor}");
-        let _ = writeln!(
-            out,
-            "    {:<20} {:<12} {:>10} {:>10} {:>8} {:>9} {:>9}",
-            "shader", "assumption", "general", "special", "guard", "win", "overhead"
-        );
-        for r in rows {
-            let _ = writeln!(
-                out,
-                "    {:<20} {:<12} {:>8.0}ns {:>8.0}ns {:>6.1}ns {:>8.2}% {:>8.2}%",
-                r.shader,
-                r.spec,
-                r.general_ns,
-                r.specialized_ns,
-                r.guard_ns,
-                r.win_when_holds(),
-                r.overhead_when_violated(),
-            );
-        }
-    }
-    let confirms: usize = study
-        .specializations
-        .iter()
-        .map(|r| r.interp_confirms)
-        .sum();
-    let _ = writeln!(
-        out,
-        "  every arm differentially interp-verified ({confirms} bit-exact confirmations)"
-    );
-    out
-}
-
 pub fn render_all(study: &StudyResults, blur_name: &str) -> String {
     let mut out = String::new();
     out.push_str(&fig3_motivating(study, blur_name));
@@ -666,10 +600,6 @@ pub fn render_all(study: &StudyResults, blur_name: &str) -> String {
     }
     out.push('\n');
     out.push_str(&fig_backends(study));
-    if !study.specializations.is_empty() {
-        out.push('\n');
-        out.push_str(&fig_specialize(study));
-    }
     out.push('\n');
     out.push_str(&fig_cache(study));
     out
@@ -766,7 +696,6 @@ mod tests {
                     budget: 63,
                     mean_compiles: 12.0,
                     max_compiles: 12,
-                    candidates_pruned: 0,
                     mean_speedup: 20.0,
                     oracle_mean_speedup: 25.0,
                     default_mean_speedup: 15.0,
@@ -795,7 +724,6 @@ mod tests {
             budget: 63,
             mean_compiles: 20.0,
             max_compiles: 20,
-            candidates_pruned: 0,
             mean_speedup: 24.0,
             oracle_mean_speedup: 25.0,
             default_mean_speedup: 15.0,
@@ -811,7 +739,6 @@ mod tests {
             budget: 63,
             mean_compiles: 10.0,
             max_compiles: 10,
-            candidates_pruned: 0,
             mean_speedup: 18.0,
             oracle_mean_speedup: 25.0,
             default_mean_speedup: 15.0,
@@ -928,49 +855,5 @@ mod tests {
         assert!(text.contains("mean agreement"), "{text}");
         assert!(text.contains("88%"), "{text}");
         assert_eq!(fig_static(&[]).lines().count(), 2, "header only when empty");
-    }
-
-    #[test]
-    fn specialize_report_shows_both_sides_of_the_guard() {
-        let mut study = tiny_study();
-        let empty = fig_specialize(&study);
-        assert!(empty.contains("without the specialization axis"), "{empty}");
-        assert!(
-            !render_all(&study, "blur").contains("Figure S"),
-            "flag-only studies must not render an empty specialization figure"
-        );
-
-        study.specializations = vec![
-            prism_search::SpecializationRecord {
-                shader: "blur".into(),
-                vendor: "AMD".into(),
-                spec: "u1=0".into(),
-                flag_bits: OptFlags::lunarglass_default().bits(),
-                general_ns: 1000.0,
-                specialized_ns: 800.0,
-                guard_ns: 6.0,
-                interp_confirms: 10,
-            },
-            prism_search::SpecializationRecord {
-                shader: "blur".into(),
-                vendor: "AMD".into(),
-                spec: "u0=1".into(),
-                flag_bits: OptFlags::lunarglass_default().bits(),
-                general_ns: 1000.0,
-                specialized_ns: 950.0,
-                guard_ns: 6.0,
-                interp_confirms: 10,
-            },
-        ];
-        let text = fig_specialize(&study);
-        assert!(text.contains("Figure S"), "{text}");
-        assert!(text.contains("u1=0"), "{text}");
-        assert!(text.contains("AMD"), "{text}");
-        assert!(text.contains("20 bit-exact confirmations"), "{text}");
-        // Best win sorts first within the platform.
-        let zero_line = text.lines().position(|l| l.contains("u1=0")).unwrap();
-        let one_line = text.lines().position(|l| l.contains("u0=1")).unwrap();
-        assert!(zero_line < one_line, "{text}");
-        assert!(render_all(&study, "blur").contains("Figure S"));
     }
 }

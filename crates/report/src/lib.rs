@@ -15,8 +15,8 @@ pub mod violin;
 pub use figures::{
     best_static_contains, fig10_incremental, fig3_motivating, fig4_characterization, fig5_overall,
     fig6_top30, fig7_per_shader, fig8_applicability, fig9_per_flag, fig_backends, fig_cache,
-    fig_regret, fig_serve, fig_specialize, fig_static, mean_best_speedups, render_all, summary,
-    table1_best_static, ServeRow,
+    fig_regret, fig_serve, fig_static, mean_best_speedups, render_all, summary, table1_best_static,
+    ServeRow,
 };
 pub use stats::{histogram, mean, median, percentile, stddev};
 pub use violin::ViolinSummary;

@@ -257,7 +257,6 @@ mod tests {
     use crate::driver::standard_strategies;
     use crate::evaluator::OracleEvaluator;
     use crate::results::VariantRecord;
-    use crate::SearchConfig;
     use prism_core::CompileSession;
     use prism_emit::BackendKind;
     use prism_glsl::ShaderSource;
@@ -423,7 +422,7 @@ mod tests {
     fn regret_replays_the_log_and_is_non_increasing_in_oracle_mode() {
         let session = session();
         let record = synthetic_record(Flag::Unroll, Flag::Gvn);
-        for strategy in standard_strategies(&SearchConfig::default()) {
+        for strategy in standard_strategies() {
             let driver = oracle_driver(&session, &record, 63);
             strategy.run(&driver);
             let tracker = RegretTracker::from_log(&driver.evaluation_log(), &record, 63);

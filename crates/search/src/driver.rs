@@ -51,50 +51,17 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Configuration of an incremental search run: the compile budget, the
-/// strategies' seed and the hill-climb restart count. (The live tuner's
-/// static prefilter is `prism_serve::TuneSpec::static_prefilter`; this
-/// search replays the study's timings and takes no measurement to skip.)
-///
-/// Marked `#[non_exhaustive]`: construct with [`SearchConfig::default`] and
-/// the `with_*` setters, so future knobs are not breaking changes.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct SearchConfig {
-    /// Hard cap on distinct flag combinations each strategy may compile per
-    /// (shader, platform). The default, 63, keeps every strategy strictly
-    /// under a quarter of the exhaustive 256.
-    pub budget: usize,
-    /// Seed for the randomised strategies (deterministic per (shader,
-    /// platform, strategy) — reruns reproduce byte-identical records).
-    pub seed: u64,
-    /// Restart count for [`RandomRestartHillClimb`].
-    pub restarts: usize,
-}
+/// Hard cap on distinct flag combinations each strategy may compile per
+/// (shader, platform): 63 keeps every strategy strictly under a quarter of
+/// the exhaustive 256. Every [`SearchRecord::budget`] records it.
+const SEARCH_BUDGET: usize = 63;
 
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            budget: 63,
-            seed: 0x5EED_CAFE,
-            restarts: 3,
-        }
-    }
-}
+/// Seed of the randomised strategies (deterministic per (shader, platform,
+/// strategy), so reruns reproduce byte-identical records).
+const SEARCH_SEED: u64 = 0x5EED_CAFE;
 
-impl SearchConfig {
-    /// This config with a different per-shader compile budget.
-    pub fn with_budget(mut self, budget: usize) -> SearchConfig {
-        self.budget = budget;
-        self
-    }
-
-    /// This config with a different strategy seed.
-    pub fn with_seed(mut self, seed: u64) -> SearchConfig {
-        self.seed = seed;
-        self
-    }
-}
+/// Restart count of the standard [`RandomRestartHillClimb`].
+const HILL_CLIMB_RESTARTS: usize = 3;
 
 /// The outcome of one strategy run on one (shader, platform).
 #[derive(Debug, Clone, PartialEq)]
@@ -415,17 +382,17 @@ impl SearchStrategy for RandomRestartHillClimb {
 /// The standard strategy set compared in the study's incremental-search
 /// table, in report order. The classic iterative-compilation four come
 /// first, then the explore/exploit bandits from [`crate::bandit`].
-pub fn standard_strategies(config: &SearchConfig) -> Vec<Box<dyn SearchStrategy>> {
+pub fn standard_strategies() -> Vec<Box<dyn SearchStrategy>> {
     vec![
         Box::new(GreedyForward),
         Box::new(GreedyBackward),
         Box::new(Ablation),
         Box::new(RandomRestartHillClimb {
-            seed: config.seed,
-            restarts: config.restarts,
+            seed: SEARCH_SEED,
+            restarts: HILL_CLIMB_RESTARTS,
         }),
         Box::new(crate::bandit::EpsilonGreedy {
-            seed: config.seed,
+            seed: SEARCH_SEED,
             epsilon: 0.2,
         }),
         Box::new(crate::bandit::Ucb1 { exploration: 1.5 }),
@@ -446,18 +413,16 @@ pub fn incremental_search_records(
     corpus: &Corpus,
     study: &StudyResults,
     config: &StudyConfig,
-    search: &SearchConfig,
 ) -> Vec<SearchRecord> {
     let cache = Arc::new(CorpusCache::with_budget(config.cache_budget));
-    let strategies = standard_strategies(search);
-    let checkpoints = RegretTracker::checkpoints_for(search.budget);
+    let strategies = standard_strategies();
+    let checkpoints = RegretTracker::checkpoints_for(SEARCH_BUDGET);
 
     /// Per-(platform, strategy) accumulator.
     #[derive(Default)]
     struct Acc {
         shaders: usize,
         compiles: usize,
-        pruned: usize,
         max_compiles: usize,
         speedup_sum: f64,
         oracle_sum: f64,
@@ -485,7 +450,7 @@ pub fn incremental_search_records(
             for strategy in &strategies {
                 let driver = SearchDriver::over(
                     Box::new(OracleEvaluator::new(&session, record, backend)),
-                    search.budget,
+                    SEARCH_BUDGET,
                 );
                 strategy.run(&driver);
                 // A strategy whose very first compile failed has nothing to
@@ -496,7 +461,7 @@ pub fn incremental_search_records(
                 }
                 let outcome = driver.outcome(strategy.name());
                 let regret =
-                    RegretTracker::from_log(&driver.evaluation_log(), record, search.budget);
+                    RegretTracker::from_log(&driver.evaluation_log(), record, SEARCH_BUDGET);
 
                 let key = (record.vendor.clone(), outcome.strategy.clone());
                 if !accs.contains_key(&key) {
@@ -505,10 +470,6 @@ pub fn incremental_search_records(
                 let acc = accs.entry(key).or_default();
                 acc.shaders += 1;
                 acc.compiles += outcome.compiles;
-                // Always 0 in oracle mode (the prefilter only gates live
-                // measurements), but wired through so live-mode aggregation
-                // reports its pruning honestly.
-                acc.pruned += driver.cost().candidates_pruned;
                 acc.max_compiles = acc.max_compiles.max(outcome.compiles);
                 acc.speedup_sum += percent_speedup(record.original_ns, outcome.best_ns);
                 acc.oracle_sum += record.best_speedup_vs_original();
@@ -534,9 +495,8 @@ pub fn incremental_search_records(
                 vendor: key.0,
                 strategy: key.1,
                 shaders: acc.shaders,
-                budget: search.budget,
+                budget: SEARCH_BUDGET,
                 mean_compiles: acc.compiles as f64 / n,
-                candidates_pruned: acc.pruned,
                 max_compiles: acc.max_compiles,
                 mean_speedup: acc.speedup_sum / n,
                 oracle_mean_speedup: acc.oracle_sum / n,
@@ -722,7 +682,7 @@ mod tests {
     fn strategies_stop_cleanly_on_a_tiny_budget() {
         let session = session();
         let record = synthetic_record(Flag::Unroll, Flag::Gvn);
-        for strategy in standard_strategies(&SearchConfig::default()) {
+        for strategy in standard_strategies() {
             let driver = oracle_driver(&session, &record, 2);
             strategy.run(&driver);
             let outcome = driver.outcome(strategy.name());

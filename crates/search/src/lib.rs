@@ -40,7 +40,7 @@ pub use applicability::{flag_applicability, FlagApplicability};
 pub use bandit::{EpsilonGreedy, RegretTracker, Ucb1};
 pub use driver::{
     incremental_search_records, standard_strategies, Ablation, GreedyBackward, GreedyForward,
-    RandomRestartHillClimb, SearchConfig, SearchDriver, SearchOutcome, SearchStrategy,
+    RandomRestartHillClimb, SearchDriver, SearchOutcome, SearchStrategy,
 };
 pub use evaluator::{
     CompileHandle, EvalCost, Evaluator, LiveEvaluator, OracleEvaluator, StaticCostHook,
@@ -53,7 +53,7 @@ pub use policies::{
 pub use static_rank::{footrule_agreement, static_agreement_rows, StaticRankRow};
 
 pub use results::{
-    percent_speedup, SearchRecord, ShaderPlatformRecord, ShaderRecord, SkippedShader,
-    SpecializationRecord, StudyResults, VariantRecord,
+    percent_speedup, SearchRecord, ShaderPlatformRecord, ShaderRecord, SkippedShader, StudyResults,
+    VariantRecord,
 };
 pub use sweep::{run_study, StudyConfig};

@@ -180,10 +180,6 @@ pub struct SearchRecord {
     /// Mean distinct flag combinations compiled per shader (the exhaustive
     /// study compiles all 256).
     pub mean_compiles: f64,
-    /// Candidates whose measurement the static prefilter skipped, summed
-    /// over shaders (always 0 in oracle mode and with the prefilter off —
-    /// the counter that keeps pruning pinned, never silently lossy).
-    pub candidates_pruned: usize,
     /// The largest per-shader compile count observed (must be ≤ `budget`).
     pub max_compiles: usize,
     /// Mean percentage speed-up (vs the original shader) of the best
@@ -212,7 +208,6 @@ serde::impl_serde_struct!(SearchRecord {
     shaders,
     budget,
     mean_compiles,
-    candidates_pruned,
     max_compiles,
     mean_speedup,
     oracle_mean_speedup,
@@ -242,67 +237,6 @@ impl SearchRecord {
         } else {
             self.mean_speedup / self.oracle_mean_speedup
         }
-    }
-}
-
-/// One measured `(shader, platform, specialization)` arm of the
-/// uniform-value specialization study: the AZP axis, where a shader is
-/// cloned under an assumption about a uniform's dynamic value (zero, one, an
-/// exact constant), folded, and deployed behind a runtime guard. The record
-/// captures both sides of the bargain — the win when the assumption holds
-/// and the guard cost every draw pays whether it holds or not.
-///
-/// Every recorded arm was differentially interp-verified against the
-/// general program (both guard directions, bit-for-bit) before measurement;
-/// `interp_confirms` pins how many comparisons backed it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecializationRecord {
-    /// Corpus shader name.
-    pub shader: String,
-    /// Platform name (`Vendor::name()`).
-    pub vendor: String,
-    /// Canonical specialization key display (`u0=0`, `u1=1,u3=0`, ...).
-    pub spec: String,
-    /// The flag combination both sides were compiled under (raw 8-bit mask).
-    pub flag_bits: u8,
-    /// Mean frame time of the general program at those flags (ns).
-    pub general_ns: f64,
-    /// Mean frame time of the specialized program, valid only while the
-    /// assumption holds (ns).
-    pub specialized_ns: f64,
-    /// Modelled host-side guard evaluation cost per draw (ns) — the
-    /// per-lane uniform compares run before binding either program, paid on
-    /// every draw, winning or not.
-    pub guard_ns: f64,
-    /// Differential interpreter comparisons that confirmed this arm
-    /// bit-for-bit before it was measured.
-    pub interp_confirms: usize,
-}
-
-serde::impl_serde_struct!(SpecializationRecord {
-    shader,
-    vendor,
-    spec,
-    flag_bits,
-    general_ns,
-    specialized_ns,
-    guard_ns,
-    interp_confirms
-});
-
-impl SpecializationRecord {
-    /// Percentage speed-up of the guarded dispatch when the assumption
-    /// holds (specialized program + guard vs general program). Positive
-    /// means the specialization pays for its guard.
-    pub fn win_when_holds(&self) -> f64 {
-        percent_speedup(self.general_ns, self.specialized_ns + self.guard_ns)
-    }
-
-    /// Percentage overhead of the guarded dispatch when the assumption does
-    /// NOT hold (general program + guard vs general program alone) — the
-    /// cost of being wrong about a batch. Always ≥ 0.
-    pub fn overhead_when_violated(&self) -> f64 {
-        -percent_speedup(self.general_ns, self.general_ns + self.guard_ns)
     }
 }
 
@@ -419,9 +353,6 @@ pub struct StudyResults {
     /// not be written) — the measurements are still valid, but the operator
     /// should know.
     pub warnings: Vec<String>,
-    /// Uniform-value specialization arms (the AZP axis), when the study ran
-    /// with specialization enabled. Empty for flag-only studies.
-    pub specializations: Vec<SpecializationRecord>,
     /// Work of the sweep's driver memos, summed over every column.
     pub driver: DriverStats,
 }
@@ -461,10 +392,6 @@ impl serde::Serialize for StudyResults {
             ("cache".to_string(), self.cache.to_value()),
             ("search".to_string(), self.search.to_value()),
             ("warnings".to_string(), self.warnings.to_value()),
-            (
-                "specializations".to_string(),
-                self.specializations.to_value(),
-            ),
             ("driver".to_string(), driver_to_value(&self.driver)),
         ])
     }
@@ -483,7 +410,6 @@ impl serde::Deserialize for StudyResults {
             cache: serde::Deserialize::from_value(field("cache")?)?,
             search: serde::Deserialize::from_value(field("search")?)?,
             warnings: serde::Deserialize::from_value(field("warnings")?)?,
-            specializations: serde::Deserialize::from_value(field("specializations")?)?,
             driver: driver_from_value(field("driver")?)?,
         })
     }
@@ -657,7 +583,6 @@ mod tests {
                 shaders: 1,
                 budget: 63,
                 mean_compiles: 19.0,
-                candidates_pruned: 5,
                 max_compiles: 19,
                 mean_speedup: 18.5,
                 oracle_mean_speedup: 20.0,
@@ -667,16 +592,6 @@ mod tests {
                 regret_final: 0.5,
             }],
             warnings: vec!["warm-start dir was read-only".into()],
-            specializations: vec![SpecializationRecord {
-                shader: "s".into(),
-                vendor: "AMD".into(),
-                spec: "u1=0".into(),
-                flag_bits: 0b0110_0001,
-                general_ns: 1000.0,
-                specialized_ns: 850.0,
-                guard_ns: 4.0,
-                interp_confirms: 10,
-            }],
             driver: DriverStats {
                 front_parses: 11,
                 front_hits: 9,
@@ -692,7 +607,6 @@ mod tests {
         assert_eq!(restored.cache, study.cache);
         assert_eq!(restored.search, study.search);
         assert_eq!(restored.warnings, study.warnings);
-        assert_eq!(restored.specializations, study.specializations);
         assert_eq!(restored.driver, study.driver);
         assert_eq!(restored.cache.stats.evictions, 5);
         assert_eq!(restored.cache.stats.warm_stage_hits, 6);
@@ -714,25 +628,6 @@ mod tests {
         let text = std::fs::read_to_string(path).expect("committed study-report.json");
         let study = StudyResults::from_json(&text).unwrap();
         assert_eq!(study.to_json().unwrap(), text);
-    }
-
-    #[test]
-    fn specialization_records_report_both_sides_of_the_guard() {
-        let rec = SpecializationRecord {
-            shader: "s".into(),
-            vendor: "AMD".into(),
-            spec: "u0=0".into(),
-            flag_bits: 0,
-            general_ns: 1000.0,
-            specialized_ns: 750.0,
-            guard_ns: 10.0,
-            interp_confirms: 10,
-        };
-        // Holding: (1000 - 760) / 1000 = 24% win, guard included.
-        assert!((rec.win_when_holds() - 24.0).abs() < 1e-9);
-        // Violated: the guard is pure overhead, 10/1000 = 1%.
-        assert!((rec.overhead_when_violated() - 1.0).abs() < 1e-9);
-        assert!(rec.overhead_when_violated() >= 0.0);
     }
 
     #[test]

@@ -17,22 +17,20 @@
 //! stage transitions and emitted text routinely answer another's lookups.
 //! The corpus-level counters land in [`StudyResults::cache`].
 //!
-//! The drivers' own work is memoised per column — the original shader, one
-//! variant, or one specialization key: the column's submissions share one
-//! [`DriverMemo`], so each text is parsed once and each driver pass runs
-//! once per distinct IR. Its counters land in [`StudyResults::driver`].
+//! The drivers' own work is memoised per column — the original shader or
+//! one variant: the column's submissions share one [`DriverMemo`], so each
+//! text is parsed once and each driver pass runs once per distinct IR. Its
+//! counters land in [`StudyResults::driver`].
 //!
 //! Shaders are processed on a work-stealing worker pool (the offline tool and
 //! the simulated GPUs are pure functions, so this is safe and deterministic):
 //! workers pull the next shader from a shared queue, so one expensive
 //! flagship shader no longer idles the rest of a pre-assigned chunk.
 
-use crate::driver::{incremental_search_records, SearchConfig};
+use crate::driver::incremental_search_records;
 use crate::results::{
-    CacheRecord, ShaderPlatformRecord, ShaderRecord, SkippedShader, SpecializationRecord,
-    StudyResults, VariantRecord,
+    CacheRecord, ShaderPlatformRecord, ShaderRecord, SkippedShader, StudyResults, VariantRecord,
 };
-use prism_core::specialize::{candidate_keys, default_probe_points, verify_specialization};
 use prism_core::{CacheStore, CompileSession, CorpusCache, Flag, OptFlags};
 use prism_corpus::{Corpus, ShaderCase};
 use prism_emit::BackendKind;
@@ -58,8 +56,8 @@ pub struct StudyConfig {
     pub cache_budget: Option<usize>,
     /// Run the incremental flag-search comparison after the exhaustive
     /// sweep, filling [`StudyResults::search`] with per-(platform, strategy)
-    /// rows. `None` (default) skips it.
-    pub search: Option<SearchConfig>,
+    /// rows. `false` (default) skips it.
+    pub search: bool,
     /// Persistent warm-start directory for the sweep's corpus cache. When
     /// set, the sweep loads any snapshot found there before compiling —
     /// stale or corrupt shards are skipped, never trusted — and saves the
@@ -68,13 +66,6 @@ pub struct StudyConfig {
     /// byte-identical results. Warm-vs-cold hit counts land in
     /// [`StudyResults::cache`]. `None` (default) starts cold.
     pub warm_start_dir: Option<std::path::PathBuf>,
-    /// Measure up to this many uniform-value specialization candidates per
-    /// shader (the AZP axis): each float uniform contributes a `= 0` and a
-    /// `= 1` assumption, every applicable-and-effective candidate is
-    /// differentially interp-verified against the general program and then
-    /// timed on every platform, and the records land in
-    /// [`StudyResults::specializations`]. `None` (default) skips the axis.
-    pub specialize: Option<usize>,
 }
 
 impl Default for StudyConfig {
@@ -84,9 +75,8 @@ impl Default for StudyConfig {
             vendors: Vendor::ALL.to_vec(),
             threads: 8,
             cache_budget: None,
-            search: None,
+            search: false,
             warm_start_dir: None,
-            specialize: None,
         }
     }
 }
@@ -99,9 +89,8 @@ impl StudyConfig {
             vendors: Vendor::ALL.to_vec(),
             threads: 4,
             cache_budget: None,
-            search: None,
+            search: false,
             warm_start_dir: None,
-            specialize: None,
         }
     }
 
@@ -140,15 +129,7 @@ pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
         corpus
             .cases
             .par_iter()
-            .map(|case| {
-                process_shader(
-                    case,
-                    &platforms,
-                    &config.measure,
-                    &corpus_cache,
-                    config.specialize,
-                )
-            })
+            .map(|case| process_shader(case, &platforms, &config.measure, &corpus_cache))
             .collect()
     });
 
@@ -159,7 +140,6 @@ pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
                 study.shaders.push(processed.record);
                 study.measurements.extend(processed.measurements);
                 study.skipped.extend(processed.platform_failures);
-                study.specializations.extend(processed.specializations);
                 study.driver += processed.driver;
             }
             Err(skipped) => study.skipped.push(skipped),
@@ -178,8 +158,8 @@ pub fn run_study(corpus: &Corpus, config: &StudyConfig) -> StudyResults {
                 .push(format!("warm-start snapshot not saved: {e}"));
         }
     }
-    if let Some(search) = &config.search {
-        study.search = incremental_search_records(corpus, &study, config, search);
+    if config.search {
+        study.search = incremental_search_records(corpus, &study, config);
     }
     study
 }
@@ -191,9 +171,6 @@ struct ProcessedShader {
     /// Platforms whose driver rejected the original or a variant; recorded so
     /// a missing (shader, platform) row is diagnosable rather than silent.
     platform_failures: Vec<SkippedShader>,
-    /// Interp-verified, measured specialization arms (empty unless the study
-    /// ran with `StudyConfig::specialize`).
-    specializations: Vec<SpecializationRecord>,
     /// Driver-memo work of this shader's columns.
     driver: DriverStats,
 }
@@ -221,7 +198,6 @@ fn process_shader(
     platforms: &[Platform],
     measure: &MeasureConfig,
     corpus_cache: &Arc<CorpusCache>,
-    spec_limit: Option<usize>,
 ) -> Result<ProcessedShader, SkippedShader> {
     let skip = |error: String| SkippedShader {
         name: case.name.clone(),
@@ -371,91 +347,12 @@ fn process_shader(
             }),
         }
     }
-    let specializations = match spec_limit {
-        Some(limit) => specialization_arms(case, &session, platforms, measure, limit, &mut driver),
-        None => Vec::new(),
-    };
     Ok(ProcessedShader {
         record,
         measurements,
         platform_failures,
-        specializations,
         driver,
     })
-}
-
-/// Modelled host-side guard cost: one vector compare per assumed uniform,
-/// run on the CPU before binding either program. The constant is a
-/// deterministic stand-in for a handful of scalar compares plus a branch —
-/// small against frame times in the hundreds of nanoseconds, but not free,
-/// which is exactly the trade-off `fig_specialize` plots.
-const GUARD_NS_PER_ASSUMPTION: f64 = 6.0;
-
-/// Measures the uniform-value specialization arms of one shader: every
-/// candidate assumption (zero / one per float uniform, up to `limit`) is
-/// compiled into a guarded dispatch at the LunarGLASS-default flag set,
-/// differentially interp-verified against the general program in **both**
-/// guard directions — a divergence is a miscompile and panics the study
-/// rather than silently dropping the arm — and then both sides are timed on
-/// every platform. Inapplicable keys (e.g. an assumption the fold proves
-/// nothing about, leaving the text unchanged) are skipped without a record:
-/// an ineffective specialization has no win and no guard worth paying for.
-/// Each key is one column: its general and specialized submissions on every
-/// platform share one [`DriverMemo`], whose work lands in `driver`.
-fn specialization_arms(
-    case: &ShaderCase,
-    session: &CompileSession,
-    platforms: &[Platform],
-    measure: &MeasureConfig,
-    limit: usize,
-    driver: &mut DriverStats,
-) -> Vec<SpecializationRecord> {
-    let flags = OptFlags::lunarglass_default();
-    let probes = default_probe_points();
-    let mut records = Vec::new();
-    for key in candidate_keys(session.base_ir(), limit) {
-        let mut memo = DriverMemo::new();
-        for (platform_idx, platform) in platforms.iter().enumerate() {
-            let backend = platform.backend();
-            let dispatch = match session.dispatch_for(flags, &key, backend) {
-                Ok(dispatch) => dispatch,
-                // The key does not apply to this shader (wrong type, fold
-                // rejected); nothing to measure.
-                Err(_) => continue,
-            };
-            if !dispatch.is_effective() {
-                continue;
-            }
-            let verification = verify_specialization(&dispatch, &probes)
-                .unwrap_or_else(|d| panic!("specialization miscompile: {}", d.message));
-            let Ok(general_cost) = memo.submit(platform, &dispatch.general.glsl, &case.name) else {
-                continue;
-            };
-            let Ok(spec_cost) = memo.submit(platform, &dispatch.specialized.glsl, &case.name)
-            else {
-                continue;
-            };
-            // Distinct high-offset streams so spec arms never collide with
-            // the variant sweep's `stream_base + 1 + variant.index` range.
-            let stream = stream_id(&case.name, platform_idx)
-                .wrapping_add(0x0001_0000)
-                .wrapping_add((records.len() as u64) << 1);
-            let general = measure_cost(platform, &general_cost, measure, stream);
-            let specialized = measure_cost(platform, &spec_cost, measure, stream.wrapping_add(1));
-            records.push(SpecializationRecord {
-                shader: case.name.clone(),
-                vendor: platform.vendor().name().to_string(),
-                spec: key.to_string(),
-                flag_bits: flags.bits(),
-                general_ns: general.mean_ns,
-                specialized_ns: specialized.mean_ns,
-                guard_ns: GUARD_NS_PER_ASSUMPTION * key.assumptions().len() as f64,
-                interp_confirms: verification.confirms,
-            });
-        }
-        *driver += memo.stats();
-    }
-    records
 }
 
 /// Deterministic per-(shader, platform) noise stream id.
@@ -680,56 +577,6 @@ mod tests {
         assert_eq!(study.shaders.len(), 1);
         assert_eq!(study.measurements.len(), Vendor::ALL.len());
         assert!(study.skipped.is_empty());
-    }
-
-    #[test]
-    fn specialization_arms_are_verified_measured_and_deterministic() {
-        let corpus = mini_corpus();
-        let config = StudyConfig {
-            specialize: Some(4),
-            ..StudyConfig::quick()
-        };
-        let study = run_study(&corpus, &config);
-        assert!(
-            !study.specializations.is_empty(),
-            "the mini corpus has float uniforms whose zero/one folds change code"
-        );
-        let probes = default_probe_points().len();
-        for rec in &study.specializations {
-            // Both guard directions across every probe point confirmed
-            // bit-for-bit before the arm was measured.
-            assert_eq!(
-                rec.interp_confirms,
-                probes * 2,
-                "{}/{}",
-                rec.shader,
-                rec.spec
-            );
-            assert!(rec.general_ns > 0.0 && rec.specialized_ns > 0.0);
-            assert!(rec.guard_ns > 0.0);
-            assert_eq!(rec.flag_bits, OptFlags::lunarglass_default().bits());
-        }
-        // Effective zero-folds delete work; at least one arm must win even
-        // after paying its guard.
-        assert!(
-            study
-                .specializations
-                .iter()
-                .any(|r| r.win_when_holds() > 0.0),
-            "no specialization arm won: {:?}",
-            study
-                .specializations
-                .iter()
-                .map(|r| (r.shader.as_str(), r.spec.as_str(), r.win_when_holds()))
-                .collect::<Vec<_>>()
-        );
-        // The axis is as deterministic as the rest of the study.
-        let again = run_study(&corpus, &config);
-        assert_eq!(again.specializations, study.specializations);
-        // Specialized variants ride the same transition/emission planes: the
-        // extra axis must raise cache work *hits*, not only runs.
-        let flag_only = run_study(&corpus, &StudyConfig::quick());
-        assert!(study.cache.stats.stage_hits > flag_only.cache.stats.stage_hits);
     }
 
     #[test]

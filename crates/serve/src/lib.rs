@@ -76,7 +76,7 @@ pub use service::{
     CompileRequest, CompileRequestBuilder, CompileResponse, CompileService, RequestTarget,
     ServeConfig, ServeError, ServiceStats,
 };
-pub use tune::{TuneOutcome, TuneSpec, TuneStrategy};
+pub use tune::{TuneOutcome, TuneSpec};
 
 #[cfg(test)]
 mod tests {
@@ -596,7 +596,7 @@ mod tests {
     /// variant.
     #[test]
     fn specialized_requests_fold_verify_and_memoise() {
-        use prism_core::{spec_counters, SpecKey, SpecValue};
+        use prism_core::{SpecKey, SpecValue};
         let service = CompileService::new(ServeConfig::default());
         let general = service
             .compile(&request(OptFlags::all(), BackendKind::DesktopGlsl))
@@ -609,27 +609,32 @@ mod tests {
             .flags(OptFlags::all())
             .specialize(spec.clone())
             .build();
-        let before = spec_counters();
+        let before = service.stats();
         let first = service.compile(&specialized_request).unwrap();
         assert_ne!(first.text, general.text, "the fold must change the text");
         assert_ne!(first.fingerprint, general.fingerprint);
+        let derived = service.stats();
         assert_eq!(
-            spec_counters().since(&before).specializations_generated,
+            derived.leader_requests - before.leader_requests,
             1,
-            "one derivation for the new (fingerprint, spec) pair"
+            "one leader derives the new (fingerprint, spec) pair's base"
         );
+        assert_eq!(derived.memo_answered, before.memo_answered);
 
-        // Replay: the specialized base comes from the memo (no re-derivation)
-        // and the response is the emission memo's handle.
+        // Replay: the memo answers it whole, which a specialized request can
+        // only be when its base comes from the spec-base memo (no
+        // re-derivation), and the response is the emission memo's handle.
         let replay = service.compile(&specialized_request).unwrap();
         assert!(Arc::ptr_eq(&first.text, &replay.text));
         assert!(replay.zero_copy);
         assert_eq!(replay.work.latency(), 0, "{:?}", replay.work);
+        let replayed = service.stats();
         assert_eq!(
-            spec_counters().since(&before).specializations_generated,
-            1,
+            replayed.memo_answered,
+            derived.memo_answered + 1,
             "the replay must not re-specialize"
         );
+        assert_eq!(replayed.leader_requests, derived.leader_requests);
     }
 
     /// An inapplicable specialization key is a request error, not a panic —

@@ -799,7 +799,7 @@ impl CompileService {
         work.emission_hits += 1;
         let analysis = match request.analyze {
             None => None,
-            Some(vendor) => match self.cache.analysis(self.session, vendor.name(), &node) {
+            Some(vendor) => match self.cache.analysis(vendor.name(), &node) {
                 Some(json) => Some(json),
                 None => {
                     return Err(Resume::Done {
@@ -953,7 +953,7 @@ impl CompileService {
             None => None,
             Some(vendor) => {
                 let personality = vendor.name();
-                match self.cache.analysis(self.session, personality, &node) {
+                match self.cache.analysis(personality, &node) {
                     Some(json) => Some(json),
                     None => {
                         let report = prism_analyze::analyze(&state.ir, vendor);

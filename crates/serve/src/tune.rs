@@ -17,42 +17,29 @@
 //!
 //! Measurement goes through [`prism_search::LiveEvaluator`]: the emitted
 //! text is submitted to the platform's driver model and timed by the
-//! harness under a deterministic per-(shader, platform) noise stream, so a
-//! tune pass is reproducible end to end. The search itself is one of the
-//! explore/exploit bandits from `prism_search::bandit`, warm-started from
-//! the family's best-known set (tracked service-side, last-wins, across
-//! tune passes). When the caller holds an exhaustive
+//! harness's quick loop ([`MeasureConfig::quick`]) under a deterministic
+//! per-(shader, platform) noise stream, so a tune pass is reproducible end
+//! to end. The search itself is the deterministic UCB1 bandit
+//! ([`Ucb1`], no RNG), warm-started from the family's best-known set
+//! (tracked service-side, last-wins, across tune passes); ε-greedy competes
+//! only in the study's strategy table. When the caller holds an exhaustive
 //! [`ShaderPlatformRecord`] for the same (shader, platform), passing it to
 //! [`CompileService::tune_spec`] scores the run's anytime behaviour as a
 //! [`RegretTracker`] curve and publishes the final regret in
 //! [`ServiceStats::tune_regret_x1000`](crate::ServiceStats).
 
 use crate::service::{CompileRequest, CompileService, ServeError};
-use prism_core::{OptFlags, SpecKey};
+use prism_core::OptFlags;
 use prism_gpu::{Platform, Vendor};
-use prism_harness::{measure_cost, MeasureConfig};
+use prism_harness::MeasureConfig;
 use prism_search::{
-    CompileHandle, EpsilonGreedy, LiveEvaluator, RegretTracker, SearchDriver, SearchStrategy,
+    CompileHandle, LiveEvaluator, RegretTracker, SearchDriver, SearchStrategy,
     ShaderPlatformRecord, StaticCostHook, Ucb1,
 };
 
-/// Which bandit drives a tune pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TuneStrategy {
-    /// Seeded ε-greedy over the 8 flag toggles.
-    EpsilonGreedy {
-        /// Exploration probability in `[0, 1]`.
-        epsilon: f64,
-    },
-    /// Deterministic UCB1 over the 8 flag toggles (the default: no RNG, so
-    /// counters are stable by construction).
-    Ucb1 {
-        /// Confidence-bonus width.
-        exploration: f64,
-    },
-}
-
-/// Everything one tune pass needs beyond the source text.
+/// Everything one tune pass needs beyond the source text. The bandit
+/// ([`Ucb1`]) and the measurement loop ([`MeasureConfig::quick`]) are fixed;
+/// a spec picks the platform, the budget, the family and the prefilter.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct TuneSpec {
@@ -60,15 +47,9 @@ pub struct TuneSpec {
     pub vendor: Vendor,
     /// Hard cap on distinct flag combinations measured.
     pub budget: usize,
-    /// Seed for the randomised strategies.
-    pub seed: u64,
-    /// Per-variant measurement loop configuration.
-    pub measure: MeasureConfig,
     /// Übershader family for warm-start bookkeeping (`None` = the global
     /// pool).
     pub family: Option<String>,
-    /// The bandit to run.
-    pub strategy: TuneStrategy,
     /// When `true`, candidates whose static cost
     /// ([`CompileService::analyze`]) is dominated by an already-measured
     /// arm skip their timing measurement (the warm start and the LunarGlass
@@ -76,31 +57,17 @@ pub struct TuneSpec {
     /// [`TuneOutcome::candidates_pruned`] and
     /// [`ServiceStats::search_candidates_pruned`](crate::ServiceStats).
     pub static_prefilter: bool,
-    /// Uniform-value specialization arms to evaluate after the flag bandit
-    /// settles: each key is compiled as `(best_flags, key)` through the
-    /// service (substituted, folded and interp-verified like any specialized
-    /// request) and measured once under its own deterministic noise stream.
-    /// These measurements are *in addition to* the flag budget — the caller
-    /// opted into exactly this many extra arms. Keys that do not apply to
-    /// the source, or whose specialized text is identical to the general
-    /// one, are skipped without spending a measurement. Empty (the default)
-    /// skips the phase entirely.
-    pub spec_candidates: Vec<SpecKey>,
 }
 
 impl TuneSpec {
-    /// A spec for `vendor` with the service defaults: budget 16, quick
-    /// measurement loop, deterministic UCB1.
+    /// A spec for `vendor` with the service defaults: budget 16, the
+    /// global warm-start pool, no prefilter.
     pub fn new(vendor: Vendor) -> TuneSpec {
         TuneSpec {
             vendor,
             budget: 16,
-            seed: 0x5EED_CAFE,
-            measure: MeasureConfig::quick(),
             family: None,
-            strategy: TuneStrategy::Ucb1 { exploration: 1.5 },
             static_prefilter: false,
-            spec_candidates: Vec::new(),
         }
     }
 
@@ -110,40 +77,15 @@ impl TuneSpec {
         self
     }
 
-    /// This spec with a different strategy seed.
-    pub fn with_seed(mut self, seed: u64) -> TuneSpec {
-        self.seed = seed;
-        self
-    }
-
-    /// This spec with a different measurement-loop configuration.
-    pub fn with_measure(mut self, measure: MeasureConfig) -> TuneSpec {
-        self.measure = measure;
-        self
-    }
-
     /// This spec tagged with an übershader family for warm-start sharing.
     pub fn with_family(mut self, family: impl Into<String>) -> TuneSpec {
         self.family = Some(family.into());
         self
     }
 
-    /// This spec with a different bandit.
-    pub fn with_strategy(mut self, strategy: TuneStrategy) -> TuneSpec {
-        self.strategy = strategy;
-        self
-    }
-
     /// This spec with the static-cost prefilter switched on or off.
     pub fn with_static_prefilter(mut self, on: bool) -> TuneSpec {
         self.static_prefilter = on;
-        self
-    }
-
-    /// This spec with uniform-value specialization arms to evaluate after
-    /// the flag bandit (see [`TuneSpec::spec_candidates`]).
-    pub fn with_spec_candidates(mut self, candidates: Vec<SpecKey>) -> TuneSpec {
-        self.spec_candidates = candidates;
         self
     }
 }
@@ -174,17 +116,6 @@ pub struct TuneOutcome {
     /// The combination the bandit evaluated first (the family's best-known
     /// set, or the LunarGlass default on a cold service).
     pub warm_start: OptFlags,
-    /// The winning specialization key among the evaluated
-    /// [`TuneSpec::spec_candidates`] — general when none was tried or none
-    /// beat the general program at `best_flags`. A non-general winner is a
-    /// deploy recommendation for a *guarded dispatch*: bind its program when
-    /// the assumptions hold, the general `best_flags` program otherwise.
-    pub best_spec: SpecKey,
-    /// Measured mean frame time (ns) of the `(best_flags, best_spec)`
-    /// program; equals `best_ns` when `best_spec` is general.
-    pub best_spec_ns: f64,
-    /// Specialization arms actually measured (applicable, effective keys).
-    pub spec_arms_measured: usize,
     /// Regret-vs-measurements curve against the exhaustive oracle — only
     /// when [`CompileService::tune_spec`] was given a record to score
     /// against.
@@ -193,8 +124,8 @@ pub struct TuneOutcome {
 
 impl CompileService {
     /// Tunes `source` for `vendor` under a measurement `budget`, with the
-    /// default spec (quick measurement loop, deterministic UCB1, global
-    /// warm-start pool). See [`CompileService::tune_spec`].
+    /// default spec (global warm-start pool, no prefilter). See
+    /// [`CompileService::tune_spec`].
     ///
     /// # Errors
     ///
@@ -248,7 +179,7 @@ impl CompileService {
         // reproduces byte-identical noise streams.
         let shader_name = crate::service::source_name(source);
         let mut evaluator =
-            LiveEvaluator::new(compile, &platform, shader_name.clone(), spec.measure)
+            LiveEvaluator::new(compile, &platform, shader_name, MeasureConfig::quick())
                 .with_warm_start(warm);
         if spec.static_prefilter {
             // Per-candidate static cost through the service's analysis path:
@@ -264,13 +195,7 @@ impl CompileService {
         }
         let driver = SearchDriver::over(Box::new(evaluator), spec.budget);
 
-        let strategy: Box<dyn SearchStrategy> = match spec.strategy {
-            TuneStrategy::EpsilonGreedy { epsilon } => Box::new(EpsilonGreedy {
-                seed: spec.seed,
-                epsilon,
-            }),
-            TuneStrategy::Ucb1 { exploration } => Box::new(Ucb1 { exploration }),
-        };
+        let strategy = Ucb1 { exploration: 1.5 };
         strategy.run(&driver);
 
         let Some((best_flags, best_ns)) = driver.best_evaluated() else {
@@ -288,67 +213,6 @@ impl CompileService {
         };
 
         let cost = driver.cost();
-
-        // Specialization phase: with the flag bandit settled on `best_flags`,
-        // evaluate each requested `(best_flags, spec)` arm. The compile walks
-        // the ordinary service lifecycle — substituted, folded and
-        // interp-verified against the general base before anything is served
-        // — so an arm that reaches measurement is already known to be exact.
-        let mut best_spec = SpecKey::general();
-        let mut best_spec_ns = best_ns;
-        let mut spec_arms_measured = 0usize;
-        let mut spec_compiles = 0usize;
-        let mut spec_frames = 0usize;
-        if !spec.spec_candidates.is_empty() {
-            let general_text = CompileRequest::builder(source)
-                .flags(best_flags)
-                .backend(backend)
-                .build();
-            let general_text = self.compile(&general_text).ok().map(|r| r.text);
-            for key in &spec.spec_candidates {
-                if key.is_general() {
-                    continue;
-                }
-                let request = CompileRequest::builder(source)
-                    .flags(best_flags)
-                    .backend(backend)
-                    .specialize(key.clone())
-                    .build();
-                // Inapplicable keys (unknown slot, unsupported type) are
-                // skipped arms, not tune failures.
-                let Ok(response) = self.compile(&request) else {
-                    continue;
-                };
-                spec_compiles += 1;
-                // An ineffective specialization (text identical to the
-                // general program) would measure the same code under a
-                // different noise stream — skip it.
-                if general_text.as_deref() == Some(&*response.text) {
-                    continue;
-                }
-                let Ok(shader_cost) = platform.submit(&response.text, &shader_name) else {
-                    continue;
-                };
-                // One deterministic stream per (shader, platform, flags,
-                // spec) arm, disjoint from the flag streams by the key hash.
-                let stream = prism_ir::hash::fnv64(
-                    format!(
-                        "{shader_name}\0{}\0{}\0{key}",
-                        spec.vendor.name(),
-                        best_flags
-                    )
-                    .as_bytes(),
-                );
-                let m = measure_cost(&platform, &shader_cost, &spec.measure, stream);
-                spec_arms_measured += 1;
-                spec_frames += m.samples;
-                if m.mean_ns < best_spec_ns {
-                    best_spec_ns = m.mean_ns;
-                    best_spec = key.clone();
-                }
-            }
-        }
-
         let regret = oracle
             .map(|record| RegretTracker::from_log(&driver.evaluation_log(), record, spec.budget));
         let regret_x1000 = regret
@@ -357,8 +221,8 @@ impl CompileService {
         self.record_tune(
             &family,
             best_flags,
-            cost.measurements + spec_arms_measured,
-            cost.compiles + spec_compiles,
+            cost.measurements,
+            cost.compiles,
             cost.candidates_pruned,
             regret_x1000,
         );
@@ -368,15 +232,12 @@ impl CompileService {
             strategy: strategy.name().to_string(),
             best_flags,
             best_ns,
-            measurements_taken: cost.measurements + spec_arms_measured,
-            measured_frames: cost.measured_frames + spec_frames,
-            search_compiles: cost.compiles + spec_compiles,
+            measurements_taken: cost.measurements,
+            measured_frames: cost.measured_frames,
+            search_compiles: cost.compiles,
             candidates_pruned: cost.candidates_pruned,
             budget: spec.budget,
             warm_start: warm,
-            best_spec,
-            best_spec_ns,
-            spec_arms_measured,
             regret,
         })
     }
@@ -496,64 +357,5 @@ mod tests {
         // The prefilter's analyses went through the shared memo.
         assert!(a_stats.cache.static_analyses > 0);
         assert!(a.best_ns > 0.0);
-    }
-
-    #[test]
-    fn spec_candidate_arms_ride_the_tune_and_deploy_a_guarded_winner() {
-        use prism_core::SpecValue;
-        // `ambient` is the shader's only non-sampler uniform: slot 0.
-        let zero_ambient = SpecKey::single(0, SpecValue::Zero);
-        let spec = TuneSpec::new(Vendor::Amd)
-            .with_budget(10)
-            .with_spec_candidates(vec![
-                SpecKey::general(), // ignored: not an arm
-                zero_ambient.clone(),
-                SpecKey::single(99, SpecValue::One), // inapplicable: skipped
-            ]);
-        let run = || {
-            let service = CompileService::new(ServeConfig::default());
-            let outcome = service.tune_spec(SHADER, &spec, None).unwrap();
-            let stats = service.stats();
-            (outcome, stats)
-        };
-        let (a, a_stats) = run();
-        let (b, b_stats) = run();
-        assert_eq!(a, b, "spec-arm tunes must reproduce exactly");
-        assert_eq!(a_stats, b_stats);
-        // Exactly the applicable, effective arm was measured, on top of the
-        // flag budget, and both ledgers agree.
-        assert_eq!(a.spec_arms_measured, 1);
-        assert!(a.measurements_taken <= 10 + 1);
-        assert_eq!(a_stats.measurements_taken, a.measurements_taken);
-        // Zeroing `ambient` folds the whole accumulation loop away — the
-        // specialized program must win, and the outcome recommends the
-        // guarded dispatch.
-        assert_eq!(a.best_spec, zero_ambient);
-        assert!(a.best_spec_ns < a.best_ns, "{a:?}");
-    }
-
-    #[test]
-    fn tunes_without_spec_candidates_report_a_general_winner() {
-        let service = CompileService::new(ServeConfig::default());
-        let outcome = service.tune(SHADER, Vendor::Amd, 8).unwrap();
-        assert!(outcome.best_spec.is_general());
-        assert_eq!(outcome.best_spec_ns, outcome.best_ns);
-        assert_eq!(outcome.spec_arms_measured, 0);
-    }
-
-    #[test]
-    fn epsilon_greedy_tunes_are_seeded_deterministic() {
-        let spec = TuneSpec::new(Vendor::Nvidia)
-            .with_budget(10)
-            .with_strategy(TuneStrategy::EpsilonGreedy { epsilon: 0.3 })
-            .with_seed(42);
-        let run = || {
-            let service = CompileService::new(ServeConfig::default());
-            service.tune_spec(SHADER, &spec, None).unwrap()
-        };
-        let a = run();
-        assert_eq!(a, run());
-        assert_eq!(a.strategy, "epsilon_greedy");
-        assert!(a.measurements_taken <= 10);
     }
 }

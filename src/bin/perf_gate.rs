@@ -27,7 +27,7 @@
 
 use prism::corpus::Corpus;
 use prism::gpu::Vendor;
-use prism::search::{run_study, standard_strategies, SearchConfig, StudyConfig, StudyResults};
+use prism::search::{run_study, standard_strategies, StudyConfig, StudyResults};
 use prism::serve::{request_stream, run_stream, CompileService, ServeConfig, StreamSpec, TuneSpec};
 use std::process::ExitCode;
 
@@ -90,7 +90,7 @@ fn measure() -> GateReport {
     // regardless.
     let config = StudyConfig {
         threads: 1,
-        search: Some(SearchConfig::default()),
+        search: true,
         ..StudyConfig::quick()
     };
     let corpus = gate_corpus();
@@ -158,7 +158,7 @@ fn measure() -> GateReport {
     // gating nothing. (The complementary "compiles avoided" number is just
     // `256 * shaders - spent`, so gating it too would double-report every
     // regression.)
-    for strategy in standard_strategies(&SearchConfig::default()) {
+    for strategy in standard_strategies() {
         let name = strategy.name();
         let spent: f64 = study
             .search
@@ -187,18 +187,19 @@ fn measure() -> GateReport {
 /// corpus against one shared cache — every candidate zero/one assumption is
 /// folded into a guarded dispatch at two flag sets and differentially
 /// interp-verified in both guard directions. Gates the specialization work
-/// counters and *hard-asserts* the dedup contract: the fingerprint
+/// the calls return — bases derived, guard evaluations, interpreter
+/// confirmations — and *hard-asserts* the dedup contract: the fingerprint
 /// transition graph must absorb at least half of the specialized stage work
 /// (hits ≥ runs), because specialized bases intern into the same planes the
 /// flag axis already warmed.
 fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
     use prism::core::specialize::{candidate_keys, default_probe_points, verify_specialization};
-    use prism::core::{spec_counters, CacheStore, CompileSession, CorpusCache, OptFlags};
+    use prism::core::{CacheStore, CompileSession, CorpusCache, OptFlags};
     use std::sync::Arc;
 
-    let before = spec_counters();
     let cache = Arc::new(CorpusCache::new());
     let probes = default_probe_points();
+    let (mut generated, mut guard_dispatches, mut confirms) = (0usize, 0usize, 0usize);
     for case in &corpus.cases {
         let session = CompileSession::with_cache(
             &case.source,
@@ -207,6 +208,11 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
         )
         .expect("smoke corpus session");
         for key in candidate_keys(session.base_ir(), 4) {
+            // The session derives a key's base once; every flag set below
+            // starts from that memoised snapshot.
+            if session.specialized_base(&key).is_ok() {
+                generated += 1;
+            }
             for flags in [OptFlags::NONE, OptFlags::lunarglass_default()] {
                 let dispatch = match session.dispatch_for(
                     flags,
@@ -216,18 +222,18 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
                     Ok(dispatch) => dispatch,
                     Err(_) => continue,
                 };
-                verify_specialization(&dispatch, &probes).unwrap_or_else(|d| {
+                let verification = verify_specialization(&dispatch, &probes).unwrap_or_else(|d| {
                     panic!("specialization miscompile in the gate sweep: {}", d.message)
                 });
+                // The verifier routes one violating context per probe point
+                // through `GuardedDispatch::select`.
+                guard_dispatches += probes.len();
+                confirms += verification.confirms;
             }
         }
     }
     let stats = cache.stats();
-    let delta = spec_counters().since(&before);
-    assert!(
-        delta.specializations_generated > 0,
-        "the smoke corpus must admit specializations"
-    );
+    assert!(generated > 0, "the smoke corpus must admit specializations");
     assert!(
         stats.stage_hits >= stats.stage_runs,
         "fingerprint dedup must absorb at least half the specialized stage work \
@@ -237,21 +243,9 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
     );
 
     table(&[
-        (
-            "specializations_generated",
-            LOWER,
-            delta.specializations_generated as f64,
-        ),
-        (
-            "spec_guard_dispatches",
-            HIGHER,
-            delta.spec_guard_dispatches as f64,
-        ),
-        (
-            "spec_interp_confirms",
-            HIGHER,
-            delta.spec_interp_confirms as f64,
-        ),
+        ("specializations_generated", LOWER, generated as f64),
+        ("spec_guard_dispatches", HIGHER, guard_dispatches as f64),
+        ("spec_interp_confirms", HIGHER, confirms as f64),
     ])
 }
 

@@ -12,17 +12,14 @@ use prism::corpus::Corpus;
 use prism::gpu::Vendor;
 use prism::report;
 use prism::search::{
-    run_study, standard_strategies, static_agreement_rows, SearchConfig, StudyConfig, StudyResults,
+    run_study, standard_strategies, static_agreement_rows, StudyConfig, StudyResults,
 };
 use prism::serve::{CompileRequest, CompileService, ServeConfig, TuneSpec};
 
 /// The strategy names the shipped set exposes, derived from the set itself
 /// so a renamed strategy fails here rather than silently testing nothing.
 fn strategy_names() -> Vec<&'static str> {
-    standard_strategies(&SearchConfig::default())
-        .iter()
-        .map(|s| s.name())
-        .collect()
+    standard_strategies().iter().map(|s| s.name()).collect()
 }
 
 /// A corpus slice mixing the blur flagship (real optimization headroom) with
@@ -33,7 +30,7 @@ fn mini_corpus() -> Corpus {
 
 fn search_config() -> StudyConfig {
     StudyConfig {
-        search: Some(SearchConfig::default()),
+        search: true,
         ..StudyConfig::quick()
     }
 }

@@ -53,7 +53,7 @@ fn optimized_glsl_reparses_with_identical_interface() {
                     panic!("{name} variant {} fails to re-parse: {e}", variant.index)
                 });
             assert!(
-                case.source.interface.same_io(&reparsed.interface),
+                case.source.interface().same_io(&reparsed.interface()),
                 "{name} variant {} changed the shader interface",
                 variant.index
             );
@@ -211,5 +211,5 @@ fn mobile_conversion_differs_but_keeps_interface() {
     let mobile = prism::emit::BackendKind::Gles.emit(&compiled.ir);
     assert_ne!(desktop, mobile);
     let reparsed = ShaderSource::preprocess_and_parse(&mobile, &Default::default()).unwrap();
-    assert!(source.interface.same_io(&reparsed.interface));
+    assert!(source.interface().same_io(&reparsed.interface()));
 }

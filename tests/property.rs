@@ -165,7 +165,7 @@ fn emitted_glsl_reparses_and_keeps_interface() {
         let optimized = compile(&source, "gen", flags).expect("compiles");
         let reparsed = ShaderSource::preprocess_and_parse(&optimized.glsl, &Default::default())
             .expect("emitted GLSL re-parses");
-        assert!(source.interface.same_io(&reparsed.interface));
+        assert!(source.interface().same_io(&reparsed.interface()));
         let gles = prism::emit::BackendKind::Gles.emit(&optimized.ir);
         let interface = |kind, text: &str| source_interface(kind, text).expect("emission parses");
         assert_eq!(
