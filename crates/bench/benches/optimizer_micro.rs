@@ -9,15 +9,16 @@
 //! measured ratio.
 //!
 //! The pass kernels get one benchmark each: every simulated-driver pass, one
-//! per stable stage id ([`DriverModel::stages`]), and [`Analysis::of`], all on
-//! the lowered IR of the corpus shader with the most IR statements. A pass
-//! benchmark times the pass on a fresh clone of that IR, and the clone is
-//! included in the time, as it is when the transition-graph walk runs a stage.
+//! per stable stage id ([`DriverModel::stages`]), labelled with its
+//! [`Pass::name`] and parameter, and [`Analysis::of`], all on the lowered IR
+//! of the corpus shader with the most IR statements. A pass benchmark times
+//! the pass on a fresh clone of that IR, and the clone is included in the
+//! time, as it is when the transition-graph walk runs a stage.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use prism_core::{compile, lower, CompileSession, OptFlags};
+use prism_core::{compile, lower, CompileSession, OptFlags, Pass};
 use prism_corpus::Corpus;
-use prism_gpu::{DriverModel, DriverPass, Vendor};
+use prism_gpu::{DriverModel, Vendor};
 use prism_ir::analysis::Analysis;
 use std::time::Instant;
 
@@ -83,21 +84,6 @@ fn optimizer_benchmarks(c: &mut Criterion) {
     ir_work_report(&blur);
 }
 
-/// Short, stable benchmark label of a driver pass with its parameter.
-fn pass_label(pass: DriverPass) -> String {
-    match pass {
-        DriverPass::Rename => "rename".into(),
-        DriverPass::ConstFold => "constfold".into(),
-        DriverPass::Cse => "cse".into(),
-        DriverPass::Dce => "dce".into(),
-        DriverPass::Unroll { max_trip_count } => format!("unroll{max_trip_count}"),
-        DriverPass::Hoist { max_branch_size } => format!("hoist{max_branch_size}"),
-        DriverPass::Coalesce => "coalesce".into(),
-        DriverPass::Gvn => "gvn".into(),
-        DriverPass::DivToMul => "div_to_mul".into(),
-    }
-}
-
 /// One benchmark per driver stage id and one for [`Analysis::of`], on the
 /// lowered IR of the corpus shader with the most IR statements.
 fn pass_kernel_benchmarks(c: &mut Criterion, corpus: &Corpus) {
@@ -107,15 +93,20 @@ fn pass_kernel_benchmarks(c: &mut Criterion, corpus: &Corpus) {
         .map(|case| lower(&case.source, &case.name).expect("corpus shaders lower"))
         .max_by_key(|ir| ir.size())
         .expect("corpus is non-empty");
-    let mut stages: Vec<(DriverPass, usize)> = Vendor::ALL
+    let mut stages: Vec<(Pass, usize)> = Vendor::ALL
         .iter()
         .flat_map(|vendor| DriverModel::preset(*vendor).stages().to_vec())
         .collect();
     stages.sort_by_key(|(_, id)| *id);
     stages.dedup_by_key(|(_, id)| *id);
     for (pass, id) in stages {
+        let parameter = match pass {
+            Pass::Unroll(unroll) => unroll.max_trip_count.to_string(),
+            Pass::Hoist(hoist) => hoist.max_branch_size.to_string(),
+            _ => String::new(),
+        };
         c.bench_function(
-            &format!("driver_pass_{id:02}_{}_{}", pass_label(pass), ir.name),
+            &format!("driver_pass_{id:02}_{}{parameter}_{}", pass.name(), ir.name),
             |b| {
                 b.iter(|| {
                     let mut shader = ir.clone();

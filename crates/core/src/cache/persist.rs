@@ -55,7 +55,7 @@
 //! (exemplars and entries are sorted before writing).
 
 use super::{CorpusCache, EntryValue, Exemplar, NodeId, Plane, Snapshot, SHARDS};
-use crate::pipeline::build_schedule;
+use crate::pipeline::SCHEDULE;
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::hash::fnv64;
@@ -120,15 +120,14 @@ pub fn schedule_hash() -> u64 {
 fn compute_schedule_hash() -> u64 {
     use std::fmt::Write as _;
     let mut description = String::new();
-    let schedule = build_schedule();
-    for (idx, stage) in schedule.iter().enumerate() {
+    for (idx, stage) in SCHEDULE.iter().enumerate() {
         let _ = write!(
             description,
             "{idx}:{}:{}:",
             stage.label,
             stage.flag.map(|f| f.name()).unwrap_or("-"),
         );
-        for pass in &stage.passes {
+        for pass in stage.passes {
             description.push_str(pass.name());
             description.push(',');
         }
@@ -137,7 +136,7 @@ fn compute_schedule_hash() -> u64 {
     let mut ir = crate::front(BackendKind::DesktopGlsl, CANARY, "schedule-canary")
         .expect("the canary shader front-ends")
         .ir;
-    for stage in &schedule {
+    for stage in SCHEDULE {
         stage.run(&mut ir);
         let _ = write!(description, "{}={};", stage.label, fingerprint(&ir));
     }
@@ -390,7 +389,7 @@ impl CorpusCache {
     pub fn load(&self, dir: &Path) -> LoadReport {
         let mut report = LoadReport::default();
         let hash = format!("{:016x}", schedule_hash());
-        let stage_count = build_schedule().len();
+        let stage_count = SCHEDULE.len();
 
         // Phase A: read and standalone-validate every shard file. Nothing
         // touches the cache yet, so a bad file rejects cleanly.

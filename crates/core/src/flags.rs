@@ -44,8 +44,9 @@ impl Flag {
         Flag::DivToMul,
     ];
 
-    /// The short name used in tables (matches the paper's Table I headers).
-    pub fn name(self) -> &'static str {
+    /// The short name used in tables (matches the paper's Table I headers)
+    /// and as its stage's label in [`SCHEDULE`](crate::pipeline::SCHEDULE).
+    pub const fn name(self) -> &'static str {
         match self {
             Flag::Adce => "ADCE",
             Flag::Coalesce => "Coalesce",

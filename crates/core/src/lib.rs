@@ -12,8 +12,11 @@
 //!   lowered, verified IR, for the drivers, the compile service and the
 //!   schedule canary.
 //! * [`lower`](mod@lower) — GLSL AST → IR lowering (matrix scalarisation, inlining).
-//! * [`passes`] — the optimization passes themselves.
-//! * [`pipeline`] — the staged pass schedule and single-shot compilation.
+//! * [`passes`] — the optimization passes themselves, named by the one
+//!   [`Pass`] enum every pass list (optimizer, specializer, drivers) is a
+//!   constant table of.
+//! * [`pipeline`] — the staged pass schedule [`SCHEDULE`] and single-shot
+//!   compilation.
 //! * [`session`] — lower-once, prefix-shared variant compilation sessions
 //!   with per-backend (desktop GLSL / mobile GLES) emission memos.
 //! * [`cache`] — the memo store: a thread-safe fingerprint transition graph
@@ -43,9 +46,8 @@ pub use cache::{
 pub use flags::{Flag, OptFlags};
 pub use front::{front, Front};
 pub use lower::{lower, LowerError};
-pub use pipeline::{
-    build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,
-};
+pub use passes::Pass;
+pub use pipeline::{compile, compile_ir, CompileError, CompiledShader, Stage, SCHEDULE};
 /// The one stable byte hash, re-exported for crates above this one that do
 /// not depend on `prism-ir` themselves.
 pub use prism_ir::hash::fnv64;

@@ -10,7 +10,6 @@
 //! shaders — reproducing the paper's observation that the ADCE flag never
 //! changes the output code (§VI-D1, Fig. 8h).
 
-use super::Pass;
 use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
 
@@ -18,12 +17,9 @@ use prism_ir::prelude::*;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Adce;
 
-impl Pass for Adce {
-    fn name(&self) -> &'static str {
-        "adce"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Adce {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         // Map every register to the set of registers its definitions read,
         // treating all definitions of a (mutable) register as one node.
         let mut reads: FxHashMap<Reg, FxHashSet<Reg>> = FxHashMap::default();

@@ -13,7 +13,6 @@
 //! Because almost every shader writes vectors component by component
 //! somewhere, this flag applies to nearly the whole corpus (Fig. 8a).
 
-use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
 
@@ -21,12 +20,9 @@ use prism_ir::prelude::*;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Coalesce;
 
-impl Pass for Coalesce {
-    fn name(&self) -> &'static str {
-        "coalesce"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Coalesce {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let mut changed = false;
         let reg_tys: Vec<IrType> = shader.regs.iter().map(|r| r.ty).collect();
         let analysis = Analysis::of(shader);

@@ -13,7 +13,7 @@
 //! Merges at control flow are handled conservatively: any register defined
 //! inside a branch or loop body is forgotten.
 
-use super::{eval_const_op, Pass};
+use super::eval_const_op;
 use prism_ir::analysis::Analysis;
 use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
@@ -31,12 +31,9 @@ enum Known {
     Copy(Operand),
 }
 
-impl Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "constfold"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl ConstFold {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let analysis = Analysis::of(shader);
         let mut body = std::mem::take(&mut shader.body);
         let mut folder = Folder {

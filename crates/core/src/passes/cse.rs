@@ -7,7 +7,6 @@
 //! left alone. The flag-controlled [GVN pass](super::gvn) extends the same
 //! idea across nested control flow.
 
-use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
@@ -21,12 +20,9 @@ pub(crate) type ValueTable<'a> = FxHashMap<ValueKey<'a>, Reg>;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Cse;
 
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Cse {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let analysis = Analysis::of(shader);
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);

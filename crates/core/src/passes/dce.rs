@@ -5,7 +5,6 @@
 //! notes always runs regardless of flags — which is exactly why the ADCE
 //! flag never changes the output (§VI-D1).
 
-use super::Pass;
 use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
 use std::collections::HashSet;
@@ -14,12 +13,9 @@ use std::collections::HashSet;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Dce;
 
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Dce {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let mut changed_any = false;
         // Removing a definition can make another dead; iterate to a fixpoint.
         for _ in 0..32 {

@@ -8,19 +8,16 @@
 //! already perform this rewrite — which is why the paper finds the flag's
 //! measured effect close to zero on several platforms (§VI-D7).
 
-use super::{DefMap, Pass};
+use super::DefMap;
 use prism_ir::prelude::*;
 
 /// The constant-division-to-multiplication pass.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DivToMul;
 
-impl Pass for DivToMul {
-    fn name(&self) -> &'static str {
-        "div_to_mul"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl DivToMul {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let defs = DefMap::of(shader);
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);

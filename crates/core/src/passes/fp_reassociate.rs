@@ -17,7 +17,7 @@
 //! * `(a + b) - a → b`;
 //! * canonical ordering of commutative operands, which exposes more CSE.
 
-use super::{eval_const_op, DefMap, Pass};
+use super::{eval_const_op, DefMap};
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
 use prism_ir::verify::operand_ty;
@@ -26,12 +26,9 @@ use prism_ir::verify::operand_ty;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FpReassociate;
 
-impl Pass for FpReassociate {
-    fn name(&self) -> &'static str {
-        "fp_reassociate"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl FpReassociate {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let mut changed = false;
         // Multiple rounds so chains rewritten in round one can be grouped
         // further in round two; bounded to keep compilation fast.

@@ -11,7 +11,6 @@
 //! LunarGlass.
 
 use super::cse::{cse_body, number_value, ValueTable};
-use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
 
@@ -19,12 +18,9 @@ use prism_ir::prelude::*;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Gvn;
 
-impl Pass for Gvn {
-    fn name(&self) -> &'static str {
-        "gvn"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Gvn {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let analysis = Analysis::of(shader);
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);

@@ -10,31 +10,19 @@
 //!
 //! `if (c) discard;` is rewritten into a conditional discard instead.
 
-use super::Pass;
 use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
 
 /// The conditional-flattening pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hoist {
     /// Maximum number of statements per branch body that will be flattened.
     pub max_branch_size: usize,
 }
 
-impl Default for Hoist {
-    fn default() -> Self {
-        Hoist {
-            max_branch_size: 64,
-        }
-    }
-}
-
-impl Pass for Hoist {
-    fn name(&self) -> &'static str {
-        "hoist"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Hoist {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);
         let mut defined: FxHashSet<Reg> = FxHashSet::default();
@@ -42,9 +30,7 @@ impl Pass for Hoist {
         shader.body = body;
         changed
     }
-}
 
-impl Hoist {
     fn hoist_body(
         &self,
         shader: &mut Shader,
@@ -200,6 +186,12 @@ mod tests {
     use prism_ir::interp::{results_approx_equal, run_fragment, FragmentContext};
     use prism_ir::verify::verify;
 
+    /// The optimizer's parameter (the Hoist stage of
+    /// [`SCHEDULE`](crate::pipeline::SCHEDULE)).
+    const HOIST: Hoist = Hoist {
+        max_branch_size: 64,
+    };
+
     /// `out = base; if (u < 0.5) { out = base * 2; } else { out = base + 1 }`
     fn branchy_shader() -> Shader {
         let mut s = Shader::new("hoist");
@@ -284,7 +276,7 @@ mod tests {
         };
         let before_lo = run_fragment(&s, &ctx_lo).unwrap();
         let before_hi = run_fragment(&s, &ctx_hi).unwrap();
-        assert!(Hoist::default().run(&mut s));
+        assert!(HOIST.run(&mut s));
         verify(&s).unwrap();
         assert_eq!(s.branch_count(), 0);
         let mut selects = 0;
@@ -351,7 +343,7 @@ mod tests {
         let mut ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
         ctx.uniforms[0] = vec![0.4];
         let before = run_fragment(&s, &ctx).unwrap();
-        assert!(Hoist::default().run(&mut s));
+        assert!(HOIST.run(&mut s));
         verify(&s).unwrap();
         let after = run_fragment(&s, &ctx).unwrap();
         assert!(results_approx_equal(&before, &after, 1e-9));
@@ -388,7 +380,7 @@ mod tests {
                 value: Operand::fvec(vec![1.0; 4]),
             },
         ];
-        assert!(Hoist::default().run(&mut s));
+        assert!(HOIST.run(&mut s));
         verify(&s).unwrap();
         assert_eq!(s.branch_count(), 0);
         assert!(matches!(s.body[1], Stmt::Discard { cond: Some(_) }));
@@ -441,7 +433,7 @@ mod tests {
                 value: Operand::Reg(out),
             },
         ];
-        assert!(!Hoist::default().run(&mut s));
+        assert!(!HOIST.run(&mut s));
         assert_eq!(s.branch_count(), 1);
         assert_eq!(s.loop_count(), 1);
     }

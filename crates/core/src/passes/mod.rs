@@ -10,6 +10,11 @@
 //! * **flag-controlled passes** — ADCE, Hoist, Unroll, Coalesce, GVN, integer
 //!   Reassociate, and the paper's custom unsafe FP Reassociate and constant
 //!   Div-to-Mul passes.
+//!
+//! Every pass list names its passes with one [`Pass`] value each, parameters
+//! included: the optimizer's [`SCHEDULE`](crate::pipeline::SCHEDULE) and the
+//! specializer's fold stage are constant tables of them, and so is the
+//! simulated drivers' stage-id table each driver preset builds its list from.
 
 pub mod adce;
 pub mod coalesce;
@@ -28,13 +33,77 @@ use prism_ir::analysis::Analysis;
 use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
 
-/// A transformation over shader IR.
-pub trait Pass {
-    /// Short machine-readable pass name.
-    fn name(&self) -> &'static str;
+/// One transformation over shader IR, with its parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// Straight-line SSA renaming ([`rename`]).
+    Rename,
+    /// Constant folding and propagation ([`constfold`]).
+    ConstFold,
+    /// Local common-sub-expression elimination ([`cse`]).
+    Cse,
+    /// Trivially-dead-code removal ([`dce`]).
+    Dce,
+    /// Loop unrolling ([`unroll`]).
+    Unroll(unroll::Unroll),
+    /// Conditional flattening ([`hoist`]).
+    Hoist(hoist::Hoist),
+    /// Vector-insertion coalescing ([`coalesce`]).
+    Coalesce,
+    /// Global value numbering ([`gvn`]).
+    Gvn,
+    /// Integer reassociation ([`reassociate`]).
+    Reassociate,
+    /// Unsafe floating-point reassociation ([`fp_reassociate`]).
+    FpReassociate,
+    /// Constant division to multiplication ([`div_to_mul`]).
+    DivToMul,
+    /// Aggressive dead-code elimination ([`adce`]).
+    Adce,
+    /// The zero/one identities a uniform-value specialization unlocks
+    /// ([`specialize`](crate::specialize)).
+    SpecIdentities,
+}
+
+impl Pass {
+    /// Short machine-readable pass name. The warm-start shard header's
+    /// [schedule hash](crate::cache::persist::schedule_hash) covers it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Pass::Rename => "rename",
+            Pass::ConstFold => "constfold",
+            Pass::Cse => "cse",
+            Pass::Dce => "dce",
+            Pass::Unroll(_) => "unroll",
+            Pass::Hoist(_) => "hoist",
+            Pass::Coalesce => "coalesce",
+            Pass::Gvn => "gvn",
+            Pass::Reassociate => "reassociate",
+            Pass::FpReassociate => "fp_reassociate",
+            Pass::DivToMul => "div_to_mul",
+            Pass::Adce => "adce",
+            Pass::SpecIdentities => "spec-identities",
+        }
+    }
 
     /// Runs the pass, returning `true` if the shader was modified.
-    fn run(&self, shader: &mut Shader) -> bool;
+    pub fn run(self, shader: &mut Shader) -> bool {
+        match self {
+            Pass::Rename => rename::Rename.run(shader),
+            Pass::ConstFold => constfold::ConstFold.run(shader),
+            Pass::Cse => cse::Cse.run(shader),
+            Pass::Dce => dce::Dce.run(shader),
+            Pass::Unroll(pass) => pass.run(shader),
+            Pass::Hoist(pass) => pass.run(shader),
+            Pass::Coalesce => coalesce::Coalesce.run(shader),
+            Pass::Gvn => gvn::Gvn.run(shader),
+            Pass::Reassociate => reassociate::Reassociate.run(shader),
+            Pass::FpReassociate => fp_reassociate::FpReassociate.run(shader),
+            Pass::DivToMul => div_to_mul::DivToMul.run(shader),
+            Pass::Adce => adce::Adce.run(shader),
+            Pass::SpecIdentities => crate::specialize::spec_identities(shader),
+        }
+    }
 }
 
 /// A map from single-assignment registers to their defining operation,

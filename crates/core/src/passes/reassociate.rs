@@ -12,19 +12,16 @@
 //! * floating-point `x + 0.0`, `x - 0.0` removal and `x * 0.0 → 0.0`
 //!   (the latter is unsafe for NaN/Inf, exactly as in LunarGlass).
 
-use super::{DefMap, Pass};
+use super::DefMap;
 use prism_ir::prelude::*;
 
 /// The integer-reassociation pass.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Reassociate;
 
-impl Pass for Reassociate {
-    fn name(&self) -> &'static str {
-        "reassociate"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Reassociate {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let defs = DefMap::of(shader);
         let reg_tys: Vec<IrType> = shader.regs.iter().map(|r| r.ty).collect();
         let mut changed = false;

@@ -9,7 +9,6 @@
 //! register per definition, with later uses (including uses inside nested
 //! control flow) rewritten to the reaching definition.
 
-use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::hash::{FxHashMap, FxHashSet};
 use prism_ir::prelude::*;
@@ -18,12 +17,9 @@ use prism_ir::prelude::*;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Rename;
 
-impl Pass for Rename {
-    fn name(&self) -> &'static str {
-        "rename"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Rename {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let analysis = Analysis::of(shader);
         // Candidates: multiply-defined registers whose every definition is in
         // top-level straight-line code (not inside a loop or branch).

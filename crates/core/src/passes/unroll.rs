@@ -7,12 +7,11 @@
 //! and accumulator sums in the paper's motivating example (§II), and is also
 //! the source of the "large basic blocks" artefact (§III-C(c)).
 
-use super::Pass;
 use prism_ir::prelude::*;
 use prism_ir::stmt::{body_size, rewrite_operands, trip_count};
 
 /// The loop-unrolling pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unroll {
     /// Maximum trip count that will be unrolled.
     pub max_trip_count: usize,
@@ -20,30 +19,16 @@ pub struct Unroll {
     pub max_expanded_size: usize,
 }
 
-impl Default for Unroll {
-    fn default() -> Self {
-        Unroll {
-            max_trip_count: 64,
-            max_expanded_size: 2048,
-        }
-    }
-}
-
-impl Pass for Unroll {
-    fn name(&self) -> &'static str {
-        "unroll"
-    }
-
-    fn run(&self, shader: &mut Shader) -> bool {
+impl Unroll {
+    /// Runs the pass, returning `true` if the shader was modified.
+    pub fn run(&self, shader: &mut Shader) -> bool {
         let mut changed = false;
         let mut body = std::mem::take(&mut shader.body);
         self.unroll_body(&mut body, &mut changed);
         shader.body = body;
         changed
     }
-}
 
-impl Unroll {
     fn unroll_body(&self, body: &mut Vec<Stmt>, changed: &mut bool) {
         let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
         for mut stmt in body.drain(..) {
@@ -106,6 +91,13 @@ mod tests {
     use prism_ir::interp::{results_approx_equal, run_fragment, FragmentContext};
     use prism_ir::verify::verify;
 
+    /// The optimizer's parameters (the Unroll stage of
+    /// [`SCHEDULE`](crate::pipeline::SCHEDULE)).
+    const UNROLL: Unroll = Unroll {
+        max_trip_count: 64,
+        max_expanded_size: 2048,
+    };
+
     fn accumulating_loop(trips: i64) -> Shader {
         let mut s = Shader::new("unroll");
         s.outputs.push(OutputVar {
@@ -161,7 +153,7 @@ mod tests {
         let mut s = accumulating_loop(9);
         let ctx = FragmentContext::with_defaults(&s, 0.1, 0.2);
         let before = run_fragment(&s, &ctx).unwrap();
-        assert!(Unroll::default().run(&mut s));
+        assert!(UNROLL.run(&mut s));
         verify(&s).unwrap();
         assert_eq!(s.loop_count(), 0);
         let after = run_fragment(&s, &ctx).unwrap();
@@ -172,7 +164,7 @@ mod tests {
     #[test]
     fn zero_trip_loops_disappear() {
         let mut s = accumulating_loop(0);
-        assert!(Unroll::default().run(&mut s));
+        assert!(UNROLL.run(&mut s));
         verify(&s).unwrap();
         assert_eq!(s.loop_count(), 0);
         let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
@@ -182,11 +174,7 @@ mod tests {
     #[test]
     fn respects_trip_count_budget() {
         let mut s = accumulating_loop(500);
-        let pass = Unroll {
-            max_trip_count: 64,
-            max_expanded_size: 2048,
-        };
-        assert!(!pass.run(&mut s));
+        assert!(!UNROLL.run(&mut s));
         assert_eq!(s.loop_count(), 1);
     }
 
@@ -235,7 +223,7 @@ mod tests {
                 value: Operand::Reg(v),
             },
         ];
-        assert!(Unroll::default().run(&mut s));
+        assert!(UNROLL.run(&mut s));
         verify(&s).unwrap();
         assert_eq!(s.loop_count(), 0);
         let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);
@@ -290,7 +278,7 @@ mod tests {
                 value: Operand::Reg(v),
             },
         ];
-        assert!(Unroll::default().run(&mut s));
+        assert!(UNROLL.run(&mut s));
         verify(&s).unwrap();
         // 4 + 3 + 2 + 1 = 10
         let ctx = FragmentContext::with_defaults(&s, 0.0, 0.0);

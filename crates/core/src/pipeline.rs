@@ -5,14 +5,13 @@
 //! baseline for the per-flag experiments of Fig. 9), then each enabled flag
 //! adds its pass in a fixed order, and a final cleanup round folds anything
 //! the flag passes exposed (e.g. constant-array indices after unrolling).
+//! That order is one constant, [`SCHEDULE`], which every compilation path
+//! walks: [`compile_ir`], the sessions, the compile service and the
+//! warm-start schedule hash.
 
 use crate::flags::{Flag, OptFlags};
 use crate::lower::{lower, LowerError};
-use crate::passes::{
-    adce::Adce, coalesce::Coalesce, constfold::ConstFold, cse::Cse, dce::Dce, div_to_mul::DivToMul,
-    fp_reassociate::FpReassociate, gvn::Gvn, hoist::Hoist, reassociate::Reassociate,
-    rename::Rename, unroll::Unroll, Pass,
-};
+use crate::passes::{hoist::Hoist, unroll::Unroll, Pass};
 use prism_emit::emit_glsl;
 use prism_glsl::{GlslError, ShaderSource};
 use prism_ir::prelude::*;
@@ -79,10 +78,10 @@ pub struct CompiledShader {
 /// One stage of the pass schedule: a group of passes that either always runs
 /// or is gated on a single flag.
 ///
-/// The schedule used to be an opaque `Vec<Box<dyn Pass>>` assembled per flag
-/// combination; exposing it as stages lets [`crate::session::CompileSession`]
+/// Exposing the schedule as stages lets [`crate::session::CompileSession`]
 /// snapshot the IR at every stage boundary and share the prefix of the
 /// schedule across all flag combinations that agree on it.
+#[derive(Debug)]
 pub struct Stage {
     /// Human-readable stage label (used in debug output and session stats).
     pub label: &'static str,
@@ -90,26 +89,10 @@ pub struct Stage {
     /// that only run when the flag is enabled.
     pub flag: Option<Flag>,
     /// The passes of this stage, in execution order.
-    pub passes: Vec<Box<dyn Pass>>,
+    pub passes: &'static [Pass],
 }
 
 impl Stage {
-    pub(crate) fn always(label: &'static str, passes: Vec<Box<dyn Pass>>) -> Stage {
-        Stage {
-            label,
-            flag: None,
-            passes,
-        }
-    }
-
-    fn flagged(flag: Flag, pass: Box<dyn Pass>) -> Stage {
-        Stage {
-            label: flag.name(),
-            flag: Some(flag),
-            passes: vec![pass],
-        }
-    }
-
     /// `true` when this stage runs for the given flag combination.
     pub fn enabled_for(&self, flags: OptFlags) -> bool {
         self.flag.is_none_or(|f| flags.contains(f))
@@ -130,7 +113,7 @@ impl Stage {
         #[cfg(debug_assertions)]
         let fp_before = prism_ir::fingerprint::compute_fingerprint(ir);
         let mut changed = false;
-        for pass in &self.passes {
+        for pass in self.passes {
             if pass.run(ir) {
                 changed = true;
             }
@@ -206,72 +189,94 @@ fn verify_every_pass() -> bool {
     })
 }
 
-/// Builds the full pass schedule as inspectable stages.
+/// The full pass schedule as inspectable stages.
 ///
 /// The always-on canonicalisation (constant folding, local CSE, trivial DCE)
 /// brackets the flag passes; the flag passes appear in LunarGlass's fixed
 /// order, each in its own stage so a session can branch at exactly the points
-/// where flag combinations diverge.
-pub fn build_schedule() -> Vec<Stage> {
-    vec![
-        Stage::always(
-            "canonicalise",
-            vec![
-                Box::new(Rename),
-                Box::new(ConstFold),
-                Box::new(Cse),
-                Box::new(Dce),
-            ],
-        ),
-        Stage::flagged(Flag::Unroll, Box::new(Unroll::default())),
-        // Unrolling exposes constant array indices and accumulator sums;
-        // renaming turns the unrolled accumulator chain into SSA form and
-        // folding then evaluates it. This mid-pipeline canonicalisation runs
-        // unconditionally so that enabling a flag whose pass finds nothing to
-        // do (e.g. Unroll on a loop-free shader) cannot perturb the generated
-        // code.
-        Stage::always(
-            "mid-canonicalise",
-            vec![Box::new(Rename), Box::new(ConstFold)],
-        ),
-        Stage::flagged(Flag::Hoist, Box::new(Hoist::default())),
-        Stage::flagged(Flag::Coalesce, Box::new(Coalesce)),
-        Stage::flagged(Flag::Gvn, Box::new(Gvn)),
-        Stage::flagged(Flag::Reassociate, Box::new(Reassociate)),
-        Stage::flagged(Flag::FpReassociate, Box::new(FpReassociate)),
-        Stage::flagged(Flag::DivToMul, Box::new(DivToMul)),
-        Stage::flagged(Flag::Adce, Box::new(Adce)),
-        // Final cleanup, run twice: the first round removes definitions the
-        // flag passes left dead, which lets the second round's copy
-        // propagation and CSE converge to the same canonical form regardless
-        // of which flag passes ran (this is what keeps ADCE a strict no-op on
-        // the output).
-        Stage::always(
-            "final-cleanup",
-            vec![
-                Box::new(Rename),
-                Box::new(ConstFold),
-                Box::new(Cse),
-                Box::new(Dce),
-                Box::new(ConstFold),
-                Box::new(Cse),
-                Box::new(Dce),
-            ],
-        ),
-    ]
-}
-
-/// Builds the flat pass list for a flag combination.
-///
-/// This is the legacy view of [`build_schedule`]: the enabled stages'
-/// passes, concatenated in schedule order.
-pub fn build_pipeline(flags: OptFlags) -> Vec<Box<dyn Pass>> {
-    build_schedule()
-        .into_iter()
-        .filter(|stage| stage.enabled_for(flags))
-        .flat_map(|stage| stage.passes)
-        .collect()
-}
+/// where flag combinations diverge. A stage's index here is its id in the
+/// transition graph and in warm-start snapshots.
+pub const SCHEDULE: &[Stage] = &[
+    Stage {
+        label: "canonicalise",
+        flag: None,
+        passes: &[Pass::Rename, Pass::ConstFold, Pass::Cse, Pass::Dce],
+    },
+    Stage {
+        label: Flag::Unroll.name(),
+        flag: Some(Flag::Unroll),
+        passes: &[Pass::Unroll(Unroll {
+            max_trip_count: 64,
+            max_expanded_size: 2048,
+        })],
+    },
+    // Unrolling exposes constant array indices and accumulator sums;
+    // renaming turns the unrolled accumulator chain into SSA form and
+    // folding then evaluates it. This mid-pipeline canonicalisation runs
+    // unconditionally so that enabling a flag whose pass finds nothing to
+    // do (e.g. Unroll on a loop-free shader) cannot perturb the generated
+    // code.
+    Stage {
+        label: "mid-canonicalise",
+        flag: None,
+        passes: &[Pass::Rename, Pass::ConstFold],
+    },
+    Stage {
+        label: Flag::Hoist.name(),
+        flag: Some(Flag::Hoist),
+        passes: &[Pass::Hoist(Hoist {
+            max_branch_size: 64,
+        })],
+    },
+    Stage {
+        label: Flag::Coalesce.name(),
+        flag: Some(Flag::Coalesce),
+        passes: &[Pass::Coalesce],
+    },
+    Stage {
+        label: Flag::Gvn.name(),
+        flag: Some(Flag::Gvn),
+        passes: &[Pass::Gvn],
+    },
+    Stage {
+        label: Flag::Reassociate.name(),
+        flag: Some(Flag::Reassociate),
+        passes: &[Pass::Reassociate],
+    },
+    Stage {
+        label: Flag::FpReassociate.name(),
+        flag: Some(Flag::FpReassociate),
+        passes: &[Pass::FpReassociate],
+    },
+    Stage {
+        label: Flag::DivToMul.name(),
+        flag: Some(Flag::DivToMul),
+        passes: &[Pass::DivToMul],
+    },
+    Stage {
+        label: Flag::Adce.name(),
+        flag: Some(Flag::Adce),
+        passes: &[Pass::Adce],
+    },
+    // Final cleanup, run twice: the first round removes definitions the
+    // flag passes left dead, which lets the second round's copy
+    // propagation and CSE converge to the same canonical form regardless
+    // of which flag passes ran (this is what keeps ADCE a strict no-op on
+    // the output).
+    Stage {
+        label: "final-cleanup",
+        flag: None,
+        passes: &[
+            Pass::Rename,
+            Pass::ConstFold,
+            Pass::Cse,
+            Pass::Dce,
+            Pass::ConstFold,
+            Pass::Cse,
+            Pass::Dce,
+        ],
+    },
+];
 
 /// Lowers and optimizes a shader, returning the IR.
 ///
@@ -289,16 +294,8 @@ pub fn compile_ir(
     // The pass schedule is applied once, as LunarGlass applies its pass list
     // once per compilation; the schedule is ordered so that later passes see
     // the work earlier ones expose (unroll → fold → reassociate → div-to-mul).
-    let pipeline = build_pipeline(flags);
-    for pass in &pipeline {
-        if pass.run(&mut ir) {
-            ir.invalidate_fingerprint();
-        }
-        debug_assert!(
-            verify(&ir).is_ok(),
-            "pass `{}` produced invalid IR for `{name}`",
-            pass.name()
-        );
+    for stage in SCHEDULE.iter().filter(|stage| stage.enabled_for(flags)) {
+        stage.run(&mut ir);
     }
     verify(&ir).map_err(CompileError::Verify)?;
     Ok(ir)
@@ -471,12 +468,16 @@ mod tests {
 
     #[test]
     fn pipeline_structure_follows_flags() {
-        assert_eq!(build_pipeline(OptFlags::NONE).len(), 13);
-        assert!(build_pipeline(OptFlags::all()).len() > 13);
-        let names: Vec<&str> = build_pipeline(OptFlags::only(Flag::Unroll))
-            .iter()
-            .map(|p| p.name())
-            .collect();
+        let passes = |flags: OptFlags| -> Vec<&str> {
+            SCHEDULE
+                .iter()
+                .filter(|stage| stage.enabled_for(flags))
+                .flat_map(|stage| stage.passes.iter().map(|pass| pass.name()))
+                .collect()
+        };
+        assert_eq!(passes(OptFlags::NONE).len(), 13);
+        assert!(passes(OptFlags::all()).len() > 13);
+        let names = passes(OptFlags::only(Flag::Unroll));
         assert!(names.contains(&"unroll"));
         assert!(!names.contains(&"hoist"));
     }

@@ -40,7 +40,7 @@
 use crate::cache::{CacheStore, CorpusCache, Node, SessionId, Snapshot};
 use crate::flags::OptFlags;
 use crate::lower::lower;
-use crate::pipeline::{build_schedule, CompileError, CompiledShader, Stage};
+use crate::pipeline::{CompileError, CompiledShader, Stage, SCHEDULE};
 use crate::specialize::{specialize_shader, GuardedDispatch, SpecKey};
 use crate::variant::{Variant, VariantSet};
 use crate::walk::{emit_memoised, walk_stages, SessionStats};
@@ -78,7 +78,6 @@ use std::sync::Arc;
 /// ```
 pub struct CompileSession {
     name: String,
-    schedule: Vec<Stage>,
     base: Snapshot,
     /// Transition + emission memos; private to a standalone session,
     /// corpus-shared in the study sweep.
@@ -97,8 +96,7 @@ pub struct CompileSession {
 
 impl CompileSession {
     /// Parses nothing and lowers once: the session owns the lowered base IR
-    /// for `source`, an instantiated pass schedule and a private
-    /// [`CorpusCache`].
+    /// for `source` and a private [`CorpusCache`].
     ///
     /// # Errors
     ///
@@ -130,7 +128,6 @@ impl CompileSession {
         let base = cache.intern(Snapshot::new(ir));
         Ok(CompileSession {
             name: name.to_string(),
-            schedule: build_schedule(),
             base,
             cache,
             id,
@@ -163,11 +160,6 @@ impl CompileSession {
     /// The lowered, unoptimized base IR every variant starts from.
     pub fn base_ir(&self) -> &Shader {
         &self.base.ir
-    }
-
-    /// The pass schedule this session replays.
-    pub fn schedule(&self) -> &[Stage] {
-        &self.schedule
     }
 
     /// Work/sharing counters accumulated by this session so far.
@@ -421,8 +413,7 @@ impl CompileSession {
         start: &Snapshot,
         flags: OptFlags,
     ) -> Result<(Node, Snapshot), CompileError> {
-        let stages = self
-            .schedule
+        let stages = SCHEDULE
             .iter()
             .enumerate()
             .filter(|(_, stage)| stage.enabled_for(flags));
@@ -556,7 +547,6 @@ mod tests {
         let session = CompileSession::new(&blurry(), "loopy").unwrap();
         assert_eq!(session.base_ir().loop_count(), 1);
         assert_eq!(session.name(), "loopy");
-        assert!(!session.schedule().is_empty());
     }
 
     #[test]

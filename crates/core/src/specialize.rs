@@ -27,9 +27,7 @@
 //! must agree with the general one bit-for-bit (substituting an equal
 //! constant and folding is exact arithmetic, not an approximation).
 
-use crate::passes::constfold::ConstFold;
-use crate::passes::cse::Cse;
-use crate::passes::dce::Dce;
+use crate::passes::Pass;
 use crate::pipeline::{CompiledShader, Stage};
 use prism_ir::interp::{results_exactly_equal, run_fragment, FragmentContext};
 use prism_ir::prelude::*;
@@ -292,9 +290,8 @@ pub fn specialize_shader(base: &Shader, key: &SpecKey) -> Result<Shader, SpecErr
     // Fold what the constants unlocked through the ordinary always-on
     // canonicalisation passes, run as a real `Stage` so the memo/mutation
     // contract (and its PRISM_VERIFY tripwire) applies here too.
-    let fold = fold_stage();
     for _ in 0..4 {
-        if !fold.run(&mut ir) {
+        if !FOLD.run(&mut ir) {
             break;
         }
     }
@@ -305,17 +302,11 @@ pub fn specialize_shader(base: &Shader, key: &SpecKey) -> Result<Shader, SpecErr
 /// (which also splices statically-decided branches), the zero/one algebraic
 /// identities the substituted constants unlock, local CSE and trivial
 /// dead-code removal.
-pub(crate) fn fold_stage() -> Stage {
-    Stage::always(
-        "specialize-fold",
-        vec![
-            Box::new(ConstFold),
-            Box::new(SpecIdentities),
-            Box::new(Cse),
-            Box::new(Dce),
-        ],
-    )
-}
+const FOLD: Stage = Stage {
+    label: "specialize-fold",
+    flag: None,
+    passes: &[Pass::ConstFold, Pass::SpecIdentities, Pass::Cse, Pass::Dce],
+};
 
 /// Algebraic identities over the substituted constants: `x·0 → 0`,
 /// `x·1 → x`, `x±0 → x`, `x/1 → x`, and `select(const, a, b)` → the taken
@@ -327,111 +318,103 @@ pub(crate) fn fold_stage() -> Stage {
 /// sign of zero and collapses a hypothetical `∞·0` to `0`, which is why the
 /// differential verifier — not this pass — has the final word on every
 /// specialization before it ships.
-struct SpecIdentities;
-
-impl crate::passes::Pass for SpecIdentities {
-    fn name(&self) -> &'static str {
-        "spec-identities"
+pub(crate) fn spec_identities(shader: &mut Shader) -> bool {
+    fn const_all(operand: &Operand, value: f64) -> bool {
+        matches!(operand, Operand::Const(c) if c.is_all(value))
     }
-
-    fn run(&self, shader: &mut Shader) -> bool {
-        fn const_all(operand: &Operand, value: f64) -> bool {
-            matches!(operand, Operand::Const(c) if c.is_all(value))
+    fn zero_of(ty: IrType) -> Constant {
+        if ty.is_int() {
+            Constant::Int(0)
+        } else if ty.is_scalar() {
+            Constant::Float(0.0)
+        } else {
+            Constant::FloatVec(vec![0.0; ty.width as usize])
         }
-        fn zero_of(ty: IrType) -> Constant {
-            if ty.is_int() {
-                Constant::Int(0)
-            } else if ty.is_scalar() {
-                Constant::Float(0.0)
-            } else {
-                Constant::FloatVec(vec![0.0; ty.width as usize])
-            }
+    }
+    fn rewrite(shader: &Shader, dst: Reg, op: &Op) -> Option<Op> {
+        let dst_ty = shader.reg_ty(dst);
+        if dst_ty.is_bool() {
+            return None;
         }
-        fn rewrite(shader: &Shader, dst: Reg, op: &Op) -> Option<Op> {
-            let dst_ty = shader.reg_ty(dst);
-            if dst_ty.is_bool() {
-                return None;
+        // `Mov(x)` is only sound when `x` already has the destination's
+        // width — a scalar opposite a vector operand broadcasts, and a
+        // `Mov` would silently drop that.
+        let keep = |x: &Operand| -> Option<Op> {
+            (operand_ty(shader, x).map(|ty| ty.width) == Some(dst_ty.width))
+                .then(|| Op::Mov(x.clone()))
+        };
+        match op {
+            Op::Binary(BinaryOp::Mul, a, b) => {
+                if const_all(a, 0.0) || const_all(b, 0.0) {
+                    return Some(Op::Mov(Operand::Const(zero_of(dst_ty))));
+                }
+                if const_all(a, 1.0) {
+                    return keep(b);
+                }
+                if const_all(b, 1.0) {
+                    return keep(a);
+                }
+                None
             }
-            // `Mov(x)` is only sound when `x` already has the destination's
-            // width — a scalar opposite a vector operand broadcasts, and a
-            // `Mov` would silently drop that.
-            let keep = |x: &Operand| -> Option<Op> {
-                (operand_ty(shader, x).map(|ty| ty.width) == Some(dst_ty.width))
-                    .then(|| Op::Mov(x.clone()))
-            };
-            match op {
-                Op::Binary(BinaryOp::Mul, a, b) => {
-                    if const_all(a, 0.0) || const_all(b, 0.0) {
-                        return Some(Op::Mov(Operand::Const(zero_of(dst_ty))));
-                    }
-                    if const_all(a, 1.0) {
-                        return keep(b);
-                    }
-                    if const_all(b, 1.0) {
-                        return keep(a);
-                    }
-                    None
+            Op::Binary(BinaryOp::Add, a, b) => {
+                if const_all(a, 0.0) {
+                    return keep(b);
                 }
-                Op::Binary(BinaryOp::Add, a, b) => {
-                    if const_all(a, 0.0) {
-                        return keep(b);
-                    }
-                    if const_all(b, 0.0) {
-                        return keep(a);
-                    }
-                    None
+                if const_all(b, 0.0) {
+                    return keep(a);
                 }
-                Op::Binary(BinaryOp::Sub, a, b) => {
-                    if const_all(b, 0.0) {
-                        return keep(a);
-                    }
-                    None
+                None
+            }
+            Op::Binary(BinaryOp::Sub, a, b) => {
+                if const_all(b, 0.0) {
+                    return keep(a);
                 }
-                Op::Binary(BinaryOp::Div, a, b) => {
-                    if const_all(b, 1.0) {
-                        return keep(a);
-                    }
-                    None
+                None
+            }
+            Op::Binary(BinaryOp::Div, a, b) => {
+                if const_all(b, 1.0) {
+                    return keep(a);
                 }
-                Op::Select {
-                    cond: Operand::Const(c),
-                    if_true,
-                    if_false,
+                None
+            }
+            Op::Select {
+                cond: Operand::Const(c),
+                if_true,
+                if_false,
+            } => {
+                let taken = if c.as_bool()? { if_true } else { if_false };
+                keep(taken)
+            }
+            _ => None,
+        }
+    }
+    fn walk(shader: &Shader, body: &mut [Stmt], changed: &mut bool) {
+        for stmt in body {
+            match stmt {
+                Stmt::Def { dst, op } => {
+                    if let Some(new_op) = rewrite(shader, *dst, op) {
+                        *op = new_op;
+                        *changed = true;
+                    }
+                }
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
                 } => {
-                    let taken = if c.as_bool()? { if_true } else { if_false };
-                    keep(taken)
+                    walk(shader, then_body, changed);
+                    walk(shader, else_body, changed);
                 }
-                _ => None,
+                Stmt::Loop { body, .. } => walk(shader, body, changed),
+                _ => {}
             }
         }
-        fn walk(shader: &Shader, body: &mut [Stmt], changed: &mut bool) {
-            for stmt in body {
-                match stmt {
-                    Stmt::Def { dst, op } => {
-                        if let Some(new_op) = rewrite(shader, *dst, op) {
-                            *op = new_op;
-                            *changed = true;
-                        }
-                    }
-                    Stmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => {
-                        walk(shader, then_body, changed);
-                        walk(shader, else_body, changed);
-                    }
-                    Stmt::Loop { body, .. } => walk(shader, body, changed),
-                    _ => {}
-                }
-            }
-        }
-        let mut changed = false;
-        let mut body = std::mem::take(&mut shader.body);
-        walk(shader, &mut body, &mut changed);
-        shader.body = body;
-        changed
     }
+    let mut changed = false;
+    let mut body = std::mem::take(&mut shader.body);
+    walk(shader, &mut body, &mut changed);
+    shader.body = body;
+    changed
 }
 
 // ---------------------------------------------------------------------------

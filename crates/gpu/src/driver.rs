@@ -17,17 +17,15 @@
 //! reassociate floating point — which is exactly why the paper adds them
 //! offline.
 //!
-//! A model builds its pass list once ([`DriverModel::stages`]). Each entry
-//! carries a stable stage id, one per (pass, parameter) pair and the same
-//! for every vendor, so a [`DriverMemo`](crate::DriverMemo) can replay the
-//! list through a transition graph that all platforms share.
+//! A model builds its pass list once ([`DriverModel::stages`]) from the
+//! optimizer's own [`Pass`] enum. Each entry carries a stable stage id, one
+//! per (pass, parameter) pair and the same for every vendor, so a
+//! [`DriverMemo`](crate::DriverMemo) can replay the list through a transition
+//! graph that all platforms share.
 
 use crate::vendor::Vendor;
-use prism_core::passes::{
-    coalesce::Coalesce, constfold::ConstFold, cse::Cse, dce::Dce, div_to_mul::DivToMul, gvn::Gvn,
-    hoist::Hoist, rename::Rename, unroll::Unroll, Pass,
-};
-use prism_core::CompileError;
+use prism_core::passes::{hoist::Hoist, unroll::Unroll};
+use prism_core::{CompileError, Pass};
 use prism_ir::prelude::*;
 use prism_ir::verify::verify;
 
@@ -35,73 +33,39 @@ use prism_ir::verify::verify;
 /// changed the IR.
 pub const DRIVER_ROUNDS: usize = 2;
 
-/// One pass of a driver's internal pipeline, with its parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverPass {
-    /// Register renaming into SSA form.
-    Rename,
-    /// Constant folding and propagation.
-    ConstFold,
-    /// Local common-sub-expression elimination.
-    Cse,
-    /// Trivially-dead-code removal.
-    Dce,
-    /// Loop unrolling up to this trip count.
-    Unroll {
-        /// Largest trip count unrolled.
-        max_trip_count: usize,
-    },
-    /// If-conversion of branches up to this many statements.
-    Hoist {
-        /// Largest branch body flattened.
-        max_branch_size: usize,
-    },
-    /// Coalescing of per-component vector writes.
-    Coalesce,
-    /// Global value numbering.
-    Gvn,
-    /// Constant-division-to-multiplication rewriting.
-    DivToMul,
+/// The largest `trip count × body size` a driver unrolls, for every vendor.
+const UNROLL_BUDGET: usize = 1024;
+
+/// A driver's loop unrolling up to `max_trip_count` iterations.
+const fn unroll(max_trip_count: usize) -> Pass {
+    Pass::Unroll(Unroll {
+        max_trip_count,
+        max_expanded_size: UNROLL_BUDGET,
+    })
+}
+
+/// A driver's if-conversion of branches up to `max_branch_size` statements.
+const fn hoist(max_branch_size: usize) -> Pass {
+    Pass::Hoist(Hoist { max_branch_size })
 }
 
 /// Every (pass, parameter) pair a driver preset runs. A pass's stage id is
 /// its index here, so one id names one (pass, parameter) pair for every
 /// vendor, and all ids fit the transition graph's 64 clean-stage mask bits.
-const DRIVER_STAGES: [DriverPass; 12] = [
-    DriverPass::Rename,
-    DriverPass::ConstFold,
-    DriverPass::Cse,
-    DriverPass::Dce,
-    DriverPass::Unroll { max_trip_count: 32 },
-    DriverPass::Unroll { max_trip_count: 64 },
-    DriverPass::Hoist { max_branch_size: 2 },
-    DriverPass::Hoist { max_branch_size: 3 },
-    DriverPass::Hoist { max_branch_size: 4 },
-    DriverPass::Coalesce,
-    DriverPass::Gvn,
-    DriverPass::DivToMul,
+const DRIVER_STAGES: [Pass; 12] = [
+    Pass::Rename,
+    Pass::ConstFold,
+    Pass::Cse,
+    Pass::Dce,
+    unroll(32),
+    unroll(64),
+    hoist(2),
+    hoist(3),
+    hoist(4),
+    Pass::Coalesce,
+    Pass::Gvn,
+    Pass::DivToMul,
 ];
-
-impl DriverPass {
-    /// Runs the pass over `shader`, returning whether it changed the IR.
-    pub fn run(self, shader: &mut Shader) -> bool {
-        match self {
-            DriverPass::Rename => Rename.run(shader),
-            DriverPass::ConstFold => ConstFold.run(shader),
-            DriverPass::Cse => Cse.run(shader),
-            DriverPass::Dce => Dce.run(shader),
-            DriverPass::Unroll { max_trip_count } => Unroll {
-                max_trip_count,
-                max_expanded_size: 1024,
-            }
-            .run(shader),
-            DriverPass::Hoist { max_branch_size } => Hoist { max_branch_size }.run(shader),
-            DriverPass::Coalesce => Coalesce.run(shader),
-            DriverPass::Gvn => Gvn.run(shader),
-            DriverPass::DivToMul => DivToMul.run(shader),
-        }
-    }
-}
 
 /// What a vendor's internal compiler does on top of the always-present
 /// canonicalisation (constant folding, CSE, dead-code removal).
@@ -111,7 +75,7 @@ pub struct DriverModel {
     pub vendor: Vendor,
     /// The driver's pass list, each pass with its stage id, built once by
     /// [`DriverModel::preset`].
-    stages: Vec<(DriverPass, usize)>,
+    stages: Vec<(Pass, usize)>,
 }
 
 /// The knobs that set one vendor's internal compiler apart.
@@ -131,39 +95,30 @@ struct Personality {
 
 impl Personality {
     /// The pass list this personality runs.
-    fn passes(&self) -> Vec<DriverPass> {
+    fn passes(&self) -> Vec<Pass> {
         // Every real driver compiles through an SSA IR, so the renaming pass
         // is part of the baseline canonicalisation here too.
-        let mut passes = vec![
-            DriverPass::Rename,
-            DriverPass::ConstFold,
-            DriverPass::Cse,
-            DriverPass::Dce,
-        ];
+        let mut passes = vec![Pass::Rename, Pass::ConstFold, Pass::Cse, Pass::Dce];
         if self.unroll_trip_limit > 0 {
             passes.extend([
-                DriverPass::Unroll {
-                    max_trip_count: self.unroll_trip_limit,
-                },
-                DriverPass::Rename,
-                DriverPass::ConstFold,
+                unroll(self.unroll_trip_limit),
+                Pass::Rename,
+                Pass::ConstFold,
             ]);
         }
         if self.hoist_limit > 0 {
-            passes.push(DriverPass::Hoist {
-                max_branch_size: self.hoist_limit,
-            });
+            passes.push(hoist(self.hoist_limit));
         }
         if self.coalesce {
-            passes.push(DriverPass::Coalesce);
+            passes.push(Pass::Coalesce);
         }
         if self.gvn {
-            passes.push(DriverPass::Gvn);
+            passes.push(Pass::Gvn);
         }
         if self.div_to_mul {
-            passes.push(DriverPass::DivToMul);
+            passes.push(Pass::DivToMul);
         }
-        passes.extend([DriverPass::ConstFold, DriverPass::Cse, DriverPass::Dce]);
+        passes.extend([Pass::ConstFold, Pass::Cse, Pass::Dce]);
         passes
     }
 }
@@ -280,7 +235,7 @@ impl DriverModel {
     /// The pass list this driver runs, in order, each pass with its stable
     /// stage id: one id per (pass, parameter) pair, the same for every
     /// vendor, below 64.
-    pub fn stages(&self) -> &[(DriverPass, usize)] {
+    pub fn stages(&self) -> &[(Pass, usize)] {
         &self.stages
     }
 }
@@ -300,18 +255,18 @@ mod tests {
 
     #[test]
     fn presets_differ_in_maturity() {
-        let runs = |vendor, wanted: fn(&DriverPass) -> bool| {
+        let runs = |vendor, wanted: fn(&Pass) -> bool| {
             DriverModel::preset(vendor)
                 .stages()
                 .iter()
                 .any(|(pass, _)| wanted(pass))
         };
-        let unrolls = |p: &DriverPass| matches!(p, DriverPass::Unroll { .. });
+        let unrolls = |p: &Pass| matches!(p, Pass::Unroll(_));
         assert!(runs(Vendor::Nvidia, unrolls));
         assert!(!runs(Vendor::Amd, unrolls));
-        assert!(!runs(Vendor::Arm, |p| *p == DriverPass::Gvn));
-        assert!(!runs(Vendor::Qualcomm, |p| *p == DriverPass::DivToMul));
-        assert!(runs(Vendor::Intel, |p| *p == DriverPass::DivToMul));
+        assert!(!runs(Vendor::Arm, |p| *p == Pass::Gvn));
+        assert!(!runs(Vendor::Qualcomm, |p| *p == Pass::DivToMul));
+        assert!(runs(Vendor::Intel, |p| *p == Pass::DivToMul));
     }
 
     /// What a desktop GLSL driver makes of `glsl`: the front door, then the

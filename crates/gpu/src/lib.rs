@@ -41,7 +41,7 @@ pub mod timing;
 pub mod vendor;
 
 pub use cost::{FragmentCost, PipeCycles};
-pub use driver::{DriverModel, DriverPass};
+pub use driver::DriverModel;
 pub use isa::IsaStats;
 pub use memo::{DriverMemo, DriverStats};
 pub use platform::{Platform, ShaderCost};

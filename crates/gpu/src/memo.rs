@@ -25,11 +25,11 @@
 //! optimizer stage indices, and an original shader lowers to the same IR
 //! the optimizer starts from.
 
-use crate::driver::{DriverPass, DRIVER_ROUNDS};
+use crate::driver::DRIVER_ROUNDS;
 use crate::platform::{Platform, ShaderCost};
 use prism_core::cache::SessionId;
 use prism_core::{
-    front, walk_stages, CacheStore, CompileError, CorpusCache, SessionStats, Snapshot,
+    front, walk_stages, CacheStore, CompileError, CorpusCache, Pass, SessionStats, Snapshot,
 };
 use prism_emit::BackendKind;
 use prism_ir::verify::verify;
@@ -171,7 +171,7 @@ impl DriverMemo {
     /// state it started from is the fixed point; passes are deterministic,
     /// so stopping there gives the reference path's result. The driver
     /// verifies once, after the last round, so the step only runs the pass.
-    fn drive(&mut self, stages: &[(DriverPass, usize)], start: Snapshot) -> Snapshot {
+    fn drive(&mut self, stages: &[(Pass, usize)], start: Snapshot) -> Snapshot {
         let mut state = start;
         for _ in 0..DRIVER_ROUNDS {
             let round_start = Arc::clone(&state.ir);
@@ -182,7 +182,7 @@ impl DriverMemo {
                 &state,
                 round,
                 &mut self.walked,
-                |pass: DriverPass, ir| Ok::<_, Infallible>(pass.run(ir)),
+                |pass: Pass, ir| Ok::<_, Infallible>(pass.run(ir)),
             )
             .unwrap_or_else(|never| match never {});
             // Every state is the graph's interned exemplar, so one structure

@@ -34,16 +34,14 @@ use std::sync::Arc;
 
 /// What one search run has spent so far, in the units that matter to each
 /// evaluator: compiles are the pay-as-you-go cost both modes share;
-/// measurements (and the frames behind them) exist only in live mode, where
-/// device time is the scarce resource.
+/// measurements exist only in live mode, where device time is the scarce
+/// resource.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCost {
     /// Distinct flag combinations compiled.
     pub compiles: usize,
     /// Timing measurements taken (live mode; 0 for the oracle).
     pub measurements: usize,
-    /// Total frames sampled across those measurements.
-    pub measured_frames: usize,
     /// Candidates whose measurement was skipped because the static cost
     /// model ranked them strictly behind an already-measured arm (the
     /// static prefilter; 0 when the prefilter is off or in oracle mode).
@@ -227,7 +225,6 @@ impl<'a> LiveEvaluator<'a> {
         let m = measure_cost(self.platform, &cost, &self.measure, stream);
         let mut ledger = self.ledger.borrow_mut();
         ledger.measurements += 1;
-        ledger.measured_frames += m.samples;
         if let Some(s) = static_cost {
             let mut incumbent = self.incumbent.borrow_mut();
             if incumbent.is_none_or(|(best_ns, _)| m.mean_ns < best_ns) {
@@ -317,10 +314,6 @@ mod tests {
         assert_eq!(a_cost, b_cost);
         assert_eq!(a_cost.compiles, 2);
         assert_eq!(a_cost.measurements, 2);
-        assert_eq!(
-            a_cost.measured_frames,
-            2 * MeasureConfig::quick().total_frames()
-        );
         assert!(a_none > 0.0 && a_all > 0.0);
     }
 

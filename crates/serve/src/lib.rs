@@ -277,7 +277,7 @@ mod tests {
             "exactly one emission for the whole group"
         );
         let ran = stats.stage_runs - baseline.stage_runs;
-        let schedule_len = prism_core::build_schedule().len();
+        let schedule_len = prism_core::SCHEDULE.len();
         assert!(
             ran > 0 && ran <= schedule_len,
             "exactly one schedule's worth of stage runs, got {ran}"
@@ -293,18 +293,19 @@ mod tests {
         assert_eq!(coalesced, CLIENTS - 1);
     }
 
-    /// Satellite 3 (torn request): a panic mid-compile does not poison the
-    /// singleflight table — the job retries and every waiter still gets a
-    /// result; nobody hangs.
+    /// A panic mid-compile is one error result, counted once: the compile
+    /// is deterministic, so it runs once and is not retried. The error is
+    /// not memoised and the singleflight table stays clean, so the next
+    /// request without the fault leads and succeeds, and a replay after
+    /// that comes from the memo.
     #[test]
-    fn a_panicking_compile_is_retried_and_never_hangs_waiters() {
+    fn a_panicking_compile_becomes_an_error_result() {
         let service = CompileService::new(ServeConfig::default());
         let crashes = Arc::new(AtomicUsize::new(0));
         let crashes_hook = Arc::clone(&crashes);
         service.set_compute_hook(Some(Box::new(move |_| {
-            if crashes_hook.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("injected torn-request crash");
-            }
+            crashes_hook.fetch_add(1, Ordering::SeqCst);
+            panic!("injected torn-request crash");
         })));
         // catch_unwind still prints the panic backtrace by default; silence
         // it for the injected crash so the test log stays readable.
@@ -313,41 +314,21 @@ mod tests {
         let result = service.compile(&request(OptFlags::all(), BackendKind::DesktopGlsl));
         std::panic::set_hook(saved);
         service.set_compute_hook(None);
+        assert!(matches!(result, Err(ServeError::Panicked(_))), "{result:?}");
+        assert_eq!(crashes.load(Ordering::SeqCst), 1, "no retry");
+        assert_eq!(service.stats().compile_panics, 1);
 
-        let response = result.expect("the retry must serve the request");
-        assert!(response.work.latency() > 0);
-        assert_eq!(crashes.load(Ordering::SeqCst), 2, "one crash + one retry");
-        let stats = service.stats();
-        assert_eq!(stats.compile_panics, 1);
-        assert_eq!(stats.retried_jobs, 1);
-
-        // The flight table is clean: the same request is served again,
-        // from the memo this time.
+        let healthy = service
+            .compile(&request(OptFlags::all(), BackendKind::DesktopGlsl))
+            .expect("the fault is gone");
+        assert!(healthy.work.latency() > 0, "the error was not memoised");
         let replay = service
             .compile(&request(OptFlags::all(), BackendKind::DesktopGlsl))
             .unwrap();
         assert_eq!(replay.work.latency(), 0);
-        assert_eq!(replay.text, response.text);
-    }
-
-    /// A compile that panics twice (retry included) reports an error to its
-    /// waiters instead of hanging them, and leaves the service healthy.
-    #[test]
-    fn a_twice_panicking_compile_becomes_an_error_result() {
-        let service = CompileService::new(ServeConfig::default());
-        service.set_compute_hook(Some(Box::new(|_| panic!("always torn"))));
-        let saved = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = service.compile(&request(OptFlags::NONE, BackendKind::Gles));
-        std::panic::set_hook(saved);
-        assert!(matches!(result, Err(ServeError::Panicked(_))));
-        assert_eq!(service.stats().compile_panics, 2);
-
-        service.set_compute_hook(None);
-        let healthy = service
-            .compile(&request(OptFlags::NONE, BackendKind::Gles))
-            .unwrap();
-        assert!(healthy.work.latency() > 0, "the error was not memoised");
+        assert_eq!(replay.text, healthy.text);
+        let stats = service.stats();
+        assert_eq!((stats.compile_panics, stats.leader_requests), (1, 2));
     }
 
     /// Runs `request` from `clients` threads released together by a barrier.
@@ -371,10 +352,8 @@ mod tests {
     }
 
     /// A compute hook that holds each leader call until `clients - 1`
-    /// requests wait on its flight, then panics when `panics(call)` says so
-    /// (calls counted from 0).
-    fn held_hook(clients: usize, panics: fn(usize) -> bool) -> service::ComputeHook {
-        let calls = AtomicUsize::new(0);
+    /// requests wait on its flight, then panics.
+    fn held_hook(clients: usize) -> service::ComputeHook {
         Box::new(move |probe| {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             while probe.waiters() < clients - 1 {
@@ -385,53 +364,36 @@ mod tests {
                 );
                 std::thread::yield_now();
             }
-            if panics(calls.fetch_add(1, Ordering::SeqCst)) {
-                panic!("injected leader crash");
-            }
+            panic!("injected leader crash");
         })
     }
 
-    /// A leader that panics with waiters on its flight: its retry serves
-    /// every client the same handle, and a leader that panics on the retry
-    /// too fails every client — leaving no flight behind, so the same
-    /// request leads again once the fault is gone.
+    /// A leader that panics with waiters on its flight fails every client —
+    /// leaving no flight behind, so the same request leads again once the
+    /// fault is gone.
     #[test]
-    fn a_panicking_leader_with_waiters_serves_or_fails_every_client() {
+    fn a_panicking_leader_with_waiters_fails_every_client() {
         const CLIENTS: usize = 5;
         let service = CompileService::new(ServeConfig::default());
-        let retried = request(OptFlags::all(), BackendKind::Gles);
         let failing = request(OptFlags::all(), BackendKind::Msl);
         let saved = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        service.set_compute_hook(Some(held_hook(CLIENTS, |call| call == 0)));
-        let served = race(&service, CLIENTS, &retried);
-        let after_retry = service.stats();
-        service.set_compute_hook(Some(held_hook(CLIENTS, |_| true)));
+        service.set_compute_hook(Some(held_hook(CLIENTS)));
         let failed = race(&service, CLIENTS, &failing);
         std::panic::set_hook(saved);
         service.set_compute_hook(None);
-
-        let texts: Vec<Arc<str>> = served
-            .into_iter()
-            .map(|r| r.expect("the retry serves every client").text)
-            .collect();
-        assert!(texts.iter().all(|t| Arc::ptr_eq(t, &texts[0])));
-        assert_eq!(after_retry.compile_panics, 1);
-        assert_eq!(after_retry.retried_jobs, 1);
-        assert_eq!(after_retry.leader_requests, 1);
-        assert_eq!(after_retry.cache.coalesced_requests, CLIENTS - 1);
 
         for result in &failed {
             assert!(matches!(result, Err(ServeError::Panicked(_))), "{result:?}");
         }
         let stats = service.stats();
-        assert_eq!(stats.compile_panics, 3, "one retried crash, then two");
-        assert_eq!(stats.retried_jobs, 1);
-        assert_eq!(stats.cache.coalesced_requests, 2 * (CLIENTS - 1));
+        assert_eq!(stats.compile_panics, 1);
+        assert_eq!(stats.leader_requests, 1);
+        assert_eq!(stats.cache.coalesced_requests, CLIENTS - 1);
 
         let again = service.compile(&failing).expect("the fault is gone");
         assert!(!again.coalesced && again.work.latency() > 0, "{again:?}");
-        assert_eq!(service.stats().leader_requests, 3);
+        assert_eq!(service.stats().leader_requests, 2);
     }
 
     /// A leader held inside its compile stalls no miss on another base, not

@@ -44,8 +44,8 @@
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node,
-    OptFlags, SessionStats, Snapshot, SpecKey, Stage, Walk,
+    emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node, OptFlags,
+    SessionStats, Snapshot, SpecKey, Stage, Walk, SCHEDULE,
 };
 use prism_emit::BackendKind;
 use prism_gpu::Vendor;
@@ -60,21 +60,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-/// The pass schedule, instantiated once per thread: `Stage` holds boxed
-/// passes without `Send + Sync` bounds, so each thread that compiles owns
-/// its own (deterministic) copy instead of sharing one behind a lock.
-fn with_schedule<R>(f: impl FnOnce(&[Stage]) -> R) -> R {
-    thread_local! {
-        static SCHEDULE: Vec<Stage> = build_schedule();
-    }
-    SCHEDULE.with(|s| f(s))
-}
-
 /// The stages `flags` enables, as `(stage id, stage)` pairs in schedule
 /// order: the one stage list a request's walk takes, on the calling thread
 /// and in its leader.
-fn enabled(schedule: &[Stage], flags: OptFlags) -> impl Iterator<Item = (usize, &Stage)> + Clone {
-    schedule
+fn enabled(flags: OptFlags) -> impl Iterator<Item = (usize, &'static Stage)> + Clone {
+    SCHEDULE
         .iter()
         .enumerate()
         .filter(move |(_, stage)| stage.enabled_for(flags))
@@ -247,8 +237,8 @@ pub enum ServeError {
     /// slot / unsupported type), or the specialized fold failed its
     /// differential interp verification against the general base.
     Specialize(String),
-    /// The compile panicked twice (once plus one retry); waiters receive
-    /// this error rather than hanging.
+    /// The compile panicked; the leader and every waiter receive this error
+    /// rather than hanging.
     Panicked(String),
 }
 
@@ -410,7 +400,6 @@ struct Counters {
     front_errors: AtomicUsize,
     chain_fallbacks: AtomicUsize,
     compile_panics: AtomicUsize,
-    retried_jobs: AtomicUsize,
     leader_requests: AtomicUsize,
     tune_requests: AtomicUsize,
     tune_measurements: AtomicUsize,
@@ -457,10 +446,8 @@ pub struct ServiceStats {
     pub chain_fallbacks: usize,
     /// Response bodies answered by the emission memo's shared handle.
     pub zero_copy_hits: usize,
-    /// Compile attempts that panicked (each is retried once).
+    /// Leader compiles that panicked.
     pub compile_panics: usize,
-    /// Leader compiles that succeeded on their post-panic retry.
-    pub retried_jobs: usize,
     /// Requests the memo missed that led a compile (the first of their key
     /// in flight).
     pub leader_requests: usize,
@@ -557,7 +544,6 @@ impl CompileService {
             chain_fallbacks: c.chain_fallbacks.load(Ordering::Relaxed),
             zero_copy_hits: c.hits(Hit::ZeroCopyHits),
             compile_panics: c.compile_panics.load(Ordering::Relaxed),
-            retried_jobs: c.retried_jobs.load(Ordering::Relaxed),
             leader_requests: c.leader_requests.load(Ordering::Relaxed),
             tune_requests: c.tune_requests.load(Ordering::Relaxed),
             measurements_taken: c.tune_measurements.load(Ordering::Relaxed),
@@ -575,8 +561,8 @@ impl CompileService {
     /// # Errors
     ///
     /// [`ServeError`] on front-stage rejection, unknown target form, or a
-    /// (twice-)failing compile. Errors are results, never hangs: a panicking
-    /// compile is retried once and then reported to every merged request.
+    /// failing compile. Errors are results, never hangs: a panicking compile
+    /// is reported to every merged request.
     pub fn compile(&self, request: &CompileRequest) -> Result<CompileResponse, ServeError> {
         self.counters.hit(Hit::Requests);
         let (backend, chain_fallback, base) = self.route(request).inspect_err(|_| {
@@ -784,10 +770,8 @@ impl CompileService {
                 .ok_or(Resume::Specialize)?
         };
         let mut walk = Walk::at(start);
-        let missed = with_schedule(|schedule| {
-            enabled(schedule, request.flags)
-                .any(|(stage, _)| !walk.answer(&*self.cache, self.session, stage, work))
-        });
+        let missed = enabled(request.flags)
+            .any(|(stage, _)| !walk.answer(&*self.cache, self.session, stage, work));
         walk.settle(&*self.cache);
         if missed {
             return Err(Resume::Stage(walk));
@@ -859,10 +843,9 @@ impl CompileService {
     }
 
     /// Runs the leader's compile to flight completion. A panicking compile
-    /// is caught and retried once (transient failures — including the test
-    /// hook — succeed on retry); a second panic becomes a
-    /// [`ServeError::Panicked`] result. Either way the flight completes:
-    /// waiters never hang.
+    /// is caught and becomes a [`ServeError::Panicked`] result; it is not
+    /// retried, because the compile is deterministic and would panic again.
+    /// Either way the flight completes: waiters never hang.
     fn lead(
         &self,
         source: &str,
@@ -877,25 +860,11 @@ impl CompileService {
             flight,
             done: false,
         };
-        let attempt = || self.compute(source, &guard.key, &resume, work, &guard.flight);
-        let result = match catch_unwind(AssertUnwindSafe(attempt)) {
-            Ok(result) => result,
-            Err(_) => {
-                self.counters.compile_panics.fetch_add(1, Ordering::Relaxed);
-                match catch_unwind(AssertUnwindSafe(attempt)) {
-                    Ok(result) => {
-                        self.counters.retried_jobs.fetch_add(1, Ordering::Relaxed);
-                        result
-                    }
-                    Err(_) => {
-                        self.counters.compile_panics.fetch_add(1, Ordering::Relaxed);
-                        Err(ServeError::Panicked(
-                            "compile panicked twice; giving up".to_string(),
-                        ))
-                    }
-                }
-            }
-        };
+        let attempt = || self.compute(source, &guard.key, resume, work, &guard.flight);
+        let result = catch_unwind(AssertUnwindSafe(attempt)).unwrap_or_else(|_| {
+            self.counters.compile_panics.fetch_add(1, Ordering::Relaxed);
+            Err(ServeError::Panicked("compile panicked".to_string()))
+        });
         guard.finish(result.clone());
         result
     }
@@ -909,7 +878,7 @@ impl CompileService {
         &self,
         source: &str,
         key: &FlightKey,
-        resume: &Resume,
+        resume: Resume,
         mut work: SessionStats,
         flight: &Flight,
     ) -> Result<Served, ServeError> {
@@ -931,8 +900,8 @@ impl CompileService {
         };
         let (walk, text) = match resume {
             Resume::Specialize => (Walk::new(&*self.cache, &start), None),
-            Resume::Stage(walk) => (walk.clone(), None),
-            Resume::Done { walk, text } => (walk.clone(), text.clone()),
+            Resume::Stage(walk) => (walk, None),
+            Resume::Done { walk, text } => (walk, text),
         };
         let (node, state) = self.walk_on(walk, &start, key.flags, &mut work)?;
         let text = match text {
@@ -994,20 +963,18 @@ impl CompileService {
         flags: OptFlags,
         work: &mut SessionStats,
     ) -> Result<(Node, Snapshot), ServeError> {
-        with_schedule(|schedule| {
-            walk.finish(
-                &*self.cache,
-                self.session,
-                start,
-                enabled(schedule, flags),
-                work,
-                |stage: &Stage, ir| {
-                    stage
-                        .run_verified(ir)
-                        .map_err(|e| ServeError::Compile(e.to_string()))
-                },
-            )
-        })
+        walk.finish(
+            &*self.cache,
+            self.session,
+            start,
+            enabled(flags),
+            work,
+            |stage: &Stage, ir| {
+                stage
+                    .run_verified(ir)
+                    .map_err(|e| ServeError::Compile(e.to_string()))
+            },
+        )
     }
 
     /// `read` of the specialized base of `(base, spec)` under the memo's

@@ -95,8 +95,6 @@ impl TuneSpec {
 pub struct TuneOutcome {
     /// Platform name tuned for.
     pub vendor: String,
-    /// The bandit that ran.
-    pub strategy: String,
     /// The best flag combination found.
     pub best_flags: OptFlags,
     /// Its measured mean frame time (nanoseconds).
@@ -104,8 +102,6 @@ pub struct TuneOutcome {
     /// Timing measurements taken (distinct combinations measured; the
     /// budgeted resource).
     pub measurements_taken: usize,
-    /// Frames sampled across those measurements.
-    pub measured_frames: usize,
     /// Distinct combinations compiled through the service.
     pub search_compiles: usize,
     /// Candidates whose timing measurement the static prefilter skipped
@@ -195,8 +191,7 @@ impl CompileService {
         }
         let driver = SearchDriver::over(Box::new(evaluator), spec.budget);
 
-        let strategy = Ucb1 { exploration: 1.5 };
-        strategy.run(&driver);
+        Ucb1 { exploration: 1.5 }.run(&driver);
 
         let Some((best_flags, best_ns)) = driver.best_evaluated() else {
             // Nothing measured: surface the underlying service error.
@@ -229,11 +224,9 @@ impl CompileService {
 
         Ok(TuneOutcome {
             vendor: spec.vendor.name().to_string(),
-            strategy: strategy.name().to_string(),
             best_flags,
             best_ns,
             measurements_taken: cost.measurements,
-            measured_frames: cost.measured_frames,
             search_compiles: cost.compiles,
             candidates_pruned: cost.candidates_pruned,
             budget: spec.budget,

@@ -9,9 +9,9 @@
 //!
 //! * the optimizer's schedule (every pass of every enabled stage) from each
 //!   corpus shader's lowered IR, over a fixed sample of flag sets;
-//! * every vendor's driver passes, both rounds, from the IR its front end
-//!   makes of the shader's original text and of each sampled variant's text
-//!   in that vendor's source form.
+//! * every vendor's driver passes, both rounds, from the IR the front door
+//!   ([`prism::core::front`]) makes of the shader's original text and of
+//!   each sampled variant's text in that vendor's source form.
 //!
 //! A stage reports a change exactly when one of its passes does, so the
 //! pass-level check covers the optimizer's stage steps too. The check stays
@@ -19,10 +19,9 @@
 //! the gated `equality_confirms` counter. Debug builds cover a corpus slice;
 //! release builds cover the whole corpus.
 
-use prism::core::{build_schedule, lower, CompileError, Flag, OptFlags};
+use prism::core::{front, lower, Flag, OptFlags, SCHEDULE};
 use prism::corpus::{Corpus, ShaderCase};
 use prism::emit::BackendKind;
-use prism::glsl::{GlslError, ShaderSource, Stage};
 use prism::gpu::driver::DRIVER_ROUNDS;
 use prism::gpu::Platform;
 use prism::ir::Shader;
@@ -70,37 +69,16 @@ fn checked(ir: &mut Shader, what: &str, run: impl FnOnce(&mut Shader) -> bool) -
     changed
 }
 
-/// The driver front end for `backend`'s source form (as `Platform::submit`
-/// runs it): the IR the vendor's passes start from.
-fn driver_input(backend: BackendKind, text: &str, name: &str) -> Result<Shader, CompileError> {
-    let foreign = |e: String| CompileError::Front(GlslError::new(Stage::Parse, e));
-    let glsl = |text: &str| -> Result<Shader, CompileError> {
-        let source = ShaderSource::preprocess_and_parse(text, &Default::default())
-            .map_err(CompileError::Front)?;
-        Ok(lower(&source, name)?)
-    };
-    match backend {
-        BackendKind::DesktopGlsl | BackendKind::Gles => glsl(text),
-        BackendKind::SpirvAsm => {
-            let mut ir = prism::emit::parse_spirv_asm(text).map_err(foreign)?.shader;
-            ir.name = name.to_string();
-            Ok(ir)
-        }
-        BackendKind::Msl => glsl(&prism::emit::msl_to_glsl(text).map_err(foreign)?),
-    }
-}
-
 /// Replays the optimizer over every sampled flag set from `case`'s lowered
 /// IR, checking every pass, and returns the optimized IRs.
 fn replay_optimizer(case: &ShaderCase) -> Vec<Shader> {
     let base = lower(&case.source, &case.name).expect("corpus shaders lower");
-    let schedule = build_schedule();
     flag_sample()
         .into_iter()
         .map(|flags| {
             let mut ir = base.clone();
-            for stage in schedule.iter().filter(|s| s.enabled_for(flags)) {
-                for pass in &stage.passes {
+            for stage in SCHEDULE.iter().filter(|s| s.enabled_for(flags)) {
+                for pass in stage.passes {
                     let what = format!("optimizer pass `{}` ({flags:?})", pass.name());
                     checked(&mut ir, &what, |ir| pass.run(ir));
                 }
@@ -147,10 +125,10 @@ fn passes_that_report_no_change_leave_the_ir_untouched() {
             });
             texts.extend(optimized.iter().map(|ir| backend.emit(ir)));
             for text in &texts {
-                let ir = driver_input(backend, text, &case.name).unwrap_or_else(|e| {
+                let input = front(backend, text, &case.name).unwrap_or_else(|e| {
                     panic!("{:?} rejects `{}`: {e}", platform.vendor(), case.name)
                 });
-                replay_driver(platform, ir);
+                replay_driver(platform, input.ir);
                 driver_inputs += 1;
             }
         }
