@@ -23,22 +23,25 @@
 //!
 //!   The planes share one lookup, LRU touch, insert-with-eviction, warm
 //!   insert and persisted-entry walk; an edge differs only in that its value
-//!   is a second exemplar reference, its output node.
+//!   is a second exemplar reference, its output node, held together with
+//!   that node's clean-stage cell.
 //! * **Identity bits** — a stage whose passes report the IR unchanged sets a
-//!   bit in the input exemplar's `clean_stages` mask instead of storing an
+//!   bit in the input exemplar's clean-stage mask instead of storing an
 //!   edge. The walk ([`Walk`](crate::walk::Walk)) stands on a graph [`Node`],
 //!   which carries the mask read with it, and skips every clean stage in
 //!   O(1): no lookup, no re-fingerprint, no snapshot insert, no equality
 //!   confirmation. Consecutive identity edges collapse into a single mask
-//!   read.
+//!   read. The mask lives in one shared cell per exemplar, which every edge
+//!   into the node and every [`Pinned`] handle on it hold too, so a bit set
+//!   after an edge was recorded is seen through that edge.
 //!
 //! Lookups are keyed by [`Node`], not by IR: a node is resolved from a
 //! [`Snapshot`] once ([`CacheStore::node`]), and an answered stage
-//! ([`CacheStore::transition`]) costs one edge-plane read plus one exemplar
-//! read for the output's mask, with no `Arc<Shader>` clone; IR is fetched
-//! ([`CacheStore::fetch`]) only when a stage must run or a caller asks for a
-//! final state. The hit counters are [`Striped`] per thread, so concurrent
-//! hits write no shared counter line.
+//! ([`CacheStore::transition`]) costs one edge-plane read, under whose lock
+//! the output's mask is read off the edge's cell, with no `Arc<Shader>`
+//! clone; IR is fetched ([`CacheStore::fetch`]) only when a stage must run
+//! or a caller asks for a final state. The hit counters are [`Striped`] per
+//! thread, so concurrent hits write no shared counter line.
 //!
 //! A standalone [`CompileSession`](crate::CompileSession) owns a private
 //! `CorpusCache`; the study sweep and the compile service share one across
@@ -59,8 +62,9 @@
 //! shard exceeds its budget, so a production-scale corpus sweep runs in
 //! fixed memory. Exemplars are reference-counted from the entries that use
 //! them and dropped when the last entry goes, so eviction reclaims IR
-//! storage too. The LRU touch refreshes exactly the entry a lookup resolved
-//! — never its fingerprint-colliding bucket neighbours, which would
+//! storage too — except a [pinned](CorpusCache::pin) one, which stays for
+//! the cache's lifetime. The LRU touch refreshes exactly the entry a lookup
+//! resolved — never its fingerprint-colliding bucket neighbours, which would
 //! otherwise be kept alive forever by hits they never answered. Because the
 //! store is a pure cache (an evicted entry is simply recomputed on the next
 //! miss), a bounded cache produces byte-identical results to an unbounded
@@ -165,6 +169,36 @@ impl Node {
     }
 }
 
+/// A node's clean-stage mask: a bitmask over stage indices known to map its
+/// structure to itself, in one cell shared by the node's exemplar, every
+/// edge into the node and every [`Pinned`] handle on it. Bits are only
+/// added, with `fetch_or` under the exemplar shard's write lock, and read
+/// `Relaxed`: the mask publishes no other data. A reader that misses a bit
+/// set a moment ago looks the stage up instead, misses (an identity stage
+/// has no edge) and runs it once more — extra work, never a wrong answer.
+type CleanCell = Arc<AtomicU64>;
+
+/// A node together with its exemplar's [`CleanCell`], so the node's current
+/// mask reads without the exemplar lock: an edge holds one for its output,
+/// a [`Pinned`] handle one for its node. It holds the cell, not a copy of
+/// the mask, because masks gain bits after an edge is recorded; a copy
+/// would turn those mask skips into lookups that miss and stage runs.
+#[derive(Debug, Clone)]
+struct NodeCell {
+    id: NodeId,
+    clean: CleanCell,
+}
+
+impl NodeCell {
+    /// The node, with its mask as of now.
+    fn node(&self) -> Node {
+        Node {
+            id: self.id,
+            clean: self.clean.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// One interned IR exemplar: the single shared `Arc<Shader>` stored for its
 /// structure, plus the graph metadata hung off it.
 struct Exemplar {
@@ -173,11 +207,15 @@ struct Exemplar {
     /// The canonical allocation for this structure — the first `Arc` that
     /// entered the plane wins, and every hit hands it back (zero-copy).
     ir: Arc<Shader>,
-    /// Memo entries referencing this node. At 0 (and with no identity
+    /// Memo entries referencing this node. At 0 (with no pin and no identity
     /// knowledge) the exemplar is removable.
     refs: usize,
-    /// Bitmask over stage indices known to map this structure to itself.
-    clean_stages: u64,
+    /// Permanent references ([`CorpusCache::pin`]): a pinned exemplar is
+    /// never removed. Kept apart from `refs` because a pin is no memo
+    /// knowledge: a node only pinned is not persisted.
+    pins: usize,
+    /// The clean-stage mask's shared cell.
+    clean: CleanCell,
 }
 
 /// Per-fingerprint chains of exemplars. A chain longer than one means a real
@@ -193,18 +231,19 @@ struct Entry<T> {
     value: T,
 }
 
-/// What a memo entry maps its input to. An edge's value is its output node,
-/// which holds an exemplar reference of its own; emitted text and analysis
-/// reports are shared `Arc<str>`s (a hit hands the caller a refcount bump,
-/// never a copy of the body) and reference no node.
-trait EntryValue: Clone {
+/// What a memo entry maps its input to. An edge's value is its output node
+/// with that node's [`CleanCell`]; the edge holds an exemplar reference to
+/// it, so an edge in the plane always has its output exemplar in the store.
+/// Emitted text and analysis reports are shared `Arc<str>`s (a hit hands the
+/// caller a refcount bump, never a copy of the body) and reference no node.
+trait EntryValue {
     /// The exemplar this value holds a reference to, if any.
     fn node(&self) -> Option<NodeId>;
 }
 
-impl EntryValue for NodeId {
+impl EntryValue for NodeCell {
     fn node(&self) -> Option<NodeId> {
-        Some(*self)
+        Some(self.id)
     }
 }
 
@@ -295,10 +334,11 @@ pub struct CacheStats {
     /// degrades to a cold shard instead of being trusted.
     pub warm_shards_skipped: usize,
     /// Individual entries rejected inside otherwise-valid shards (an
-    /// emission recorded under a [`BackendKind`] this build does not know, or
-    /// an edge whose endpoint lives in a shard file that was skipped or
-    /// deleted). Unlike a shard-level problem, such an entry costs only
-    /// itself: the rest of the shard loads.
+    /// emission recorded under a [`BackendKind`] this build does not know, an
+    /// edge whose endpoint lives in a shard file that was skipped or
+    /// deleted, or an entry whose node a bounded budget reclaimed during the
+    /// load). Unlike a shard-level problem, such an entry costs only itself:
+    /// the rest of the shard loads.
     pub warm_entries_skipped: usize,
     /// Fresh static-analysis walks recorded into the `(fingerprint,
     /// personality)` memo ([`CorpusCache::record_analysis`]) — each one paid
@@ -361,7 +401,8 @@ pub trait CacheStore {
     /// The node of `snapshot`'s structure with its clean-stage mask (one
     /// exemplar read), or a node that answers nothing when the store does
     /// not hold the structure. A walk resolves its start once; every later
-    /// lookup is keyed by node.
+    /// lookup is keyed by node. (A [`Pinned`] handle reads its node without
+    /// the exemplar read.)
     fn node(&self, snapshot: &Snapshot) -> Node;
 
     /// The IR of `node`: its exemplar's shared allocation, or `None` when
@@ -376,11 +417,11 @@ pub trait CacheStore {
     fn note_identity_skips(&self, skips: usize);
 
     /// Looks up the output node of running stage `stage` over `input`: one
-    /// edge-plane read plus one exemplar read for the output's mask, and no
-    /// IR handle. An edge whose output was reclaimed misses. A hit is
-    /// counted store-wide here, with its cross-shader or warm attribution.
-    /// The input's clean mask is the caller's to check: an identity stage
-    /// has no edge.
+    /// edge-plane read, under whose lock the output's current clean mask is
+    /// read off the cell the edge holds, and no IR handle. A hit is counted
+    /// store-wide here, with its cross-shader or warm attribution. The
+    /// input's clean mask is the caller's to check: an identity stage has no
+    /// edge.
     fn transition(&self, session: SessionId, stage: usize, input: &Node) -> Option<Node>;
 
     /// Records that stage `stage` maps `input` to `output` and returns the
@@ -455,11 +496,11 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     }
 
     /// The bucket for `key`, *without* refreshing any generation stamp.
-    /// Resolution happens outside the shard lock, so the LRU touch is
-    /// deferred to [`BoundedMap::refresh`] once the true hit is known —
-    /// refreshing the whole bucket here would keep fingerprint-colliding
-    /// neighbours alive on hits they never answered, making them
-    /// unevictable.
+    /// Lookups read under the shard's read lock, so the LRU touch is
+    /// deferred to [`BoundedMap::refresh`] under the write lock, for exactly
+    /// the entry that answered — refreshing the whole bucket would keep
+    /// fingerprint-colliding neighbours alive on hits they never answered,
+    /// making them unevictable.
     fn peek(&self, key: &K) -> Option<&Vec<(u64, V)>> {
         self.map.get(key)
     }
@@ -592,8 +633,9 @@ pub struct CorpusCache {
     /// The exemplar store: one interned `Arc<Shader>` per distinct
     /// structure, sharded by fingerprint.
     exemplars: Vec<RwLock<ExemplarMap>>,
-    /// Edges, keyed `(input fingerprint, stage index)`.
-    transitions: Plane<usize, NodeId>,
+    /// Edges, keyed `(input fingerprint, stage index)`, each holding its
+    /// output node's cell.
+    transitions: Plane<usize, NodeCell>,
     /// Emitted text, keyed `(input fingerprint, backend)`.
     emissions: Plane<BackendKind, Arc<str>>,
     /// Serialised `StaticReport` JSON, keyed `(input fingerprint,
@@ -766,7 +808,7 @@ impl CorpusCache {
                 fp: snap.fp,
                 gen: e.gen,
             },
-            clean: e.clean_stages,
+            clean: e.clean.load(Ordering::Relaxed),
         };
         let candidates: Vec<(Node, Arc<Shader>)> = {
             let map = self.exemplars[Self::shard(snap.fp)]
@@ -785,12 +827,16 @@ impl CorpusCache {
     }
 
     /// Resolve-or-insert in one lock acquisition: the node of `snap`'s
-    /// structure (interned on first sight) gains `refs` references and the
-    /// `clean` stage bits, and it is returned with its mask and canonical
-    /// allocation. Taking the reference under the same lock keeps the
-    /// exemplar from being reclaimed before the entry that references it
+    /// structure (interned on first sight) is handed to `hold` — which takes
+    /// its references, pin or clean-stage bits — and returned with its cell
+    /// and canonical allocation. Taking a reference under the same lock keeps
+    /// the exemplar from being reclaimed before the entry that references it
     /// lands.
-    fn intern_node(&self, snap: &Snapshot, refs: usize, clean: u64) -> (Node, Arc<Shader>) {
+    fn intern_node(
+        &self,
+        snap: &Snapshot,
+        hold: impl FnOnce(&mut Exemplar),
+    ) -> (NodeCell, Arc<Shader>) {
         let mut map = self.exemplars[Self::shard(snap.fp)]
             .write()
             .expect("corpus cache poisoned");
@@ -800,51 +846,46 @@ impl CorpusCache {
                 gen: self.gens.fetch_add(1, Ordering::Relaxed),
                 ir: Arc::clone(&snap.ir),
                 refs: 0,
-                clean_stages: 0,
+                pins: 0,
+                clean: CleanCell::default(),
             });
             chain.len() - 1
         });
         let exemplar = &mut chain[i];
-        exemplar.refs += refs;
-        exemplar.clean_stages |= clean;
-        let node = Node {
+        hold(exemplar);
+        let cell = NodeCell {
             id: NodeId {
                 fp: snap.fp,
                 gen: exemplar.gen,
             },
-            clean: exemplar.clean_stages,
+            clean: Arc::clone(&exemplar.clean),
         };
-        (node, Arc::clone(&exemplar.ir))
+        (cell, Arc::clone(&exemplar.ir))
     }
 
-    /// Reads the exemplar `id` names, if the store still holds it, under its
-    /// shard's read lock.
-    fn with_exemplar<R>(&self, id: NodeId, read: impl FnOnce(&Exemplar) -> R) -> Option<R> {
-        let map = self.exemplars[Self::shard(id.fp)]
-            .read()
-            .expect("corpus cache poisoned");
-        map.get(&id.fp)?.iter().find(|e| e.gen == id.gen).map(read)
-    }
-
-    /// Takes one reference to `node` (a no-op if the node was concurrently
-    /// reclaimed — the caller's entry will then dangle onto a never-reused
-    /// generation and simply miss).
-    fn add_node_ref(&self, node: NodeId) {
+    /// Takes one reference to `node` if the store still holds it, and says
+    /// whether it did. A bounded budget may have reclaimed the node since it
+    /// was named; the caller then must not insert an entry naming it.
+    fn add_node_ref(&self, node: NodeId) -> bool {
         let mut map = self.exemplars[Self::shard(node.fp)]
             .write()
             .expect("corpus cache poisoned");
-        if let Some(e) = map
+        match map
             .get_mut(&node.fp)
             .and_then(|c| c.iter_mut().find(|e| e.gen == node.gen))
         {
-            e.refs += 1;
+            Some(e) => {
+                e.refs += 1;
+                true
+            }
+            None => false,
         }
     }
 
     /// Drops one reference to `node`, removing the exemplar when nothing
-    /// references it any more and it carries no identity knowledge (a clean
-    /// mask is worth keeping: one bitfield that spares whole stage runs).
-    /// Never called while a memo-plane shard lock is held.
+    /// references it any more, it is not pinned and it carries no identity
+    /// knowledge (a clean mask is worth keeping: one bitfield that spares
+    /// whole stage runs). Never called while a memo-plane shard lock is held.
     fn release_node(&self, node: NodeId) {
         let mut map = self.exemplars[Self::shard(node.fp)]
             .write()
@@ -855,8 +896,9 @@ impl CorpusCache {
         let Some(i) = chain.iter().position(|e| e.gen == node.gen) else {
             return;
         };
-        chain[i].refs = chain[i].refs.saturating_sub(1);
-        if chain[i].refs == 0 && chain[i].clean_stages == 0 {
+        let e = &mut chain[i];
+        e.refs = e.refs.saturating_sub(1);
+        if e.refs == 0 && e.pins == 0 && e.clean.load(Ordering::Relaxed) == 0 {
             chain.remove(i);
             if chain.is_empty() {
                 map.remove(&node.fp);
@@ -877,32 +919,30 @@ impl CorpusCache {
     }
 
     /// The entry `key` holds for the exemplar generation `gen`: its owner and
-    /// `resolve` of its value. `resolve` runs after the read lock is
-    /// released and before the LRU touch, so an entry it rejects (an edge
-    /// whose output exemplar a racing eviction reclaimed — generations are
-    /// never reused, so such an edge can only miss, never alias) is a miss
-    /// that refreshes nothing.
+    /// `read` of its value. `read` runs under the shard's read lock, where
+    /// every plane value is readable — text by a refcount bump, an edge's
+    /// output node off the cell the edge holds — so a hit takes no second
+    /// lock but a bounded store's LRU touch.
     fn lookup<K, T, R>(
         &self,
         plane: &Plane<K, T>,
         gen: u64,
         key: (Fingerprint, K),
-        resolve: impl FnOnce(T) -> Option<R>,
+        read: impl FnOnce(&T) -> R,
     ) -> Option<(SessionId, R)>
     where
         K: Eq + Hash + Clone,
         T: EntryValue,
     {
         let shard = &plane[Self::shard(key.0)];
-        let (owner, value) = {
+        let hit = {
             let map = shard.read().expect("corpus cache poisoned");
             map.peek(&key)?
                 .iter()
                 .find(|(_, e)| e.input_gen == gen)
-                .map(|(_, e)| (e.owner, e.value.clone()))?
+                .map(|(_, e)| (e.owner, read(&e.value)))?
         };
-        let resolved = resolve(value)?;
-        // LRU touch of exactly the resolved entry — unconfirmed bucket
+        // LRU touch of exactly the entry that answered — unconfirmed bucket
         // neighbours keep their stamps and stay evictable. Only bounded
         // stores pay this write-lock acquisition; an unbounded store's hit
         // path is read-locks only.
@@ -913,7 +953,7 @@ impl CorpusCache {
                 .expect("corpus cache poisoned")
                 .refresh(&key, now, |e| e.input_gen == gen);
         }
-        Some((owner, resolved))
+        Some(hit)
     }
 
     /// Inserts an entry of `owner` mapping `input`'s structure, under `k`,
@@ -964,8 +1004,12 @@ impl CorpusCache {
     }
 
     /// Inserts one restored entry under [`WARM_OWNER`]. Counts no work:
-    /// nothing ran.
-    fn insert_warm<K, T>(&self, plane: &Plane<K, T>, input: NodeId, k: K, value: T) -> bool
+    /// nothing ran. Returns whether it landed (`false`: an entry was already
+    /// present), or `None` when a node it names is gone — a bounded budget
+    /// reclaimed it since the load interned it — and the entry is skipped:
+    /// an entry is never inserted dangling, so an edge in the plane always
+    /// holds its output exemplar.
+    fn insert_warm<K, T>(&self, plane: &Plane<K, T>, input: NodeId, k: K, value: T) -> Option<bool>
     where
         K: Eq + Hash + Clone,
         T: EntryValue,
@@ -973,11 +1017,16 @@ impl CorpusCache {
         // References are taken before the entry lands so eviction of
         // *other* entries can never reclaim these nodes out from under it;
         // on the dedupe path they are handed back.
-        self.add_node_ref(input);
-        if let Some(output) = value.node() {
-            self.add_node_ref(output);
+        if !self.add_node_ref(input) {
+            return None;
         }
-        self.insert(plane, WARM_OWNER, input, k, value)
+        if let Some(output) = value.node() {
+            if !self.add_node_ref(output) {
+                self.release_node(input);
+                return None;
+            }
+        }
+        Some(self.insert(plane, WARM_OWNER, input, k, value))
     }
 
     /// Declares the platform-personality names this process can recompute
@@ -1013,7 +1062,7 @@ impl CorpusCache {
     /// hits, so it takes no session.
     pub fn analysis(&self, personality: &'static str, state: &Node) -> Option<Arc<str>> {
         let key = (state.id.fp, personality);
-        let (owner, text) = self.lookup(&self.analyses, state.id.gen, key, Some)?;
+        let (owner, text) = self.lookup(&self.analyses, state.id.gen, key, Arc::clone)?;
         self.hit(Hit::Analysis);
         if owner == WARM_OWNER {
             self.hit(Hit::WarmAnalysis);
@@ -1032,8 +1081,47 @@ impl CorpusCache {
         text: Arc<str>,
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
-        let (node, _) = self.intern_node(state, 1, 0);
+        let (node, _) = self.intern_node(state, |e| e.refs += 1);
         self.insert(&self.analyses, session, node.id, personality, text);
+    }
+
+    /// Interns `snapshot` and pins its node: one permanent reference, so no
+    /// bounded budget ever reclaims it and its generation never changes. The
+    /// handle reads the node with its current clean mask and takes no
+    /// exemplar lock to do it. Pin what a caller keeps and walks from for
+    /// the cache's lifetime, such as the compile service's bases; each call
+    /// pins once more.
+    pub fn pin(&self, snapshot: Snapshot) -> Pinned {
+        let (cell, ir) = self.intern_node(&snapshot, |e| e.pins += 1);
+        Pinned {
+            state: Snapshot {
+                ir,
+                fp: snapshot.fp,
+            },
+            cell,
+        }
+    }
+}
+
+/// A pinned node ([`CorpusCache::pin`]): the canonical snapshot of one
+/// interned structure, and its [`Node`] read off the exemplar's shared
+/// clean-stage cell, with no lock. The pin is permanent, so the node stays
+/// in the store — with the same generation — for the cache's lifetime.
+#[derive(Debug, Clone)]
+pub struct Pinned {
+    state: Snapshot,
+    cell: NodeCell,
+}
+
+impl Pinned {
+    /// The node's canonical snapshot: the exemplar's shared allocation.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.state
+    }
+
+    /// The node, with its clean-stage mask as of now.
+    pub fn node(&self) -> Node {
+        self.cell.node()
     }
 }
 
@@ -1043,7 +1131,7 @@ impl CacheStore for CorpusCache {
     }
 
     fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        let (_, ir) = self.intern_node(&snapshot, 0, 0);
+        let (_, ir) = self.intern_node(&snapshot, |_| {});
         Snapshot {
             ir,
             fp: snapshot.fp,
@@ -1056,7 +1144,12 @@ impl CacheStore for CorpusCache {
     }
 
     fn fetch(&self, node: &Node) -> Option<Arc<Shader>> {
-        self.with_exemplar(node.id, |e| Arc::clone(&e.ir))
+        let id = node.id;
+        let map = self.exemplars[Self::shard(id.fp)]
+            .read()
+            .expect("corpus cache poisoned");
+        let exemplar = map.get(&id.fp)?.iter().find(|e| e.gen == id.gen)?;
+        Some(Arc::clone(&exemplar.ir))
     }
 
     fn note_identity_skips(&self, skips: usize) {
@@ -1066,15 +1159,8 @@ impl CacheStore for CorpusCache {
     }
 
     fn transition(&self, session: SessionId, stage: usize, input: &Node) -> Option<Node> {
-        // The output's mask is read before the LRU touch: an edge whose
-        // output was reclaimed misses (and recomputes — pure-cache rules).
         let key = (input.id.fp, stage);
-        let (owner, output) = self.lookup(&self.transitions, input.id.gen, key, |out| {
-            self.with_exemplar(out, |e| Node {
-                id: out,
-                clean: e.clean_stages,
-            })
-        })?;
+        let (owner, output) = self.lookup(&self.transitions, input.id.gen, key, NodeCell::node)?;
         self.hit_by(
             owner,
             session,
@@ -1095,18 +1181,23 @@ impl CacheStore for CorpusCache {
         self.stage_runs.fetch_add(1, Ordering::Relaxed);
         if stage < MASK_STAGES && is_identity(&input, &output) {
             // One bit instead of an edge: every future replay of this stage
-            // over this structure is a mask read.
-            return self.intern_node(&input, 0, 1 << stage);
+            // over this structure is a mask read, through every edge into it
+            // too.
+            let (cell, ir) = self.intern_node(&input, |e| {
+                e.clean.fetch_or(1 << stage, Ordering::Relaxed);
+            });
+            return (cell.node(), ir);
         }
-        let (in_node, _) = self.intern_node(&input, 1, 0);
-        let (out_node, out_ir) = self.intern_node(&output, 1, 0);
-        self.insert(&self.transitions, session, in_node.id, stage, out_node.id);
+        let (in_node, _) = self.intern_node(&input, |e| e.refs += 1);
+        let (out_cell, out_ir) = self.intern_node(&output, |e| e.refs += 1);
+        let out_node = out_cell.node();
+        self.insert(&self.transitions, session, in_node.id, stage, out_cell);
         (out_node, out_ir)
     }
 
     fn emission(&self, session: SessionId, backend: BackendKind, state: &Node) -> Option<Arc<str>> {
         let key = (state.id.fp, backend);
-        let (owner, text) = self.lookup(&self.emissions, state.id.gen, key, Some)?;
+        let (owner, text) = self.lookup(&self.emissions, state.id.gen, key, Arc::clone)?;
         self.hit_by(
             owner,
             session,
@@ -1126,7 +1217,7 @@ impl CacheStore for CorpusCache {
     ) {
         self.emissions_done.fetch_add(1, Ordering::Relaxed);
         self.emissions_by_backend[backend.index()].fetch_add(1, Ordering::Relaxed);
-        let (node, _) = self.intern_node(state, 1, 0);
+        let (node, _) = self.intern_node(state, |e| e.refs += 1);
         self.insert(&self.emissions, session, node.id, backend, text);
     }
 
@@ -1163,9 +1254,10 @@ impl CacheStore for CorpusCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::{SessionStats, Walk};
+    use crate::walk::{walk_stages, SessionStats, Walk};
     use prism_ir::fingerprint::{fingerprint, Fingerprint};
     use prism_ir::prelude::*;
+    use std::convert::Infallible;
 
     /// What a one-stage walk from `input` answers for `stage`: the output
     /// state — `input` itself for a clean stage, booked as one identity
@@ -1443,6 +1535,70 @@ mod tests {
             "the never-confirmed colliding neighbour must have been evicted"
         );
         assert!(transition(&cache, id, 0, &crowd).is_some());
+    }
+
+    #[test]
+    fn a_clean_bit_recorded_after_an_edge_is_a_mask_skip_through_it() {
+        let cache = CorpusCache::new();
+        let id = cache.register_session();
+        let x = cache.intern(snapshot(1));
+        // The edge X → Y lands while Y's mask is still empty ...
+        let (y, _) = cache.record_transition(id, 0, x.clone(), snapshot(2));
+        assert_eq!(y.clean, 0);
+        // ... and only then does stage 1 turn out to leave Y unchanged.
+        let y_state = Snapshot {
+            ir: cache.fetch(&y).expect("the edge holds its output"),
+            fp: y.fingerprint(),
+        };
+        cache.record_transition(id, 1, y_state.clone(), y_state.clone());
+
+        // The next walk from X answers stage 0 by the edge and takes stage 1
+        // off the mask it reads through that edge: no lookup, no run.
+        let before = cache.stats();
+        let stages = [(0, ()), (1, ())];
+        let untouched = |(), _: &mut Shader| Ok::<bool, Infallible>(false);
+        let (node, state) = walk_stages(
+            &cache,
+            id,
+            &x,
+            stages,
+            &mut SessionStats::default(),
+            untouched,
+        )
+        .unwrap_or_else(|never| match never {});
+        assert_eq!(node.clean, 1 << 1);
+        assert!(Arc::ptr_eq(&state.ir, &y_state.ir));
+        let after = cache.stats();
+        assert_eq!(after.identity_transitions, before.identity_transitions + 1);
+        assert_eq!(after.stage_runs, before.stage_runs);
+    }
+
+    #[test]
+    fn a_pinned_node_survives_a_budget_that_evicts_everything_around_it() {
+        // One entry per edge shard map.
+        let cache = CorpusCache::bounded(32);
+        let id = cache.register_session();
+        let pinned = cache.pin(snapshot(1));
+        let loose = cache.intern(snapshot(2));
+        cache.record_transition(id, 0, pinned.snapshot().clone(), snapshot(3));
+        cache.record_transition(id, 0, loose.clone(), snapshot(4));
+        let node = pinned.node();
+        let loose_node = cache.node(&loose);
+        for seed in 100..1100 {
+            cache.record_transition(id, 0, snapshot(seed), snapshot(seed + 5000));
+        }
+        assert!(
+            transition(&cache, id, 0, pinned.snapshot()).is_none(),
+            "the pinned node's edge was not evicted"
+        );
+        assert!(
+            cache.fetch(&loose_node).is_none(),
+            "the unpinned node was not reclaimed"
+        );
+        let ir = cache.fetch(&node).expect("the pinned node is held");
+        assert!(Arc::ptr_eq(&ir, &pinned.snapshot().ir));
+        assert_eq!(cache.node(pinned.snapshot()), node, "same generation");
+        assert_eq!(pinned.node(), node);
     }
 
     #[test]

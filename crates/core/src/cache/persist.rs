@@ -54,7 +54,7 @@
 //! save→load→save is idempotent and the shard files are byte-deterministic
 //! (exemplars and entries are sorted before writing).
 
-use super::{CorpusCache, EntryValue, Exemplar, NodeId, Plane, Snapshot, SHARDS};
+use super::{CorpusCache, EntryValue, NodeCell, NodeId, Plane, Snapshot, SHARDS};
 use crate::pipeline::SCHEDULE;
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::{fingerprint, Fingerprint};
@@ -163,8 +163,10 @@ pub struct LoadReport {
     /// emission under a backend name unknown to this build (a snapshot from
     /// a newer build — forward compatibility, not corruption), an analysis
     /// under an unregistered platform personality, an entry referencing a
-    /// verify-rejected exemplar, or an edge whose output exemplar lives in a
-    /// shard file that was skipped or deleted.
+    /// verify-rejected exemplar, an edge whose output exemplar lives in a
+    /// shard file that was skipped or deleted, or an entry whose node a
+    /// bounded budget reclaimed while earlier entries loaded (an entry is
+    /// never inserted naming a node the store no longer holds).
     pub entries_skipped: usize,
     /// Persisted exemplars rejected by the IR verifier (dropped with their
     /// dependent entries, which are counted in `entries_skipped`).
@@ -315,30 +317,23 @@ impl CorpusCache {
         // map first — edges reference output exemplars across shard files, so
         // no file can be written until every file's index space is known.
         // Exemplars nothing references and nothing is known about are dead
-        // weight (e.g. session base states never transitioned) and are not
-        // persisted.
-        let mut shard_exemplars: Vec<Vec<(u64, Exemplar)>> = Vec::with_capacity(SHARDS);
+        // weight (e.g. session base states never transitioned, or a pinned
+        // base with neither) and are not persisted.
+        let mut shard_exemplars: Vec<Vec<PersistedExemplar>> = Vec::with_capacity(SHARDS);
         let mut index: HashMap<u64, (usize, usize)> = HashMap::new();
         for shard in 0..SHARDS {
-            let mut list: Vec<(u128, u64, Exemplar)> = {
+            let mut list: Vec<(u128, u64, PersistedExemplar)> = {
                 let map = self.exemplars[shard].read().expect("corpus cache poisoned");
                 map.iter()
                     .flat_map(|(fp, chain)| {
-                        chain
-                            .iter()
-                            .filter(|e| e.refs > 0 || e.clean_stages != 0)
-                            .map(move |e| {
-                                (
-                                    fp.0,
-                                    e.gen,
-                                    Exemplar {
-                                        gen: e.gen,
-                                        ir: Arc::clone(&e.ir),
-                                        refs: e.refs,
-                                        clean_stages: e.clean_stages,
-                                    },
-                                )
+                        chain.iter().filter_map(move |e| {
+                            let clean = e.clean.load(Ordering::Relaxed);
+                            (e.refs > 0 || clean != 0).then(|| {
+                                let ir = Arc::clone(&e.ir);
+                                let clean_stages = clean as usize;
+                                (fp.0, e.gen, PersistedExemplar { clean_stages, ir })
                             })
+                        })
                     })
                     .collect()
             };
@@ -349,11 +344,11 @@ impl CorpusCache {
             for (idx, (_, gen, _)) in list.iter().enumerate() {
                 index.insert(*gen, (shard, idx));
             }
-            shard_exemplars.push(list.into_iter().map(|(_, gen, e)| (gen, e)).collect());
+            shard_exemplars.push(list.into_iter().map(|(_, _, e)| e).collect());
         }
 
         let mut report = SaveReport::default();
-        for (shard, exemplars) in shard_exemplars.iter().enumerate() {
+        for (shard, exemplars) in shard_exemplars.into_iter().enumerate() {
             let payload = self.shard_payload(shard, exemplars, &index);
             let entries =
                 payload.transitions.len() + payload.emissions.len() + payload.analyses.len();
@@ -419,39 +414,46 @@ impl CorpusCache {
 
         // Phase B: intern the accepted files' exemplars, in file order (the
         // determinism contract with save), recording each file-local index's
-        // node id. A structure already present just merges its clean mask; a
-        // verify-rejected slot stays `None` and never touches the cache.
-        let nodes: Vec<Vec<Option<NodeId>>> = parsed
+        // node with its clean cell. A structure already present just merges
+        // its clean mask; a verify-rejected slot stays `None` and never
+        // touches the cache.
+        let nodes: Vec<Vec<Option<NodeCell>>> = parsed
             .iter()
             .map(|p| match p {
                 Some(p) => p
                     .exemplars
                     .iter()
                     .map(|slot| {
-                        slot.as_ref()
-                            .map(|(snap, clean)| self.intern_node(snap, 0, *clean).0.id)
+                        let (snap, clean) = slot.as_ref()?;
+                        let (cell, _) = self.intern_node(snap, |e| {
+                            e.clean.fetch_or(*clean, Ordering::Relaxed);
+                        });
+                        Some(cell)
                     })
                     .collect(),
                 None => Vec::new(),
             })
             .collect();
 
-        // Phase C: warm-insert edges, emissions and analyses. An entry
-        // whose exemplar was verify-rejected, an edge whose output file was
-        // skipped (or whose output index outruns that file), or an analysis
-        // under a personality this process cannot recompute (a newer or
-        // differently configured writer's entry — forward compatibility, same
-        // as unknown backends) costs only itself.
+        // Phase C: warm-insert edges, emissions and analyses. An edge holds
+        // its output's cell, so it reads the output's loaded mask and every
+        // bit set later. An entry whose exemplar was verify-rejected, an edge
+        // whose output file was skipped (or whose output index outruns that
+        // file), an analysis under a personality this process cannot
+        // recompute (a newer or differently configured writer's entry —
+        // forward compatibility, same as unknown backends), or an entry whose
+        // node a bounded budget reclaimed while earlier entries loaded costs
+        // only itself.
         for shard in 0..SHARDS {
             let Some(p) = &parsed[shard] else { continue };
-            let input = |index: usize| nodes[shard][index];
+            let input = |index: usize| nodes[shard][index].as_ref().map(|n| n.id);
             let mut loaded = 0usize;
             let mut skipped = p.skipped_entries;
             let edges = p
                 .transitions
                 .iter()
                 .map(|&(stage, index, output_shard, output)| {
-                    let output = nodes[output_shard].get(output).copied().flatten()?;
+                    let output = nodes[output_shard].get(output).cloned().flatten()?;
                     Some((input(index)?, stage, output))
                 });
             self.load_plane(&self.transitions, edges, &mut loaded, &mut skipped);
@@ -492,20 +494,12 @@ impl CorpusCache {
     fn shard_payload(
         &self,
         shard: usize,
-        exemplars: &[(u64, Exemplar)],
+        exemplars: Vec<PersistedExemplar>,
         index: &HashMap<u64, (usize, usize)>,
     ) -> ShardPayload {
-        let persisted_exemplars = exemplars
-            .iter()
-            .map(|(_, e)| PersistedExemplar {
-                clean_stages: e.clean_stages as usize,
-                ir: Arc::clone(&e.ir),
-            })
-            .collect();
-
         let transitions =
             self.persisted_rows(&self.transitions, shard, index, |input, stage, out| {
-                let (output_shard, output) = *index.get(&out.gen)?;
+                let (output_shard, output) = *index.get(&out.id.gen)?;
                 Some((*stage, input, output_shard, output))
             });
         let emissions =
@@ -517,7 +511,7 @@ impl CorpusCache {
         });
 
         ShardPayload {
-            exemplars: persisted_exemplars,
+            exemplars,
             transitions: transitions
                 .into_iter()
                 .map(|(stage, input, output_shard, output)| PersistedEdge {
@@ -575,7 +569,8 @@ impl CorpusCache {
     }
 
     /// Warm-inserts one shard's restored entries of `plane`; a `None` entry
-    /// (see phase C of [`CorpusCache::load`]) is skipped and counted.
+    /// (see phase C of [`CorpusCache::load`]), or one naming a node that is
+    /// gone by the time it lands, is skipped and counted.
     fn load_plane<K, T>(
         &self,
         plane: &Plane<K, T>,
@@ -587,12 +582,9 @@ impl CorpusCache {
         T: EntryValue,
     {
         for entry in entries {
-            match entry {
-                Some((input, k, value)) => {
-                    if self.insert_warm(plane, input, k, value) {
-                        *loaded += 1;
-                    }
-                }
+            match entry.and_then(|(input, k, value)| self.insert_warm(plane, input, k, value)) {
+                Some(true) => *loaded += 1,
+                Some(false) => {}
                 None => *skipped += 1,
             }
         }
@@ -715,7 +707,7 @@ fn parse_shard(
 mod tests {
     use super::*;
     use crate::cache::tests::transition;
-    use crate::cache::CacheStore;
+    use crate::cache::{shard_of, CacheStore};
     use prism_ir::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
@@ -1099,6 +1091,89 @@ mod tests {
             "load must not overflow the budget: {} entries",
             bounded.entry_count()
         );
+    }
+
+    #[test]
+    fn a_bounded_load_never_keeps_an_entry_naming_a_reclaimed_node() {
+        let dir = ScratchDir::new("bounded-dangling");
+        populated_cache().save(&dir.0).unwrap();
+        let bounded = CorpusCache::bounded(32);
+        bounded.register_personalities(&[PERSONALITY]);
+        let report = bounded.load(&dir.0);
+        assert_eq!(report.entries_loaded + report.entries_skipped, 35);
+        let held = |id: NodeId| {
+            let map = bounded.exemplars[shard_of(id.fp)].read().unwrap();
+            map.get(&id.fp)
+                .is_some_and(|chain| chain.iter().any(|e| e.gen == id.gen))
+        };
+        fn nodes<K, T: EntryValue>(plane: &Plane<K, T>) -> Vec<NodeId> {
+            let mut nodes = Vec::new();
+            for shard in plane {
+                for ((fp, _), bucket) in &shard.read().unwrap().map {
+                    for (_, e) in bucket {
+                        nodes.push(NodeId {
+                            fp: *fp,
+                            gen: e.input_gen,
+                        });
+                        nodes.extend(e.value.node());
+                    }
+                }
+            }
+            nodes
+        }
+        let named = [
+            nodes(&bounded.transitions),
+            nodes(&bounded.emissions),
+            nodes(&bounded.analyses),
+        ]
+        .concat();
+        assert!(!named.is_empty());
+        assert!(named.into_iter().all(held), "an entry names a gone node");
+    }
+
+    #[test]
+    fn a_warm_insert_naming_a_reclaimed_node_is_skipped_and_counted() {
+        let cache = CorpusCache::new();
+        let (input, _) = cache.intern_node(&snapshot(1), |_| {});
+        // The output's last reference goes, as under a bounded budget.
+        let (output, _) = cache.intern_node(&snapshot(2), |e| e.refs += 1);
+        cache.release_node(output.id);
+        assert!(cache.fetch(&output.node()).is_none());
+
+        let (mut loaded, mut skipped) = (0, 0);
+        let edge = Some((input.id, 0, output));
+        cache.load_plane(
+            &cache.transitions,
+            std::iter::once(edge),
+            &mut loaded,
+            &mut skipped,
+        );
+        assert_eq!((loaded, skipped), (0, 1));
+        assert_eq!(cache.entry_count(), 0, "nothing inserted dangling");
+    }
+
+    #[test]
+    fn a_loaded_edge_reads_its_outputs_loaded_mask() {
+        let dir = ScratchDir::new("edge-mask");
+        let cache = CorpusCache::new();
+        let id = cache.register_session();
+        let output = cache.intern(snapshot(2));
+        cache.record_transition(id, 0, snapshot(1), output.clone());
+        cache.record_transition(id, 1, output.clone(), output.clone());
+        cache.save(&dir.0).unwrap();
+
+        let warm = CorpusCache::new();
+        assert_eq!(warm.load(&dir.0).entries_loaded, 1);
+        let wid = warm.register_session();
+        let input = warm.node(&snapshot(1));
+        let reached = warm.transition(wid, 0, &input).expect("warm edge hit");
+        assert_eq!(reached.clean, 1 << 1);
+        // A bit the warm cache learns afterwards is read through the loaded
+        // edge too.
+        let state = warm.intern(snapshot(2));
+        warm.record_transition(wid, 2, state.clone(), state);
+        let reached = warm.transition(wid, 0, &input).expect("warm edge hit");
+        assert_eq!(reached.clean, 1 << 1 | 1 << 2);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`cache`] — the memo store: a thread-safe fingerprint transition graph
 //!   with one entry type across its edge, emission and analysis planes,
 //!   private to a standalone session or shared by a whole study sweep,
-//!   optionally bounded with LRU eviction and persisted for warm starts.
+//!   optionally bounded with LRU eviction (a [`Pinned`] node is never
+//!   reclaimed) and persisted for warm starts.
 //! * [`walk`] — the one walk over that graph, standing on graph nodes and
 //!   fetching IR only to run a stage, and the one emission-memo step,
 //!   shared by sessions, the compile service and the driver memo.
@@ -41,7 +42,7 @@ pub mod walk;
 
 pub use cache::persist::{LoadReport, SaveReport};
 pub use cache::{
-    shard_of, CacheStats, CacheStore, CorpusCache, Node, Snapshot, FINGERPRINT_SHARDS,
+    shard_of, CacheStats, CacheStore, CorpusCache, Node, Pinned, Snapshot, FINGERPRINT_SHARDS,
 };
 pub use flags::{Flag, OptFlags};
 pub use front::{front, Front};

@@ -16,12 +16,13 @@
 //! A walk stands on a graph [`Node`] — the store's fingerprint, never-reused
 //! generation and clean-stage mask of one structure — not on IR. A stage the
 //! mask marks clean costs nothing; any other answered stage costs one
-//! edge-plane read plus one exemplar read for the output's mask, and clones
-//! no `Arc<Shader>`. IR is fetched only when a stage must run or the caller
-//! asks for the final state. A bounded store may reclaim a node between the
-//! lookup that named it and that fetch; the walk then re-derives the node's
-//! IR by running the steps of the stages it answered since the last IR it
-//! held, and books none of them a second time.
+//! edge-plane read, under whose lock the output's mask is read off the cell
+//! the edge holds, and clones no `Arc<Shader>`: a node is `Copy`, so a step
+//! touches no refcount. IR is fetched only when a stage must run or the
+//! caller asks for the final state. A bounded store may reclaim a node
+//! between the lookup that named it and that fetch; the walk then re-derives
+//! the node's IR by running the steps of the stages it answered since the
+//! last IR it held, and books none of them a second time.
 
 use crate::cache::{hit_rate, CacheStore, Node, NodeId, SessionId, Snapshot, MASK_STAGES};
 use prism_emit::BackendKind;

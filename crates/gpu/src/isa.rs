@@ -7,7 +7,6 @@
 //! coherent across a wave), and a linear-scan liveness estimate provides the
 //! register pressure figure the occupancy model consumes.
 
-use prism_ir::hash::FxHashMap;
 use prism_ir::prelude::*;
 use prism_ir::stmt::trip_count;
 use prism_ir::verify::operand_ty;
@@ -196,50 +195,73 @@ pub fn register_pressure(shader: &Shader) -> f64 {
     let mut order: Vec<&Stmt> = Vec::new();
     linearise(&shader.body, &mut order);
 
-    // First definition and last use index per register.
-    let mut first_def: FxHashMap<Reg, usize> = FxHashMap::default();
-    let mut last_use: FxHashMap<Reg, usize> = FxHashMap::default();
+    // First definition and last use index per register, dense by register
+    // number. A register outside the shader's table (malformed IR) grows
+    // the tables instead of panicking, as `Analysis` does.
+    let mut first_def = vec![NEVER; shader.regs.len()];
+    let mut last_use = vec![NEVER; shader.regs.len()];
     for (idx, stmt) in order.iter().enumerate() {
-        if let Stmt::Def { dst, .. } = stmt {
-            first_def.entry(*dst).or_insert(idx);
-            // A redefinition keeps the register alive through this point.
-            last_use.insert(*dst, idx);
-        }
-        if let Stmt::Loop { var, .. } = stmt {
-            first_def.entry(*var).or_insert(idx);
+        let defined = match stmt {
+            Stmt::Def { dst, .. } => {
+                // A redefinition keeps the register alive through this point.
+                *slot(&mut last_use, *dst) = idx;
+                Some(*dst)
+            }
+            Stmt::Loop { var, .. } => Some(*var),
+            _ => None,
+        };
+        if let Some(reg) = defined {
+            let first = slot(&mut first_def, reg);
+            if *first == NEVER {
+                *first = idx;
+            }
         }
         for o in stmt.operands() {
             if let Operand::Reg(r) = o {
-                last_use.insert(*r, idx);
+                *slot(&mut last_use, *r) = idx;
             }
         }
     }
 
-    // Sweep, counting live widths.
+    // Each register's width goes live at its first definition and dies one
+    // past its last use. Widths are small integers, so every per-statement
+    // sum (and the running total) is exact in `f64`, whatever the order.
+    let mut delta = vec![0.0f64; order.len() + 1];
+    for (index, &def_idx) in first_def.iter().enumerate() {
+        if def_idx == NEVER {
+            continue;
+        }
+        let end_idx = match last_use.get(index) {
+            Some(&used) if used != NEVER => used,
+            _ => def_idx,
+        };
+        let width = shader.reg_ty(Reg(index as u32)).width as f64;
+        delta[def_idx] += width;
+        delta[end_idx + 1] -= width;
+    }
     let mut max_live = 0.0f64;
     let mut live = 0.0f64;
-    let mut events: FxHashMap<usize, Vec<(f64, bool)>> = FxHashMap::default();
-    for (reg, def_idx) in &first_def {
-        let end_idx = last_use.get(reg).copied().unwrap_or(*def_idx);
-        let width = shader.reg_ty(*reg).width as f64;
-        events.entry(*def_idx).or_default().push((width, true));
-        events.entry(end_idx + 1).or_default().push((width, false));
-    }
-    for idx in 0..=order.len() + 1 {
-        if let Some(evs) = events.get(&idx) {
-            for (width, is_def) in evs {
-                if *is_def {
-                    live += width;
-                } else {
-                    live -= width;
-                }
-            }
-        }
+    for d in delta {
+        live += d;
         max_live = max_live.max(live);
     }
     // Interpolated inputs occupy registers for the whole shader.
     let input_regs: f64 = shader.inputs.iter().map(|i| i.ty.width as f64).sum();
     max_live + input_regs
+}
+
+/// The statement index of a register [`register_pressure`] never saw
+/// defined or used.
+const NEVER: usize = usize::MAX;
+
+/// `table`'s entry for `reg`, growing the table with [`NEVER`] for a
+/// register past its end.
+fn slot(table: &mut Vec<usize>, reg: Reg) -> &mut usize {
+    let index = reg.0 as usize;
+    if index >= table.len() {
+        table.resize(index + 1, NEVER);
+    }
+    &mut table[index]
 }
 
 fn linearise<'a>(body: &'a [Stmt], out: &mut Vec<&'a Stmt>) {
@@ -440,6 +462,99 @@ mod tests {
         let stats = IsaStats::of(&s);
         assert_eq!(stats.divisions, 4.0);
         assert_eq!(stats.scalar_alu, 0.0);
+    }
+
+    /// `dst = splat(value)` of a vec4.
+    fn splat(dst: Reg, value: f64) -> Stmt {
+        Stmt::Def {
+            dst,
+            op: Op::Splat {
+                ty: IrType::fvec(4),
+                value: Operand::float(value),
+            },
+        }
+    }
+
+    fn add(dst: Reg, a: Reg, b: Reg) -> Stmt {
+        Stmt::Def {
+            dst,
+            op: Op::Binary(BinaryOp::Add, Operand::Reg(a), Operand::Reg(b)),
+        }
+    }
+
+    fn store(value: Reg) -> Stmt {
+        Stmt::StoreOutput {
+            output: 0,
+            components: None,
+            value: Operand::Reg(value),
+        }
+    }
+
+    #[test]
+    fn register_pressure_counts_hand_cases_exactly() {
+        // A redefinition keeps a register live up to it: `a` spans 0..=3
+        // although nothing reads it, so it overlaps `b` (1..=2) and `c`
+        // (2..=2): 12 components at statement 2.
+        let mut s = Shader::new("redefined");
+        let [a, b, c] = [(); 3].map(|_| s.new_reg(IrType::fvec(4)));
+        s.body = vec![splat(a, 1.0), splat(b, 2.0), add(c, b, b), splat(a, 3.0)];
+        assert_eq!(register_pressure(&s), 12.0);
+
+        // A loop's induction variable is defined at the loop statement and
+        // lives to its last use: `acc` (4) + `i` (1) + `f` (1) at statement 2.
+        let mut s = Shader::new("induction");
+        let acc = s.new_reg(IrType::fvec(4));
+        let i = s.new_reg(IrType::I32);
+        let f = s.new_reg(IrType::F32);
+        let convert = Op::Convert {
+            to: IrType::F32,
+            value: Operand::Reg(i),
+        };
+        s.body = vec![
+            splat(acc, 0.0),
+            Stmt::Loop {
+                var: i,
+                start: 0,
+                end: 4,
+                step: 1,
+                body: vec![
+                    Stmt::Def {
+                        dst: f,
+                        op: convert,
+                    },
+                    add(acc, acc, f),
+                ],
+            },
+            store(acc),
+        ];
+        assert_eq!(register_pressure(&s), 6.0);
+
+        // A register used but never defined — here one outside the register
+        // table — is never live; interpolated inputs always are.
+        let mut s = Shader::new("undefined");
+        s.inputs.push(InputVar {
+            name: "uv".into(),
+            ty: IrType::fvec(2),
+        });
+        let b = s.new_reg(IrType::fvec(4));
+        let mov = Op::Mov(Operand::Reg(Reg(99)));
+        s.body = vec![Stmt::Def { dst: b, op: mov }, store(b)];
+        assert_eq!(register_pressure(&s), 4.0 + 2.0);
+
+        // Both sides of an `if` are scanned in order: the then side peaks at
+        // `c` + `t` = 8, the else side at `c` + `e1` + `e2` = 12.
+        let mut s = Shader::new("branches");
+        let [c, t, e1, e2] = [(); 4].map(|_| s.new_reg(IrType::fvec(4)));
+        s.body = vec![
+            splat(c, 0.0),
+            Stmt::If {
+                cond: Operand::boolean(true),
+                then_body: vec![splat(t, 1.0), add(c, t, t)],
+                else_body: vec![splat(e1, 2.0), splat(e2, 3.0), add(c, e1, e2)],
+            },
+            store(c),
+        ];
+        assert_eq!(register_pressure(&s), 12.0);
     }
 
     #[test]

@@ -56,14 +56,8 @@ pub struct Measurement {
     pub mean_ns: f64,
     /// Standard deviation over all frames.
     pub stddev_ns: f64,
-    /// Minimum observed frame time.
-    pub min_ns: f64,
-    /// Maximum observed frame time.
-    pub max_ns: f64,
     /// Noise-free model time (for debugging / sanity checks).
     pub ideal_ns: f64,
-    /// Number of frames aggregated.
-    pub samples: usize,
 }
 
 impl Measurement {
@@ -111,10 +105,7 @@ fn summarise(samples: &[f64], ideal_ns: f64) -> Measurement {
     Measurement {
         mean_ns: mean,
         stddev_ns: var.sqrt(),
-        min_ns: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ns: samples.iter().copied().fold(0.0, f64::max),
         ideal_ns,
-        samples: samples.len(),
     }
 }
 
@@ -141,9 +132,7 @@ mod tests {
             seed: 1,
         };
         let m = measure(&platform, &config, 0);
-        assert_eq!(m.samples, 60);
         assert!(m.mean_ns > 0.0);
-        assert!(m.min_ns <= m.mean_ns && m.mean_ns <= m.max_ns);
     }
 
     #[test]

@@ -6,28 +6,30 @@
 //! 1. **route** — the source text goes through a shared *lower-once front
 //!    stage*: [`prism_core::front`](fn@prism_core::front) in the desktop GLSL
 //!    form (preprocess + parse + lower + verify, the GLSL drivers' own front
-//!    door), memoised per source text. The route step reads the base IR's
-//!    graph [`Node`] under the front memo's read lock and takes no IR
-//!    handle; only a leader clones the base [`Snapshot`]. The node's
-//!    [`Fingerprint`] keys every later step; the cache splits its locks 16
-//!    ways on it ([`prism_core::shard_of`]) — the same split the warm-start
-//!    snapshot files use, so a request's shard survives restarts without
-//!    re-keying;
+//!    door), memoised per source text. The memo holds each base [`Pinned`]
+//!    ([`CorpusCache::pin`]), so no cache budget reclaims it, and the route
+//!    step reads the base IR's graph [`Node`] off the pin under the front
+//!    memo's read lock alone: no exemplar lock, no IR handle. Only a leader
+//!    clones the base [`Snapshot`]. The node's [`Fingerprint`] keys every
+//!    later step; the cache splits its locks 16 ways on it
+//!    ([`prism_core::shard_of`]) — the same split the warm-start snapshot
+//!    files use, so a request's shard survives restarts without re-keying;
 //! 2. **memo** — the calling thread walks the pass schedule over the shared
 //!    [`CorpusCache`] lookup-only, node to node ([`Walk`]): the
-//!    specialized-base memo, the stage transitions, the emitted text and
-//!    (when asked for) the static analysis are answered whenever an
-//!    equivalent request (or a warm-start snapshot) already paid for them.
-//!    An answered stage is one edge-plane read plus one exemplar read for
-//!    the output's clean mask, and the emission and analysis lookups key by
-//!    the walk's final node; no `Arc<Shader>` is cloned. A request the memo
-//!    answers completely **ends here** ([`ServiceStats::memo_answered`]): it
-//!    never coalesces, and its body is the memo's shared `Arc<str>` handle —
-//!    a refcount bump, never a copy. The counters such a request bumps
-//!    (`requests`, `front_hits`, `memo_answered`, `zero_copy_hits`, and the
-//!    cache's hit and `routed_requests` counters) are striped per thread
-//!    ([`Striped`]) and summed by [`CompileService::stats`], so concurrent
-//!    hits write no shared counter line;
+//!    specialized-base memo (whose bases are pinned too), the stage
+//!    transitions, the emitted text and (when asked for) the static analysis
+//!    are answered whenever an equivalent request (or a warm-start snapshot)
+//!    already paid for them. An answered stage is one edge-plane read: the
+//!    edge holds its output's clean-mask cell, read under the same lock. The
+//!    emission and analysis lookups key by the walk's final node; no
+//!    `Arc<Shader>` is cloned. A request the memo answers completely **ends
+//!    here** ([`ServiceStats::memo_answered`]): it never coalesces, and its
+//!    body is the memo's shared `Arc<str>` handle — a refcount bump, never a
+//!    copy. The counters such a request bumps (`requests`, `front_hits`,
+//!    `memo_answered`, `zero_copy_hits`, and the cache's hit and
+//!    `routed_requests` counters) are striped per thread ([`Striped`]) and
+//!    summed by [`CompileService::stats`], so concurrent hits write no shared
+//!    counter line;
 //! 3. **coalesce** — only a request the memo missed enters the singleflight
 //!    table keyed `(fingerprint, flags, backend, analysis, spec)`: one leader
 //!    compiles, every waiter blocks on the same flight and receives the same
@@ -44,7 +46,7 @@
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node, OptFlags,
+    emit_memoised, specialize_shader, CacheStats, CacheStore, CorpusCache, Node, OptFlags, Pinned,
     SessionStats, Snapshot, SpecKey, Stage, Walk, SCHEDULE,
 };
 use prism_emit::BackendKind;
@@ -484,14 +486,14 @@ pub struct CompileService {
     warm_start_dir: Option<PathBuf>,
     cache: Arc<CorpusCache>,
     session: SessionId,
-    /// Front-stage memo: the interned base IR of every source text seen,
-    /// or its rejection.
-    front: RwLock<HashMap<String, Result<Snapshot, ServeError>>>,
+    /// Front-stage memo: the pinned base IR of every source text seen, or
+    /// its rejection.
+    front: RwLock<HashMap<String, Result<Pinned, ServeError>>>,
     /// Specialized-base memo: the substituted-folded-verified snapshot each
-    /// `(base fingerprint, spec key)` pair starts its flag walk from —
-    /// derived (and interp-verified against the general base) once, then a
-    /// refcount bump for every later request.
-    spec_bases: RwLock<HashMap<(Fingerprint, SpecKey), Snapshot>>,
+    /// `(base fingerprint, spec key)` pair starts its flag walk from,
+    /// pinned — derived (and interp-verified against the general base)
+    /// once, then read off the pin by every later request.
+    spec_bases: RwLock<HashMap<(Fingerprint, SpecKey), Pinned>>,
     flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     counters: Counters,
     hook: RwLock<Option<ComputeHook>>,
@@ -692,7 +694,8 @@ impl Drop for FlightGuard<'_> {
 impl CompileService {
     /// The steps a request passes before it routes: target resolution and
     /// the front stage, which yields the base IR's node. The node is read
-    /// under the front memo's read lock; no IR handle leaves it.
+    /// off the base's pin under the front memo's read lock alone; no IR
+    /// handle leaves it.
     fn route(&self, request: &CompileRequest) -> Result<(BackendKind, bool, Node), ServeError> {
         let (backend, chain_fallback) = match &request.target {
             RequestTarget::Kind(kind) => (*kind, false),
@@ -705,7 +708,7 @@ impl CompileService {
                 .chain_fallbacks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let (base, memoised) = self.front(&request.source, |base| self.cache.node(base));
+        let (base, memoised) = self.front(&request.source, Pinned::node);
         if memoised {
             self.counters.hit(Hit::FrontHits);
         }
@@ -766,7 +769,7 @@ impl CompileService {
             base
         } else {
             let spec = &request.specialize;
-            self.memoised_spec_base(base.fingerprint(), spec, |start| self.cache.node(start))
+            self.memoised_spec_base(base.fingerprint(), spec, Pinned::node)
                 .ok_or(Resume::Specialize)?
         };
         let mut walk = Walk::at(start);
@@ -805,13 +808,13 @@ impl CompileService {
     /// The shared lower-once front stage: the desktop GLSL form of
     /// [`prism_core::front`](fn@prism_core::front), memoised per source text
     /// (errors included, so a hostile source costs one front-stage failure,
-    /// not one per request). `read` sees the base snapshot under the memo's
+    /// not one per request). `read` sees the pinned base under the memo's
     /// read lock: the route step reads its node there, and only a leader
     /// clones the snapshot. Also returns whether the memo held the text.
     fn front<R>(
         &self,
         source: &str,
-        read: impl FnOnce(&Snapshot) -> R,
+        read: impl FnOnce(&Pinned) -> R,
     ) -> (Result<R, ServeError>, bool) {
         if let Some(base) = self.front.read().expect("front memo poisoned").get(source) {
             return (base.as_ref().map(read).map_err(ServeError::clone), true);
@@ -830,16 +833,17 @@ impl CompileService {
         (base.as_ref().map(read).map_err(ServeError::clone), false)
     }
 
-    fn lower_front(&self, source: &str) -> Result<Snapshot, ServeError> {
+    fn lower_front(&self, source: &str) -> Result<Pinned, ServeError> {
         self.counters.front_lowers.fetch_add(1, Ordering::Relaxed);
         // Requests are anonymous; name the shader by its source hash so the
         // IR (and everything memoised from it) is deterministic per text.
         let front = prism_core::front(BackendKind::DesktopGlsl, source, &source_name(source))
             .map_err(|e| ServeError::Frontend(e.to_string()))?;
-        // Intern the base into the cache's exemplar plane: repeat requests
-        // (and racing duplicate lowers) of the same source then share one
-        // allocation, and the compute walk resolves it by pointer identity.
-        Ok(self.cache.intern(Snapshot::new(front.ir)))
+        // Pin the base in the cache's exemplar plane: repeat requests (and
+        // racing duplicate lowers) of the same source then share one
+        // allocation and one node, which no cache budget reclaims, and the
+        // compute walk resolves it by pointer identity.
+        Ok(self.cache.pin(Snapshot::new(front.ir)))
     }
 
     /// Runs the leader's compile to flight completion. A panicking compile
@@ -892,7 +896,7 @@ impl CompileService {
         // the substituted-and-folded base. That base is another IR
         // structure, so everything downstream (transition memo, emission
         // memo, analysis memo) dedups by fingerprint with no special cases.
-        let base = self.front(source, Snapshot::clone).0?;
+        let base = self.front(source, |base| base.snapshot().clone()).0?;
         let start = if key.spec.is_general() {
             base
         } else {
@@ -977,13 +981,13 @@ impl CompileService {
         )
     }
 
-    /// `read` of the specialized base of `(base, spec)` under the memo's
-    /// read lock, if it is memoised.
+    /// `read` of the pinned specialized base of `(base, spec)` under the
+    /// memo's read lock, if it is memoised.
     fn memoised_spec_base<R>(
         &self,
         base: Fingerprint,
         spec: &SpecKey,
-        read: impl FnOnce(&Snapshot) -> R,
+        read: impl FnOnce(&Pinned) -> R,
     ) -> Option<R> {
         self.spec_bases
             .read()
@@ -1001,10 +1005,11 @@ impl CompileService {
     /// against the general base through the interpreter on
     /// assumption-holding contexts at the standard probe points — the fold
     /// must be bit-for-bit exact or the request fails rather than serve a
-    /// miscompile. The verified snapshot is interned into the cache's
-    /// exemplar plane so it dedups like any other structure.
+    /// miscompile. The verified snapshot is pinned in the cache's exemplar
+    /// plane so it dedups like any other structure and is never reclaimed.
     fn spec_base(&self, base: &Snapshot, spec: &SpecKey) -> Result<Snapshot, ServeError> {
-        if let Some(snap) = self.memoised_spec_base(base.fp, spec, Snapshot::clone) {
+        let memoised = self.memoised_spec_base(base.fp, spec, |p| p.snapshot().clone());
+        if let Some(snap) = memoised {
             return Ok(snap);
         }
         let ir =
@@ -1022,13 +1027,14 @@ impl CompileService {
                 )));
             }
         }
-        let snap = self.cache.intern(Snapshot::new(ir));
+        let pinned = self.cache.pin(Snapshot::new(ir));
+        let snap = pinned.snapshot().clone();
         // A racing duplicate derivation of the same pair is wasted but
         // deterministic work; last write wins with an identical snapshot.
         self.spec_bases
             .write()
             .expect("spec-base memo poisoned")
-            .insert((base.fp, spec.clone()), snap.clone());
+            .insert((base.fp, spec.clone()), pinned);
         Ok(snap)
     }
 
